@@ -2,10 +2,12 @@
 embedding-geometry statistics.
 
 Episodes are re-derived from (master_seed, episode_index) child seeds, so
-the reported mean is independent of evaluation order. Distances are plain
-Euclidean on raw embeddings throughout (squared for the nearest-prototype
-argmin, where squaring changes nothing); a cosine option exists for
-ablation.
+the reported mean is independent of evaluation order. Episodic accuracy
+embeds the split once, draws every episode from one class index, and
+scores the episodes in fixed chunks with batched gathers and one stacked
+distance per chunk, which keeps peak memory flat in the episode count.
+Distances are plain Euclidean on raw embeddings throughout; a cosine
+option exists for ablation.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import numpy as np
 
 from .errors import ConfigurationError, DataError, ShapeError
 from .nn import ModelParams, forward
-from .sampling import child_seed, sample_episode
+from .sampling import ClassIndex, child_seed
 
 METRICS = ("euclidean", "cosine")
+# episodes scored per batched distance in episodic_accuracy
+EPISODE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -47,21 +51,22 @@ class GeometryStats:
 
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
-    """Distance matrix between rows of a and rows of b."""
+    """Distance matrix between rows of a and rows of b; leading axes, if
+    any, index a stack of independent (a, b) pairs."""
     if metric not in METRICS:
         raise ConfigurationError(f"metric must be one of {METRICS}, got {metric!r}")
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if metric == "cosine":
-        na = np.linalg.norm(a, axis=1, keepdims=True)
-        nb = np.linalg.norm(b, axis=1, keepdims=True)
+        na = np.linalg.norm(a, axis=-1, keepdims=True)
+        nb = np.linalg.norm(b, axis=-1, keepdims=True)
         na = np.where(na > 0, na, 1.0)
         nb = np.where(nb > 0, nb, 1.0)
-        return 1.0 - (a / na) @ (b / nb).T
+        return 1.0 - (a / na) @ np.swapaxes(b / nb, -1, -2)
     sq = (
-        np.sum(a * a, axis=1)[:, None]
-        - 2.0 * (a @ b.T)
-        + np.sum(b * b, axis=1)[None, :]
+        np.sum(a * a, axis=-1)[..., :, None]
+        - 2.0 * (a @ np.swapaxes(b, -1, -2))
+        + np.sum(b * b, axis=-1)[..., None, :]
     )
     return np.sqrt(np.maximum(sq, 0.0))
 
@@ -110,18 +115,32 @@ def episodic_accuracy(
     """Mean nearest-prototype accuracy over independently seeded episodes.
 
     Episode i draws its task with child_seed(master_seed, i); accuracy is
-    averaged over episodes with a 1.96 * sd / sqrt(E) half-width.
+    averaged over episodes with a 1.96 * sd / sqrt(E) half-width. The
+    split is embedded once; each chunk of EPISODE_CHUNK episodes is scored
+    by one stacked distance from its queries to its support means, and
+    distance ties go to the lowest episode class, as in
+    nearest_prototype_classify.
     """
     if episodes < 1:
         raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
+    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
+    z, _ = forward(params, features)
+    query_labels = np.repeat(np.arange(n_way), q_queries)
     accs = np.empty(episodes)
-    for i in range(episodes):
-        rng = np.random.default_rng(child_seed(master_seed, i))
-        ep = sample_episode(features, labels, n_way, k_shot, q_queries, rng)
-        sup_emb, _ = forward(params, ep.support_features)
-        qry_emb, _ = forward(params, ep.query_features)
-        pred = nearest_prototype_classify(sup_emb, ep.support_labels, qry_emb, metric)
-        accs[i] = float(np.mean(pred == ep.query_labels))
+    for start in range(0, episodes, EPISODE_CHUNK):
+        stop = min(start + EPISODE_CHUNK, episodes)
+        rows = np.stack([
+            index.draw(
+                n_way, k_shot + q_queries,
+                np.random.default_rng(child_seed(master_seed, i)),
+            )[1]
+            for i in range(start, stop)
+        ])  # episodes x n_way x (k_shot + q_queries)
+        emb = z[rows]
+        protos = emb[:, :, :k_shot].mean(axis=2)
+        queries = emb[:, :, k_shot:].reshape(stop - start, n_way * q_queries, -1)
+        pred = np.argmin(_pairwise_dist(queries, protos, metric), axis=2)
+        accs[start:stop] = np.mean(pred == query_labels, axis=1)
     mean = float(accs.mean())
     sd = float(accs.std(ddof=1)) if episodes > 1 else 0.0
     return EpisodicResult(

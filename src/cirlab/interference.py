@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, ShapeError
-from .tac import ClassTable, sample_negative_class
+from .tac import ClassTable
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,10 @@ def interfere_batch(
     n = features.shape[0]
     n_designated = int(np.ceil(config.fraction * n))
     decoys = np.full(n, -1, dtype=np.int64)
-    for i in range(n_designated):
-        decoys[i] = sample_negative_class(rng, int(labels[i]), tac.num_classes)
+    if n_designated:
+        decoys[:n_designated] = _negative_classes(
+            rng, labels[:n_designated], tac.num_classes
+        )
 
     blended = features.copy()
     if config.enabled and config.strength > 0.0 and n_designated:
@@ -110,6 +112,24 @@ def interfere_batch(
         mu = tac.table[decoys[rows]]
         blended[rows] = (1.0 - config.strength) * features[rows] + config.strength * mu
     return blended, decoys
+
+
+def _negative_classes(
+    rng: np.random.Generator, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """One uniform class other than labels[i] per row, from a single
+    vector draw: the same stream as len(labels) `tac.sample_negative_class`
+    calls in row order."""
+    if num_classes < 2:
+        raise ConfigurationError(
+            f"need at least 2 classes to draw a different one, got {num_classes}"
+        )
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        label = labels[np.argmax(outside)]
+        raise InputError(f"label {label} outside [0, {num_classes})")
+    k = rng.integers(0, num_classes - 1, size=labels.shape[0])
+    return k + (k >= labels)
 
 
 def gaussian_perturb(

@@ -16,6 +16,8 @@ parallel worker processes.  Aggregation order is fixed regardless.
 
 import dataclasses
 import os
+import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -172,7 +174,10 @@ def _worker(packed):
     settings, arm, seed, out_dir = packed
     try:
         return _run_one(settings, arm, seed, out_dir)
-    except (CirError, FloatingPointError) as exc:
+    except Exception as exc:
+        # one failed cell becomes a failure row; the other cells still run
+        if not isinstance(exc, (CirError, FloatingPointError)):
+            traceback.print_exc(file=sys.stderr)
         return (arm, seed, f"{type(exc).__name__}: {exc}")
 
 

@@ -1,9 +1,11 @@
 """Batch and episode construction.
 
 PK batches (P classes, K samples each) feed triplet training; N-way K-shot
-episodes feed evaluation. Episode randomness is derived per-index from a
-master seed with a fixed 64-bit avalanche mix, so episode i has the same
-content no matter how many episodes run or in what order.
+episodes feed evaluation. Both draw from one `ClassIndex` per split: the
+sorted class ids and each class's row array, built and checked once, so
+no batch or episode rescans the labels. Episode randomness is derived
+per-index from a master seed with a fixed 64-bit avalanche mix, so episode
+i has the same content no matter how many episodes run or in what order.
 """
 
 from __future__ import annotations
@@ -77,39 +79,87 @@ def child_seed(master_seed: int, index: int) -> int:
     return x
 
 
-def _class_index_lists(labels: np.ndarray) -> dict[int, np.ndarray]:
-    labels = np.asarray(labels)
-    return {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+class ClassIndex:
+    """Sorted class ids of one split and each class's ascending row array.
+
+    Build it once per split with `for_batches` or `for_episodes`, which
+    check the class and per-class row counts the draws need; `draw` then
+    samples from it without rescanning the labels.
+    """
+
+    def __init__(self, labels: np.ndarray):
+        labels = np.asarray(labels)
+        self.classes = tuple(int(c) for c in np.unique(labels))
+        self.rows = {c: np.flatnonzero(labels == c) for c in self.classes}
+
+    @classmethod
+    def for_batches(cls, labels: np.ndarray, spec: PKSpec) -> "ClassIndex":
+        """Index for PK batches: at least P classes, every one with K rows.
+
+        A short class fails loudly even if no draw would touch it.
+        """
+        index = cls(labels)
+        if len(index.classes) < spec.p_classes:
+            raise DataError(
+                f"need {spec.p_classes} classes, dataset has {len(index.classes)}"
+            )
+        index._require_rows(spec.k_samples, "need")
+        return index
+
+    @classmethod
+    def for_episodes(
+        cls, labels: np.ndarray, n_way: int, k_shot: int, q_queries: int
+    ) -> "ClassIndex":
+        """Index for N-way K-shot episodes with Q queries per class: at
+        least N classes, every one with K + Q rows."""
+        if n_way < 2:
+            raise ConfigurationError(f"n_way must be >= 2, got {n_way}")
+        if k_shot < 1 or q_queries < 1:
+            raise ConfigurationError("k_shot and q_queries must be >= 1")
+        index = cls(labels)
+        if len(index.classes) < n_way:
+            raise DataError(
+                f"need {n_way} classes for the episode, split has {len(index.classes)}"
+            )
+        index._require_rows(k_shot + q_queries, "episode needs")
+        return index
+
+    def _require_rows(self, need: int, verb: str) -> None:
+        for c, rows in self.rows.items():
+            if len(rows) < need:
+                raise DataError(f"class {c} has {len(rows)} samples, {verb} {need}")
+
+    def draw(
+        self, n_classes: int, per_class: int, rng: np.random.Generator
+    ) -> tuple[tuple[int, ...], np.ndarray]:
+        """n_classes classes without replacement, then per_class distinct
+        rows of each: (class ids in drawn order, n_classes x per_class rows)."""
+        drawn = rng.choice(len(self.classes), size=n_classes, replace=False)
+        class_ids = tuple(self.classes[int(ci)] for ci in drawn)
+        out = np.empty((n_classes, per_class), dtype=np.int64)
+        for slot, c in enumerate(class_ids):
+            rows = self.rows[c]
+            out[slot] = rows[rng.choice(len(rows), size=per_class, replace=False)]
+        return class_ids, out
 
 
 def pk_batch(
-    features: np.ndarray, labels: np.ndarray, spec: PKSpec, rng: np.random.Generator
+    features: np.ndarray,
+    labels: np.ndarray,
+    spec: PKSpec,
+    rng: np.random.Generator,
+    index: ClassIndex | None = None,
 ) -> np.ndarray:
     """Row indices of one PK batch: P classes drawn without replacement,
     then K distinct rows per class, class-major order.
 
-    Every class in the dataset must hold at least K rows; a short class
-    fails loudly even if this draw would not have touched it.
+    index is the split's `ClassIndex.for_batches(labels, spec)`; without
+    it one is built (and checked) from labels on every call.
     """
-    by_class = _class_index_lists(labels)
-    classes = sorted(by_class)
-    if len(classes) < spec.p_classes:
-        raise DataError(
-            f"need {spec.p_classes} classes, dataset has {len(classes)}"
-        )
-    for c in classes:
-        if len(by_class[c]) < spec.k_samples:
-            raise DataError(
-                f"class {c} has {len(by_class[c])} samples, need {spec.k_samples}"
-            )
-
-    drawn = rng.choice(len(classes), size=spec.p_classes, replace=False)
-    out = np.empty(spec.batch_size, dtype=np.int64)
-    for slot, ci in enumerate(drawn):
-        rows = by_class[classes[int(ci)]]
-        picked = rng.choice(len(rows), size=spec.k_samples, replace=False)
-        out[slot * spec.k_samples : (slot + 1) * spec.k_samples] = rows[picked]
-    return out
+    if index is None:
+        index = ClassIndex.for_batches(labels, spec)
+    _, rows = index.draw(spec.p_classes, spec.k_samples, rng)
+    return rows.reshape(-1)
 
 
 def sample_episode(
@@ -125,47 +175,20 @@ def sample_episode(
     N classes without replacement; per class K+Q distinct rows, the first K
     to support; episode labels are 0..N-1 in sampled order.
     """
-    if n_way < 2:
-        raise ConfigurationError(f"n_way must be >= 2, got {n_way}")
-    if k_shot < 1 or q_queries < 1:
-        raise ConfigurationError("k_shot and q_queries must be >= 1")
+    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
     features = np.asarray(features)
-    by_class = _class_index_lists(labels)
-    classes = sorted(by_class)
-    if len(classes) < n_way:
-        raise DataError(f"need {n_way} classes for the episode, split has {len(classes)}")
-    need = k_shot + q_queries
-    for c in classes:
-        if len(by_class[c]) < need:
-            raise DataError(
-                f"class {c} has {len(by_class[c])} samples, episode needs {need}"
-            )
-
-    drawn = rng.choice(len(classes), size=n_way, replace=False)
-    sup_idx, qry_idx = [], []
-    sup_lab, qry_lab = [], []
-    class_ids = []
-    for new_label, ci in enumerate(drawn):
-        c = classes[int(ci)]
-        class_ids.append(c)
-        rows = by_class[c]
-        picked = rows[rng.choice(len(rows), size=need, replace=False)]
-        sup_idx.extend(picked[:k_shot])
-        qry_idx.extend(picked[k_shot:])
-        sup_lab.extend([new_label] * k_shot)
-        qry_lab.extend([new_label] * q_queries)
-
-    sup_idx = np.asarray(sup_idx, dtype=np.int64)
-    qry_idx = np.asarray(qry_idx, dtype=np.int64)
+    class_ids, rows = index.draw(n_way, k_shot + q_queries, rng)
+    sup_idx = rows[:, :k_shot].reshape(-1)
+    qry_idx = rows[:, k_shot:].reshape(-1)
     return Episode(
         n_way=n_way,
         k_shot=k_shot,
         q_queries=q_queries,
         support_features=features[sup_idx],
-        support_labels=np.asarray(sup_lab, dtype=np.int64),
+        support_labels=np.repeat(np.arange(n_way, dtype=np.int64), k_shot),
         query_features=features[qry_idx],
-        query_labels=np.asarray(qry_lab, dtype=np.int64),
-        class_ids=tuple(class_ids),
+        query_labels=np.repeat(np.arange(n_way, dtype=np.int64), q_queries),
+        class_ids=class_ids,
         support_indices=sup_idx,
         query_indices=qry_idx,
     )

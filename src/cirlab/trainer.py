@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batch import EmbeddingBatch
 from .datagen import Dataset
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluate import episodic_accuracy, geometry_stats, retrieval_map, cmc_rank1
@@ -49,7 +48,7 @@ from .nn import (
     input_gradient,
     sgd_step,
 )
-from .sampling import PKSpec, child_seed, pk_batch
+from .sampling import ClassIndex, PKSpec, child_seed, pk_batch
 from .tac import ClassTable, tac_init, tac_update
 
 LOSS_MODES = ("triplet", "oim", "cross_entropy")
@@ -306,6 +305,12 @@ def train(
         )
 
     pk = PKSpec(cfg.p_classes, cfg.k_samples)
+    index = negatives = None
+    if cfg.loss_mode == "triplet":
+        index = ClassIndex.for_batches(fit_labels, pk)
+        if cfg.mining == "preformed":
+            # each class's negative rows, ascending, as the draws index them
+            negatives = {c: np.flatnonzero(fit_labels != c) for c in index.classes}
     logs: list[EpochLog] = []
     for e in range(cfg.epochs):
         rate = schedule.rate(e)
@@ -315,11 +320,12 @@ def train(
             if cfg.loss_mode == "triplet":
                 if cfg.mining == "batch_all":
                     z, y, loss, grads = _step_triplet_batch_all(
-                        params, tac, fit_feats, fit_labels, pk, cfg, rng
+                        params, tac, fit_feats, fit_labels, index, pk, cfg, rng
                     )
                 else:
                     z, y, loss, grads = _step_triplet_preformed(
-                        params, tac, fit_feats, fit_labels, pk, cfg, rng
+                        params, tac, fit_feats, fit_labels, index, negatives,
+                        pk, cfg, rng,
                     )
                 batch_acc = 0.0
             elif cfg.loss_mode == "oim":
@@ -360,8 +366,7 @@ def train(
                 params, head, tac, held_feats, held_labels, cfg
             )
 
-        emb = EmbeddingBatch(forward(params, feats)[0], labels)
-        geom = geometry_stats(emb.features, emb.labels)
+        geom = geometry_stats(forward(params, feats)[0], labels)
         logs.append(
             EpochLog(
                 epoch=epoch_offset + e,
@@ -377,8 +382,8 @@ def train(
     return params, tac, logs
 
 
-def _step_triplet_batch_all(params, tac, feats, labels, pk, cfg, rng):
-    idx = pk_batch(feats, labels, pk, rng)
+def _step_triplet_batch_all(params, tac, feats, labels, index, pk, cfg, rng):
+    idx = pk_batch(feats, labels, pk, rng, index)
     x, y = feats[idx], labels[idx]
     z, cache = forward(params, x)
     blended, decoys = _perturb(z, y, tac, cfg, rng)
@@ -388,9 +393,13 @@ def _step_triplet_batch_all(params, tac, feats, labels, pk, cfg, rng):
     return z, y, res.loss, grads
 
 
-def _step_triplet_preformed(params, tac, feats, labels, pk, cfg, rng):
+def _step_triplet_preformed(params, tac, feats, labels, index, negatives, pk, cfg, rng):
     """Literal pre-formed triplets: batch_size independent (a, p, n) draws,
-    anchors blended, the mean of per-triplet hinges minimized."""
+    anchors blended, the mean of per-triplet hinges minimized.
+
+    Positives come from the anchor class's rows in `index`, which holds at
+    least K >= 2 rows per class; negatives from that class's precomputed
+    row pool in `negatives`."""
     b = pk.batch_size
     n = feats.shape[0]
     a_idx = np.empty(b, dtype=np.int64)
@@ -398,13 +407,12 @@ def _step_triplet_preformed(params, tac, feats, labels, pk, cfg, rng):
     n_idx = np.empty(b, dtype=np.int64)
     for i in range(b):
         a = int(rng.integers(0, n))
-        same = np.flatnonzero(labels == labels[a])
-        if len(same) < 2:
-            raise DataError(f"class {labels[a]} has a single sample; cannot form triplets")
+        c = int(labels[a])
+        same = index.rows[c]
         p = a
         while p == a:
             p = int(same[rng.integers(0, len(same))])
-        diff = np.flatnonzero(labels != labels[a])
+        diff = negatives[c]
         a_idx[i], p_idx[i] = a, p
         n_idx[i] = int(diff[rng.integers(0, len(diff))])
 

@@ -5,6 +5,7 @@ import pytest
 
 from cirlab.errors import ConfigurationError, DataError
 from cirlab.evaluate import (
+    EPISODE_CHUNK,
     EpisodicResult,
     cmc_rank1,
     episodic_accuracy,
@@ -12,8 +13,8 @@ from cirlab.evaluate import (
     nearest_prototype_classify,
     retrieval_map,
 )
-from cirlab.nn import ModelParams
-from cirlab.sampling import child_seed, sample_episode
+from cirlab.nn import ModelParams, forward, init_params
+from cirlab.sampling import ClassIndex, child_seed, sample_episode
 
 
 def identity_encoder(dim):
@@ -22,6 +23,28 @@ def identity_encoder(dim):
         weights=[np.eye(dim)],
         biases=[np.zeros(dim)],
         activation="identity",
+    )
+
+
+def per_episode_accuracy(
+    params, features, labels, n_way, k_shot, q_queries, episodes, master_seed,
+    metric="euclidean",
+):
+    """Reference episodic accuracy, one episode at a time: sample it, embed
+    its support and its queries apart, classify by nearest prototype."""
+    accs = np.empty(episodes)
+    for i in range(episodes):
+        rng = np.random.default_rng(child_seed(master_seed, i))
+        ep = sample_episode(features, labels, n_way, k_shot, q_queries, rng)
+        sup_emb, _ = forward(params, ep.support_features)
+        qry_emb, _ = forward(params, ep.query_features)
+        pred = nearest_prototype_classify(sup_emb, ep.support_labels, qry_emb, metric)
+        accs[i] = float(np.mean(pred == ep.query_labels))
+    sd = float(accs.std(ddof=1)) if episodes > 1 else 0.0
+    return EpisodicResult(
+        mean=float(accs.mean()),
+        ci95=float(1.96 * sd / np.sqrt(episodes)),
+        episodes=episodes,
     )
 
 
@@ -129,6 +152,67 @@ class TestEpisodicAccuracy:
         feats, labels = self.separable_split()
         with pytest.raises(ConfigurationError):
             episodic_accuracy(identity_encoder(4), feats, labels, 3, 1, 1, 0, 0)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("k_shot", [1, 3])
+    def test_equals_per_episode_reference(self, metric, k_shot):
+        # overlapping classes and a random relu encoder, so episodes are
+        # neither all right nor all wrong; the episode count leaves a
+        # partial last chunk
+        rng = np.random.default_rng(3)
+        labels = rng.permutation(np.repeat(np.arange(9), 14))
+        centers = rng.normal(size=(9, 6))
+        feats = centers[labels] + 0.7 * rng.normal(size=(labels.size, 6))
+        params = init_params((6, 12, 5), "relu", seed=4)
+        episodes = 2 * EPISODE_CHUNK + 5
+        got = episodic_accuracy(
+            params, feats, labels, 4, k_shot, 3, episodes, master_seed=11,
+            metric=metric,
+        )
+        expected = per_episode_accuracy(
+            params, feats, labels, 4, k_shot, 3, episodes, 11, metric
+        )
+        assert 0.3 < got.mean < 0.95
+        assert got == expected
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_ties_go_to_lowest_episode_class(self, metric):
+        # rows on a few exact grid points, so prototypes tie often and
+        # with no symmetry that would hide which class a tie goes to
+        rng = np.random.default_rng(6)
+        labels = np.repeat(np.arange(6), 5)
+        feats = rng.integers(0, 2, size=(labels.size, 2)).astype(np.float64)
+        res = episodic_accuracy(
+            identity_encoder(2), feats, labels, 4, 1, 3, 40, master_seed=8,
+            metric=metric,
+        )
+        assert res == per_episode_accuracy(
+            identity_encoder(2), feats, labels, 4, 1, 3, 40, 8, metric
+        )
+
+    def test_single_episode_equals_reference(self):
+        feats, labels = self.separable_split()
+        params = init_params((4, 3), "tanh", seed=2)
+        got = episodic_accuracy(params, feats, labels, 3, 2, 2, 1, master_seed=5)
+        assert got == per_episode_accuracy(params, feats, labels, 3, 2, 2, 1, 5)
+
+    def test_short_class_same_error_as_index(self):
+        feats, labels = self.separable_split(num_classes=5, per_class=4)
+        labels = labels.copy()
+        labels[np.flatnonzero(labels == 1)[0]] = 0
+        with pytest.raises(DataError) as from_index:
+            ClassIndex.for_episodes(labels, 3, 1, 3)
+        with pytest.raises(DataError) as from_eval:
+            episodic_accuracy(identity_encoder(4), feats, labels, 3, 1, 3, 10, 0)
+        assert str(from_eval.value) == str(from_index.value)
+        assert str(from_eval.value) == "class 1 has 3 samples, episode needs 4"
+
+    def test_bad_metric(self):
+        feats, labels = self.separable_split()
+        with pytest.raises(ConfigurationError):
+            episodic_accuracy(
+                identity_encoder(4), feats, labels, 3, 1, 1, 5, 0, metric="l1"
+            )
 
 
 class TestRetrievalMap:

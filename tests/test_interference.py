@@ -13,7 +13,7 @@ from cirlab.interference import (
     interfere_batch,
     matched_noise_sigma,
 )
-from cirlab.tac import ClassTable, tac_init
+from cirlab.tac import ClassTable, sample_negative_class, tac_init
 
 
 class TestInterfere:
@@ -152,6 +152,38 @@ class TestInterfereBatch:
         )
         assert blended.shape == (0, 2)
         assert decoys.shape == (0,)
+
+    def test_decoys_match_scalar_draw_loop(self):
+        # one vector draw must replay the stream of one
+        # sample_negative_class call per designated row
+        for num_classes in (2, 3, 7, 40):
+            for fraction in (0.3, 1.0):
+                tac = tac_init(num_classes, 2)
+                labels = np.random.default_rng(num_classes).integers(
+                    0, num_classes, size=33
+                )
+                cfg = InterferenceConfig(strength=0.5, fraction=fraction)
+                r_batch = np.random.default_rng(17)
+                _, decoys = interfere_batch(
+                    np.zeros((33, 2)), labels, tac, cfg, r_batch
+                )
+                r_loop = np.random.default_rng(17)
+                n_designated = int(np.ceil(fraction * 33))
+                expected = [
+                    sample_negative_class(r_loop, int(y), num_classes)
+                    for y in labels[:n_designated]
+                ]
+                assert decoys[:n_designated].tolist() == expected
+                assert np.all(decoys[n_designated:] == -1)
+                assert r_batch.integers(0, 1 << 30) == r_loop.integers(0, 1 << 30)
+
+    def test_label_outside_table_raises(self):
+        tac = self.make_tac()
+        cfg = InterferenceConfig()
+        with pytest.raises(InputError, match="label 3 outside"):
+            interfere_batch(
+                np.zeros((2, 2)), np.array([0, 3]), tac, cfg, np.random.default_rng(0)
+            )
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from cirlab import reproduce
 from cirlab.datagen import GeneratorSpec
 from cirlab.errors import ConfigurationError
 from cirlab.reproduce import (
@@ -121,6 +122,29 @@ def test_failures_recorded_not_raised(tmp_path):
     assert all("NumericError" in msg for _, _, msg in report.failures)
     # summary still written (empty of run rows)
     assert (tmp_path / "summary.csv").read_text().startswith(SUMMARY_HEADER)
+
+
+def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
+    real_run_one = reproduce._run_one
+
+    def run_one(settings, arm, seed, out_dir):
+        if (arm, seed) == ("cir", 1):
+            raise RuntimeError("worker blew up")
+        return real_run_one(settings, arm, seed, out_dir)
+
+    monkeypatch.setattr(reproduce, "_run_one", run_one)
+    small = ReproduceSettings(
+        seeds=(0, 1), epochs=1, iterations=5, hidden_dims=(8,), embed_dim=4,
+        p_classes=3, k_samples=3, eval_n_way=3, eval_q_queries=3,
+        eval_episodes=10, log_episodes=5,
+        dataset=TINY.dataset, splits=TINY.splits,
+    )
+    report = run_reproduction(str(tmp_path), settings=small, threads=1)
+    assert not report.ok
+    assert report.failures == (("cir", 1, "RuntimeError: worker blew up"),)
+    assert sorted((r.arm, r.seed) for r in report.runs) == sorted(
+        (arm, seed) for arm in ARMS for seed in (0, 1) if (arm, seed) != ("cir", 1)
+    )
 
 
 def test_parallel_matches_sequential(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cirlab.errors import ConfigurationError, DataError, InputError
-from cirlab.sampling import PKSpec, child_seed, pk_batch, sample_episode
+from cirlab.sampling import ClassIndex, PKSpec, child_seed, pk_batch, sample_episode
 
 
 def toy_dataset(num_classes=6, per_class=10, dim=3, seed=0):
@@ -12,6 +12,28 @@ def toy_dataset(num_classes=6, per_class=10, dim=3, seed=0):
     labels = np.repeat(np.arange(num_classes), per_class)
     features = rng.normal(size=(labels.shape[0], dim)) + labels[:, None]
     return features, labels
+
+
+def shuffled_uneven_labels(seed=0):
+    """Labels with gaps in the class ids, uneven class sizes and rows in
+    no particular order."""
+    rng = np.random.default_rng(seed)
+    ids = np.array([0, 2, 3, 7, 8, 11, 12, 20])
+    labels = np.repeat(ids, rng.integers(8, 15, size=ids.size))
+    return rng.permutation(labels)
+
+
+def loop_draw(labels, n_classes, per_class, rng):
+    """Reference draw that rescans the labels per call: classes without
+    replacement, then per_class distinct rows of each, class-major."""
+    by_class = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
+    classes = sorted(by_class)
+    drawn = rng.choice(len(classes), size=n_classes, replace=False)
+    out = []
+    for ci in drawn:
+        rows = by_class[classes[int(ci)]]
+        out.extend(rows[rng.choice(len(rows), size=per_class, replace=False)])
+    return np.asarray(out, dtype=np.int64)
 
 
 class TestChildSeed:
@@ -97,6 +119,31 @@ class TestPkBatch:
         with pytest.raises(DataError):
             pk_batch(features, labels, PKSpec(4, 2), np.random.default_rng(0))
 
+    def test_rows_match_label_scan_reference(self):
+        labels = shuffled_uneven_labels()
+        features = np.zeros((labels.size, 2))
+        spec = PKSpec(p_classes=5, k_samples=4)
+        index = ClassIndex.for_batches(labels, spec)
+        r_new, r_index, r_ref = (np.random.default_rng(13) for _ in range(3))
+        for _ in range(200):
+            expected = loop_draw(labels, 5, 4, r_ref)
+            assert np.array_equal(pk_batch(features, labels, spec, r_new), expected)
+            assert np.array_equal(
+                pk_batch(features, labels, spec, r_index, index), expected
+            )
+
+    def test_short_class_same_error_from_index_and_batch(self):
+        features, labels = toy_dataset(num_classes=4, per_class=4)
+        labels = labels.copy()
+        labels[np.flatnonzero(labels == 2)[0]] = 1
+        spec = PKSpec(2, 4)
+        with pytest.raises(DataError) as from_index:
+            ClassIndex.for_batches(labels, spec)
+        with pytest.raises(DataError) as from_batch:
+            pk_batch(features, labels, spec, np.random.default_rng(0))
+        assert str(from_index.value) == str(from_batch.value)
+        assert str(from_batch.value) == "class 2 has 3 samples, need 4"
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             PKSpec(1, 4)
@@ -147,6 +194,28 @@ class TestSampleEpisode:
         features, labels = toy_dataset(num_classes=3)
         with pytest.raises(DataError):
             sample_episode(features, labels, 5, 1, 1, np.random.default_rng(0))
+
+    def test_rows_match_label_scan_reference(self):
+        labels = shuffled_uneven_labels(seed=1)
+        features = np.arange(labels.size, dtype=np.float64)[:, None]
+        for seed in range(100):
+            ep = sample_episode(features, labels, 4, 3, 2, np.random.default_rng(seed))
+            rows = loop_draw(labels, 4, 5, np.random.default_rng(seed)).reshape(4, 5)
+            assert np.array_equal(ep.support_indices, rows[:, :3].reshape(-1))
+            assert np.array_equal(ep.query_indices, rows[:, 3:].reshape(-1))
+            assert np.array_equal(ep.support_features[:, 0], ep.support_indices)
+            assert ep.class_ids == tuple(int(labels[r]) for r in rows[:, 0])
+
+    def test_short_class_same_error_from_index_and_episode(self):
+        features, labels = toy_dataset(num_classes=5, per_class=6)
+        labels = labels.copy()
+        labels[np.flatnonzero(labels == 3)[:2]] = 4
+        with pytest.raises(DataError) as from_index:
+            ClassIndex.for_episodes(labels, 3, 2, 3)
+        with pytest.raises(DataError) as from_episode:
+            sample_episode(features, labels, 3, 2, 3, np.random.default_rng(0))
+        assert str(from_index.value) == str(from_episode.value)
+        assert str(from_episode.value) == "class 3 has 4 samples, episode needs 5"
 
     def test_bad_settings(self):
         features, labels = toy_dataset()
