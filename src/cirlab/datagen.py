@@ -218,17 +218,21 @@ def load_dataset(path: str) -> Dataset:
     version, n, d, c = struct.unpack("<IIII", blob[4:20])
     if version != VERSION:
         raise DataError(f"{path}: unsupported CIRD version {version}")
-    rec = np.dtype([("label", "<u4"), ("feat", "<f4", (d,))])
-    body_end = 20 + n * rec.itemsize
+    body_end = 20 + n * 4 * (1 + d)
     if len(blob) < body_end:
         raise DataError(f"{path}: truncated CIRD file")
-    records = np.frombuffer(blob[20:body_end], dtype=rec)
-    labels = records["label"].astype(np.int64)
+    # each record is a u4 label followed by d f4 features
+    records = np.frombuffer(blob[20:body_end], dtype="<u4").reshape(n, 1 + d)
+    labels = records[:, 0].astype(np.int64)
     if labels.size and labels.max() >= c:
         raise DataError(f"{path}: label {labels.max()} outside class count {c}")
+    try:
+        provenance = blob[body_end:].decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: provenance is not valid UTF-8") from None
     return Dataset(
-        features=records["feat"].copy(),
+        features=records[:, 1:].view("<f4").copy(),
         labels=labels,
         class_count=c,
-        provenance=blob[body_end:].decode("utf-8"),
+        provenance=provenance,
     )

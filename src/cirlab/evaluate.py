@@ -6,8 +6,10 @@ the reported mean is independent of evaluation order. Episodic accuracy
 embeds the split once, draws every episode from one class index, and
 scores the episodes in fixed chunks with batched gathers and one stacked
 distance per chunk, which keeps peak memory flat in the episode count.
-Distances are plain Euclidean on raw embeddings throughout; a cosine
-option exists for ablation.
+Geometry statistics visit the pairwise distances one block of rows at a
+time, so their memory stays flat in the sample count. Distances are
+plain Euclidean on raw embeddings throughout; a cosine option exists for
+ablation.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from .sampling import ClassIndex, child_seed
 METRICS = ("euclidean", "cosine")
 # episodes scored per batched distance in episodic_accuracy
 EPISODE_CHUNK = 32
+# rows per block of the pairwise distances in geometry_stats
+GEOMETRY_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,12 @@ def cmc_rank1(
 
 
 def geometry_stats(features: np.ndarray, labels: np.ndarray) -> GeometryStats:
-    """Center-of-mass spread and pooled intra/inter class mean distances."""
+    """Center-of-mass spread and pooled intra/inter class mean distances.
+
+    The pairs i < j are visited in blocks of GEOMETRY_BLOCK rows i: each
+    block's distances to the rows j > i are summed within and across
+    classes and then dropped, so memory grows with N, not N^2.
+    """
     z = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if z.ndim != 2:
@@ -213,12 +222,24 @@ def geometry_stats(features: np.ndarray, labels: np.ndarray) -> GeometryStats:
     center = z.mean(axis=0)
     center_distance = float(np.linalg.norm(z - center, axis=1).mean())
 
-    dist = _pairwise_dist(z, z)
-    iu = np.triu_indices(z.shape[0], k=1)
-    same = labels[iu[0]] == labels[iu[1]]
-    pair_d = dist[iu]
-    intra = float(pair_d[same].mean()) if same.any() else None
-    inter = float(pair_d[~same].mean()) if (~same).any() else None
+    n = z.shape[0]
+    rows = np.arange(n)
+    intra_sum = inter_sum = 0.0
+    intra_n = inter_n = 0
+    for start in range(0, n, GEOMETRY_BLOCK):
+        stop = min(start + GEOMETRY_BLOCK, n)
+        # pairs (i, j) with start <= i < stop and j > i
+        dist = _pairwise_dist(z[start:stop], z[start + 1 :])
+        upper = rows[None, start + 1 :] > rows[start:stop, None]
+        same = labels[start:stop, None] == labels[None, start + 1 :]
+        in_class = upper & same
+        across = upper & ~same
+        intra_sum += float(np.sum(dist, where=in_class))
+        inter_sum += float(np.sum(dist, where=across))
+        intra_n += int(np.count_nonzero(in_class))
+        inter_n += int(np.count_nonzero(across))
+    intra = intra_sum / intra_n if intra_n else None
+    inter = inter_sum / inter_n if inter_n else None
     ratio = None
     if intra is not None and intra > 0 and inter is not None:
         ratio = inter / intra

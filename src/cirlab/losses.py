@@ -4,9 +4,18 @@ linear-regression study of the wrong-class blend.
 
 The triplet loss uses squared Euclidean distances,
 max(0, margin + ||a - p||^2 - ||a - n||^2); a non-squared variant exists
-for ablation. Batch-all mining enumerates every valid (anchor, positive,
+for ablation. Batch-all mining covers every valid (anchor, positive,
 negative) triple in the batch; anchors may come from a separately blended
 copy of the embeddings while positives and negatives stay raw.
+
+Batch-all never builds the B^3 hinge tensor. A triple is active iff its
+negative distance lies strictly below the threshold margin + d(a, p), so
+one sort per anchor row of thresholds and negative distances (keyed so
+that a threshold precedes an equal negative), plus a prefix count, gives
+every (a, p) and (a, n) active-triple count in O(B^2 log B) time and
+O(B^2) memory. The counts are exact integers, so the gradients are
+bit-identical to enumerating the triples; only the loss value moves, by
+rounding, because it is summed in another order.
 """
 
 from __future__ import annotations
@@ -66,75 +75,6 @@ class TripletBatchResult:
     num_active: int
 
 
-def _dist(a: np.ndarray, b: np.ndarray, squared: bool) -> float:
-    d2 = float(np.sum((a - b) ** 2))
-    return d2 if squared else float(np.sqrt(d2))
-
-
-def triplet_loss(
-    a: np.ndarray,
-    p: np.ndarray,
-    n: np.ndarray,
-    margin: float,
-    squared: bool = True,
-    with_grads: bool = False,
-):
-    """Hinge loss of one (anchor, positive, negative) triple.
-
-    Returns the loss, or (loss, grad_a, grad_p, grad_n) with with_grads.
-    The subgradient is zero whenever the hinge argument is <= 0.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if not (a.shape == p.shape == n.shape):
-        raise ShapeError(
-            f"triplet shapes differ: {a.shape}, {p.shape}, {n.shape}"
-        )
-    if margin < 0:
-        raise InputError(f"margin must be >= 0, got {margin}")
-
-    hinge = margin + _dist(a, p, squared) - _dist(a, n, squared)
-    loss = max(0.0, hinge)
-    if not with_grads:
-        return loss
-
-    ga = np.zeros_like(a)
-    gp = np.zeros_like(p)
-    gn = np.zeros_like(n)
-    if hinge > 0.0:
-        if squared:
-            ga = 2.0 * (n - p)  # 2(a-p) - 2(a-n)
-            gp = -2.0 * (a - p)
-            gn = 2.0 * (a - n)
-        else:
-            dp = _dist(a, p, squared=False)
-            dn = _dist(a, n, squared=False)
-            up = (a - p) / dp if dp > 0 else np.zeros_like(a)
-            un = (a - n) / dn if dn > 0 else np.zeros_like(a)
-            ga = up - un
-            gp = -up
-            gn = un
-    return loss, ga, gp, gn
-
-
-def batch_all_triplets(labels: np.ndarray) -> list[tuple[int, int, int]]:
-    """Every valid (anchor, positive, negative) index triple in the batch:
-    anchor and positive share a label and differ as rows; the negative has
-    any other label."""
-    labels = np.asarray(labels)
-    out = []
-    b = labels.shape[0]
-    for a in range(b):
-        for p in range(b):
-            if p == a or labels[p] != labels[a]:
-                continue
-            for n in range(b):
-                if labels[n] != labels[a]:
-                    out.append((a, p, n))
-    return out
-
-
 def batch_all_triplet_loss(
     features: np.ndarray,
     blended_anchors: np.ndarray,
@@ -182,16 +122,43 @@ def batch_all_triplet_loss(
     pos_ok = same & ~np.eye(b, dtype=bool)  # (a, p): same label, a != p
     neg_ok = ~same  # (a, n): different label
 
-    # hinge[a, p, n] = margin + dist[a, p] - dist[a, n] over valid triples
-    valid = pos_ok[:, :, None] & neg_ok[:, None, :]
-    num_triplets = int(valid.sum())
+    num_triplets = int(pos_ok.sum(axis=1) @ neg_ok.sum(axis=1))
     if num_triplets == 0:
         return zero
 
-    hinge = cfg.margin + dist[:, :, None] - dist[:, None, :]
-    active = valid & (hinge > 0.0)
-    num_active = int(active.sum())
-    total = float(np.sum(hinge, where=active, initial=0.0))
+    # (a, p, n) is active iff dist[a, n] < s[a, p] with s = margin + dist;
+    # this is the B^3 test fl(s - dist[a, n]) > 0 exactly. Each anchor row
+    # of [thresholds s | negative distances] is sorted once. Every value
+    # is >= 0 or NaN; shifted left by one bit (dropping the sign), its bit
+    # pattern orders like the value, with -0.0 at 0 and NaN above +inf.
+    # The low bit set on negatives puts a threshold before a negative of
+    # equal value, so ties are inactive. Thresholds of invalid or NaN
+    # pairs go to 0 and negatives of invalid pairs to +inf, so they count
+    # nothing; NaN negatives sort above every threshold, so a NaN hinge is
+    # never active.
+    s = cfg.margin + dist
+    vals = np.concatenate(
+        [np.where(pos_ok & ~np.isnan(s), s, 0.0), np.where(neg_ok, dist, np.inf)],
+        axis=1,
+    )
+    keys = vals.view(np.uint64) << np.uint64(1)
+    keys[:, b:] |= np.uint64(1)
+    order = np.argsort(keys, axis=1)
+    # at sorted position j a threshold counts the negatives before it, a
+    # negative the b - (j + 1 - negs_upto) thresholds after it
+    is_neg = order >= b
+    negs_upto = np.cumsum(is_neg, axis=1)
+    thr_after = negs_upto + (b - 1 - np.arange(2 * b))
+    counts = np.empty_like(negs_upto)
+    np.put_along_axis(counts, order, np.where(is_neg, thr_after, negs_upto), axis=1)
+    count_ap = counts[:, :b]
+    count_an = counts[:, b:]
+
+    num_active = int(count_ap.sum())
+    total = float(
+        np.sum(count_ap * s, where=count_ap > 0, initial=0.0)
+        - np.sum(count_an * dist, where=count_an > 0, initial=0.0)
+    )
 
     denom = num_triplets if cfg.reduction == "mean_all" else max(num_active, 1)
     loss = total / denom
@@ -207,8 +174,8 @@ def batch_all_triplet_loss(
     # per-pair multiplicities: wa[a,p] triplets where (a,p) is the positive
     # pair, wc[a,n] where (a,n) is the negative pair, each times the local
     # derivative of the distance term
-    count_ap = active.sum(axis=2).astype(np.float64)
-    count_an = active.sum(axis=1).astype(np.float64)
+    count_ap = count_ap.astype(np.float64)
+    count_an = count_an.astype(np.float64)
     if cfg.squared:
         wa = 2.0 * count_ap
         wc = 2.0 * count_an

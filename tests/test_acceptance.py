@@ -21,7 +21,6 @@ from cirlab.losses import (
     StudyCase,
     TripletConfig,
     batch_all_triplet_loss,
-    batch_all_triplets,
     cross_entropy,
     label_smooth,
     oim_scores,
@@ -31,6 +30,7 @@ from cirlab.nn import backward, forward, grad_check, init_params
 from cirlab.reproduce import ReproduceSettings, run_reproduction
 from cirlab.tac import tac_init, tac_update
 from cirlab.trainer import TrainConfig, train
+from oracles import batch_all_triplets
 
 
 def _passline(n, msg):

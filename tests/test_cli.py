@@ -148,6 +148,14 @@ class TestTrain:
             "-d", str(tmp_path / "nope.cird"), "-o", str(tmp_path / "m.ckpt"),
         ]) == 3
 
+    def test_non_utf8_provenance_exits_2(self, workdir, tmp_path):
+        bad = tmp_path / "bad.cird"
+        bad.write_bytes((workdir / "ds.train.cird").read_bytes() + b"\xff\xfe")
+        assert entrypoint([
+            "train", "-c", str(workdir / "run.cfg"),
+            "-d", str(bad), "-o", str(tmp_path / "m.ckpt"),
+        ]) == 2
+
     def test_divergence_exits_4(self, workdir, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(

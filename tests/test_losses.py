@@ -8,15 +8,14 @@ from cirlab.losses import (
     StudyCase,
     TripletConfig,
     batch_all_triplet_loss,
-    batch_all_triplets,
     cross_entropy,
     label_smooth,
     oim_scores,
     softmax,
     study_case_loss,
-    triplet_loss,
 )
 from cirlab.tac import ClassTable
+from oracles import batch_all_triplets, triplet_loss
 
 
 def brute_force_batch_all(z, zt, labels, margin, reduction, squared=True):
