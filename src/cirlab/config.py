@@ -12,8 +12,6 @@ configs: serializing a TrainConfig and parsing the result yields an
 equal TrainConfig.
 """
 
-import dataclasses
-
 from .errors import ConfigurationError
 from .interference import InterferenceConfig, NoiseConfig
 from .losses import TripletConfig
@@ -232,8 +230,3 @@ def config_to_text(cfg):
         lines.append("[stage2]")
         lines.extend(_emit_section(cfg.stage2))
     return "\n".join(lines) + "\n"
-
-
-def replace_config(cfg, **changes):
-    """dataclasses.replace that keeps the frozen-config idiom in one place."""
-    return dataclasses.replace(cfg, **changes)

@@ -109,8 +109,7 @@ def interfere_batch(
     blended = features.copy()
     if config.enabled and config.strength > 0.0 and n_designated:
         rows = np.arange(n_designated)
-        mu = tac.table[decoys[rows]]
-        blended[rows] = (1.0 - config.strength) * features[rows] + config.strength * mu
+        blended[rows] = interfere(features[rows], tac.table[decoys[rows]], config.strength)
     return blended, decoys
 
 
@@ -118,8 +117,8 @@ def _negative_classes(
     rng: np.random.Generator, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """One uniform class other than labels[i] per row, from a single
-    vector draw: the same stream as len(labels) `tac.sample_negative_class`
-    calls in row order."""
+    vector draw: the same stream as one scalar
+    `rng.integers(0, num_classes - 1)` draw per row, in row order."""
     if num_classes < 2:
         raise ConfigurationError(
             f"need at least 2 classes to draw a different one, got {num_classes}"

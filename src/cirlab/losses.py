@@ -219,14 +219,6 @@ def oim_scores(
     return logits[0] if single else logits
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def cross_entropy(
     logits: np.ndarray, target: np.ndarray, with_grads: bool = False
 ):

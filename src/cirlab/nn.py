@@ -229,20 +229,6 @@ def sgd_step(params: ModelParams, grads: ParamGrads, rate: float) -> ModelParams
     )
 
 
-def zero_grads(params: ModelParams) -> ParamGrads:
-    return ParamGrads(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-
-
-def add_grads(a: ParamGrads, b: ParamGrads, scale: float = 1.0) -> ParamGrads:
-    return ParamGrads(
-        weights=[ga + scale * gb for ga, gb in zip(a.weights, b.weights)],
-        biases=[ga + scale * gb for ga, gb in zip(a.biases, b.biases)],
-    )
-
-
 def grad_check(
     params: ModelParams,
     loss_closure: Callable[[ModelParams], tuple[float, ParamGrads]],

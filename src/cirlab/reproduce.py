@@ -15,6 +15,7 @@ parallel worker processes.  Aggregation order is fixed regardless.
 """
 
 import dataclasses
+import math
 import os
 import sys
 import traceback
@@ -196,7 +197,7 @@ def _thread_budget(threads):
 def _ci95(values):
     if len(values) < 2:
         return 0.0
-    return 1.96 * float(np.std(values, ddof=1)) / np.sqrt(len(values))
+    return 1.96 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
 
 
 def _aggregate(runs):

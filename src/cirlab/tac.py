@@ -57,17 +57,6 @@ def tac_init(
     return ClassTable(table=table, momentum=momentum)
 
 
-def tac_lookup(tac: ClassTable, labels: np.ndarray) -> np.ndarray:
-    """Rows of the table for integer labels; a fresh array, never a view."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= tac.num_classes):
-        raise InputError(
-            f"labels must lie in [0, {tac.num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return tac.table[labels].copy()
-
-
 def class_means(features: np.ndarray, labels: np.ndarray, num_classes: int):
     """Per-class means of the rows of features.
 
@@ -121,19 +110,3 @@ def tac_update(
         rows[safe] = rows[safe] / norms[safe, None]
         table[present] = rows
     return ClassTable(table=table, momentum=tac.momentum)
-
-
-def sample_negative_class(rng: np.random.Generator, label: int, num_classes: int) -> int:
-    """Draw a class index uniformly from all classes except `label`.
-
-    Consumes exactly one integer draw from rng regardless of the outcome,
-    so callers can keep their random streams aligned across configurations.
-    """
-    if num_classes < 2:
-        raise ConfigurationError(
-            f"need at least 2 classes to draw a different one, got {num_classes}"
-        )
-    if not 0 <= label < num_classes:
-        raise InputError(f"label {label} outside [0, {num_classes})")
-    k = int(rng.integers(0, num_classes - 1))
-    return k + (1 if k >= label else 0)

@@ -1,6 +1,7 @@
-"""Training loops: triplet metric learning and table-lookup / cross-entropy
-classification, each with optional wrong-class blending of the output
-features, plus the two-stage schedule (cross-entropy pretrain, then triplet).
+"""Training: one step shared by triplet metric learning and table-lookup /
+cross-entropy classification, each with optional wrong-class blending of
+the output features, plus the two-stage schedule (cross-entropy pretrain,
+then triplet).
 
 Every run is driven by one master seed. Independent random streams are
 derived with child_seed(master, k): k=0 encoder init, 1 class-table init,
@@ -110,6 +111,12 @@ class TrainConfig:
         if self.mining not in MINING_MODES:
             raise ConfigurationError(
                 f"mining must be one of {MINING_MODES}, got {self.mining!r}"
+            )
+        if self.mining == "preformed" and (
+            not self.triplet.squared or self.triplet.reduction != "mean_all"
+        ):
+            raise ConfigurationError(
+                "preformed mining needs squared = true and reduction = mean_all"
             )
         if self.noise is not None and self.noise.enabled and self.interference.enabled:
             raise ConfigurationError(
@@ -233,26 +240,8 @@ def _perturb(z, labels, tac, cfg, rng):
                     z, labels, tac, cfg.interference.strength, decoys
                 )
             blended = z.copy()
-            blended[:n_designated] = gaussian_perturb(
-                z[:n_designated], sigma, rng
-            )
+            blended[:n_designated] = gaussian_perturb(z[:n_designated], sigma, rng)
     return blended, decoys
-
-
-def _pull_back_anchor_grads(grad_anchor, decoys, cfg):
-    """d(blended)/d(z) is (1 - strength) on blended rows, identity on
-    pass-through rows (and on noise-perturbed rows, where the noise is an
-    additive constant w.r.t. z)."""
-    if not cfg.interference.enabled or cfg.interference.strength == 0.0:
-        return grad_anchor
-    out = grad_anchor.copy()
-    mask = decoys >= 0
-    out[mask] = interfere_backward(grad_anchor[mask], cfg.interference.strength)
-    return out
-
-
-def _uniform_batch(n: int, size: int, rng) -> np.ndarray:
-    return rng.choice(n, size=min(size, n), replace=False)
 
 
 def train(
@@ -289,13 +278,11 @@ def train(
 
     feats = train_ds.features.astype(np.float64)
     labels = train_ds.labels
-    classifier_mode = cfg.loss_mode in ("oim", "cross_entropy")
-    if classifier_mode:
+    fit_feats, fit_labels = feats, labels
+    if cfg.loss_mode != "triplet":
         keep, held = _holdout_rows(labels, cfg.holdout_fraction, child_seed(cfg.seed, 5))
         fit_feats, fit_labels = feats[keep], labels[keep]
         held_feats, held_labels = feats[held], labels[held]
-    else:
-        fit_feats, fit_labels = feats, labels
 
     head = None
     if cfg.loss_mode == "cross_entropy":
@@ -304,38 +291,16 @@ def train(
             seed=child_seed(cfg.seed, 6),
         )
 
-    pk = PKSpec(cfg.p_classes, cfg.k_samples)
-    index = negatives = None
-    if cfg.loss_mode == "triplet":
-        index = ClassIndex.for_batches(fit_labels, pk)
-        if cfg.mining == "preformed":
-            # each class's negative rows, ascending, as the draws index them
-            negatives = {c: np.flatnonzero(fit_labels != c) for c in index.classes}
+    sample, head_loss = _mode_parts(cfg, fit_feats, fit_labels)
     logs: list[EpochLog] = []
     for e in range(cfg.epochs):
         rate = schedule.rate(e)
         loss_sum = 0.0
         acc_sum = 0.0
         for it in range(cfg.iterations):
-            if cfg.loss_mode == "triplet":
-                if cfg.mining == "batch_all":
-                    z, y, loss, grads = _step_triplet_batch_all(
-                        params, tac, fit_feats, fit_labels, index, pk, cfg, rng
-                    )
-                else:
-                    z, y, loss, grads = _step_triplet_preformed(
-                        params, tac, fit_feats, fit_labels, index, negatives,
-                        pk, cfg, rng,
-                    )
-                batch_acc = 0.0
-            elif cfg.loss_mode == "oim":
-                z, y, loss, batch_acc, grads = _step_oim(
-                    params, tac, fit_feats, fit_labels, pk, cfg, rng
-                )
-            else:
-                z, y, loss, batch_acc, grads, head_grads = _step_cross_entropy(
-                    params, head, tac, fit_feats, fit_labels, pk, cfg, rng
-                )
+            z, y, loss, batch_acc, grads, head_grads = _step(
+                params, head, tac, fit_feats, fit_labels, sample, head_loss, cfg, rng
+            )
             if not np.isfinite(loss) or not np.all(np.isfinite(z)):
                 raise NumericError(
                     f"non-finite loss or embeddings at epoch {epoch_offset + e} "
@@ -363,7 +328,7 @@ def train(
         else:
             train_acc = acc_sum / cfg.iterations
             val_acc = _classification_accuracy(
-                params, head, tac, held_feats, held_labels, cfg
+                params, head, tac, held_feats, held_labels, cfg.temperature
             )
 
         geom = geometry_stats(forward(params, feats)[0], labels)
@@ -382,103 +347,107 @@ def train(
     return params, tac, logs
 
 
-def _step_triplet_batch_all(params, tac, feats, labels, index, pk, cfg, rng):
-    idx = pk_batch(feats, labels, pk, rng, index)
-    x, y = feats[idx], labels[idx]
+def _step(params, head, tac, feats, labels, sample, head_loss, cfg, rng):
+    """One training step for every head; returns (z, y, loss, batch
+    accuracy, encoder gradients, head gradients or None)."""
+    rows, n_anchor = sample(rng)
+    x, y = feats[rows], labels[rows]
     z, cache = forward(params, x)
-    blended, decoys = _perturb(z, y, tac, cfg, rng)
-    res = batch_all_triplet_loss(z, blended, y, cfg.triplet)
-    grad_z = res.grad_other + _pull_back_anchor_grads(res.grad_anchor, decoys, cfg)
-    grads = backward(params, cache, grad_z)
-    return z, y, res.loss, grads
-
-
-def _step_triplet_preformed(params, tac, feats, labels, index, negatives, pk, cfg, rng):
-    """Literal pre-formed triplets: batch_size independent (a, p, n) draws,
-    anchors blended, the mean of per-triplet hinges minimized.
-
-    Positives come from the anchor class's rows in `index`, which holds at
-    least K >= 2 rows per class; negatives from that class's precomputed
-    row pool in `negatives`."""
-    b = pk.batch_size
-    n = feats.shape[0]
-    a_idx = np.empty(b, dtype=np.int64)
-    p_idx = np.empty(b, dtype=np.int64)
-    n_idx = np.empty(b, dtype=np.int64)
-    for i in range(b):
-        a = int(rng.integers(0, n))
-        c = int(labels[a])
-        same = index.rows[c]
-        p = a
-        while p == a:
-            p = int(same[rng.integers(0, len(same))])
-        diff = negatives[c]
-        a_idx[i], p_idx[i] = a, p
-        n_idx[i] = int(diff[rng.integers(0, len(diff))])
-
-    stacked = np.concatenate([a_idx, p_idx, n_idx])
-    x, y = feats[stacked], labels[stacked]
-    z, cache = forward(params, x)
-    za, zp, zn = z[:b], z[b : 2 * b], z[2 * b :]
-    blended_a, decoys = _perturb(za, y[:b], tac, cfg, rng)
-
-    diff_p = blended_a - zp
-    diff_n = blended_a - zn
-    hinge = cfg.triplet.margin + np.sum(diff_p**2, axis=1) - np.sum(diff_n**2, axis=1)
-    active = hinge > 0.0
-    loss = float(np.maximum(hinge, 0.0).mean())
-
-    w = active[:, None] / b
-    ga = 2.0 * w * (zn - zp)
-    gp = -2.0 * w * diff_p
-    gn = 2.0 * w * diff_n
-    grad_z = np.concatenate(
-        [_pull_back_anchor_grads(ga, decoys, cfg), gp, gn]
+    blended, decoys = _perturb(z[:n_anchor], y[:n_anchor], tac, cfg, rng)
+    loss, acc, grad_blended, grad_z, head_grads = head_loss(
+        z, blended, y, head, tac, cfg
     )
-    grads = backward(params, cache, grad_z)
-    return z, y, loss, grads
+    # d(blended)/dz is (1 - strength) on blended rows and the identity on
+    # the others, noise-perturbed rows included (the noise is additive)
+    blend = cfg.interference
+    if blend.enabled and blend.strength != 0.0:
+        mask = decoys >= 0
+        grad_blended[mask] = interfere_backward(grad_blended[mask], blend.strength)
+    grad_z[:n_anchor] += grad_blended
+    return z, y, loss, acc, backward(params, cache, grad_z), head_grads
 
 
-def _step_oim(params, tac, feats, labels, pk, cfg, rng):
-    idx = _uniform_batch(feats.shape[0], pk.batch_size, rng)
-    x, y = feats[idx], labels[idx]
-    z, cache = forward(params, x)
-    blended, decoys = _perturb(z, y, tac, cfg, rng)
+def _mode_parts(cfg, feats, labels):
+    """Pick the per-mode halves of `_step` once per run.
+
+    sample(rng) returns the batch rows and how many leading rows are
+    anchors: all rows of PK and uniform batches, the a-rows of preformed
+    mining's [a | p | n] stack of batch_size independent draws. head_loss
+    returns (loss, batch accuracy, gradient w.r.t. the blended anchors,
+    gradient w.r.t. the raw rows, head gradients or None).
+    """
+    pk = PKSpec(cfg.p_classes, cfg.k_samples)
+    if cfg.loss_mode != "triplet":
+        n, size = len(labels), min(pk.batch_size, len(labels))
+        head_loss = _oim_loss if cfg.loss_mode == "oim" else _cross_entropy_loss
+        return (lambda rng: (rng.choice(n, size=size, replace=False), size)), head_loss
+    index = ClassIndex.for_batches(labels, pk)
+    b = pk.batch_size
+    if cfg.mining == "batch_all":
+        return (lambda rng: (pk_batch(feats, labels, pk, rng, index), b)), _batch_all_loss
+    # each class's negative rows, ascending, as the draws index them
+    negatives = {c: np.flatnonzero(labels != c) for c in index.classes}
+
+    def preformed(rng):
+        # the index holds at least K >= 2 rows per class, so p != a exists
+        stacked = np.empty((3, b), dtype=np.int64)
+        for i in range(b):
+            a = int(rng.integers(0, len(labels)))
+            c = int(labels[a])
+            same = index.rows[c]
+            p = a
+            while p == a:
+                p = int(same[rng.integers(0, len(same))])
+            diff = negatives[c]
+            stacked[:, i] = a, p, diff[rng.integers(0, len(diff))]
+        return stacked.reshape(-1), b
+
+    return preformed, _preformed_loss
+
+
+def _batch_all_loss(z, blended, y, head, tac, cfg):
+    res = batch_all_triplet_loss(z, blended, y, cfg.triplet)
+    return res.loss, 0.0, res.grad_anchor, res.grad_other, None
+
+
+def _preformed_loss(z, blended, y, head, tac, cfg):
+    """Mean hinge of the stacked (a, p, n) triplets, squared distances."""
+    b = blended.shape[0]
+    zp, zn = z[b : 2 * b], z[2 * b :]
+    diff_p, diff_n = blended - zp, blended - zn
+    hinge = cfg.triplet.margin + np.sum(diff_p**2, axis=1) - np.sum(diff_n**2, axis=1)
+    w = (hinge > 0.0)[:, None] / b
+    grad_raw = np.concatenate([np.zeros_like(blended), -2.0 * w * diff_p, 2.0 * w * diff_n])
+    return float(np.maximum(hinge, 0.0).mean()), 0.0, 2.0 * w * (zn - zp), grad_raw, None
+
+
+def _oim_loss(z, blended, y, head, tac, cfg):
     logits = oim_scores(tac, blended, cfg.temperature)
-    targets = label_smooth(y, tac.num_classes, cfg.label_smoothing)
-    loss, glog = cross_entropy(logits, targets, with_grads=True)
-    acc = float(np.mean(np.argmax(logits, axis=1) == y))
-    grad_blended = (glog @ tac.table) / cfg.temperature
-    grad_z = _pull_back_anchor_grads(grad_blended, decoys, cfg)
-    grads = backward(params, cache, grad_z)
-    return z, y, loss, acc, grads
+    loss, glog, acc = _softmax_loss(logits, y, cfg)
+    return loss, acc, (glog @ tac.table) / cfg.temperature, np.zeros_like(z), None
 
 
-def _step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng):
-    idx = _uniform_batch(feats.shape[0], pk.batch_size, rng)
-    x, y = feats[idx], labels[idx]
-    z, cache = forward(params, x)
-    blended, decoys = _perturb(z, y, tac, cfg, rng)
+def _cross_entropy_loss(z, blended, y, head, tac, cfg):
     logits, head_cache = forward(head, blended)
-    targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
-    loss, glog = cross_entropy(logits, targets, with_grads=True)
-    acc = float(np.mean(np.argmax(logits, axis=1) == y))
+    loss, glog, acc = _softmax_loss(logits, y, cfg)
     head_grads = backward(head, head_cache, glog)
     grad_blended = input_gradient(head, head_cache, glog)
-    grad_z = _pull_back_anchor_grads(grad_blended, decoys, cfg)
-    grads = backward(params, cache, grad_z)
-    return z, y, loss, acc, grads, head_grads
+    return loss, acc, grad_blended, np.zeros_like(z), head_grads
 
 
-def _classification_accuracy(params, head, tac, feats, labels, cfg) -> float:
-    """Holdout accuracy on raw (unblended) embeddings."""
+def _softmax_loss(logits, y, cfg):
+    targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
+    loss, glog = cross_entropy(logits, targets, with_grads=True)
+    return loss, glog, float(np.mean(np.argmax(logits, axis=1) == y))
+
+
+def _classification_accuracy(params, head, tac, feats, labels, temperature) -> float:
+    """Argmax accuracy on raw (unblended) embeddings, scored by the head, or
+    by table lookup when there is no head."""
     if feats.shape[0] == 0:
         return float("nan")
     z, _ = forward(params, feats)
-    if cfg.loss_mode == "oim":
-        logits = oim_scores(tac, z, cfg.temperature)
-    else:
-        logits, _ = forward(head, z)
+    logits = oim_scores(tac, z, temperature) if head is None else forward(head, z)[0]
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
@@ -557,9 +526,9 @@ def evaluate_checkpoint(
                 f"split has {split.class_count} classes but the table holds "
                 f"{tac.num_classes}"
             )
-        z, _ = forward(params, split.features)
-        logits = oim_scores(tac, z, temperature)
-        acc = float(np.mean(np.argmax(logits, axis=1) == split.labels))
+        acc = _classification_accuracy(
+            params, None, tac, split.features, split.labels, temperature
+        )
         return [("classification_accuracy", acc, None)]
     raise ConfigurationError(
         f"protocol must be episodic, retrieval, or classification, got {protocol!r}"

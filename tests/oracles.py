@@ -1,13 +1,29 @@
-"""Reference implementations that the package's vectorised code is checked
-against: one-triple triplet loss, the enumerated batch-all triple list,
-the B^3 batch-all loss and the dense N x N geometry statistics. They are
-slow or memory-hungry on purpose and live only with the tests."""
+"""Reference implementations that the package's code is checked against:
+one-triple triplet loss, the enumerated batch-all triple list, the B^3
+batch-all loss, the dense N x N geometry statistics, the scalar
+negative-class draw and the four per-head training steps that the one
+shared training step replaced. They are slow, memory-hungry or repetitive
+on purpose and live only with the tests."""
 
 import numpy as np
 
-from cirlab.errors import DataError, InputError, ShapeError
+from cirlab.errors import ConfigurationError, DataError, InputError, ShapeError
 from cirlab.evaluate import GeometryStats, _pairwise_dist
-from cirlab.losses import TripletBatchResult
+from cirlab.interference import (
+    gaussian_perturb,
+    interfere_backward,
+    interfere_batch,
+    matched_noise_sigma,
+)
+from cirlab.losses import (
+    TripletBatchResult,
+    batch_all_triplet_loss,
+    cross_entropy,
+    label_smooth,
+    oim_scores,
+)
+from cirlab.nn import backward, forward, input_gradient
+from cirlab.sampling import pk_batch
 
 
 def _dist(a: np.ndarray, b: np.ndarray, squared: bool) -> float:
@@ -178,3 +194,147 @@ def geometry_stats_dense(features, labels) -> GeometryStats:
     return GeometryStats(
         center_distance=center_distance, intra=intra, inter=inter, ratio=ratio
     )
+
+
+def sample_negative_class(rng: np.random.Generator, label: int, num_classes: int) -> int:
+    """Draw a class index uniformly from all classes except `label`.
+
+    Consumes exactly one integer draw from rng regardless of the outcome,
+    so callers can keep their random streams aligned across configurations.
+    """
+    if num_classes < 2:
+        raise ConfigurationError(
+            f"need at least 2 classes to draw a different one, got {num_classes}"
+        )
+    if not 0 <= label < num_classes:
+        raise InputError(f"label {label} outside [0, {num_classes})")
+    k = int(rng.integers(0, num_classes - 1))
+    return k + (1 if k >= label else 0)
+
+
+# The per-head training steps as they stood before they were folded into
+# `trainer._step`, with the helpers they called, kept verbatim.
+
+
+def _perturb(z, labels, tac, cfg, rng):
+    """Blend designated rows toward drawn wrong-class rows, or substitute
+    Gaussian noise at the same call site (control arm). The wrong-class
+    draws are consumed either way so streams stay aligned."""
+    blended, decoys = interfere_batch(z, labels, tac, cfg.interference, rng)
+    if cfg.noise is not None and cfg.noise.enabled:
+        n_designated = int((decoys >= 0).sum())
+        if n_designated:
+            sigma = cfg.noise.sigma
+            if sigma is None:
+                sigma = matched_noise_sigma(
+                    z, labels, tac, cfg.interference.strength, decoys
+                )
+            blended = z.copy()
+            blended[:n_designated] = gaussian_perturb(
+                z[:n_designated], sigma, rng
+            )
+    return blended, decoys
+
+
+def _pull_back_anchor_grads(grad_anchor, decoys, cfg):
+    """d(blended)/d(z) is (1 - strength) on blended rows, identity on
+    pass-through rows (and on noise-perturbed rows, where the noise is an
+    additive constant w.r.t. z)."""
+    if not cfg.interference.enabled or cfg.interference.strength == 0.0:
+        return grad_anchor
+    out = grad_anchor.copy()
+    mask = decoys >= 0
+    out[mask] = interfere_backward(grad_anchor[mask], cfg.interference.strength)
+    return out
+
+
+def _uniform_batch(n: int, size: int, rng) -> np.ndarray:
+    return rng.choice(n, size=min(size, n), replace=False)
+
+
+def step_triplet_batch_all(params, tac, feats, labels, index, pk, cfg, rng):
+    idx = pk_batch(feats, labels, pk, rng, index)
+    x, y = feats[idx], labels[idx]
+    z, cache = forward(params, x)
+    blended, decoys = _perturb(z, y, tac, cfg, rng)
+    res = batch_all_triplet_loss(z, blended, y, cfg.triplet)
+    grad_z = res.grad_other + _pull_back_anchor_grads(res.grad_anchor, decoys, cfg)
+    grads = backward(params, cache, grad_z)
+    return z, y, res.loss, grads
+
+
+def step_triplet_preformed(params, tac, feats, labels, index, negatives, pk, cfg, rng):
+    """Literal pre-formed triplets: batch_size independent (a, p, n) draws,
+    anchors blended, the mean of per-triplet hinges minimized.
+
+    Positives come from the anchor class's rows in `index`, which holds at
+    least K >= 2 rows per class; negatives from that class's precomputed
+    row pool in `negatives`."""
+    b = pk.batch_size
+    n = feats.shape[0]
+    a_idx = np.empty(b, dtype=np.int64)
+    p_idx = np.empty(b, dtype=np.int64)
+    n_idx = np.empty(b, dtype=np.int64)
+    for i in range(b):
+        a = int(rng.integers(0, n))
+        c = int(labels[a])
+        same = index.rows[c]
+        p = a
+        while p == a:
+            p = int(same[rng.integers(0, len(same))])
+        diff = negatives[c]
+        a_idx[i], p_idx[i] = a, p
+        n_idx[i] = int(diff[rng.integers(0, len(diff))])
+
+    stacked = np.concatenate([a_idx, p_idx, n_idx])
+    x, y = feats[stacked], labels[stacked]
+    z, cache = forward(params, x)
+    za, zp, zn = z[:b], z[b : 2 * b], z[2 * b :]
+    blended_a, decoys = _perturb(za, y[:b], tac, cfg, rng)
+
+    diff_p = blended_a - zp
+    diff_n = blended_a - zn
+    hinge = cfg.triplet.margin + np.sum(diff_p**2, axis=1) - np.sum(diff_n**2, axis=1)
+    active = hinge > 0.0
+    loss = float(np.maximum(hinge, 0.0).mean())
+
+    w = active[:, None] / b
+    ga = 2.0 * w * (zn - zp)
+    gp = -2.0 * w * diff_p
+    gn = 2.0 * w * diff_n
+    grad_z = np.concatenate(
+        [_pull_back_anchor_grads(ga, decoys, cfg), gp, gn]
+    )
+    grads = backward(params, cache, grad_z)
+    return z, y, loss, grads
+
+
+def step_oim(params, tac, feats, labels, pk, cfg, rng):
+    idx = _uniform_batch(feats.shape[0], pk.batch_size, rng)
+    x, y = feats[idx], labels[idx]
+    z, cache = forward(params, x)
+    blended, decoys = _perturb(z, y, tac, cfg, rng)
+    logits = oim_scores(tac, blended, cfg.temperature)
+    targets = label_smooth(y, tac.num_classes, cfg.label_smoothing)
+    loss, glog = cross_entropy(logits, targets, with_grads=True)
+    acc = float(np.mean(np.argmax(logits, axis=1) == y))
+    grad_blended = (glog @ tac.table) / cfg.temperature
+    grad_z = _pull_back_anchor_grads(grad_blended, decoys, cfg)
+    grads = backward(params, cache, grad_z)
+    return z, y, loss, acc, grads
+
+
+def step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng):
+    idx = _uniform_batch(feats.shape[0], pk.batch_size, rng)
+    x, y = feats[idx], labels[idx]
+    z, cache = forward(params, x)
+    blended, decoys = _perturb(z, y, tac, cfg, rng)
+    logits, head_cache = forward(head, blended)
+    targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
+    loss, glog = cross_entropy(logits, targets, with_grads=True)
+    acc = float(np.mean(np.argmax(logits, axis=1) == y))
+    head_grads = backward(head, head_cache, glog)
+    grad_blended = input_gradient(head, head_cache, glog)
+    grad_z = _pull_back_anchor_grads(grad_blended, decoys, cfg)
+    grads = backward(params, cache, grad_z)
+    return z, y, loss, acc, grads, head_grads

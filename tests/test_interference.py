@@ -13,7 +13,8 @@ from cirlab.interference import (
     interfere_batch,
     matched_noise_sigma,
 )
-from cirlab.tac import ClassTable, sample_negative_class, tac_init
+from cirlab.tac import ClassTable, tac_init
+from oracles import sample_negative_class
 
 
 class TestInterfere:

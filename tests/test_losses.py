@@ -11,7 +11,6 @@ from cirlab.losses import (
     cross_entropy,
     label_smooth,
     oim_scores,
-    softmax,
     study_case_loss,
 )
 from cirlab.tac import ClassTable
@@ -329,7 +328,8 @@ class TestCrossEntropy:
     def test_self_target_gives_entropy(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(size=6)
-        p = softmax(logits)
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
         entropy = -np.sum(p * np.log(p))
         assert np.isclose(cross_entropy(logits, p), entropy)
 

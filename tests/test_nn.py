@@ -263,12 +263,15 @@ class TestGradCheck:
         assert grad_check(params, closure, epsilon=1e-5) < 1e-4
 
     def test_constant_loss_returns_zero(self):
+        from cirlab.nn import ParamGrads
+
         params = init_params((2, 2), seed=0)
 
         def closure(p):
-            from cirlab.nn import zero_grads
-
-            return 1.0, zero_grads(p)
+            return 1.0, ParamGrads(
+                weights=[np.zeros_like(w) for w in p.weights],
+                biases=[np.zeros_like(b) for b in p.biases],
+            )
 
         assert grad_check(params, closure) == 0.0
 

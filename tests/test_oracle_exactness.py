@@ -1,6 +1,7 @@
 """The sort-based batch-all triplet loss and the row-blocked geometry
-statistics against their dense oracles, plus memory guards that fail if
-the cubic or quadratic transients come back."""
+statistics against their dense oracles, memory guards that fail if the
+cubic or quadratic transients come back, and the shared training step
+against the four per-head steps it replaced."""
 
 import tracemalloc
 
@@ -8,8 +9,20 @@ import numpy as np
 import pytest
 
 from cirlab.evaluate import GEOMETRY_BLOCK, geometry_stats
+from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig, batch_all_triplet_loss
-from oracles import batch_all_triplet_loss_b3, geometry_stats_dense
+from cirlab.nn import init_params, sgd_step
+from cirlab.sampling import ClassIndex, PKSpec
+from cirlab.tac import tac_init, tac_update
+from cirlab.trainer import TrainConfig, _mode_parts, _step
+from oracles import (
+    batch_all_triplet_loss_b3,
+    geometry_stats_dense,
+    step_cross_entropy,
+    step_oim,
+    step_triplet_batch_all,
+    step_triplet_preformed,
+)
 
 REDUCTIONS = ("mean_all", "mean_nonzero")
 
@@ -156,3 +169,84 @@ class TestMemoryGuards:
         labels = rng.integers(0, 64, size=2560)
         z = rng.standard_normal((2560, 16))
         assert traced_peak_mb(geometry_stats, z, labels) < 48.0
+
+
+HEADS = {
+    "batch_all": dict(loss_mode="triplet"),
+    "preformed": dict(loss_mode="triplet", mining="preformed"),
+    "oim": dict(loss_mode="oim"),
+    "cross_entropy": dict(loss_mode="cross_entropy"),
+}
+OFF = InterferenceConfig(strength=0.5, enabled=False)
+PERTURBATIONS = {
+    "no_reg": dict(interference=OFF),
+    "cir": dict(interference=InterferenceConfig(strength=0.5)),
+    "cir_fraction_0.4": dict(
+        interference=InterferenceConfig(strength=0.5, fraction=0.4)
+    ),
+    "matched_noise": dict(interference=OFF, noise=NoiseConfig(enabled=True)),
+    "fixed_sigma": dict(interference=OFF, noise=NoiseConfig(sigma=0.3, enabled=True)),
+}
+
+
+def oracle_step(head_mode, params, head, tac, feats, labels, cfg, rng):
+    """The per-head step the trainer ran before the fold, returning the
+    shared step's tuple (z, y, loss, acc, grads, head grads or None)."""
+    pk = PKSpec(cfg.p_classes, cfg.k_samples)
+    if head_mode == "oim":
+        return (*step_oim(params, tac, feats, labels, pk, cfg, rng), None)
+    if head_mode == "cross_entropy":
+        return step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng)
+    index = ClassIndex.for_batches(labels, pk)
+    if head_mode == "batch_all":
+        z, y, loss, grads = step_triplet_batch_all(
+            params, tac, feats, labels, index, pk, cfg, rng
+        )
+    else:
+        negatives = {c: np.flatnonzero(labels != c) for c in index.classes}
+        z, y, loss, grads = step_triplet_preformed(
+            params, tac, feats, labels, index, negatives, pk, cfg, rng
+        )
+    return z, y, loss, 0.0, grads, None
+
+
+def assert_grads_equal(a, b):
+    assert len(a.weights) == len(b.weights)
+    for ga, gb in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(ga, gb)
+
+
+class TestStepMatchesPerHeadOracles:
+    @pytest.mark.parametrize("perturbation", PERTURBATIONS)
+    @pytest.mark.parametrize("head_mode", HEADS)
+    def test_three_steps_bit_identical(self, head_mode, perturbation):
+        cfg = TrainConfig(
+            p_classes=4, k_samples=3, hidden_dims=(12,), embed_dim=5,
+            **HEADS[head_mode], **PERTURBATIONS[perturbation],
+        )
+        data = np.random.default_rng(0)
+        labels = np.repeat(np.arange(7), 6)
+        centers = data.standard_normal((7, 8))
+        feats = centers[labels] + 0.5 * data.standard_normal((42, 8))
+        params = init_params((8, 12, 5), seed=1)
+        head = None
+        if head_mode == "cross_entropy":
+            head = init_params((5, 7), "identity", seed=2)
+        tac = tac_init(7, 5, seed=3)
+        sample, head_loss = _mode_parts(cfg, feats, labels)
+        r_new, r_old = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(3):
+            got = _step(params, head, tac, feats, labels, sample, head_loss, cfg, r_new)
+            want = oracle_step(head_mode, params, head, tac, feats, labels, cfg, r_old)
+            z, y, loss, acc, grads, head_grads = got
+            assert np.array_equal(z, want[0])
+            assert np.array_equal(y, want[1])
+            assert loss == want[2] and acc == want[3]
+            assert_grads_equal(grads, want[4])
+            assert (head_grads is None) == (want[5] is None)
+            if head is not None:
+                assert_grads_equal(head_grads, want[5])
+                head = sgd_step(head, head_grads, 0.1)
+            params = sgd_step(params, grads, 0.1)
+            tac = tac_update(tac, z, y)
+        assert r_new.bit_generator.state == r_old.bit_generator.state

@@ -57,6 +57,10 @@ def test_summary_schema(tiny_report):
     assert len(lines) == 1 + 6 + 6
     tags = [line.split(",")[1] for line in lines[7:]]
     assert tags == ["mean", "ci95"] * 3
+    # every value column is a plain number, ci95 rows included
+    for line in lines[1:]:
+        for value in line.split(",")[2:]:
+            float(value)
 
 
 def test_curve_files_written(tiny_report):

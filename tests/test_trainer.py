@@ -7,11 +7,14 @@ from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
 from cirlab.errors import ConfigurationError, DataError, NumericError
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig
-from cirlab.nn import forward
+from cirlab.nn import forward, grad_check, init_params
+from cirlab.tac import tac_init
 from cirlab.trainer import (
     CSV_HEADER,
     EpochLog,
     TrainConfig,
+    _mode_parts,
+    _step,
     evaluate_checkpoint,
     logs_to_csv,
     train,
@@ -81,6 +84,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             TrainConfig(loss_mode="oim", holdout_fraction=0.0)
 
+    def test_preformed_rejects_settings_it_ignores(self):
+        # preformed mining always takes the mean hinge of squared distances
+        ignored = (TripletConfig(squared=False), TripletConfig(reduction="mean_nonzero"))
+        for triplet in ignored:
+            with pytest.raises(ConfigurationError, match="preformed"):
+                TrainConfig(mining="preformed", triplet=triplet)
+            TrainConfig(mining="batch_all", triplet=triplet)
+        TrainConfig(mining="preformed", triplet=TripletConfig(margin=0.2))
+
     def test_feasibility_checked_before_training(self):
         tr, va, _ = make_splits()
         with pytest.raises(DataError):
@@ -110,10 +122,24 @@ class TestTripletTraining:
         _, _, logs = train(tr, va, cfg)
         assert min(log.train_loss for log in logs) < 0.5 / 10
 
-    def test_lambda_zero_bitwise_equals_disabled(self):
+    @pytest.mark.parametrize(
+        "head",
+        [
+            dict(),
+            dict(mining="preformed"),
+            dict(loss_mode="oim", learning_rate=0.02),
+            dict(loss_mode="cross_entropy", learning_rate=0.02),
+        ],
+        ids=["batch_all", "preformed", "oim", "cross_entropy"],
+    )
+    def test_lambda_zero_bitwise_equals_disabled(self, head):
         tr, va, _ = make_splits()
-        on = small_cfg(interference=InterferenceConfig(strength=0.0, enabled=True))
-        off = small_cfg(interference=InterferenceConfig(strength=0.5, enabled=False))
+        on = small_cfg(
+            interference=InterferenceConfig(strength=0.0, enabled=True), **head
+        )
+        off = small_cfg(
+            interference=InterferenceConfig(strength=0.5, enabled=False), **head
+        )
         p_on, t_on, logs_on = train(tr, va, on)
         p_off, t_off, logs_off = train(tr, va, off)
         for a, b in zip(p_on.weights, p_off.weights):
@@ -173,6 +199,27 @@ class TestTripletTraining:
         _, _, logs = train(tr, va, cfg)
         assert len(logs) == 3
         assert all(np.isfinite(log.train_loss) for log in logs)
+
+    def test_preformed_step_gradients_match_finite_differences(self):
+        # the hinge and the (1 - strength) pull-back of the blended anchors,
+        # through the shared step; a fresh rng per call fixes the draws
+        tr, _, _ = make_splits()
+        cfg = small_cfg(
+            mining="preformed", activation="tanh", hidden_dims=(5,), embed_dim=3,
+            p_classes=2, k_samples=3, triplet=TripletConfig(margin=2.0),
+        )
+        feats = tr.features.astype(np.float64)
+        tac = tac_init(tr.class_count, 3, seed=2)
+        sample, head_loss = _mode_parts(cfg, feats, tr.labels)
+
+        def closure(p):
+            rng = np.random.default_rng(9)
+            out = _step(p, None, tac, feats, tr.labels, sample, head_loss, cfg, rng)
+            return out[2], out[4]
+
+        params = init_params((8, 5, 3), "tanh", seed=4)
+        assert closure(params)[0] > 0.0
+        assert grad_check(params, closure) < 1e-5
 
     def test_preformed_mining_learns(self):
         tr, va, _ = make_splits(spread=0.1, scale=5.0)
