@@ -67,12 +67,15 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> n
         na = np.where(na > 0, na, 1.0)
         nb = np.where(nb > 0, nb, 1.0)
         return 1.0 - (a / na) @ np.swapaxes(b / nb, -1, -2)
-    sq = (
-        np.sum(a * a, axis=-1)[..., :, None]
-        - 2.0 * (a @ np.swapaxes(b, -1, -2))
-        + np.sum(b * b, axis=-1)[..., None, :]
-    )
-    return np.sqrt(np.maximum(sq, 0.0))
+    # sum(a*a) - 2 (a @ b^T) + sum(b*b), evaluated in place on the matmul
+    # output: -2x + y is the same float as y - 2x, so the bits equal the
+    # out-of-place expression's
+    sq = a @ np.swapaxes(b, -1, -2)
+    sq *= -2.0
+    sq += np.sum(a * a, axis=-1)[..., :, None]
+    sq += np.sum(b * b, axis=-1)[..., None, :]
+    np.maximum(sq, 0.0, out=sq)
+    return np.sqrt(sq, out=sq)
 
 
 def nearest_prototype_classify(
@@ -216,28 +219,32 @@ def geometry_stats(features: np.ndarray, labels: np.ndarray) -> GeometryStats:
         raise ShapeError(f"features must be 2-D, got shape {z.shape}")
     if labels.shape != (z.shape[0],):
         raise ShapeError("labels do not match feature rows")
-    if len(np.unique(labels)) < 2:
+    sizes = np.unique(labels, return_counts=True)[1]
+    if len(sizes) < 2:
         raise DataError("geometry statistics need at least 2 classes")
 
     center = z.mean(axis=0)
     center_distance = float(np.linalg.norm(z - center, axis=1).mean())
 
     n = z.shape[0]
-    rows = np.arange(n)
+    intra_n = int(np.sum(sizes * (sizes - 1)) // 2)
+    inter_n = n * (n - 1) // 2 - intra_n
+    # a block's rows i in [start, stop) pair with every column j > start;
+    # only its leading square holds pairs with j <= i, masked by one
+    # triangle: column c of a block is row start + 1 + c, so j > i iff c >= r
+    tri = np.arange(GEOMETRY_BLOCK - 1)[None, :] >= np.arange(GEOMETRY_BLOCK)[:, None]
     intra_sum = inter_sum = 0.0
-    intra_n = inter_n = 0
     for start in range(0, n, GEOMETRY_BLOCK):
         stop = min(start + GEOMETRY_BLOCK, n)
-        # pairs (i, j) with start <= i < stop and j > i
+        m = stop - start
         dist = _pairwise_dist(z[start:stop], z[start + 1 :])
-        upper = rows[None, start + 1 :] > rows[start:stop, None]
-        same = labels[start:stop, None] == labels[None, start + 1 :]
-        in_class = upper & same
-        across = upper & ~same
+        in_class = labels[start:stop, None] == labels[None, start + 1 :]
+        across = ~in_class
+        in_class[:, : m - 1] &= tri[:m, : m - 1]
+        across[:, : m - 1] &= tri[:m, : m - 1]
         intra_sum += float(np.sum(dist, where=in_class))
         inter_sum += float(np.sum(dist, where=across))
-        intra_n += int(np.count_nonzero(in_class))
-        inter_n += int(np.count_nonzero(across))
+        del dist  # free this block before the next one is built
     intra = intra_sum / intra_n if intra_n else None
     inter = inter_sum / inter_n if inter_n else None
     ratio = None

@@ -9,13 +9,14 @@ negative) triple in the batch; anchors may come from a separately blended
 copy of the embeddings while positives and negatives stay raw.
 
 Batch-all never builds the B^3 hinge tensor. A triple is active iff its
-negative distance lies strictly below the threshold margin + d(a, p), so
-one sort per anchor row of thresholds and negative distances (keyed so
-that a threshold precedes an equal negative), plus a prefix count, gives
-every (a, p) and (a, n) active-triple count in O(B^2 log B) time and
-O(B^2) memory. The counts are exact integers, so the gradients are
-bit-identical to enumerating the triples; only the loss value moves, by
-rounding, because it is summed in another order.
+negative distance lies strictly below the threshold margin + d(a, p).
+Each anchor's thresholds over its own positives are gathered into one
+row and compared with its negative distances, so one B x K x B boolean
+tensor, K the largest class in the batch, gives every (a, p) and (a, n)
+active-triple count in O(B^2 K) time and memory. PK batches keep K small.
+The counts are exact integers, so the gradients are bit-identical to
+enumerating the triples; only the loss value moves, by rounding, because
+it is summed in another order.
 """
 
 from __future__ import annotations
@@ -98,17 +99,6 @@ def batch_all_triplet_loss(
     if labels.shape != (z.shape[0],):
         raise ShapeError("labels do not match feature rows")
 
-    b = z.shape[0]
-    zero = TripletBatchResult(
-        loss=0.0,
-        grad_anchor=np.zeros_like(z),
-        grad_other=np.zeros_like(z),
-        num_triplets=0,
-        num_active=0,
-    )
-    if b == 0:
-        return zero
-
     # pairwise squared distances blended-anchor-to-raw
     sq = (
         np.sum(zt * zt, axis=1)[:, None]
@@ -119,40 +109,29 @@ def batch_all_triplet_loss(
     dist = sq if cfg.squared else np.sqrt(sq)
 
     same = labels[:, None] == labels[None, :]
-    pos_ok = same & ~np.eye(b, dtype=bool)  # (a, p): same label, a != p
+    pos_ok = same & ~np.eye(z.shape[0], dtype=bool)  # (a, p): same label, a != p
     neg_ok = ~same  # (a, n): different label
 
     num_triplets = int(pos_ok.sum(axis=1) @ neg_ok.sum(axis=1))
     if num_triplets == 0:
-        return zero
+        return _zero_gradients(z, 0.0, 0)
 
     # (a, p, n) is active iff dist[a, n] < s[a, p] with s = margin + dist;
-    # this is the B^3 test fl(s - dist[a, n]) > 0 exactly. Each anchor row
-    # of [thresholds s | negative distances] is sorted once. Every value
-    # is >= 0 or NaN; shifted left by one bit (dropping the sign), its bit
-    # pattern orders like the value, with -0.0 at 0 and NaN above +inf.
-    # The low bit set on negatives puts a threshold before a negative of
-    # equal value, so ties are inactive. Thresholds of invalid or NaN
-    # pairs go to 0 and negatives of invalid pairs to +inf, so they count
-    # nothing; NaN negatives sort above every threshold, so a NaN hinge is
-    # never active.
+    # this is the B^3 test fl(s - dist[a, n]) > 0 exactly. Row a of thr
+    # holds anchor a's thresholds over its positives in column order,
+    # padded with 0, which no distance lies below; negd holds its negative
+    # distances, +inf where the pair is not a negative. A NaN on either
+    # side compares false, so a NaN hinge is never active.
     s = cfg.margin + dist
-    vals = np.concatenate(
-        [np.where(pos_ok & ~np.isnan(s), s, 0.0), np.where(neg_ok, dist, np.inf)],
-        axis=1,
-    )
-    keys = vals.view(np.uint64) << np.uint64(1)
-    keys[:, b:] |= np.uint64(1)
-    order = np.argsort(keys, axis=1)
-    # at sorted position j a threshold counts the negatives before it, a
-    # negative the b - (j + 1 - negs_upto) thresholds after it
-    is_neg = order >= b
-    negs_upto = np.cumsum(is_neg, axis=1)
-    thr_after = negs_upto + (b - 1 - np.arange(2 * b))
-    counts = np.empty_like(negs_upto)
-    np.put_along_axis(counts, order, np.where(is_neg, thr_after, negs_upto), axis=1)
-    count_ap = counts[:, :b]
-    count_an = counts[:, b:]
+    npos = pos_ok.sum(axis=1)
+    slots = np.arange(npos.max()) < npos[:, None]  # row-major like pos_ok
+    thr = np.zeros(slots.shape)
+    thr[slots] = s[pos_ok]
+    negd = np.where(neg_ok, dist, np.inf)
+    active = negd[:, None, :] < thr[:, :, None]  # (anchor, positive slot, n)
+    count_an = active.sum(axis=1)
+    count_ap = np.zeros_like(count_an)
+    count_ap[pos_ok] = active.sum(axis=2)[slots]
 
     num_active = int(count_ap.sum())
     total = float(
@@ -163,13 +142,7 @@ def batch_all_triplet_loss(
     denom = num_triplets if cfg.reduction == "mean_all" else max(num_active, 1)
     loss = total / denom
     if num_active == 0:
-        return TripletBatchResult(
-            loss=loss,
-            grad_anchor=np.zeros_like(z),
-            grad_other=np.zeros_like(z),
-            num_triplets=num_triplets,
-            num_active=0,
-        )
+        return _zero_gradients(z, loss, num_triplets)
 
     # per-pair multiplicities: wa[a,p] triplets where (a,p) is the positive
     # pair, wc[a,n] where (a,n) is the negative pair, each times the local
@@ -197,6 +170,17 @@ def batch_all_triplet_loss(
         grad_other=grad_other,
         num_triplets=num_triplets,
         num_active=num_active,
+    )
+
+
+def _zero_gradients(z, loss, num_triplets):
+    """A result with no active triple: zero gradients in both slots."""
+    return TripletBatchResult(
+        loss=loss,
+        grad_anchor=np.zeros_like(z),
+        grad_other=np.zeros_like(z),
+        num_triplets=num_triplets,
+        num_active=0,
     )
 
 

@@ -83,7 +83,8 @@ class ClassIndex:
     """Sorted class ids of one split and each class's ascending row array.
 
     Build it once per split with `for_batches` or `for_episodes`, which
-    check the class and per-class row counts the draws need; `draw` then
+    check the class and per-class row counts the draws need, or with the
+    constructor when the caller has checked them already; `draw` then
     samples from it without rescanning the labels.
     """
 
@@ -153,8 +154,9 @@ def pk_batch(
     """Row indices of one PK batch: P classes drawn without replacement,
     then K distinct rows per class, class-major order.
 
-    index is the split's `ClassIndex.for_batches(labels, spec)`; without
-    it one is built (and checked) from labels on every call.
+    index is the split's `ClassIndex`, whose class and row counts the
+    caller has checked (as `ClassIndex.for_batches(labels, spec)` does);
+    without it one is built and checked from labels on every call.
     """
     if index is None:
         index = ClassIndex.for_batches(labels, spec)

@@ -194,6 +194,7 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
     """Reject config/split mismatches before touching any rng."""
     if train_ds.size == 0:
         raise DataError("training split is empty")
+    _check_class_count(train_ds, "train")
     if cfg.loss_mode == "triplet":
         counts = np.bincount(train_ds.labels, minlength=train_ds.class_count)
         if train_ds.class_count < cfg.p_classes:
@@ -209,6 +210,7 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
             )
         if val_ds is None:
             raise DataError("triplet mode needs a validation split for episodes")
+        _check_class_count(val_ds, "validation")
         if val_ds.class_count < cfg.eval_n_way:
             raise DataError(
                 f"validation split has {val_ds.class_count} classes, "
@@ -224,6 +226,17 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
             )
     if train_ds.class_count < 2:
         raise DataError("need at least 2 training classes")
+
+
+def _check_class_count(ds: Dataset, split: str) -> None:
+    """The class count comes from a file header and sizes per-class arrays
+    (bincounts here, the class table in train()). More classes than rows
+    leaves some class empty, so refuse it before any such allocation."""
+    if ds.class_count > ds.size:
+        raise DataError(
+            f"{split} split declares {ds.class_count} classes "
+            f"but has only {ds.size} rows"
+        )
 
 
 def _perturb(z, labels, tac, cfg, rng):
@@ -381,7 +394,8 @@ def _mode_parts(cfg, feats, labels):
         n, size = len(labels), min(pk.batch_size, len(labels))
         head_loss = _oim_loss if cfg.loss_mode == "oim" else _cross_entropy_loss
         return (lambda rng: (rng.choice(n, size=size, replace=False), size)), head_loss
-    index = ClassIndex.for_batches(labels, pk)
+    # check_feasible has already required P classes of K rows each
+    index = ClassIndex(labels)
     b = pk.batch_size
     if cfg.mining == "batch_all":
         return (lambda rng: (pk_batch(feats, labels, pk, rng, index), b)), _batch_all_loss

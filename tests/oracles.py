@@ -1,14 +1,14 @@
 """Reference implementations that the package's code is checked against:
 one-triple triplet loss, the enumerated batch-all triple list, the B^3
-batch-all loss, the dense N x N geometry statistics, the scalar
-negative-class draw and the four per-head training steps that the one
-shared training step replaced. They are slow, memory-hungry or repetitive
-on purpose and live only with the tests."""
+batch-all loss, the out-of-place pairwise distances, the dense N x N
+geometry statistics, the scalar negative-class draw and the four per-head
+training steps that the one shared training step replaced. They are slow,
+memory-hungry or repetitive on purpose and live only with the tests."""
 
 import numpy as np
 
 from cirlab.errors import ConfigurationError, DataError, InputError, ShapeError
-from cirlab.evaluate import GeometryStats, _pairwise_dist
+from cirlab.evaluate import GeometryStats
 from cirlab.interference import (
     gaussian_perturb,
     interfere_backward,
@@ -171,6 +171,19 @@ def batch_all_triplet_loss_b3(features, blended_anchors, labels, cfg):
     )
 
 
+def pairwise_dist_out_of_place(a, b):
+    """evaluate._pairwise_dist's Euclidean distances as one out-of-place
+    expression."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    sq = (
+        np.sum(a * a, axis=-1)[..., :, None]
+        - 2.0 * (a @ np.swapaxes(b, -1, -2))
+        + np.sum(b * b, axis=-1)[..., None, :]
+    )
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def geometry_stats_dense(features, labels) -> GeometryStats:
     """geometry_stats through the full N x N distance matrix and its upper
     triangle as index arrays."""
@@ -182,7 +195,7 @@ def geometry_stats_dense(features, labels) -> GeometryStats:
     center = z.mean(axis=0)
     center_distance = float(np.linalg.norm(z - center, axis=1).mean())
 
-    dist = _pairwise_dist(z, z)
+    dist = pairwise_dist_out_of_place(z, z)
     iu = np.triu_indices(z.shape[0], k=1)
     same = labels[iu[0]] == labels[iu[1]]
     pair_d = dist[iu]

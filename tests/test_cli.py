@@ -5,7 +5,7 @@ import pytest
 
 from cirlab.cli import entrypoint
 from cirlab.config import parse_config_text
-from cirlab.datagen import load_dataset
+from cirlab.datagen import Dataset, load_dataset, save_dataset
 
 RUN_CFG = """\
 epochs = 2
@@ -155,6 +155,20 @@ class TestTrain:
             "train", "-c", str(workdir / "run.cfg"),
             "-d", str(bad), "-o", str(tmp_path / "m.ckpt"),
         ]) == 2
+
+    def test_declared_classes_beyond_rows_exit_2(self, tmp_path, capsys):
+        # an OIM run would size its class table from the header's count
+        path = tmp_path / "huge.cird"
+        save_dataset(Dataset(
+            features=np.zeros((5, 3), dtype=np.float32),
+            labels=np.arange(5), class_count=2**20, provenance="header test",
+        ), str(path))
+        cfg = tmp_path / "oim.cfg"
+        cfg.write_text("loss_mode = oim\nepochs = 1\niterations = 1\nembed_dim = 4\n")
+        assert entrypoint([
+            "train", "-c", str(cfg), "-d", str(path), "-o", str(tmp_path / "m.ckpt"),
+        ]) == 2
+        assert "declares 1048576 classes but has only 5 rows" in capsys.readouterr().err
 
     def test_divergence_exits_4(self, workdir, tmp_path):
         cfg = tmp_path / "diverge.cfg"

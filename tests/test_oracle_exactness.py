@@ -1,14 +1,15 @@
-"""The sort-based batch-all triplet loss and the row-blocked geometry
-statistics against their dense oracles, memory guards that fail if the
-cubic or quadratic transients come back, and the shared training step
-against the four per-head steps it replaced."""
+"""The gather-based batch-all triplet loss, the in-place pairwise
+distances and the row-blocked geometry statistics against their dense or
+out-of-place oracles, memory guards that fail if the cubic, quadratic or
+block-sized transients come back, and the shared training step against
+the four per-head steps it replaced."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cirlab.evaluate import GEOMETRY_BLOCK, geometry_stats
+from cirlab.evaluate import GEOMETRY_BLOCK, _pairwise_dist, geometry_stats
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig, batch_all_triplet_loss
 from cirlab.nn import init_params, sgd_step
@@ -18,6 +19,7 @@ from cirlab.trainer import TrainConfig, _mode_parts, _step
 from oracles import (
     batch_all_triplet_loss_b3,
     geometry_stats_dense,
+    pairwise_dist_out_of_place,
     step_cross_entropy,
     step_oim,
     step_triplet_batch_all,
@@ -50,16 +52,27 @@ def pk_batch_embeddings(p, k, dim, seed):
     return z, zt, labels
 
 
+def random_cfg(rng, reduction):
+    return TripletConfig(
+        margin=float(rng.uniform(0.0, 2.0)),
+        reduction=reduction,
+        squared=bool(rng.integers(2)),
+    )
+
+
 class TestTripletLossMatchesB3:
     @pytest.mark.parametrize("reduction", REDUCTIONS)
     @pytest.mark.parametrize("squared", [True, False])
-    @pytest.mark.parametrize("p,k", [(8, 4), (16, 8), (32, 8)])
+    @pytest.mark.parametrize("p,k", [(8, 4), (16, 8), (32, 8), (2, 128), (4, 64)])
     def test_pk_batches(self, p, k, squared, reduction):
         z, zt, labels = pk_batch_embeddings(p, k, 16, seed=p * k)
-        want = assert_matches_b3(
-            z, zt, labels, TripletConfig(0.5, reduction, squared)
-        )
+        cfg = TripletConfig(0.5, reduction, squared)
+        want = assert_matches_b3(z, zt, labels, cfg)
         assert 0 < want.num_active < want.num_triplets
+        # the same rows out of class-major order scatter each anchor's
+        # positives over its row
+        perm = np.random.default_rng(p + k).permutation(p * k)
+        assert_matches_b3(z[perm], zt[perm], labels[perm], cfg)
 
     @pytest.mark.parametrize("reduction", REDUCTIONS)
     def test_random_labels(self, reduction):
@@ -69,12 +82,36 @@ class TestTripletLossMatchesB3:
             labels = rng.integers(0, int(rng.integers(1, 7)), size=b)
             z = rng.standard_normal((b, 5))
             zt = z + 0.5 * rng.standard_normal((b, 5))
-            cfg = TripletConfig(
-                margin=float(rng.uniform(0.0, 2.0)),
-                reduction=reduction,
-                squared=bool(rng.integers(2)),
+            assert_matches_b3(z, zt, labels, random_cfg(rng, reduction))
+        # many classes over few rows: singleton classes beside larger ones,
+        # so anchors differ in positive count and in threshold-row padding
+        uneven = 0
+        for _ in range(60):
+            b = int(rng.integers(2, 49))
+            labels = rng.integers(0, int(rng.integers(b // 2 + 1, b + 1)), size=b)
+            z = rng.standard_normal((b, 4))
+            zt = z + 0.5 * rng.standard_normal((b, 4))
+            assert_matches_b3(z, zt, labels, random_cfg(rng, reduction))
+            sizes = np.bincount(labels)[labels]
+            uneven += int(sizes.min() == 1 and sizes.max() > 2)
+        assert uneven > 10
+
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    def test_zero_distance_negative_beside_padding(self, reduction, squared):
+        # anchor 4 has one positive against the largest class's three, so
+        # its threshold row is padded; its blended row sits exactly on the
+        # negative row 0, and no padded slot may count that 0 distance
+        rng = np.random.default_rng(8)
+        labels = np.array([0, 0, 0, 0, 1, 1])
+        z = rng.standard_normal((6, 3))
+        zt = z + 0.1 * rng.standard_normal((6, 3))
+        zt[4] = z[0]
+        for margin in (0.0, 0.5):
+            want = assert_matches_b3(
+                z, zt, labels, TripletConfig(margin, reduction, squared)
             )
-            assert_matches_b3(z, zt, labels, cfg)
+            assert want.num_active > 0
 
     @pytest.mark.parametrize("reduction", REDUCTIONS)
     @pytest.mark.parametrize("margin", [0.0, 0.5, 1.0])
@@ -112,6 +149,24 @@ class TestTripletLossMatchesB3:
             z, zt, labels, TripletConfig(0.5, reduction, squared)
         )
         assert np.isfinite(want.loss) and want.num_active > 0
+
+
+class TestPairwiseDistMatchesOutOfPlace:
+    @pytest.mark.parametrize("shape", [(40, 7), (1, 3), (6, 9, 5)])
+    def test_bit_identical(self, shape):
+        # duplicate rows within and across a and b give distances that
+        # cancel to (or just below) zero and are clamped
+        rng = np.random.default_rng(len(shape))
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal(shape[:-2] + (11, shape[-1]))
+        a[..., -1, :] = a[..., 0, :]
+        b[..., 3, :] = a[..., 0, :]
+        b[..., 7, :] = b[..., 3, :]
+        for x, y in ((a, b), (a, a), (b, b), (np.round(a), np.round(b))):
+            got = _pairwise_dist(x, y)
+            want = pairwise_dist_out_of_place(x, y)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def assert_geometry_matches_dense(z, labels):
@@ -157,18 +212,35 @@ def traced_peak_mb(fn, *args):
 
 class TestMemoryGuards:
     def test_triplet_loss_has_no_cubic_transient(self):
-        # the B^3 body peaked at 163 MB here; the sort peaks near 10 MB
+        # the B^3 body peaked at 163 MB here
         z, zt, labels = pk_batch_embeddings(32, 8, 16, seed=0)
         assert traced_peak_mb(
             batch_all_triplet_loss, z, zt, labels, TripletConfig()
         ) < 24.0
 
     def test_geometry_stats_has_no_quadratic_transient(self):
-        # the N x N body peaked at 157 MB here; row blocks peak near 23 MB
+        # the N x N body peaked at 157 MB here
         rng = np.random.default_rng(0)
         labels = rng.integers(0, 64, size=2560)
         z = rng.standard_normal((2560, 16))
         assert traced_peak_mb(geometry_stats, z, labels) < 48.0
+
+    def test_triplet_loss_has_no_sort_key_transients(self):
+        # the sort over 2B keys per anchor peaked at 10.4 MB here; the
+        # B x K x B comparison peaks near 5 MB
+        z, zt, labels = pk_batch_embeddings(32, 8, 16, seed=0)
+        assert traced_peak_mb(
+            batch_all_triplet_loss, z, zt, labels, TripletConfig()
+        ) < 7.0
+
+    def test_geometry_stats_holds_one_distance_block(self):
+        # out-of-place block distances, two blocks alive at once, peaked at
+        # 22 MB here; one in-place 256 x 2559 float64 block is 5.2 MB, and
+        # the call peaks near 7 MB
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 64, size=2560)
+        z = rng.standard_normal((2560, 16))
+        assert traced_peak_mb(geometry_stats, z, labels) < 16.0
 
 
 HEADS = {

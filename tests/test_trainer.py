@@ -1,5 +1,8 @@
 """Tests for the training loops, schedules, logging, and checkpoint eval."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,29 @@ class TestConfigValidation:
             train(tr, va, small_cfg(p_classes=30))  # more classes than split
         with pytest.raises(DataError):
             train(tr, None, small_cfg())  # triplet mode without val split
+        # a declared class with no rows fails in check_feasible, with its
+        # message, before the trainer builds its class index
+        empty = replace(tr, class_count=tr.class_count + 1)
+        with pytest.raises(
+            DataError, match=f"class {tr.class_count} has 0 samples, batches need 4"
+        ):
+            train(empty, va, small_cfg())
+
+    def test_declared_classes_beyond_rows_refused_before_bincount(self):
+        # 2^20 declared classes would take an 8 MB bincount of class sizes
+        tr, va, _ = make_splits()
+        huge = replace(
+            tr, features=tr.features[:5], labels=tr.labels[:5], class_count=2**20
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(DataError, match="declares 1048576 classes but has"):
+                train(huge, va, small_cfg())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / 1e6 < 1.0
 
 
 class TestTripletTraining:
