@@ -11,10 +11,13 @@ Exit codes are a stable contract: 0 success, 2 user/config error,
 3 IO error, 4 numeric failure.
 
 Every file-writing command drops a `<output>.manifest` next to its main
-output: the resolved config (all defaults materialized), tool version,
-input/output sha256 hashes.  Manifests contain no timestamps -- rerunning
-a command with identical inputs produces byte-identical outputs,
-manifests included.  Wall-clock goes to stderr only.
+output: tool version, input/output sha256 hashes and a [config] block.
+`train` writes the resolved config there (all defaults materialized),
+which re-parses to the identical config; `gen`, `eval` and `reproduce`
+write their settings as `#` comment lines, which do not parse back.
+Manifests contain no timestamps -- rerunning a command with identical
+inputs produces byte-identical outputs, manifests included.  Wall-clock
+goes to stderr only.
 """
 
 import argparse

@@ -1,15 +1,16 @@
 """Evaluation: episodic few-shot accuracy, retrieval metrics, and
 embedding-geometry statistics.
 
-Episodes are re-derived from (master_seed, episode_index) child seeds, so
-the reported mean is independent of evaluation order. Episodic accuracy
-embeds the split once, draws every episode from one class index, and
-scores the episodes in fixed chunks with batched gathers and one stacked
-distance per chunk, which keeps peak memory flat in the episode count.
-Geometry statistics visit the pairwise distances one block of rows at a
-time, so their memory stays flat in the sample count. Distances are
-plain Euclidean on raw embeddings throughout; a cosine option exists for
-ablation.
+Every metric scores embeddings; running the encoder is the caller's
+job, so one embedding of a split serves every metric on it. Episodic
+accuracy takes the split's embedding and its E x N x (K+Q) int64 episode
+rows from `sampling.episode_rows` (640 B for a 5-way episode of 16 rows
+per class), and scores the episodes in fixed chunks with batched gathers
+and one stacked distance per chunk, so the gathered embeddings stay at
+one chunk's worth. Geometry statistics visit the pairwise distances one
+block of rows at a time, so their memory stays flat in the sample count.
+Distances are plain Euclidean on raw embeddings throughout; a cosine
+option exists for ablation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError, ShapeError
-from .nn import ModelParams, forward
-from .sampling import ClassIndex, child_seed
 
 METRICS = ("euclidean", "cosine")
 # episodes scored per batched distance in episodic_accuracy
@@ -109,45 +108,28 @@ def nearest_prototype_classify(
 
 
 def episodic_accuracy(
-    params: ModelParams,
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_way: int,
-    k_shot: int,
-    q_queries: int,
-    episodes: int = 600,
-    master_seed: int = 0,
-    metric: str = "euclidean",
+    z: np.ndarray, rows: np.ndarray, k_shot: int, metric: str = "euclidean"
 ) -> EpisodicResult:
-    """Mean nearest-prototype accuracy over independently seeded episodes.
+    """Mean nearest-prototype accuracy over the episodes in rows.
 
-    Episode i draws its task with child_seed(master_seed, i); accuracy is
-    averaged over episodes with a 1.96 * sd / sqrt(E) half-width. The
-    split is embedded once; each chunk of EPISODE_CHUNK episodes is scored
-    by one stacked distance from its queries to its support means, and
-    distance ties go to the lowest episode class, as in
+    z embeds the split; rows is an episodes x n_way x (k_shot + q_queries)
+    array of its row indices (`sampling.episode_rows`), the first k_shot
+    of each class the support. Accuracy is averaged over episodes with a
+    1.96 * sd / sqrt(E) half-width. Each chunk of EPISODE_CHUNK episodes
+    is scored by one stacked distance from its queries to its support
+    means, and distance ties go to the lowest episode class, as in
     nearest_prototype_classify.
     """
-    if episodes < 1:
-        raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
-    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
-    z, _ = forward(params, features)
+    episodes, n_way, per_class = rows.shape
+    q_queries = per_class - k_shot
     query_labels = np.repeat(np.arange(n_way), q_queries)
     accs = np.empty(episodes)
     for start in range(0, episodes, EPISODE_CHUNK):
-        stop = min(start + EPISODE_CHUNK, episodes)
-        rows = np.stack([
-            index.draw(
-                n_way, k_shot + q_queries,
-                np.random.default_rng(child_seed(master_seed, i)),
-            )[1]
-            for i in range(start, stop)
-        ])  # episodes x n_way x (k_shot + q_queries)
-        emb = z[rows]
+        emb = z[rows[start : start + EPISODE_CHUNK]]
         protos = emb[:, :, :k_shot].mean(axis=2)
-        queries = emb[:, :, k_shot:].reshape(stop - start, n_way * q_queries, -1)
+        queries = emb[:, :, k_shot:].reshape(len(emb), n_way * q_queries, -1)
         pred = np.argmin(_pairwise_dist(queries, protos, metric), axis=2)
-        accs[start:stop] = np.mean(pred == query_labels, axis=1)
+        accs[start : start + len(emb)] = np.mean(pred == query_labels, axis=1)
     mean = float(accs.mean())
     sd = float(accs.std(ddof=1)) if episodes > 1 else 0.0
     return EpisodicResult(

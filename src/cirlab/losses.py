@@ -99,14 +99,14 @@ def batch_all_triplet_loss(
     if labels.shape != (z.shape[0],):
         raise ShapeError("labels do not match feature rows")
 
-    # pairwise squared distances blended-anchor-to-raw
-    sq = (
-        np.sum(zt * zt, axis=1)[:, None]
-        - 2.0 * (zt @ z.T)
-        + np.sum(z * z, axis=1)[None, :]
-    )
+    # pairwise squared distances blended-anchor-to-raw, built in place on
+    # the matmul output as in evaluate._pairwise_dist (same bits)
+    sq = zt @ z.T
+    sq *= -2.0
+    sq += np.sum(zt * zt, axis=1)[:, None]
+    sq += np.sum(z * z, axis=1)[None, :]
     np.maximum(sq, 0.0, out=sq)
-    dist = sq if cfg.squared else np.sqrt(sq)
+    dist = sq if cfg.squared else np.sqrt(sq, out=sq)
 
     same = labels[:, None] == labels[None, :]
     pos_ok = same & ~np.eye(z.shape[0], dtype=bool)  # (a, p): same label, a != p
@@ -116,46 +116,24 @@ def batch_all_triplet_loss(
     if num_triplets == 0:
         return _zero_gradients(z, 0.0, 0)
 
-    # (a, p, n) is active iff dist[a, n] < s[a, p] with s = margin + dist;
-    # this is the B^3 test fl(s - dist[a, n]) > 0 exactly. Row a of thr
-    # holds anchor a's thresholds over its positives in column order,
-    # padded with 0, which no distance lies below; negd holds its negative
-    # distances, +inf where the pair is not a negative. A NaN on either
-    # side compares false, so a NaN hinge is never active.
-    s = cfg.margin + dist
-    npos = pos_ok.sum(axis=1)
-    slots = np.arange(npos.max()) < npos[:, None]  # row-major like pos_ok
-    thr = np.zeros(slots.shape)
-    thr[slots] = s[pos_ok]
-    negd = np.where(neg_ok, dist, np.inf)
-    active = negd[:, None, :] < thr[:, :, None]  # (anchor, positive slot, n)
-    count_an = active.sum(axis=1)
-    count_ap = np.zeros_like(count_an)
-    count_ap[pos_ok] = active.sum(axis=2)[slots]
-
+    count_ap, count_an, total = _active_counts(dist, pos_ok, neg_ok, cfg.margin)
     num_active = int(count_ap.sum())
-    total = float(
-        np.sum(count_ap * s, where=count_ap > 0, initial=0.0)
-        - np.sum(count_an * dist, where=count_an > 0, initial=0.0)
-    )
-
     denom = num_triplets if cfg.reduction == "mean_all" else max(num_active, 1)
     loss = total / denom
     if num_active == 0:
         return _zero_gradients(z, loss, num_triplets)
 
-    # per-pair multiplicities: wa[a,p] triplets where (a,p) is the positive
-    # pair, wc[a,n] where (a,n) is the negative pair, each times the local
-    # derivative of the distance term
-    count_ap = count_ap.astype(np.float64)
-    count_an = count_an.astype(np.float64)
+    # per-pair multiplicities, in place on the counts: wa[a,p] triplets
+    # where (a,p) is the positive pair, wc[a,n] where (a,n) is the negative
+    # pair, each times the local derivative of the distance term
+    wa, wc = count_ap, count_an
     if cfg.squared:
-        wa = 2.0 * count_ap
-        wc = 2.0 * count_an
+        wa *= 2.0
+        wc *= 2.0
     else:
         safe = np.where(dist > 0.0, dist, 1.0)
-        wa = count_ap / safe
-        wc = count_an / safe
+        wa /= safe
+        wc /= safe
 
     w = 1.0 / denom
     row_wa = wa.sum(axis=1)
@@ -171,6 +149,37 @@ def batch_all_triplet_loss(
         num_triplets=num_triplets,
         num_active=num_active,
     )
+
+
+def _active_counts(dist, pos_ok, neg_ok, margin):
+    """Active-triple counts per pair and the hinge total over them.
+
+    count_ap[a, p] counts the negatives n, and count_an[a, n] the
+    positives p, for which (a, p, n) is active; both are float64 holding
+    exact integers. Every B x K x B and B x B temporary is freed on return,
+    before the caller's gradient block.
+    """
+    # (a, p, n) is active iff dist[a, n] < s[a, p] with s = margin + dist;
+    # this is the B^3 test fl(s - dist[a, n]) > 0 exactly. Row a of thr
+    # holds anchor a's thresholds over its positives in column order,
+    # padded with 0, which no distance lies below; negd holds its negative
+    # distances, +inf where the pair is not a negative. A NaN on either
+    # side compares false, so a NaN hinge is never active.
+    s = margin + dist
+    npos = pos_ok.sum(axis=1)
+    slots = np.arange(npos.max()) < npos[:, None]  # row-major like pos_ok
+    thr = np.zeros(slots.shape)
+    thr[slots] = s[pos_ok]
+    negd = np.where(neg_ok, dist, np.inf)
+    active = negd[:, None, :] < thr[:, :, None]  # (anchor, positive slot, n)
+    count_an = active.sum(axis=1, dtype=np.float64)
+    count_ap = np.zeros_like(count_an)
+    count_ap[pos_ok] = active.sum(axis=2)[slots]
+    total = float(
+        np.sum(count_ap * s, where=count_ap > 0, initial=0.0)
+        - np.sum(count_an * dist, where=count_an > 0, initial=0.0)
+    )
+    return count_ap, count_an, total
 
 
 def _zero_gradients(z, loss, num_triplets):

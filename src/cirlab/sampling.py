@@ -2,10 +2,14 @@
 
 PK batches (P classes, K samples each) feed triplet training; N-way K-shot
 episodes feed evaluation. Both draw from one `ClassIndex` per split: the
-sorted class ids and each class's row array, built and checked once, so
-no batch or episode rescans the labels. Episode randomness is derived
-per-index from a master seed with a fixed 64-bit avalanche mix, so episode
-i has the same content no matter how many episodes run or in what order.
+sorted class ids and each class's row array, built once, so no batch or
+episode rescans the labels. Episode randomness is derived per-index from
+a master seed with a fixed 64-bit avalanche mix, so episode i has the
+same content no matter how many episodes run or in what order.
+`episode_rows` draws a whole episode set up front as one E x N x (K+Q)
+int64 row array, 8 bytes per row (640 B for a 5-way episode of 16 rows
+per class), so a caller that scores the same episodes many times draws
+them once.
 """
 
 from __future__ import annotations
@@ -82,30 +86,16 @@ def child_seed(master_seed: int, index: int) -> int:
 class ClassIndex:
     """Sorted class ids of one split and each class's ascending row array.
 
-    Build it once per split with `for_batches` or `for_episodes`, which
-    check the class and per-class row counts the draws need, or with the
-    constructor when the caller has checked them already; `draw` then
-    samples from it without rescanning the labels.
+    Build it once per split with `for_episodes`, which checks the class
+    and per-class row counts an episode needs, or with the constructor
+    when the caller has checked the counts its draws need already; `draw`
+    then samples from it without rescanning the labels.
     """
 
     def __init__(self, labels: np.ndarray):
         labels = np.asarray(labels)
         self.classes = tuple(int(c) for c in np.unique(labels))
         self.rows = {c: np.flatnonzero(labels == c) for c in self.classes}
-
-    @classmethod
-    def for_batches(cls, labels: np.ndarray, spec: PKSpec) -> "ClassIndex":
-        """Index for PK batches: at least P classes, every one with K rows.
-
-        A short class fails loudly even if no draw would touch it.
-        """
-        index = cls(labels)
-        if len(index.classes) < spec.p_classes:
-            raise DataError(
-                f"need {spec.p_classes} classes, dataset has {len(index.classes)}"
-            )
-        index._require_rows(spec.k_samples, "need")
-        return index
 
     @classmethod
     def for_episodes(
@@ -122,13 +112,13 @@ class ClassIndex:
             raise DataError(
                 f"need {n_way} classes for the episode, split has {len(index.classes)}"
             )
-        index._require_rows(k_shot + q_queries, "episode needs")
-        return index
-
-    def _require_rows(self, need: int, verb: str) -> None:
-        for c, rows in self.rows.items():
+        need = k_shot + q_queries
+        for c, rows in index.rows.items():
             if len(rows) < need:
-                raise DataError(f"class {c} has {len(rows)} samples, {verb} {need}")
+                raise DataError(
+                    f"class {c} has {len(rows)} samples, episode needs {need}"
+                )
+        return index
 
     def draw(
         self, n_classes: int, per_class: int, rng: np.random.Generator
@@ -144,24 +134,39 @@ class ClassIndex:
         return class_ids, out
 
 
-def pk_batch(
-    features: np.ndarray,
-    labels: np.ndarray,
-    spec: PKSpec,
-    rng: np.random.Generator,
-    index: ClassIndex | None = None,
-) -> np.ndarray:
+def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.ndarray:
     """Row indices of one PK batch: P classes drawn without replacement,
     then K distinct rows per class, class-major order.
 
-    index is the split's `ClassIndex`, whose class and row counts the
-    caller has checked (as `ClassIndex.for_batches(labels, spec)` does);
-    without it one is built and checked from labels on every call.
+    index is the split's `ClassIndex`; the caller has checked that it
+    holds at least P classes of K rows each (`trainer.check_feasible`).
     """
-    if index is None:
-        index = ClassIndex.for_batches(labels, spec)
     _, rows = index.draw(spec.p_classes, spec.k_samples, rng)
     return rows.reshape(-1)
+
+
+def episode_rows(
+    labels: np.ndarray,
+    n_way: int,
+    k_shot: int,
+    q_queries: int,
+    episodes: int,
+    master_seed: int,
+) -> np.ndarray:
+    """Rows of `episodes` N-way episodes, K support then Q query rows per
+    class: an episodes x n_way x (k_shot + q_queries) int64 array.
+
+    Episode i is drawn with child_seed(master_seed, i), the draw
+    `sample_episode` makes from that seed.
+    """
+    if episodes < 1:
+        raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
+    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
+    rows = np.empty((episodes, n_way, k_shot + q_queries), dtype=np.int64)
+    for i in range(episodes):
+        rng = np.random.default_rng(child_seed(master_seed, i))
+        rows[i] = index.draw(n_way, k_shot + q_queries, rng)[1]
+    return rows
 
 
 def sample_episode(

@@ -7,7 +7,9 @@ Every run is driven by one master seed. Independent random streams are
 derived with child_seed(master, k): k=0 encoder init, 1 class-table init,
 2 the training stream (batches, negative-class draws, noise), 3 validation
 episodes, 4 train-proxy episodes, 5 holdout selection, 6 classifier head
-init. Runs are fully deterministic on one thread.
+init. Runs are fully deterministic on one thread. Both episode sets are
+drawn once per run, and after each epoch every split is embedded once
+for all the metrics scored on it.
 
 Per iteration: sample a batch, embed it, blend the designated rows toward
 drawn wrong-class table rows (or add matched Gaussian noise instead),
@@ -49,7 +51,7 @@ from .nn import (
     input_gradient,
     sgd_step,
 )
-from .sampling import ClassIndex, PKSpec, child_seed, pk_batch
+from .sampling import ClassIndex, PKSpec, child_seed, episode_rows, pk_batch
 from .tac import ClassTable, tac_init, tac_update
 
 LOSS_MODES = ("triplet", "oim", "cross_entropy")
@@ -196,36 +198,31 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
         raise DataError("training split is empty")
     _check_class_count(train_ds, "train")
     if cfg.loss_mode == "triplet":
-        counts = np.bincount(train_ds.labels, minlength=train_ds.class_count)
-        if train_ds.class_count < cfg.p_classes:
-            raise DataError(
-                f"train split has {train_ds.class_count} classes, "
-                f"batches need {cfg.p_classes}"
-            )
-        short = np.flatnonzero(counts < cfg.k_samples)
-        if short.size:
-            raise DataError(
-                f"class {short[0]} has {counts[short[0]]} samples, "
-                f"batches need {cfg.k_samples}"
-            )
+        _check_rows(train_ds, "train", cfg.p_classes, cfg.k_samples, "batches")
         if val_ds is None:
             raise DataError("triplet mode needs a validation split for episodes")
         _check_class_count(val_ds, "validation")
-        if val_ds.class_count < cfg.eval_n_way:
-            raise DataError(
-                f"validation split has {val_ds.class_count} classes, "
-                f"episodes need {cfg.eval_n_way}"
-            )
-        val_counts = np.bincount(val_ds.labels, minlength=val_ds.class_count)
+        # the per-epoch accuracies score episodes on both splits
         need = cfg.eval_k_shot + cfg.eval_q_queries
-        short = np.flatnonzero(val_counts < need)
-        if short.size:
-            raise DataError(
-                f"validation class {short[0]} has {val_counts[short[0]]} samples, "
-                f"episodes need {need}"
-            )
+        for ds, split in ((train_ds, "train"), (val_ds, "validation")):
+            _check_rows(ds, split, cfg.eval_n_way, need, "episodes")
     if train_ds.class_count < 2:
         raise DataError("need at least 2 training classes")
+
+
+def _check_rows(ds: Dataset, split: str, classes: int, need: int, use: str) -> None:
+    """The split must declare `classes` classes and hold `need` rows of
+    every declared class, so a declared class with no rows fails too."""
+    if ds.class_count < classes:
+        raise DataError(
+            f"{split} split has {ds.class_count} classes, {use} need {classes}"
+        )
+    counts = np.bincount(ds.labels, minlength=ds.class_count)
+    short = np.flatnonzero(counts < need)
+    if short.size:
+        raise DataError(
+            f"{split} class {short[0]} has {counts[short[0]]} samples, {use} need {need}"
+        )
 
 
 def _check_class_count(ds: Dataset, split: str) -> None:
@@ -304,7 +301,12 @@ def train(
             seed=child_seed(cfg.seed, 6),
         )
 
-    sample, head_loss = _mode_parts(cfg, fit_feats, fit_labels)
+    sample, head_loss = _mode_parts(cfg, fit_labels)
+    if cfg.loss_mode == "triplet":
+        # fixed master seeds: the same episodes score every epoch
+        shape = cfg.eval_n_way, cfg.eval_k_shot, cfg.eval_q_queries, cfg.eval_episodes
+        train_rows = episode_rows(labels, *shape, child_seed(cfg.seed, 4))
+        val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
     logs: list[EpochLog] = []
     for e in range(cfg.epochs):
         rate = schedule.rate(e)
@@ -327,24 +329,18 @@ def train(
             acc_sum += batch_acc
 
         train_loss = loss_sum / cfg.iterations
+        z_train = forward(params, feats)[0]
         if cfg.loss_mode == "triplet":
-            train_acc = episodic_accuracy(
-                params, feats, labels, cfg.eval_n_way, cfg.eval_k_shot,
-                cfg.eval_q_queries, cfg.eval_episodes,
-                master_seed=child_seed(cfg.seed, 4),
-            ).mean
-            val_acc = episodic_accuracy(
-                params, val_ds.features, val_ds.labels, cfg.eval_n_way,
-                cfg.eval_k_shot, cfg.eval_q_queries, cfg.eval_episodes,
-                master_seed=child_seed(cfg.seed, 3),
-            ).mean
+            train_acc = episodic_accuracy(z_train, train_rows, cfg.eval_k_shot).mean
+            z_val = forward(params, val_ds.features)[0]
+            val_acc = episodic_accuracy(z_val, val_rows, cfg.eval_k_shot).mean
         else:
             train_acc = acc_sum / cfg.iterations
             val_acc = _classification_accuracy(
-                params, head, tac, held_feats, held_labels, cfg.temperature
+                forward(params, held_feats)[0], held_labels, head, tac, cfg.temperature
             )
 
-        geom = geometry_stats(forward(params, feats)[0], labels)
+        geom = geometry_stats(z_train, labels)
         logs.append(
             EpochLog(
                 epoch=epoch_offset + e,
@@ -380,7 +376,7 @@ def _step(params, head, tac, feats, labels, sample, head_loss, cfg, rng):
     return z, y, loss, acc, backward(params, cache, grad_z), head_grads
 
 
-def _mode_parts(cfg, feats, labels):
+def _mode_parts(cfg, labels):
     """Pick the per-mode halves of `_step` once per run.
 
     sample(rng) returns the batch rows and how many leading rows are
@@ -398,7 +394,7 @@ def _mode_parts(cfg, feats, labels):
     index = ClassIndex(labels)
     b = pk.batch_size
     if cfg.mining == "batch_all":
-        return (lambda rng: (pk_batch(feats, labels, pk, rng, index), b)), _batch_all_loss
+        return (lambda rng: (pk_batch(index, pk, rng), b)), _batch_all_loss
     # each class's negative rows, ascending, as the draws index them
     negatives = {c: np.flatnonzero(labels != c) for c in index.classes}
 
@@ -455,12 +451,11 @@ def _softmax_loss(logits, y, cfg):
     return loss, glog, float(np.mean(np.argmax(logits, axis=1) == y))
 
 
-def _classification_accuracy(params, head, tac, feats, labels, temperature) -> float:
-    """Argmax accuracy on raw (unblended) embeddings, scored by the head, or
+def _classification_accuracy(z, labels, head, tac, temperature) -> float:
+    """Argmax accuracy of raw (unblended) embeddings, scored by the head, or
     by table lookup when there is no head."""
-    if feats.shape[0] == 0:
+    if z.shape[0] == 0:
         return float("nan")
-    z, _ = forward(params, feats)
     logits = oim_scores(tac, z, temperature) if head is None else forward(head, z)[0]
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
@@ -509,41 +504,36 @@ def evaluate_checkpoint(
     episodic: N-way K-shot nearest-prototype accuracy over seeded episodes.
     retrieval: per class the first sample (in row order) queries the rest.
     classification: table-lookup argmax accuracy (the split must carry the
-    table's classes).
+    table's classes). The split is embedded once, after these checks.
     """
+    rows = None
     if protocol == "episodic":
-        res = episodic_accuracy(
-            params, split.features, split.labels, n_way, k_shot, q_queries,
-            episodes, master_seed=seed, metric=metric,
-        )
-        return [("episodic_accuracy", res.mean, res.ci95)]
-    if protocol == "retrieval":
-        z, _ = forward(params, split.features)
-        labels = split.labels
-        first = {}
-        for i, y in enumerate(labels):
-            first.setdefault(int(y), i)
-        q_rows = np.array(sorted(first.values()), dtype=np.int64)
-        g_rows = np.setdiff1d(np.arange(split.size), q_rows)
-        if g_rows.size == 0:
-            raise DataError("retrieval needs at least one gallery row")
-        mean_ap = retrieval_map(
-            z[q_rows], labels[q_rows], z[g_rows], labels[g_rows], metric
-        )
-        rank1 = cmc_rank1(
-            z[q_rows], labels[q_rows], z[g_rows], labels[g_rows], metric
-        )
-        return [("map", mean_ap, None), ("cmc_rank1", rank1, None)]
-    if protocol == "classification":
+        rows = episode_rows(split.labels, n_way, k_shot, q_queries, episodes, seed)
+    elif protocol == "classification":
         if split.class_count != tac.num_classes:
             raise ConfigurationError(
                 f"split has {split.class_count} classes but the table holds "
                 f"{tac.num_classes}"
             )
-        acc = _classification_accuracy(
-            params, None, tac, split.features, split.labels, temperature
+    elif protocol != "retrieval":
+        raise ConfigurationError(
+            f"protocol must be episodic, retrieval, or classification, got {protocol!r}"
         )
+    z, _ = forward(params, split.features)
+    labels = split.labels
+    if rows is not None:
+        res = episodic_accuracy(z, rows, k_shot, metric)
+        return [("episodic_accuracy", res.mean, res.ci95)]
+    if protocol == "classification":
+        acc = _classification_accuracy(z, labels, None, tac, temperature)
         return [("classification_accuracy", acc, None)]
-    raise ConfigurationError(
-        f"protocol must be episodic, retrieval, or classification, got {protocol!r}"
-    )
+    first = {}
+    for i, y in enumerate(labels):
+        first.setdefault(int(y), i)
+    q_rows = np.array(sorted(first.values()), dtype=np.int64)
+    g_rows = np.setdiff1d(np.arange(split.size), q_rows)
+    if g_rows.size == 0:
+        raise DataError("retrieval needs at least one gallery row")
+    mean_ap = retrieval_map(z[q_rows], labels[q_rows], z[g_rows], labels[g_rows], metric)
+    rank1 = cmc_rank1(z[q_rows], labels[q_rows], z[g_rows], labels[g_rows], metric)
+    return [("map", mean_ap, None), ("cmc_rank1", rank1, None)]

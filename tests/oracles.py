@@ -266,7 +266,7 @@ def _uniform_batch(n: int, size: int, rng) -> np.ndarray:
 
 
 def step_triplet_batch_all(params, tac, feats, labels, index, pk, cfg, rng):
-    idx = pk_batch(feats, labels, pk, rng, index)
+    idx = pk_batch(index, pk, rng)
     x, y = feats[idx], labels[idx]
     z, cache = forward(params, x)
     blended, decoys = _perturb(z, y, tac, cfg, rng)

@@ -29,6 +29,7 @@ from cirlab.losses import (
 from cirlab.nn import backward, forward, grad_check, init_params
 from cirlab.reproduce import ReproduceSettings, run_reproduction
 from cirlab.tac import tac_init, tac_update
+from cirlab.sampling import episode_rows
 from cirlab.trainer import TrainConfig, train
 from oracles import batch_all_triplets
 
@@ -396,7 +397,8 @@ def test_criterion_09_chance_and_separable():
     )
     params = init_params([16, 32, 8], activation="relu", seed=4)
     res = episodic_accuracy(
-        params, flat.features, flat.labels, 5, 1, 15, 600, master_seed=17
+        forward(params, flat.features)[0],
+        episode_rows(flat.labels, 5, 1, 15, 600, master_seed=17), k_shot=1,
     )
     sigma = res.ci95 / 1.96
     assert abs(res.mean - 0.20) <= 3.0 * sigma, (res.mean, sigma)
@@ -407,8 +409,8 @@ def test_criterion_09_chance_and_separable():
     )
     params = init_params([16, 8], activation="identity", seed=4)
     res_sep = episodic_accuracy(
-        params, separable.features, separable.labels, 5, 1, 15, 600,
-        master_seed=17,
+        forward(params, separable.features)[0],
+        episode_rows(separable.labels, 5, 1, 15, 600, master_seed=17), k_shot=1,
     )
     assert res_sep.mean == 1.0
     elapsed = time.monotonic() - start

@@ -170,6 +170,23 @@ class TestTrain:
         ]) == 2
         assert "declares 1048576 classes but has only 5 rows" in capsys.readouterr().err
 
+    def test_dry_run_checks_train_split_episodes(self, workdir, tmp_path, capsys):
+        # 10 classes of 3 rows feed 4 x 3 batches, but the per-epoch
+        # train-proxy episodes need 1 + 3 rows per class
+        path = tmp_path / "short.cird"
+        save_dataset(Dataset(
+            features=np.zeros((30, 6), dtype=np.float32),
+            labels=np.repeat(np.arange(10), 3), class_count=10,
+            provenance="short classes",
+        ), str(path))
+        out = tmp_path / "m.ckpt"
+        assert entrypoint([
+            "train", "-c", str(workdir / "run.cfg"), "-d", str(path),
+            "--val", str(workdir / "ds.val.cird"), "-o", str(out), "--dry-run",
+        ]) == 2
+        assert "train class 0 has 3 samples, episodes need 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exits_4(self, workdir, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(

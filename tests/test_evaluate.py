@@ -14,7 +14,7 @@ from cirlab.evaluate import (
     retrieval_map,
 )
 from cirlab.nn import ModelParams, forward, init_params
-from cirlab.sampling import ClassIndex, child_seed, sample_episode
+from cirlab.sampling import ClassIndex, child_seed, episode_rows, sample_episode
 
 
 def identity_encoder(dim):
@@ -46,6 +46,15 @@ def per_episode_accuracy(
         ci95=float(1.96 * sd / np.sqrt(episodes)),
         episodes=episodes,
     )
+
+
+def episodic(
+    params, features, labels, n_way, k_shot, q_queries, episodes, master_seed,
+    metric="euclidean",
+):
+    """Embed the split once, draw its episodes, score them."""
+    rows = episode_rows(labels, n_way, k_shot, q_queries, episodes, master_seed)
+    return episodic_accuracy(forward(params, features)[0], rows, k_shot, metric)
 
 
 def brute_force_ap(dists, gallery_labels, query_label):
@@ -101,7 +110,7 @@ class TestEpisodicAccuracy:
 
     def test_separable_is_perfect(self):
         feats, labels = self.separable_split()
-        res = episodic_accuracy(
+        res = episodic(
             identity_encoder(4), feats, labels, n_way=5, k_shot=1, q_queries=5,
             episodes=40, master_seed=1,
         )
@@ -111,7 +120,7 @@ class TestEpisodicAccuracy:
     def test_shuffled_labels_near_chance(self):
         feats, labels = self.separable_split(num_classes=10, per_class=20)
         shuffled = np.random.default_rng(5).permutation(labels)
-        res = episodic_accuracy(
+        res = episodic(
             identity_encoder(4), feats, shuffled, n_way=5, k_shot=1, q_queries=10,
             episodes=300, master_seed=2,
         )
@@ -120,7 +129,7 @@ class TestEpisodicAccuracy:
 
     def test_result_in_unit_interval(self):
         feats, labels = self.separable_split()
-        res = episodic_accuracy(
+        res = episodic(
             identity_encoder(4), feats, labels, 4, 2, 3, episodes=10, master_seed=3
         )
         assert 0.0 <= res.mean <= 1.0
@@ -144,14 +153,14 @@ class TestEpisodicAccuracy:
 
     def test_deterministic(self):
         feats, labels = self.separable_split()
-        r1 = episodic_accuracy(identity_encoder(4), feats, labels, 3, 2, 2, 15, 9)
-        r2 = episodic_accuracy(identity_encoder(4), feats, labels, 3, 2, 2, 15, 9)
+        r1 = episodic(identity_encoder(4), feats, labels, 3, 2, 2, 15, 9)
+        r2 = episodic(identity_encoder(4), feats, labels, 3, 2, 2, 15, 9)
         assert r1 == r2
 
     def test_bad_episode_count(self):
         feats, labels = self.separable_split()
         with pytest.raises(ConfigurationError):
-            episodic_accuracy(identity_encoder(4), feats, labels, 3, 1, 1, 0, 0)
+            episode_rows(labels, 3, 1, 1, 0, 0)
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     @pytest.mark.parametrize("k_shot", [1, 3])
@@ -165,7 +174,7 @@ class TestEpisodicAccuracy:
         feats = centers[labels] + 0.7 * rng.normal(size=(labels.size, 6))
         params = init_params((6, 12, 5), "relu", seed=4)
         episodes = 2 * EPISODE_CHUNK + 5
-        got = episodic_accuracy(
+        got = episodic(
             params, feats, labels, 4, k_shot, 3, episodes, master_seed=11,
             metric=metric,
         )
@@ -182,7 +191,7 @@ class TestEpisodicAccuracy:
         rng = np.random.default_rng(6)
         labels = np.repeat(np.arange(6), 5)
         feats = rng.integers(0, 2, size=(labels.size, 2)).astype(np.float64)
-        res = episodic_accuracy(
+        res = episodic(
             identity_encoder(2), feats, labels, 4, 1, 3, 40, master_seed=8,
             metric=metric,
         )
@@ -193,7 +202,7 @@ class TestEpisodicAccuracy:
     def test_single_episode_equals_reference(self):
         feats, labels = self.separable_split()
         params = init_params((4, 3), "tanh", seed=2)
-        got = episodic_accuracy(params, feats, labels, 3, 2, 2, 1, master_seed=5)
+        got = episodic(params, feats, labels, 3, 2, 2, 1, master_seed=5)
         assert got == per_episode_accuracy(params, feats, labels, 3, 2, 2, 1, 5)
 
     def test_short_class_same_error_as_index(self):
@@ -203,7 +212,7 @@ class TestEpisodicAccuracy:
         with pytest.raises(DataError) as from_index:
             ClassIndex.for_episodes(labels, 3, 1, 3)
         with pytest.raises(DataError) as from_eval:
-            episodic_accuracy(identity_encoder(4), feats, labels, 3, 1, 3, 10, 0)
+            episode_rows(labels, 3, 1, 3, 10, 0)
         assert str(from_eval.value) == str(from_index.value)
         assert str(from_eval.value) == "class 1 has 3 samples, episode needs 4"
 
@@ -211,7 +220,7 @@ class TestEpisodicAccuracy:
         feats, labels = self.separable_split()
         with pytest.raises(ConfigurationError):
             episodic_accuracy(
-                identity_encoder(4), feats, labels, 3, 1, 1, 5, 0, metric="l1"
+                feats, episode_rows(labels, 3, 1, 1, 5, 0), 1, metric="l1"
             )
 
 

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cirlab.errors import ConfigurationError, DataError, InputError
-from cirlab.sampling import ClassIndex, PKSpec, child_seed, pk_batch, sample_episode
+from cirlab.sampling import (
+    ClassIndex,
+    PKSpec,
+    child_seed,
+    episode_rows,
+    pk_batch,
+    sample_episode,
+)
 
 
 def toy_dataset(num_classes=6, per_class=10, dim=3, seed=0):
@@ -70,7 +77,7 @@ class TestPkBatch:
     def test_shape_and_multiset(self):
         features, labels = toy_dataset(num_classes=25, per_class=8)
         spec = PKSpec(p_classes=20, k_samples=4)
-        idx = pk_batch(features, labels, spec, np.random.default_rng(0))
+        idx = pk_batch(ClassIndex(labels), spec, np.random.default_rng(0))
         assert idx.shape == (80,)
         batch_labels = labels[idx]
         uniq, counts = np.unique(batch_labels, return_counts=True)
@@ -81,20 +88,21 @@ class TestPkBatch:
         features, labels = toy_dataset()
         spec = PKSpec(p_classes=4, k_samples=3)
         rng = np.random.default_rng(1)
+        index = ClassIndex(labels)
         for _ in range(50):
-            idx = pk_batch(features, labels, spec, rng)
+            idx = pk_batch(index, spec, rng)
             assert len(np.unique(idx)) == len(idx)
 
     def test_all_classes_when_p_equals_count(self):
         features, labels = toy_dataset(num_classes=5)
         spec = PKSpec(p_classes=5, k_samples=2)
-        idx = pk_batch(features, labels, spec, np.random.default_rng(2))
+        idx = pk_batch(ClassIndex(labels), spec, np.random.default_rng(2))
         assert set(labels[idx]) == set(range(5))
 
     def test_class_major_order(self):
         features, labels = toy_dataset()
         spec = PKSpec(p_classes=3, k_samples=4)
-        idx = pk_batch(features, labels, spec, np.random.default_rng(3))
+        idx = pk_batch(ClassIndex(labels), spec, np.random.default_rng(3))
         batch_labels = labels[idx].reshape(3, 4)
         for row in batch_labels:
             assert len(set(row)) == 1
@@ -102,47 +110,18 @@ class TestPkBatch:
     def test_deterministic_per_rng_state(self):
         features, labels = toy_dataset()
         spec = PKSpec(p_classes=4, k_samples=2)
-        a = pk_batch(features, labels, spec, np.random.default_rng(9))
-        b = pk_batch(features, labels, spec, np.random.default_rng(9))
+        a = pk_batch(ClassIndex(labels), spec, np.random.default_rng(9))
+        b = pk_batch(ClassIndex(labels), spec, np.random.default_rng(9))
         assert np.array_equal(a, b)
-
-    def test_short_class_named_in_error(self):
-        features, labels = toy_dataset(num_classes=4, per_class=4)
-        labels = labels.copy()
-        # shrink class 2 to 3 samples by relabeling one row
-        labels[np.flatnonzero(labels == 2)[0]] = 1
-        with pytest.raises(DataError, match="class 2"):
-            pk_batch(features, labels, PKSpec(2, 4), np.random.default_rng(0))
-
-    def test_too_few_classes(self):
-        features, labels = toy_dataset(num_classes=3)
-        with pytest.raises(DataError):
-            pk_batch(features, labels, PKSpec(4, 2), np.random.default_rng(0))
 
     def test_rows_match_label_scan_reference(self):
         labels = shuffled_uneven_labels()
-        features = np.zeros((labels.size, 2))
         spec = PKSpec(p_classes=5, k_samples=4)
-        index = ClassIndex.for_batches(labels, spec)
-        r_new, r_index, r_ref = (np.random.default_rng(13) for _ in range(3))
+        index = ClassIndex(labels)
+        r_index, r_ref = (np.random.default_rng(13) for _ in range(2))
         for _ in range(200):
             expected = loop_draw(labels, 5, 4, r_ref)
-            assert np.array_equal(pk_batch(features, labels, spec, r_new), expected)
-            assert np.array_equal(
-                pk_batch(features, labels, spec, r_index, index), expected
-            )
-
-    def test_short_class_same_error_from_index_and_batch(self):
-        features, labels = toy_dataset(num_classes=4, per_class=4)
-        labels = labels.copy()
-        labels[np.flatnonzero(labels == 2)[0]] = 1
-        spec = PKSpec(2, 4)
-        with pytest.raises(DataError) as from_index:
-            ClassIndex.for_batches(labels, spec)
-        with pytest.raises(DataError) as from_batch:
-            pk_batch(features, labels, spec, np.random.default_rng(0))
-        assert str(from_index.value) == str(from_batch.value)
-        assert str(from_batch.value) == "class 2 has 3 samples, need 4"
+            assert np.array_equal(pk_batch(index, spec, r_index), expected)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -223,3 +202,44 @@ class TestSampleEpisode:
             sample_episode(features, labels, 1, 1, 1, np.random.default_rng(0))
         with pytest.raises(ConfigurationError):
             sample_episode(features, labels, 3, 0, 1, np.random.default_rng(0))
+
+
+class TestEpisodeRows:
+    def test_shape_and_dtype(self):
+        _, labels = toy_dataset(num_classes=8, per_class=20)
+        rows = episode_rows(labels, 5, 1, 15, 7, master_seed=3)
+        assert rows.shape == (7, 5, 16)
+        assert rows.dtype == np.int64
+
+    def test_episode_i_is_sample_episode_from_child_seed(self):
+        labels = shuffled_uneven_labels(seed=2)
+        features = np.zeros((labels.size, 1))
+        rows = episode_rows(labels, 4, 3, 2, 40, master_seed=21)
+        for i in range(40):
+            ep = sample_episode(
+                features, labels, 4, 3, 2, np.random.default_rng(child_seed(21, i))
+            )
+            assert np.array_equal(rows[i, :, :3].reshape(-1), ep.support_indices)
+            assert np.array_equal(rows[i, :, 3:].reshape(-1), ep.query_indices)
+
+    def test_prefix_independent_of_episode_count(self):
+        _, labels = toy_dataset(num_classes=7, per_class=10)
+        long = episode_rows(labels, 3, 2, 2, 50, master_seed=4)
+        assert np.array_equal(episode_rows(labels, 3, 2, 2, 17, 4), long[:17])
+
+    def test_short_class_same_error_as_index(self):
+        _, labels = toy_dataset(num_classes=5, per_class=6)
+        labels = labels.copy()
+        labels[np.flatnonzero(labels == 3)[:2]] = 4
+        with pytest.raises(DataError) as from_index:
+            ClassIndex.for_episodes(labels, 3, 2, 3)
+        with pytest.raises(DataError) as from_rows:
+            episode_rows(labels, 3, 2, 3, 10, 0)
+        assert str(from_rows.value) == str(from_index.value)
+        assert str(from_rows.value) == "class 3 has 4 samples, episode needs 5"
+
+    def test_bad_settings(self):
+        _, labels = toy_dataset()
+        for args in ((1, 1, 1, 5), (3, 0, 1, 5), (3, 1, 0, 5), (3, 1, 1, 0)):
+            with pytest.raises(ConfigurationError):
+                episode_rows(labels, *args, master_seed=0)

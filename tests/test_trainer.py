@@ -1,16 +1,20 @@
 """Tests for the training loops, schedules, logging, and checkpoint eval."""
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
+import cirlab.nn
+import cirlab.trainer
+from cirlab.datagen import Dataset, GeneratorSpec, gen_gaussian_mixture, split_classes
 from cirlab.errors import ConfigurationError, DataError, NumericError
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig
 from cirlab.nn import forward, grad_check, init_params
+from cirlab.sampling import ClassIndex
 from cirlab.tac import tac_init
 from cirlab.trainer import (
     CSV_HEADER,
@@ -98,8 +102,16 @@ class TestConfigValidation:
 
     def test_feasibility_checked_before_training(self):
         tr, va, _ = make_splits()
-        with pytest.raises(DataError):
-            train(tr, va, small_cfg(p_classes=30))  # more classes than split
+        with pytest.raises(
+            DataError, match="^train split has 6 classes, batches need 30$"
+        ):
+            train(tr, va, small_cfg(p_classes=30))
+        short = replace(tr, labels=tr.labels.copy())
+        short.labels[np.flatnonzero(tr.labels == 2)[:17]] = 1  # class 2 keeps 3
+        with pytest.raises(
+            DataError, match="^train class 2 has 3 samples, batches need 4$"
+        ):
+            train(short, va, small_cfg())
         with pytest.raises(DataError):
             train(tr, None, small_cfg())  # triplet mode without val split
         # a declared class with no rows fails in check_feasible, with its
@@ -109,6 +121,29 @@ class TestConfigValidation:
             DataError, match=f"class {tr.class_count} has 0 samples, batches need 4"
         ):
             train(empty, va, small_cfg())
+
+    def test_episode_shortfall_in_either_split_fails_before_first_step(
+        self, monkeypatch
+    ):
+        # 10 classes of 5 rows feed 4 x 4 batches but not episodes of
+        # 1 + 5 rows per class, which the train-proxy accuracy scores
+        def steps(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(cirlab.trainer, "_step", steps)
+        tr, va, _ = make_splits()
+        short = Dataset(
+            features=np.zeros((50, tr.input_dim), dtype=np.float32),
+            labels=np.repeat(np.arange(10), 5), class_count=10, provenance="short",
+        )
+        with pytest.raises(
+            DataError, match="^train class 0 has 5 samples, episodes need 6$"
+        ):
+            train(short, va, small_cfg())
+        with pytest.raises(
+            DataError, match="^validation class 0 has 5 samples, episodes need 6$"
+        ):
+            train(tr, short, small_cfg())
 
     def test_declared_classes_beyond_rows_refused_before_bincount(self):
         # 2^20 declared classes would take an 8 MB bincount of class sizes
@@ -210,6 +245,35 @@ class TestTripletTraining:
         assert [log.epoch for log in logs] == [0, 1, 2, 3]
         assert all(log.stage == 1 for log in logs)
 
+    def test_embeds_each_split_once_per_epoch_and_draws_episodes_once(
+        self, monkeypatch
+    ):
+        tr, va, _ = make_splits()
+        cfg = small_cfg()  # batches of 4 rows per class, episodes of 1 + 5
+        real_forward, real_draw = cirlab.nn.forward, ClassIndex.draw
+        embedded, episode_draws = [], []
+
+        def counting_forward(params, x):
+            embedded.append(len(x))
+            return real_forward(params, x)
+
+        def counting_draw(index, n_classes, per_class, rng):
+            if per_class == cfg.eval_k_shot + cfg.eval_q_queries:
+                episode_draws.append(n_classes)
+            return real_draw(index, n_classes, per_class, rng)
+
+        for name, module in list(sys.modules.items()):
+            # every cirlab module that holds the encoder's forward
+            if name.startswith("cirlab") and vars(module).get("forward") is real_forward:
+                monkeypatch.setattr(module, "forward", counting_forward)
+        monkeypatch.setattr(ClassIndex, "draw", counting_draw)
+        train(tr, va, cfg)
+        assert embedded.count(tr.size) == cfg.epochs
+        assert embedded.count(va.size) == cfg.epochs
+        assert len(embedded) == cfg.epochs * (cfg.iterations + 2)
+        # the train-proxy set and the validation set, each drawn once
+        assert len(episode_draws) == 2 * cfg.eval_episodes
+
     def test_zero_epochs_returns_init(self):
         tr, va, _ = make_splits()
         params, tac, logs = train(tr, va, small_cfg(epochs=0))
@@ -236,7 +300,7 @@ class TestTripletTraining:
         )
         feats = tr.features.astype(np.float64)
         tac = tac_init(tr.class_count, 3, seed=2)
-        sample, head_loss = _mode_parts(cfg, feats, tr.labels)
+        sample, head_loss = _mode_parts(cfg, tr.labels)
 
         def closure(p):
             rng = np.random.default_rng(9)
