@@ -13,8 +13,10 @@ Exit codes are a stable contract: 0 success, 2 user/config error,
 Every file-writing command drops a `<output>.manifest` next to its main
 output: tool version, input/output sha256 hashes and a [config] block.
 `train` writes the resolved config there (all defaults materialized),
-which re-parses to the identical config; `gen`, `eval` and `reproduce`
-write their settings as `#` comment lines, which do not parse back.
+which re-parses to the identical config; `reproduce` does the same for
+the base config its cells train with, then adds its matrix keys as `#`
+comment lines; `gen` and `eval` write their settings only as `#` lines,
+which do not parse back.
 Manifests contain no timestamps -- rerunning a command with identical
 inputs produces byte-identical outputs, manifests included.  Wall-clock
 goes to stderr only.
@@ -84,8 +86,17 @@ def _write_manifest(path, command, inputs, outputs, config_text=None):
         fh.write("\n".join(lines) + "\n")
 
 
+def _numbers(text, kind, flag):
+    try:
+        return tuple(kind(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} needs comma-separated numbers, got {text!r}"
+        ) from None
+
+
 def _fractions(text):
-    parts = tuple(float(p) for p in text.split(","))
+    parts = _numbers(text, float, "--split")
     if len(parts) != 3:
         raise ConfigurationError(f"--split needs three fractions, got {text!r}")
     return parts
@@ -231,7 +242,7 @@ def cmd_analyze(args):
 
 
 def cmd_reproduce(args):
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _numbers(args.seeds, int, "--seeds")
     settings = ReproduceSettings(seeds=seeds, epochs=args.epochs)
     start = time.monotonic()
     report = run_reproduction(args.out, settings=settings, threads=args.threads)
@@ -244,9 +255,9 @@ def cmd_reproduce(args):
     _write_manifest(
         os.path.join(args.out, "reproduce.manifest"), "reproduce", [],
         [(f.replace(".", "_"), os.path.join(args.out, f)) for f in files],
-        config_text="\n".join(
+        config_text=config_to_text(settings.base) + "\n".join(
             f"# {f.name} = {getattr(settings, f.name)!r}"
-            for f in dataclasses.fields(settings)
+            for f in dataclasses.fields(settings) if f.name != "base"
         ),
     )
     return EXIT_OK if report.ok else EXIT_NUMERIC

@@ -14,21 +14,19 @@ Each (arm, seed) run is independent and internally single-threaded;
 parallel worker processes.  Aggregation order is fixed regardless.
 """
 
-import dataclasses
 import math
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datagen import GeneratorSpec, gen_gaussian_mixture, reproduce_spec, split_classes
 from .errors import CirError, ConfigurationError
 from .evaluate import geometry_stats
-from .interference import InterferenceConfig, NoiseConfig
-from .losses import TripletConfig
+from .interference import NoiseConfig
 from .nn import forward
 from .svgplot import Series, line_chart, save_chart
 from .trainer import TrainConfig, evaluate_checkpoint, logs_to_csv, train
@@ -40,29 +38,23 @@ SUMMARY_HEADER = "arm,seed,val_acc,train_acc,gap,inter_intra_ratio"
 
 @dataclass(frozen=True)
 class ReproduceSettings:
-    """Hyperparameters of the comparison matrix.
+    """The comparison matrix: one base training config plus the keys that
+    only the matrix has.
 
+    Every cell trains ``base`` with its own seed and its arm's anchor
+    treatment; ``epochs`` is written into ``base``, so after construction
+    ``base`` is the config the cells train with. The final episodic eval
+    takes its way and shot from ``base`` and its query and episode counts
+    from here. ``dataset`` overrides the generator spec (its seed field is
+    replaced by each run's seed); None means the standard benchmark spec.
     The defaults are the calibrated benchmark preset; tests shrink them.
-    ``dataset`` overrides the generator spec (its seed field is replaced
-    by each run's seed); None means the standard benchmark spec.
     """
 
     seeds: tuple = (0, 1, 2, 3, 4)
     epochs: int = 60
-    iterations: int = 100
-    learning_rate: float = 0.001
-    hidden_dims: tuple = (64,)
-    embed_dim: int = 16
-    activation: str = "relu"
-    p_classes: int = 8
-    k_samples: int = 4
-    strength: float = 0.5
-    momentum: float = 0.5
-    margin: float = 0.5
-    eval_n_way: int = 5
+    base: TrainConfig = TrainConfig(learning_rate=0.001, eval_episodes=30)
     eval_q_queries: int = 15
     eval_episodes: int = 600
-    log_episodes: int = 30
     dataset: GeneratorSpec | None = None
     splits: tuple = (0.64, 0.16, 0.20)
 
@@ -71,6 +63,13 @@ class ReproduceSettings:
             raise ConfigurationError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
+        if self.epochs < 1:
+            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.base.stage2 is not None:
+            raise ConfigurationError(
+                "reproduce cells train one stage; base must not set stage2"
+            )
+        object.__setattr__(self, "base", replace(self.base, epochs=self.epochs))
 
 
 @dataclass(frozen=True)
@@ -97,43 +96,19 @@ class ReproduceReport:
 
 
 def _train_config(settings, arm, seed):
-    if arm == "no_reg":
-        inter = InterferenceConfig(strength=settings.strength, enabled=False)
-        noise = None
-    elif arm == "cir":
-        inter = InterferenceConfig(strength=settings.strength, enabled=True)
-        noise = None
-    elif arm == "noise":
-        inter = InterferenceConfig(strength=settings.strength, enabled=False)
-        noise = NoiseConfig(sigma=None, enabled=True)
-    else:
-        raise ConfigurationError(f"unknown arm {arm!r}")
-    return TrainConfig(
-        loss_mode="triplet",
-        epochs=settings.epochs,
-        iterations=settings.iterations,
+    base = settings.base
+    return replace(
+        base,
         seed=seed,
-        hidden_dims=settings.hidden_dims,
-        embed_dim=settings.embed_dim,
-        activation=settings.activation,
-        learning_rate=settings.learning_rate,
-        p_classes=settings.p_classes,
-        k_samples=settings.k_samples,
-        tac_momentum=settings.momentum,
-        interference=inter,
-        noise=noise,
-        triplet=TripletConfig(margin=settings.margin),
-        eval_n_way=settings.eval_n_way,
-        eval_k_shot=1,
-        eval_q_queries=5,
-        eval_episodes=settings.log_episodes,
+        interference=replace(base.interference, enabled=arm == "cir"),
+        noise=NoiseConfig(enabled=True) if arm == "noise" else None,
     )
 
 
 def _dataset_spec(settings, seed):
     if settings.dataset is None:
         return reproduce_spec(seed)
-    return dataclasses.replace(settings.dataset, seed=seed)
+    return replace(settings.dataset, seed=seed)
 
 
 def _run_one(settings, arm, seed, out_dir):
@@ -150,12 +125,12 @@ def _run_one(settings, arm, seed, out_dir):
 
     val_acc = evaluate_checkpoint(
         params, tac, val_ds, "episodic", seed=seed,
-        n_way=settings.eval_n_way, k_shot=1,
+        n_way=cfg.eval_n_way, k_shot=cfg.eval_k_shot,
         q_queries=settings.eval_q_queries, episodes=settings.eval_episodes,
     )[0][1]
     train_acc = evaluate_checkpoint(
         params, tac, train_ds, "episodic", seed=seed,
-        n_way=settings.eval_n_way, k_shot=1,
+        n_way=cfg.eval_n_way, k_shot=cfg.eval_k_shot,
         q_queries=settings.eval_q_queries, episodes=settings.eval_episodes,
     )[0][1]
     z, _ = forward(params, val_ds.features)

@@ -206,6 +206,12 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
         need = cfg.eval_k_shot + cfg.eval_q_queries
         for ds, split in ((train_ds, "train"), (val_ds, "validation")):
             _check_rows(ds, split, cfg.eval_n_way, need, "episodes")
+    elif not np.floor(cfg.holdout_fraction * np.bincount(train_ds.labels)).any():
+        # _holdout_rows takes floor(fraction * count) rows of each class
+        raise DataError(
+            f"holdout_fraction {cfg.holdout_fraction} holds out no rows: every "
+            f"train class has fewer than 1/{cfg.holdout_fraction} rows"
+        )
     if train_ds.class_count < 2:
         raise DataError("need at least 2 training classes")
 

@@ -1,15 +1,21 @@
 """Reference implementations that the package's code is checked against:
 one-triple triplet loss, the enumerated batch-all triple list, the B^3
 batch-all loss, the out-of-place pairwise distances, the dense N x N
-geometry statistics, the scalar negative-class draw and the four per-head
-training steps that the one shared training step replaced. They are slow,
+geometry statistics, the scalar negative-class draw, the four per-head
+training steps that the one shared training step replaced, and the
+reproduce settings that mirrored the training config. They are slow,
 memory-hungry or repetitive on purpose and live only with the tests."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from cirlab.datagen import GeneratorSpec
 from cirlab.errors import ConfigurationError, DataError, InputError, ShapeError
 from cirlab.evaluate import GeometryStats
 from cirlab.interference import (
+    InterferenceConfig,
+    NoiseConfig,
     gaussian_perturb,
     interfere_backward,
     interfere_batch,
@@ -17,6 +23,7 @@ from cirlab.interference import (
 )
 from cirlab.losses import (
     TripletBatchResult,
+    TripletConfig,
     batch_all_triplet_loss,
     cross_entropy,
     label_smooth,
@@ -24,6 +31,7 @@ from cirlab.losses import (
 )
 from cirlab.nn import backward, forward, input_gradient
 from cirlab.sampling import pk_batch
+from cirlab.trainer import TrainConfig
 
 
 def _dist(a: np.ndarray, b: np.ndarray, squared: bool) -> float:
@@ -351,3 +359,77 @@ def step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng):
     grad_z = _pull_back_anchor_grads(grad_blended, decoys, cfg)
     grads = backward(params, cache, grad_z)
     return z, y, loss, acc, grads, head_grads
+
+
+# The reproduce settings as they stood when they mirrored TrainConfig's
+# fields one by one, and the mapping from them to each cell's config,
+# kept verbatim.
+
+
+@dataclass(frozen=True)
+class ReproduceSettings:
+    """Hyperparameters of the comparison matrix.
+
+    The defaults are the calibrated benchmark preset; tests shrink them.
+    ``dataset`` overrides the generator spec (its seed field is replaced
+    by each run's seed); None means the standard benchmark spec.
+    """
+
+    seeds: tuple = (0, 1, 2, 3, 4)
+    epochs: int = 60
+    iterations: int = 100
+    learning_rate: float = 0.001
+    hidden_dims: tuple = (64,)
+    embed_dim: int = 16
+    activation: str = "relu"
+    p_classes: int = 8
+    k_samples: int = 4
+    strength: float = 0.5
+    momentum: float = 0.5
+    margin: float = 0.5
+    eval_n_way: int = 5
+    eval_q_queries: int = 15
+    eval_episodes: int = 600
+    log_episodes: int = 30
+    dataset: GeneratorSpec | None = None
+    splits: tuple = (0.64, 0.16, 0.20)
+
+    def __post_init__(self):
+        if len(self.seeds) < 1:
+            raise ConfigurationError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError("seeds must be distinct")
+
+
+def train_config(settings, arm, seed):
+    if arm == "no_reg":
+        inter = InterferenceConfig(strength=settings.strength, enabled=False)
+        noise = None
+    elif arm == "cir":
+        inter = InterferenceConfig(strength=settings.strength, enabled=True)
+        noise = None
+    elif arm == "noise":
+        inter = InterferenceConfig(strength=settings.strength, enabled=False)
+        noise = NoiseConfig(sigma=None, enabled=True)
+    else:
+        raise ConfigurationError(f"unknown arm {arm!r}")
+    return TrainConfig(
+        loss_mode="triplet",
+        epochs=settings.epochs,
+        iterations=settings.iterations,
+        seed=seed,
+        hidden_dims=settings.hidden_dims,
+        embed_dim=settings.embed_dim,
+        activation=settings.activation,
+        learning_rate=settings.learning_rate,
+        p_classes=settings.p_classes,
+        k_samples=settings.k_samples,
+        tac_momentum=settings.momentum,
+        interference=inter,
+        noise=noise,
+        triplet=TripletConfig(margin=settings.margin),
+        eval_n_way=settings.eval_n_way,
+        eval_k_shot=1,
+        eval_q_queries=5,
+        eval_episodes=settings.log_episodes,
+    )

@@ -6,6 +6,7 @@ import pytest
 from cirlab.cli import entrypoint
 from cirlab.config import parse_config_text
 from cirlab.datagen import Dataset, load_dataset, save_dataset
+from cirlab.reproduce import ReproduceSettings
 
 RUN_CFG = """\
 epochs = 2
@@ -74,6 +75,13 @@ class TestGen:
         ds = load_dataset(str(tmp_path / "r.cird"))
         assert ds.class_count == 40
         assert ds.size == 1000
+
+    def test_non_numeric_split_exits_2(self, tmp_path, capsys):
+        assert entrypoint([
+            "gen", "--split", "a,b,c", "-o", str(tmp_path / "x.cird"),
+        ]) == 2
+        assert "--split needs comma-separated numbers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_class_rejected(self, tmp_path):
         assert entrypoint([
@@ -187,6 +195,22 @@ class TestTrain:
         assert "train class 0 has 3 samples, episodes need 4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dry_run_refuses_empty_holdout(self, tmp_path, capsys):
+        # 9 rows per class: a 0.1 holdout takes floor(0.9) = 0 of each
+        assert entrypoint([
+            "gen", "--classes", "6", "--per-class", "9", "--dim", "4",
+            "-o", str(tmp_path / "nine.cird"),
+        ]) == 0
+        cfg = tmp_path / "oim.cfg"
+        cfg.write_text("loss_mode = oim\nepochs = 1\niterations = 1\nembed_dim = 4\n")
+        out = tmp_path / "m.ckpt"
+        assert entrypoint([
+            "train", "-c", str(cfg), "-d", str(tmp_path / "nine.cird"),
+            "-o", str(out), "--dry-run",
+        ]) == 2
+        assert "holds out no rows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exits_4(self, workdir, tmp_path):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(
@@ -281,7 +305,23 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "cir" in out and ("PASS" in out or "FAIL" in out)
         assert (tmp_path / "rep" / "summary.csv").exists()
-        assert (tmp_path / "rep" / "reproduce.manifest").exists()
+        manifest = (tmp_path / "rep" / "reproduce.manifest").read_text()
+        config_block = manifest.split("[config]\n", 1)[1]
+        base = ReproduceSettings(seeds=(0,), epochs=2).base
+        assert parse_config_text(config_block) == base
+        assert "# seeds = (0,)\n" in config_block
+
+    @pytest.mark.parametrize("flags", [
+        ("--seeds", "a"),
+        ("--seeds", "0,,1"),
+        ("--epochs", "-1"),
+        ("--epochs", "0"),
+    ])
+    def test_bad_matrix_flags_exit_2_before_any_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "rep"
+        assert entrypoint(["reproduce", "-o", str(out), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,9 +1,11 @@
 """Tests for the three-arm comparison harness (shrunken settings)."""
 
 import os
+from dataclasses import replace
 
 import pytest
 
+import oracles
 from cirlab import reproduce
 from cirlab.datagen import GeneratorSpec
 from cirlab.errors import ConfigurationError
@@ -15,24 +17,36 @@ from cirlab.reproduce import (
     run_reproduction,
 )
 
+TINY_DATASET = GeneratorSpec(
+    num_classes=12, samples_per_class=16, input_dim=8,
+    spread=0.4, center_scale=2.0,
+)
+
 TINY = ReproduceSettings(
     seeds=(0, 1),
     epochs=2,
-    iterations=10,
-    learning_rate=0.0005,
-    hidden_dims=(16,),
-    embed_dim=8,
-    p_classes=4,
-    k_samples=4,
-    eval_n_way=3,
+    base=replace(
+        ReproduceSettings().base,
+        iterations=10,
+        learning_rate=0.0005,
+        hidden_dims=(16,),
+        embed_dim=8,
+        p_classes=4,
+        k_samples=4,
+        eval_n_way=3,
+        eval_episodes=10,
+    ),
     eval_q_queries=5,
     eval_episodes=20,
-    log_episodes=10,
-    dataset=GeneratorSpec(
-        num_classes=12, samples_per_class=16, input_dim=8,
-        spread=0.4, center_scale=2.0,
-    ),
+    dataset=TINY_DATASET,
     splits=(0.5, 0.25, 0.25),
+)
+
+# the cells' shared shrunken base: 3-way episodes on 3 x 3 batches
+SMALL_BASE = replace(
+    ReproduceSettings().base,
+    iterations=5, hidden_dims=(8,), embed_dim=4, p_classes=3, k_samples=3,
+    eval_n_way=3, eval_episodes=5,
 )
 
 
@@ -98,10 +112,8 @@ def test_deterministic_summary(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
     small = ReproduceSettings(
-        seeds=(0,), epochs=1, iterations=5, hidden_dims=(8,), embed_dim=4,
-        p_classes=3, k_samples=3, eval_n_way=3, eval_q_queries=3,
-        eval_episodes=10, log_episodes=5,
-        dataset=TINY.dataset, splits=TINY.splits,
+        seeds=(0,), epochs=1, base=SMALL_BASE, eval_q_queries=3,
+        eval_episodes=10, dataset=TINY.dataset, splits=TINY.splits,
     )
     run_reproduction(str(a), settings=small)
     run_reproduction(str(b), settings=small)
@@ -111,10 +123,11 @@ def test_deterministic_summary(tmp_path):
 
 def test_failures_recorded_not_raised(tmp_path):
     bad = ReproduceSettings(
-        seeds=(0,), epochs=2, iterations=20, learning_rate=1e200,
-        activation="identity",
-        hidden_dims=(8,), embed_dim=4, p_classes=3, k_samples=3,
-        eval_n_way=3, eval_q_queries=3, eval_episodes=10, log_episodes=5,
+        seeds=(0,), epochs=2,
+        base=replace(
+            SMALL_BASE, iterations=20, learning_rate=1e200, activation="identity"
+        ),
+        eval_q_queries=3, eval_episodes=10,
         dataset=TINY.dataset, splits=TINY.splits,
     )
     import numpy as np
@@ -138,10 +151,8 @@ def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
 
     monkeypatch.setattr(reproduce, "_run_one", run_one)
     small = ReproduceSettings(
-        seeds=(0, 1), epochs=1, iterations=5, hidden_dims=(8,), embed_dim=4,
-        p_classes=3, k_samples=3, eval_n_way=3, eval_q_queries=3,
-        eval_episodes=10, log_episodes=5,
-        dataset=TINY.dataset, splits=TINY.splits,
+        seeds=(0, 1), epochs=1, base=SMALL_BASE, eval_q_queries=3,
+        eval_episodes=10, dataset=TINY.dataset, splits=TINY.splits,
     )
     report = run_reproduction(str(tmp_path), settings=small, threads=1)
     assert not report.ok
@@ -153,10 +164,8 @@ def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
 
 def test_parallel_matches_sequential(tmp_path):
     small = ReproduceSettings(
-        seeds=(0, 1), epochs=1, iterations=5, hidden_dims=(8,), embed_dim=4,
-        p_classes=3, k_samples=3, eval_n_way=3, eval_q_queries=3,
-        eval_episodes=10, log_episodes=5,
-        dataset=TINY.dataset, splits=TINY.splits,
+        seeds=(0, 1), epochs=1, base=SMALL_BASE, eval_q_queries=3,
+        eval_episodes=10, dataset=TINY.dataset, splits=TINY.splits,
     )
     seq = tmp_path / "seq"
     par = tmp_path / "par"
@@ -170,3 +179,46 @@ def test_settings_validation():
         ReproduceSettings(seeds=())
     with pytest.raises(ConfigurationError):
         ReproduceSettings(seeds=(1, 1))
+    for epochs in (0, -1):
+        with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
+            ReproduceSettings(epochs=epochs)
+    two_stage = replace(
+        ReproduceSettings().base, loss_mode="cross_entropy",
+        stage2=ReproduceSettings().base,
+    )
+    with pytest.raises(ConfigurationError, match="stage2"):
+        ReproduceSettings(base=two_stage)
+
+
+# TINY as the settings spelled it when they mirrored TrainConfig
+ORACLE_TINY = oracles.ReproduceSettings(
+    seeds=(0, 1),
+    epochs=2,
+    iterations=10,
+    learning_rate=0.0005,
+    hidden_dims=(16,),
+    embed_dim=8,
+    p_classes=4,
+    k_samples=4,
+    eval_n_way=3,
+    eval_q_queries=5,
+    eval_episodes=20,
+    log_episodes=10,
+    dataset=TINY_DATASET,
+    splits=(0.5, 0.25, 0.25),
+)
+
+
+@pytest.mark.parametrize("settings, mirrored", [
+    (ReproduceSettings(), oracles.ReproduceSettings()),
+    (TINY, ORACLE_TINY),
+], ids=["default", "tiny"])
+def test_cell_configs_equal_the_mirrored_settings(settings, mirrored):
+    for arm in ARMS:
+        for seed in settings.seeds:
+            cfg = reproduce._train_config(settings, arm, seed)
+            assert cfg == oracles.train_config(mirrored, arm, seed)
+    # the final eval: way and shot from the cell config, the rest as before
+    assert (cfg.eval_n_way, cfg.eval_k_shot) == (mirrored.eval_n_way, 1)
+    for name in ("seeds", "eval_q_queries", "eval_episodes", "dataset", "splits"):
+        assert getattr(settings, name) == getattr(mirrored, name)

@@ -1,8 +1,10 @@
 """Checks that the benchmark's tooling still matches the package.
 
-The traced benchmark run looks every traced layer up by name, so a
-function deleted or renamed in the package breaks it; this test catches
-that here instead. It reads perfbench/ and changes nothing there.
+The traced benchmark run looks every traced layer up by name, and the
+reproduce workload builds its settings and times its cells through
+names in `cirlab.reproduce`, so a function deleted or renamed in the
+package breaks it; these tests catch that here instead. They read
+perfbench/ and change nothing there.
 """
 
 import importlib
@@ -29,3 +31,15 @@ def test_every_traced_name_resolves_in_the_package():
         if not callable(getattr(module, func_name, None)):
             missing.append(name)
     assert missing == []
+
+
+def test_reproduce_workload_call_contract():
+    # perfbench/workloads.py builds the matrix's settings from these two
+    # keywords, and its CellTimers wraps train and evaluate_checkpoint
+    # where the cells look them up
+    reproduce = importlib.import_module("cirlab.reproduce")
+    settings = reproduce.ReproduceSettings(seeds=(0, 1), epochs=10)
+    assert settings.base.epochs == 10
+    assert reproduce.ARMS
+    for name in ("train", "evaluate_checkpoint"):
+        assert callable(getattr(reproduce, name, None)), name

@@ -22,6 +22,7 @@ from cirlab.trainer import (
     TrainConfig,
     _mode_parts,
     _step,
+    check_feasible,
     evaluate_checkpoint,
     logs_to_csv,
     train,
@@ -144,6 +145,22 @@ class TestConfigValidation:
             DataError, match="^validation class 0 has 5 samples, episodes need 6$"
         ):
             train(tr, short, small_cfg())
+
+    def test_empty_holdout_refused(self):
+        # floor(0.1 * 9) = 0 rows of every class would leave val_acc nan
+        nine = Dataset(
+            features=np.zeros((54, 8), dtype=np.float32),
+            labels=np.repeat(np.arange(6), 9), class_count=6, provenance="nine",
+        )
+        for mode in ("oim", "cross_entropy"):
+            with pytest.raises(
+                DataError, match="^holdout_fraction 0.1 holds out no rows"
+            ):
+                check_feasible(nine, None, small_cfg(loss_mode=mode))
+            check_feasible(nine, None, small_cfg(loss_mode=mode, holdout_fraction=0.2))
+        ten = replace(nine, labels=nine.labels.copy())
+        ten.labels[9] = 0  # class 0 holds 10 rows, so it gives one up
+        check_feasible(ten, None, small_cfg(loss_mode="oim"))
 
     def test_declared_classes_beyond_rows_refused_before_bincount(self):
         # 2^20 declared classes would take an 8 MB bincount of class sizes
