@@ -12,6 +12,7 @@ anywhere at all".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,16 @@ def interfere(z: np.ndarray, mu: np.ndarray, strength: float) -> np.ndarray:
     return (1.0 - strength) * z + strength * mu
 
 
+def designated_rows(fraction: float, n: int) -> int:
+    """How many leading rows of an n-row batch are designated: ceil(fraction
+    * n), where a product within 1e-9 of an integer counts as that integer,
+    so float error does not designate an extra row (0.14 * 50 is
+    7.000000000000001 in float, and designates 7 rows, not 8)."""
+    x = fraction * n
+    nearest = round(x)
+    return int(nearest) if abs(x - nearest) <= 1e-9 else math.ceil(x)
+
+
 def interfere_backward(grad_blended: np.ndarray, strength: float) -> np.ndarray:
     """Pull a gradient back through the blend: d(blended)/dz = (1 - strength)."""
     if not 0.0 <= strength <= 1.0:
@@ -80,12 +91,12 @@ def interfere_batch(
 ):
     """Blend designated rows of a batch toward drawn wrong-class rows.
 
-    The first ceil(fraction * B) rows are designated. For *every* designated
-    row one negative class is drawn from rng — even when the blend is
-    disabled or strength is zero — so random streams stay aligned across
-    configurations that differ only in whether blending acts. Returns
-    (blended, decoy_labels) where decoy_labels holds the drawn class per
-    row, -1 for rows never designated.
+    The first ceil(fraction * B) rows are designated (`designated_rows`).
+    For *every* designated row one negative class is drawn from rng — even
+    when the blend is disabled or strength is zero — so random streams
+    stay aligned across configurations that differ only in whether
+    blending acts. Returns (blended, decoy_labels) where decoy_labels
+    holds the drawn class per row, -1 for rows never designated.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -98,18 +109,14 @@ def interfere_batch(
             f"feature dim {features.shape[1]} != table dim {tac.dim}"
         )
 
-    n = features.shape[0]
-    n_designated = int(np.ceil(config.fraction * n))
-    decoys = np.full(n, -1, dtype=np.int64)
-    if n_designated:
-        decoys[:n_designated] = _negative_classes(
-            rng, labels[:n_designated], tac.num_classes
-        )
+    n = designated_rows(config.fraction, features.shape[0])
+    decoys = np.full(features.shape[0], -1, dtype=np.int64)
+    if n:
+        decoys[:n] = _negative_classes(rng, labels[:n], tac.num_classes)
 
     blended = features.copy()
-    if config.enabled and config.strength > 0.0 and n_designated:
-        rows = np.arange(n_designated)
-        blended[rows] = interfere(features[rows], tac.table[decoys[rows]], config.strength)
+    if config.enabled and config.strength > 0.0 and n:
+        blended[:n] = interfere(features[:n], tac.table[decoys[:n]], config.strength)
     return blended, decoys
 
 

@@ -17,6 +17,13 @@ active-triple count in O(B^2 K) time and memory. PK batches keep K small.
 The counts are exact integers, so the gradients are bit-identical to
 enumerating the triples; only the loss value moves, by rounding, because
 it is summed in another order.
+
+Everything that depends only on the batch's label pattern (the positive
+and negative pair masks, the triplet count and the flat gather/scatter
+indices of the threshold rows) is a `TripletMasks`. A caller whose
+batches all share one pattern, as the class-major P x K batches of one
+training run do, builds it once with `triplet_masks` and passes it on
+every call; without it the loss derives the masks from the labels.
 """
 
 from __future__ import annotations
@@ -76,17 +83,61 @@ class TripletBatchResult:
     num_active: int
 
 
+@dataclass(frozen=True)
+class TripletMasks:
+    """The label pattern of a B-row batch, as batch-all mining uses it.
+
+    pos_ok[a, p] marks a positive pair (same label, a != p) and neg_ok[a, n]
+    a negative pair. Anchor a's positives fill row a of a B x width
+    threshold array, width being the largest positive count, in column
+    order: pos_index holds their flat indices into a B x B array, row-major,
+    and slot_index the flat indices of the slots they fill, or is None when
+    every anchor has width positives and the array has no padding.
+    """
+
+    pos_ok: np.ndarray
+    neg_ok: np.ndarray
+    num_triplets: int
+    width: int
+    pos_index: np.ndarray
+    slot_index: np.ndarray | None
+
+
+def triplet_masks(labels: np.ndarray) -> TripletMasks:
+    """The `TripletMasks` of a batch with these labels."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be 1-D, got shape {labels.shape}")
+    same = labels[:, None] == labels[None, :]
+    pos_ok = same & ~np.eye(labels.shape[0], dtype=bool)
+    neg_ok = ~same
+    npos = pos_ok.sum(axis=1)
+    width = int(npos.max(initial=0))
+    slots = np.arange(width) < npos[:, None]  # row-major like pos_ok
+    return TripletMasks(
+        pos_ok=pos_ok,
+        neg_ok=neg_ok,
+        num_triplets=int(npos @ neg_ok.sum(axis=1)),
+        width=width,
+        pos_index=np.flatnonzero(pos_ok),
+        slot_index=None if slots.all() else np.flatnonzero(slots),
+    )
+
+
 def batch_all_triplet_loss(
     features: np.ndarray,
     blended_anchors: np.ndarray,
     labels: np.ndarray,
     cfg: TripletConfig,
+    masks: TripletMasks | None = None,
 ) -> TripletBatchResult:
     """Triplet loss over all valid triples, vectorized.
 
     Blended rows serve only in the anchor slot; raw rows serve as positives
     and negatives. Distances are between a blended anchor row and a raw
     row. With an empty triplet set the loss is 0 with zero gradients.
+    masks, when given, must be `triplet_masks(labels)`, built once for
+    every batch with this label pattern; otherwise it is derived here.
     """
     z = np.asarray(features, dtype=np.float64)
     zt = np.asarray(blended_anchors, dtype=np.float64)
@@ -98,25 +149,28 @@ def batch_all_triplet_loss(
         )
     if labels.shape != (z.shape[0],):
         raise ShapeError("labels do not match feature rows")
+    if masks is None:
+        masks = triplet_masks(labels)
+    elif masks.pos_ok.shape != (z.shape[0], z.shape[0]):
+        raise ShapeError(
+            f"masks of {masks.pos_ok.shape[0]} rows do not match "
+            f"{z.shape[0]} feature rows"
+        )
 
     # pairwise squared distances blended-anchor-to-raw, built in place on
     # the matmul output as in evaluate._pairwise_dist (same bits)
     sq = zt @ z.T
     sq *= -2.0
-    sq += np.sum(zt * zt, axis=1)[:, None]
-    sq += np.sum(z * z, axis=1)[None, :]
+    sq += (zt * zt).sum(axis=1)[:, None]
+    sq += (z * z).sum(axis=1)[None, :]
     np.maximum(sq, 0.0, out=sq)
     dist = sq if cfg.squared else np.sqrt(sq, out=sq)
 
-    same = labels[:, None] == labels[None, :]
-    pos_ok = same & ~np.eye(z.shape[0], dtype=bool)  # (a, p): same label, a != p
-    neg_ok = ~same  # (a, n): different label
-
-    num_triplets = int(pos_ok.sum(axis=1) @ neg_ok.sum(axis=1))
+    num_triplets = masks.num_triplets
     if num_triplets == 0:
         return _zero_gradients(z, 0.0, 0)
 
-    count_ap, count_an, total = _active_counts(dist, pos_ok, neg_ok, cfg.margin)
+    count_ap, count_an, total = _active_counts(dist, masks, cfg.margin)
     num_active = int(count_ap.sum())
     denom = num_triplets if cfg.reduction == "mean_all" else max(num_active, 1)
     loss = total / denom
@@ -151,7 +205,7 @@ def batch_all_triplet_loss(
     )
 
 
-def _active_counts(dist, pos_ok, neg_ok, margin):
+def _active_counts(dist, masks, margin):
     """Active-triple counts per pair and the hinge total over them.
 
     count_ap[a, p] counts the negatives n, and count_an[a, n] the
@@ -165,19 +219,26 @@ def _active_counts(dist, pos_ok, neg_ok, margin):
     # padded with 0, which no distance lies below; negd holds its negative
     # distances, +inf where the pair is not a negative. A NaN on either
     # side compares false, so a NaN hinge is never active.
+    b = dist.shape[0]
     s = margin + dist
-    npos = pos_ok.sum(axis=1)
-    slots = np.arange(npos.max()) < npos[:, None]  # row-major like pos_ok
-    thr = np.zeros(slots.shape)
-    thr[slots] = s[pos_ok]
-    negd = np.where(neg_ok, dist, np.inf)
+    thresholds = s.take(masks.pos_index)
+    if masks.slot_index is None:
+        thr = thresholds.reshape(b, masks.width)
+    else:
+        thr = np.zeros((b, masks.width))
+        thr.reshape(-1)[masks.slot_index] = thresholds
+    negd = np.where(masks.neg_ok, dist, np.inf)
     active = negd[:, None, :] < thr[:, :, None]  # (anchor, positive slot, n)
     count_an = active.sum(axis=1, dtype=np.float64)
-    count_ap = np.zeros_like(count_an)
-    count_ap[pos_ok] = active.sum(axis=2)[slots]
+    per_slot = active.sum(axis=2).reshape(-1)
+    if masks.slot_index is not None:
+        per_slot = per_slot[masks.slot_index]
+    count_ap = np.zeros(b * b)
+    count_ap[masks.pos_index] = per_slot
+    count_ap = count_ap.reshape(b, b)
     total = float(
-        np.sum(count_ap * s, where=count_ap > 0, initial=0.0)
-        - np.sum(count_an * dist, where=count_an > 0, initial=0.0)
+        (count_ap * s).sum(where=count_ap > 0, initial=0.0)
+        - (count_an * dist).sum(where=count_an > 0, initial=0.0)
     )
     return count_ap, count_an, total
 
@@ -232,13 +293,13 @@ def cross_entropy(
     tg = target[None, :] if single else target
     if lg.ndim != 2:
         raise ShapeError(f"logits must be 1-D or 2-D, got shape {logits.shape}")
-    if np.any(tg < 0) or np.any(np.abs(tg.sum(axis=1) - 1.0) > 1e-6):
+    if (tg < 0).any() or (np.abs(tg.sum(axis=1) - 1.0) > 1e-6).any():
         raise InputError("target rows must be distributions (>= 0, sum to 1)")
 
     shifted = lg - lg.max(axis=1, keepdims=True)
-    logz = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    loss = float(-np.sum(tg * logp) / lg.shape[0])
+    loss = float(-(tg * logp).sum() / lg.shape[0])
     if not with_grads:
         return loss
     grads = (np.exp(logp) - tg) / lg.shape[0]

@@ -155,7 +155,7 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
         raise ShapeError(
             f"input has {x.shape[1]} columns, encoder expects {params.input_dim}"
         )
-    if x.size and not np.all(np.isfinite(x)):
+    if x.size and not np.isfinite(x).all():
         raise NumericError("input batch contains non-finite values")
 
     inputs = [x]
@@ -217,7 +217,7 @@ def sgd_step(params: ModelParams, grads: ParamGrads, rate: float) -> ModelParams
     for w, b, gw, gb in zip(params.weights, params.biases, grads.weights, grads.biases):
         if gw.shape != w.shape or gb.shape != b.shape:
             raise ShapeError("gradient shapes do not match the params")
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
+        if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
             raise NumericError("non-finite gradients")
         new_w.append(w - rate * gw)
         new_b.append(b - rate * gb)

@@ -84,7 +84,11 @@ def class_means(features: np.ndarray, labels: np.ndarray, num_classes: int):
 
 
 def tac_update(
-    tac: ClassTable, features: np.ndarray, labels: np.ndarray, normalize: bool = False
+    tac: ClassTable,
+    features: np.ndarray,
+    labels: np.ndarray,
+    normalize: bool = False,
+    class_rows: int | None = None,
 ) -> ClassTable:
     """Blend fresh per-class batch means into the table.
 
@@ -93,20 +97,42 @@ def tac_update(
     their rows. With normalize=True each updated row is rescaled to unit
     Euclidean norm afterward (rows with zero norm are left alone). Returns a
     new table; the input is untouched.
+
+    class_rows = K declares a class-major batch of distinct classes, K rows
+    each, as PK sampling draws it: each class's rows then form one block
+    and are summed with a reshape, in the same order and to the same bits
+    as the general per-label accumulation.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != tac.dim:
         raise ShapeError(
             f"features shape {features.shape} does not match table dim {tac.dim}"
         )
-    means, counts = class_means(features, labels, tac.num_classes)
-    present = counts > 0
+    if class_rows is None:
+        means, counts = class_means(features, labels, tac.num_classes)
+        present = counts > 0
+        classes, means = np.flatnonzero(present), means[present]
+    else:
+        labels = np.asarray(labels)
+        n = features.shape[0]
+        if class_rows < 1 or labels.shape != (n,) or n % class_rows:
+            raise ShapeError(
+                f"labels shape {labels.shape} is not a class-major batch of "
+                f"{n} rows, {class_rows} per class"
+            )
+        if n and (labels.min() < 0 or labels.max() >= tac.num_classes):
+            raise InputError(f"labels must lie in [0, {tac.num_classes})")
+        classes = labels[::class_rows]
+        # the blocks add each class's rows in row order, as np.add.at does;
+        # + 0.0 makes an all -0.0 sum the +0.0 that np.add.at's zero start
+        # gives, whatever sign this numpy's reduction leaves on it
+        sums = features.reshape(-1, class_rows, tac.dim).sum(axis=1) + 0.0
+        means = sums / class_rows
     table = tac.table.copy()
-    table[present] = (1.0 - tac.momentum) * table[present] + tac.momentum * means[present]
+    rows = (1.0 - tac.momentum) * table[classes] + tac.momentum * means
     if normalize:
-        norms = np.linalg.norm(table[present], axis=1)
+        norms = np.linalg.norm(rows, axis=1)
         safe = norms > 0
-        rows = table[present]
         rows[safe] = rows[safe] / norms[safe, None]
-        table[present] = rows
+    table[classes] = rows
     return ClassTable(table=table, momentum=tac.momentum)

@@ -16,11 +16,17 @@ drawn wrong-class table rows (or add matched Gaussian noise instead),
 compute the loss on blended-anchor/raw-other rows, pull anchor gradients
 back through the blend's (1 - strength) factor, take one SGD step, then
 fold the *raw pre-step* per-class batch means into the table.
+
+Every PK batch is class-major with P distinct classes, so its label
+pattern is the same on every step: `_mode_parts` builds the batch-all
+loss's `TripletMasks` once per run, and the table update sums each
+class's block of K rows with a reshape instead of a per-label scatter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .evaluate import episodic_accuracy, geometry_stats, retrieval_map, cmc_rank
 from .interference import (
     InterferenceConfig,
     NoiseConfig,
+    designated_rows,
     gaussian_perturb,
     interfere_backward,
     interfere_batch,
@@ -41,6 +48,7 @@ from .losses import (
     cross_entropy,
     label_smooth,
     oim_scores,
+    triplet_masks,
 )
 from .nn import (
     LrSchedule,
@@ -248,16 +256,17 @@ def _perturb(z, labels, tac, cfg, rng):
     draws are consumed either way so streams stay aligned."""
     blended, decoys = interfere_batch(z, labels, tac, cfg.interference, rng)
     if cfg.noise is not None and cfg.noise.enabled:
-        n_designated = int((decoys >= 0).sum())
-        if n_designated:
+        # the config keeps the blend off in the noise arm, so blended is
+        # still an unmodified copy of z
+        n = designated_rows(cfg.interference.fraction, z.shape[0])
+        if n:
             sigma = cfg.noise.sigma
             if sigma is None:
                 sigma = matched_noise_sigma(
                     z, labels, tac, cfg.interference.strength, decoys
                 )
-            blended = z.copy()
-            blended[:n_designated] = gaussian_perturb(z[:n_designated], sigma, rng)
-    return blended, decoys
+            blended[:n] = gaussian_perturb(z[:n], sigma, rng)
+    return blended
 
 
 def train(
@@ -307,7 +316,7 @@ def train(
             seed=child_seed(cfg.seed, 6),
         )
 
-    sample, head_loss = _mode_parts(cfg, fit_labels)
+    sample, head_loss, class_rows = _mode_parts(cfg, fit_labels)
     if cfg.loss_mode == "triplet":
         # fixed master seeds: the same episodes score every epoch
         shape = cfg.eval_n_way, cfg.eval_k_shot, cfg.eval_q_queries, cfg.eval_episodes
@@ -322,7 +331,7 @@ def train(
             z, y, loss, batch_acc, grads, head_grads = _step(
                 params, head, tac, fit_feats, fit_labels, sample, head_loss, cfg, rng
             )
-            if not np.isfinite(loss) or not np.all(np.isfinite(z)):
+            if not np.isfinite(loss) or not np.isfinite(z).all():
                 raise NumericError(
                     f"non-finite loss or embeddings at epoch {epoch_offset + e} "
                     f"iteration {it}"
@@ -330,7 +339,9 @@ def train(
             params = sgd_step(params, grads, rate)
             if head is not None:
                 head = sgd_step(head, head_grads, rate)
-            tac = tac_update(tac, z, y, normalize=cfg.tac_normalize)
+            tac = tac_update(
+                tac, z, y, normalize=cfg.tac_normalize, class_rows=class_rows
+            )
             loss_sum += loss
             acc_sum += batch_acc
 
@@ -368,16 +379,17 @@ def _step(params, head, tac, feats, labels, sample, head_loss, cfg, rng):
     rows, n_anchor = sample(rng)
     x, y = feats[rows], labels[rows]
     z, cache = forward(params, x)
-    blended, decoys = _perturb(z[:n_anchor], y[:n_anchor], tac, cfg, rng)
+    blended = _perturb(z[:n_anchor], y[:n_anchor], tac, cfg, rng)
     loss, acc, grad_blended, grad_z, head_grads = head_loss(
         z, blended, y, head, tac, cfg
     )
-    # d(blended)/dz is (1 - strength) on blended rows and the identity on
-    # the others, noise-perturbed rows included (the noise is additive)
+    # d(blended)/dz is (1 - strength) on the blended rows, a prefix, and
+    # the identity on the others, noise-perturbed rows included (the noise
+    # is additive)
     blend = cfg.interference
     if blend.enabled and blend.strength != 0.0:
-        mask = decoys >= 0
-        grad_blended[mask] = interfere_backward(grad_blended[mask], blend.strength)
+        n = designated_rows(blend.fraction, n_anchor)
+        grad_blended[:n] = interfere_backward(grad_blended[:n], blend.strength)
     grad_z[:n_anchor] += grad_blended
     return z, y, loss, acc, backward(params, cache, grad_z), head_grads
 
@@ -385,22 +397,34 @@ def _step(params, head, tac, feats, labels, sample, head_loss, cfg, rng):
 def _mode_parts(cfg, labels):
     """Pick the per-mode halves of `_step` once per run.
 
-    sample(rng) returns the batch rows and how many leading rows are
-    anchors: all rows of PK and uniform batches, the a-rows of preformed
-    mining's [a | p | n] stack of batch_size independent draws. head_loss
-    returns (loss, batch accuracy, gradient w.r.t. the blended anchors,
-    gradient w.r.t. the raw rows, head gradients or None).
+    Returns (sample, head_loss, class_rows). sample(rng) returns the batch
+    rows and how many leading rows are anchors: all rows of PK and uniform
+    batches, the a-rows of preformed mining's [a | p | n] stack of
+    batch_size independent draws. head_loss returns (loss, batch accuracy,
+    gradient w.r.t. the blended anchors, gradient w.r.t. the raw rows, head
+    gradients or None). class_rows is K when every batch is a class-major
+    PK batch of distinct classes, for `tac_update`, else None.
     """
     pk = PKSpec(cfg.p_classes, cfg.k_samples)
     if cfg.loss_mode != "triplet":
         n, size = len(labels), min(pk.batch_size, len(labels))
         head_loss = _oim_loss if cfg.loss_mode == "oim" else _cross_entropy_loss
-        return (lambda rng: (rng.choice(n, size=size, replace=False), size)), head_loss
+        return (
+            (lambda rng: (rng.choice(n, size=size, replace=False), size)),
+            head_loss,
+            None,
+        )
     # check_feasible has already required P classes of K rows each
     index = ClassIndex(labels)
     b = pk.batch_size
     if cfg.mining == "batch_all":
-        return (lambda rng: (pk_batch(index, pk, rng), b)), _batch_all_loss
+        # every PK batch has this label pattern, whichever classes it draws
+        masks = triplet_masks(np.repeat(np.arange(pk.p_classes), pk.k_samples))
+        return (
+            (lambda rng: (pk_batch(index, pk, rng), b)),
+            partial(_batch_all_loss, masks=masks),
+            pk.k_samples,
+        )
     # each class's negative rows, ascending, as the draws index them
     negatives = {c: np.flatnonzero(labels != c) for c in index.classes}
 
@@ -418,11 +442,11 @@ def _mode_parts(cfg, labels):
             stacked[:, i] = a, p, diff[rng.integers(0, len(diff))]
         return stacked.reshape(-1), b
 
-    return preformed, _preformed_loss
+    return preformed, _preformed_loss, None
 
 
-def _batch_all_loss(z, blended, y, head, tac, cfg):
-    res = batch_all_triplet_loss(z, blended, y, cfg.triplet)
+def _batch_all_loss(z, blended, y, head, tac, cfg, masks):
+    res = batch_all_triplet_loss(z, blended, y, cfg.triplet, masks)
     return res.loss, 0.0, res.grad_anchor, res.grad_other, None
 
 
@@ -431,7 +455,7 @@ def _preformed_loss(z, blended, y, head, tac, cfg):
     b = blended.shape[0]
     zp, zn = z[b : 2 * b], z[2 * b :]
     diff_p, diff_n = blended - zp, blended - zn
-    hinge = cfg.triplet.margin + np.sum(diff_p**2, axis=1) - np.sum(diff_n**2, axis=1)
+    hinge = cfg.triplet.margin + (diff_p**2).sum(axis=1) - (diff_n**2).sum(axis=1)
     w = (hinge > 0.0)[:, None] / b
     grad_raw = np.concatenate([np.zeros_like(blended), -2.0 * w * diff_p, 2.0 * w * diff_n])
     return float(np.maximum(hinge, 0.0).mean()), 0.0, 2.0 * w * (zn - zp), grad_raw, None
@@ -454,7 +478,7 @@ def _cross_entropy_loss(z, blended, y, head, tac, cfg):
 def _softmax_loss(logits, y, cfg):
     targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
     loss, glog = cross_entropy(logits, targets, with_grads=True)
-    return loss, glog, float(np.mean(np.argmax(logits, axis=1) == y))
+    return loss, glog, float((logits.argmax(axis=1) == y).mean())
 
 
 def _classification_accuracy(z, labels, head, tac, temperature) -> float:

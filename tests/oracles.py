@@ -1,6 +1,8 @@
 """Reference implementations that the package's code is checked against:
 one-triple triplet loss, the enumerated batch-all triple list, the B^3
-batch-all loss, the out-of-place pairwise distances, the dense N x N
+batch-all loss, the gather loss with its label masks rebuilt on every
+call and boolean-mask gathers, the per-label class-mean table update,
+the out-of-place pairwise distances, the dense N x N
 geometry statistics, the scalar negative-class draw, the four per-head
 training steps that the one shared training step replaced, and the
 reproduce settings that mirrored the training config. They are slow,
@@ -31,6 +33,7 @@ from cirlab.losses import (
 )
 from cirlab.nn import backward, forward, input_gradient
 from cirlab.sampling import pk_batch
+from cirlab.tac import ClassTable
 from cirlab.trainer import TrainConfig
 
 
@@ -177,6 +180,89 @@ def batch_all_triplet_loss_b3(features, blended_anchors, labels, cfg):
         num_triplets=num_triplets,
         num_active=num_active,
     )
+
+
+def batch_all_triplet_loss_boolean(features, blended_anchors, labels, cfg):
+    """batch_all_triplet_loss as it was before its masks could be cached:
+    the label masks come from the labels on every call, and the threshold
+    rows are gathered and scattered through boolean masks. The cached-mask
+    loss must give the same floats."""
+    z = np.asarray(features, dtype=np.float64)
+    zt = np.asarray(blended_anchors, dtype=np.float64)
+    labels = np.asarray(labels)
+    sq = zt @ z.T
+    sq *= -2.0
+    sq += np.sum(zt * zt, axis=1)[:, None]
+    sq += np.sum(z * z, axis=1)[None, :]
+    np.maximum(sq, 0.0, out=sq)
+    dist = sq if cfg.squared else np.sqrt(sq, out=sq)
+
+    same = labels[:, None] == labels[None, :]
+    pos_ok = same & ~np.eye(z.shape[0], dtype=bool)
+    neg_ok = ~same
+    num_triplets = int(pos_ok.sum(axis=1) @ neg_ok.sum(axis=1))
+    zero = np.zeros_like(z)
+    if num_triplets == 0:
+        return TripletBatchResult(0.0, zero, zero.copy(), 0, 0)
+
+    s = cfg.margin + dist
+    npos = pos_ok.sum(axis=1)
+    slots = np.arange(npos.max()) < npos[:, None]
+    thr = np.zeros(slots.shape)
+    thr[slots] = s[pos_ok]
+    negd = np.where(neg_ok, dist, np.inf)
+    active = negd[:, None, :] < thr[:, :, None]
+    count_an = active.sum(axis=1, dtype=np.float64)
+    count_ap = np.zeros_like(count_an)
+    count_ap[pos_ok] = active.sum(axis=2)[slots]
+    total = float(
+        np.sum(count_ap * s, where=count_ap > 0, initial=0.0)
+        - np.sum(count_an * dist, where=count_an > 0, initial=0.0)
+    )
+    num_active = int(count_ap.sum())
+    denom = num_triplets if cfg.reduction == "mean_all" else max(num_active, 1)
+    loss = total / denom
+    if num_active == 0:
+        return TripletBatchResult(loss, zero, zero.copy(), num_triplets, 0)
+
+    wa, wc = count_ap, count_an
+    if cfg.squared:
+        wa *= 2.0
+        wc *= 2.0
+    else:
+        safe = np.where(dist > 0.0, dist, 1.0)
+        wa /= safe
+        wc /= safe
+    w = 1.0 / denom
+    row_wa = wa.sum(axis=1)
+    row_wc = wc.sum(axis=1)
+    col_wa = wa.sum(axis=0)
+    col_wc = wc.sum(axis=0)
+    grad_anchor = w * ((row_wa - row_wc)[:, None] * zt - wa @ z + wc @ z)
+    grad_other = w * ((wc.T - wa.T) @ zt + (col_wa - col_wc)[:, None] * z)
+    return TripletBatchResult(loss, grad_anchor, grad_other, num_triplets, num_active)
+
+
+def tac_update_add_at(tac, features, labels, normalize=False):
+    """tac_update through per-label np.add.at sums and boolean row masks,
+    for any batch layout."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    counts = np.bincount(labels, minlength=tac.num_classes)
+    sums = np.zeros((tac.num_classes, features.shape[1]))
+    np.add.at(sums, labels, features)
+    present = counts > 0
+    means = np.zeros_like(sums)
+    means[present] = sums[present] / counts[present, None]
+    table = tac.table.copy()
+    table[present] = (1.0 - tac.momentum) * table[present] + tac.momentum * means[present]
+    if normalize:
+        norms = np.linalg.norm(table[present], axis=1)
+        safe = norms > 0
+        rows = table[present]
+        rows[safe] = rows[safe] / norms[safe, None]
+        table[present] = rows
+    return ClassTable(table=table, momentum=tac.momentum)
 
 
 def pairwise_dist_out_of_place(a, b):

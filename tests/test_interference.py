@@ -1,5 +1,8 @@
 """Tests for the wrong-class blend and the Gaussian control."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from cirlab.errors import ConfigurationError, InputError, ShapeError
 from cirlab.interference import (
     InterferenceConfig,
     NoiseConfig,
+    designated_rows,
     gaussian_perturb,
     interfere,
     interfere_backward,
@@ -144,6 +148,33 @@ class TestInterfereBatch:
         cfg = InterferenceConfig(strength=1.0, fraction=0.4)  # ceil(1.2) = 2
         _, decoys = interfere_batch(feats, labels, tac, cfg, np.random.default_rng(3))
         assert (decoys >= 0).sum() == 2
+
+    @pytest.mark.parametrize("fraction,n", [(0.14, 50), (0.28, 25), (0.07, 100)])
+    def test_float_product_does_not_overshoot(self, fraction, n):
+        # each product lands just above 7 in float, so a plain ceil
+        # designated 8 rows
+        assert math.ceil(fraction * n) == 8
+        tac = tac_init(3, 2)
+        labels = np.arange(n) % 3
+        cfg = InterferenceConfig(strength=1.0, fraction=fraction)
+        _, decoys = interfere_batch(
+            np.zeros((n, 2)), labels, tac, cfg, np.random.default_rng(3)
+        )
+        assert (decoys >= 0).sum() == 7
+        assert np.all(decoys[:7] >= 0)
+
+    def test_designated_rows_exact_for_two_decimal_fractions(self):
+        # against the exact rational ceil; a plain float ceil is wrong on
+        # 30 of these cases
+        overshoots = 0
+        for n in range(1, 257):
+            for k in range(101):
+                exact = math.ceil(Fraction(k, 100) * n)
+                assert designated_rows(k / 100, n) == exact, (k, n)
+                overshoots += math.ceil(k / 100 * n) != exact
+        assert overshoots == 30
+        assert designated_rows(0.4, 3) == 2
+        assert designated_rows(1.0, 0) == 0
 
     def test_empty_batch(self):
         tac = self.make_tac()

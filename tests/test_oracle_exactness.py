@@ -1,6 +1,8 @@
 """The gather-based batch-all triplet loss, the in-place pairwise
 distances and the row-blocked geometry statistics against their dense or
-out-of-place oracles, memory guards that fail if the cubic, quadratic or
+out-of-place oracles, the loss with per-run cached masks and the
+block-summed table update against their per-call boolean-mask and
+np.add.at forms, memory guards that fail if the cubic, quadratic or
 block-sized transients come back, and the shared training step against
 the four per-head steps it replaced."""
 
@@ -9,21 +11,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cirlab.errors import InputError, ShapeError
 from cirlab.evaluate import GEOMETRY_BLOCK, _pairwise_dist, geometry_stats
 from cirlab.interference import InterferenceConfig, NoiseConfig
-from cirlab.losses import TripletConfig, batch_all_triplet_loss
+from cirlab.losses import TripletConfig, batch_all_triplet_loss, triplet_masks
 from cirlab.nn import init_params, sgd_step
 from cirlab.sampling import ClassIndex, PKSpec
-from cirlab.tac import tac_init, tac_update
+from cirlab.tac import ClassTable, tac_init, tac_update
 from cirlab.trainer import TrainConfig, _mode_parts, _step
 from oracles import (
     batch_all_triplet_loss_b3,
+    batch_all_triplet_loss_boolean,
     geometry_stats_dense,
     pairwise_dist_out_of_place,
     step_cross_entropy,
     step_oim,
     step_triplet_batch_all,
     step_triplet_preformed,
+    tac_update_add_at,
 )
 
 REDUCTIONS = ("mean_all", "mean_nonzero")
@@ -149,6 +154,146 @@ class TestTripletLossMatchesB3:
             z, zt, labels, TripletConfig(0.5, reduction, squared)
         )
         assert np.isfinite(want.loss) and want.num_active > 0
+
+
+def assert_same_result(got, want):
+    """Equal counts, and the same floats in the loss and both gradients."""
+    assert got.num_triplets == want.num_triplets
+    assert got.num_active == want.num_active
+    assert np.array_equal(got.loss, want.loss, equal_nan=True)
+    assert np.array_equal(got.grad_anchor, want.grad_anchor, equal_nan=True)
+    assert np.array_equal(got.grad_other, want.grad_other, equal_nan=True)
+
+
+def class_major_labels(p, k, seed, num_classes=100):
+    """A PK batch's labels: p distinct class ids, k rows each, class-major."""
+    ids = np.random.default_rng(seed).choice(num_classes, size=p, replace=False)
+    return np.repeat(ids, k)
+
+
+class TestCachedMasksMatchBooleanMasks:
+    """The loss with the masks a training run builds once equals the loss
+    without them and the per-call boolean-mask loss it replaced."""
+
+    def check(self, z, zt, labels, cfg, masks):
+        want = batch_all_triplet_loss_boolean(z, zt, labels, cfg)
+        assert_same_result(batch_all_triplet_loss(z, zt, labels, cfg, masks), want)
+        assert_same_result(batch_all_triplet_loss(z, zt, labels, cfg), want)
+        return want
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("p,k", [(8, 4), (32, 8), (4, 64)])
+    def test_pk_batches(self, p, k, squared, reduction):
+        masks = triplet_masks(np.repeat(np.arange(p), k))
+        assert masks.slot_index is None and masks.width == k - 1
+        rng = np.random.default_rng(p * k)
+        for trial in range(3):
+            labels = class_major_labels(p, k, seed=trial)
+            z, zt, _ = pk_batch_embeddings(p, k, 16, seed=p * k + trial)
+            cfg = TripletConfig(float(rng.uniform(0.0, 2.0)), reduction, squared)
+            want = self.check(z, zt, labels, cfg, masks)
+            assert 0 < want.num_active < want.num_triplets
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("p,k", [(8, 4), (32, 8), (4, 64)])
+    def test_quantised_ties(self, p, k, squared, reduction):
+        # half-integer coordinates give exactly representable squared
+        # distances, so many hinges are exactly 0 and must stay inactive
+        masks = triplet_masks(np.repeat(np.arange(p), k))
+        rng = np.random.default_rng(p + k)
+        labels = class_major_labels(p, k, seed=1)
+        z = rng.integers(-2, 3, size=(p * k, 2)) / 2.0
+        zt = z + rng.integers(-1, 2, size=(p * k, 2)) / 2.0
+        for margin in (0.0, 0.5, 1.0):
+            self.check(z, zt, labels, TripletConfig(margin, reduction, squared), masks)
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("p,k", [(8, 4), (32, 8), (4, 64)])
+    def test_nan_rows(self, p, k, squared, reduction):
+        masks = triplet_masks(np.repeat(np.arange(p), k))
+        labels = class_major_labels(p, k, seed=2)
+        z, zt, _ = pk_batch_embeddings(p, k, 3, seed=9)
+        z[5] = np.nan
+        zt[k + 1] = -np.nan
+        want = self.check(z, zt, labels, TripletConfig(0.5, reduction, squared), masks)
+        assert want.num_active > 0
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    def test_padded_and_shuffled_masks(self, reduction):
+        # uneven classes pad the threshold rows and shuffled rows scatter
+        # each anchor's positives: masks built from those labels
+        rng = np.random.default_rng(4)
+        padded = 0
+        for _ in range(80):
+            b = int(rng.integers(2, 41))
+            labels = rng.integers(0, int(rng.integers(1, b + 1)), size=b)
+            z = rng.standard_normal((b, 4))
+            zt = z + 0.5 * rng.standard_normal((b, 4))
+            masks = triplet_masks(labels)
+            padded += masks.slot_index is not None
+            self.check(z, zt, labels, random_cfg(rng, reduction), masks)
+        assert padded > 20
+
+    def test_masks_must_match_the_batch(self):
+        z, zt, labels = pk_batch_embeddings(4, 4, 3, seed=0)
+        with pytest.raises(ShapeError, match="masks of 12 rows"):
+            batch_all_triplet_loss(
+                z, zt, labels, TripletConfig(), triplet_masks(np.repeat(np.arange(4), 3))
+            )
+
+
+def assert_same_table(got, want):
+    # the bit patterns, so a -0.0 where np.add.at gives +0.0 fails
+    assert np.array_equal(got.table.view(np.uint64), want.table.view(np.uint64))
+
+
+class TestTacBlocksMatchAddAt:
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("p,k", [(8, 4), (32, 8), (4, 64), (3, 2)])
+    def test_class_major_batches(self, p, k, normalize):
+        rng = np.random.default_rng(p * k)
+        for momentum in (0.5, 1.0, 0.1):
+            tac = ClassTable(rng.standard_normal((100, 16)), momentum)
+            for trial in range(3):
+                labels = class_major_labels(p, k, seed=trial)
+                z = rng.standard_normal((p * k, 16))
+                got = tac_update(tac, z, labels, normalize, class_rows=k)
+                assert_same_table(got, tac_update_add_at(tac, z, labels, normalize))
+                assert_same_table(tac_update(tac, z, labels, normalize), got)
+                tac = got
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_signed_zeros(self, normalize):
+        # a class whose rows are all -0.0 sums to +0.0 under np.add.at's
+        # zero start; the table holds -0.0 and negative entries, so a
+        # -0.0 mean would change the updated row's bits
+        p, k, d = 4, 4, 6
+        labels = class_major_labels(p, k, seed=3, num_classes=10)
+        z = np.random.default_rng(0).standard_normal((p * k, d))
+        z[:k] = -0.0
+        z[k : 2 * k : 2] = -0.0
+        z[k + 1 : 2 * k : 2] = 0.0
+        z[2 * k : 3 * k, :3] = -0.0
+        table = np.full((10, d), -0.0)
+        table[::2] = -np.arange(d) / 4.0
+        for momentum in (0.5, 1.0):
+            tac = ClassTable(table, momentum)
+            got = tac_update(tac, z, labels, normalize, class_rows=k)
+            assert_same_table(got, tac_update_add_at(tac, z, labels, normalize))
+        # at momentum 1 the row is the class mean itself: +0.0, not -0.0
+        assert not np.signbit(got.table[labels[0]]).any()
+
+    def test_bad_block_layouts(self):
+        tac = tac_init(5, 2)
+        with pytest.raises(ShapeError, match="class-major batch of 6 rows, 4 per"):
+            tac_update(tac, np.zeros((6, 2)), np.zeros(6, dtype=int), class_rows=4)
+        with pytest.raises(ShapeError):
+            tac_update(tac, np.zeros((4, 2)), np.zeros(3, dtype=int), class_rows=2)
+        with pytest.raises(InputError, match=r"labels must lie in \[0, 5\)"):
+            tac_update(tac, np.zeros((4, 2)), np.array([5, 5, 1, 1]), class_rows=2)
 
 
 class TestPairwiseDistMatchesOutOfPlace:
@@ -307,7 +452,7 @@ class TestStepMatchesPerHeadOracles:
         if head_mode == "cross_entropy":
             head = init_params((5, 7), "identity", seed=2)
         tac = tac_init(7, 5, seed=3)
-        sample, head_loss = _mode_parts(cfg, labels)
+        sample, head_loss, _ = _mode_parts(cfg, labels)
         r_new, r_old = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(3):
             got = _step(params, head, tac, feats, labels, sample, head_loss, cfg, r_new)
@@ -324,3 +469,30 @@ class TestStepMatchesPerHeadOracles:
             params = sgd_step(params, grads, 0.1)
             tac = tac_update(tac, z, y)
         assert r_new.bit_generator.state == r_old.bit_generator.state
+
+    @pytest.mark.parametrize("p,k,fraction", [(10, 5, 0.14), (5, 5, 0.28), (20, 5, 0.07)])
+    @pytest.mark.parametrize("head_mode", ["batch_all", "cross_entropy"])
+    def test_float_fraction_pulls_back_the_designated_rows(self, head_mode, p, k, fraction):
+        # fraction * B lands just above 7 in float: the blend designates 7
+        # rows and the step pulls back exactly those 7, as the oracle's
+        # decoy mask does
+        cfg = TrainConfig(
+            p_classes=p, k_samples=k, hidden_dims=(6,), embed_dim=4,
+            interference=InterferenceConfig(strength=0.5, fraction=fraction),
+            **HEADS[head_mode],
+        )
+        data = np.random.default_rng(1)
+        labels = np.repeat(np.arange(22), 6)
+        feats = data.standard_normal((22, 5))[labels] + data.standard_normal((132, 5))
+        params = init_params((5, 6, 4), seed=1)
+        head = None
+        if head_mode == "cross_entropy":
+            head = init_params((4, 22), "identity", seed=2)
+        tac = tac_init(22, 4, seed=3)
+        sample, head_loss, _ = _mode_parts(cfg, labels)
+        got = _step(params, head, tac, feats, labels, sample, head_loss, cfg,
+                    np.random.default_rng(4))
+        want = oracle_step(head_mode, params, head, tac, feats, labels, cfg,
+                           np.random.default_rng(4))
+        assert got[2] == want[2]
+        assert_grads_equal(got[4], want[4])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cirlab.errors import ConfigurationError, DataError, InputError
+from cirlab.losses import triplet_masks
 from cirlab.sampling import (
     ClassIndex,
     PKSpec,
@@ -106,6 +107,25 @@ class TestPkBatch:
         batch_labels = labels[idx].reshape(3, 4)
         for row in batch_labels:
             assert len(set(row)) == 1
+
+    @pytest.mark.parametrize("p,k", [(5, 4), (8, 2), (2, 8)])
+    def test_label_pattern_is_the_per_run_one(self, p, k):
+        # training builds the loss masks once from repeat(arange(P), K),
+        # which holds only while every batch is P blocks of K rows of one
+        # class each, with P distinct classes
+        labels = shuffled_uneven_labels()
+        index = ClassIndex(labels)
+        cached = triplet_masks(np.repeat(np.arange(p), k))
+        rng = np.random.default_rng(p * k)
+        for _ in range(300):
+            blocks = labels[pk_batch(index, PKSpec(p, k), rng)].reshape(p, k)
+            assert np.all(blocks == blocks[:, :1])
+            assert len(set(blocks[:, 0])) == p
+            drawn = triplet_masks(blocks.reshape(-1))
+            assert np.array_equal(drawn.pos_ok, cached.pos_ok)
+            assert np.array_equal(drawn.neg_ok, cached.neg_ok)
+            assert np.array_equal(drawn.pos_index, cached.pos_index)
+            assert drawn.num_triplets == cached.num_triplets
 
     def test_deterministic_per_rng_state(self):
         features, labels = toy_dataset()

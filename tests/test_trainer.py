@@ -317,7 +317,7 @@ class TestTripletTraining:
         )
         feats = tr.features.astype(np.float64)
         tac = tac_init(tr.class_count, 3, seed=2)
-        sample, head_loss = _mode_parts(cfg, tr.labels)
+        sample, head_loss, _ = _mode_parts(cfg, tr.labels)
 
         def closure(p):
             rng = np.random.default_rng(9)
