@@ -328,7 +328,8 @@ def build_parser():
     r.add_argument("--seeds", default="0,1,2,3,4")
     r.add_argument("--epochs", type=int, default=60)
     r.add_argument("--threads", type=int, default=None,
-                   help="parallel runs (default: CIR_THREADS or 1)")
+                   help="worker processes, each running a contiguous block of "
+                        "seed-major cells (default: CIR_THREADS or 1)")
     r.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -145,23 +145,33 @@ def gen_gaussian_mixture(spec: GeneratorSpec) -> Dataset:
     )
 
 
+def floor_count(x):
+    """floor(x) as an int64 count, for x a product fraction * n: a product
+    within 1e-9 of an integer counts as that integer, so float error does
+    not drop a whole item (0.57 * 100 is 56.99999999999999 in float, and
+    counts 57, not 56). Elementwise on arrays."""
+    nearest = np.rint(x)
+    return np.where(np.abs(x - nearest) <= 1e-9, nearest, np.floor(x)).astype(np.int64)
+
+
 def split_classes(
     ds: Dataset, fractions: tuple[float, float, float], seed: int = 0
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Partition the class set into train/val/test by the given fractions.
 
     Class ids are permuted by seed; the first floor(f_train * C) go to
-    train, the next floor(f_val * C) to val, the rest to test. Each split
-    relabels its classes to 0..C_split-1 (sampled order) and records the
-    original ids in class_map.
+    train, the next floor(f_val * C) to val, the rest to test (both
+    counted by `floor_count`). Each split relabels its classes to
+    0..C_split-1 (sampled order) and records the original ids in
+    class_map.
     """
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ConfigurationError(f"need three positive fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"fractions must sum to 1, got {sum(fractions)}")
     c = ds.class_count
-    n_train = int(np.floor(fractions[0] * c))
-    n_val = int(np.floor(fractions[1] * c))
+    n_train = int(floor_count(fractions[0] * c))
+    n_val = int(floor_count(fractions[1] * c))
     n_test = c - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ConfigurationError(

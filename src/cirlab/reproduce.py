@@ -9,9 +9,15 @@ curve plots land in an output directory; the directional verdicts
 train-validation gap, expand the embedding geometry?) are returned for
 the caller to print.
 
-Each (arm, seed) run is independent and internally single-threaded;
-``CIR_THREADS`` (or the ``threads`` argument) allows running them in
-parallel worker processes.  Aggregation order is fixed regardless.
+Within one seed the three arms share their inputs by design: the
+generated dataset, the class split and the final-eval episodes. The
+cells are listed seed-major and cut into contiguous blocks, one block
+per worker; a block prepares those inputs once per seed it holds and
+trains its cells in order, each internally single-threaded.
+``CIR_THREADS`` (or the ``threads`` argument) sets the number of blocks
+and worker processes; with 1 the whole matrix is one serial block.
+Results are put back in arm-major order before aggregation, so every
+output file is the same at any thread count.
 """
 
 import math
@@ -20,14 +26,22 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
-from .datagen import GeneratorSpec, gen_gaussian_mixture, reproduce_spec, split_classes
+from .datagen import (
+    Dataset,
+    GeneratorSpec,
+    gen_gaussian_mixture,
+    reproduce_spec,
+    split_classes,
+)
 from .errors import CirError, ConfigurationError
 from .evaluate import geometry_stats
 from .interference import NoiseConfig
 from .nn import forward
+from .sampling import episode_rows
 from .svgplot import Series, line_chart, save_chart
 from .trainer import TrainConfig, evaluate_checkpoint, logs_to_csv, train
 
@@ -111,28 +125,61 @@ def _dataset_spec(settings, seed):
     return replace(settings.dataset, seed=seed)
 
 
-def _run_one(settings, arm, seed, out_dir):
-    """Train one (arm, seed) cell and write its curve CSV.
+@dataclass(frozen=True)
+class SeedInputs:
+    """What every arm of one seed trains and is scored on: the train and
+    validation splits and the final-eval episode rows of each. The arrays
+    are read-only, because the seed's cells share them."""
+
+    train_ds: Dataset
+    val_ds: Dataset
+    train_rows: np.ndarray
+    val_rows: np.ndarray
+
+
+def _prepare(settings, seed):
+    """Generate and split the seed's dataset and draw its final-eval
+    episodes, once for all the seed's arms."""
+    ds = gen_gaussian_mixture(_dataset_spec(settings, seed))
+    train_ds, val_ds, _ = split_classes(ds, settings.splits, seed=seed)
+    shape = (
+        settings.base.eval_n_way, settings.base.eval_k_shot,
+        settings.eval_q_queries, settings.eval_episodes,
+    )
+    inputs = SeedInputs(
+        train_ds=train_ds,
+        val_ds=val_ds,
+        train_rows=episode_rows(train_ds.labels, *shape, seed),
+        val_rows=episode_rows(val_ds.labels, *shape, seed),
+    )
+    for array in (train_ds.features, train_ds.labels, val_ds.features,
+                  val_ds.labels, inputs.train_rows, inputs.val_rows):
+        array.flags.writeable = False
+    return inputs
+
+
+def _run_one(settings, arm, seed, inputs, out_dir):
+    """Train one (arm, seed) cell on its seed's inputs and write its curve
+    CSV.
 
     Runs inside a worker process when parallelism is on, so everything
     it needs arrives through the arguments and everything it produces
     goes back through the return value (plus its own CSV file).
     """
-    ds = gen_gaussian_mixture(_dataset_spec(settings, seed))
-    train_ds, val_ds, _ = split_classes(ds, settings.splits, seed=seed)
+    train_ds, val_ds = inputs.train_ds, inputs.val_ds
     cfg = _train_config(settings, arm, seed)
     params, tac, logs = train(train_ds, val_ds, cfg)
 
-    val_acc = evaluate_checkpoint(
-        params, tac, val_ds, "episodic", seed=seed,
-        n_way=cfg.eval_n_way, k_shot=cfg.eval_k_shot,
-        q_queries=settings.eval_q_queries, episodes=settings.eval_episodes,
-    )[0][1]
-    train_acc = evaluate_checkpoint(
-        params, tac, train_ds, "episodic", seed=seed,
-        n_way=cfg.eval_n_way, k_shot=cfg.eval_k_shot,
-        q_queries=settings.eval_q_queries, episodes=settings.eval_episodes,
-    )[0][1]
+    def final_accuracy(split, rows):
+        return evaluate_checkpoint(
+            params, tac, split, "episodic",
+            n_way=cfg.eval_n_way, k_shot=cfg.eval_k_shot,
+            q_queries=settings.eval_q_queries, episodes=settings.eval_episodes,
+            rows=rows,
+        )[0][1]
+
+    val_acc = final_accuracy(val_ds, inputs.val_rows)
+    train_acc = final_accuracy(train_ds, inputs.train_rows)
     z, _ = forward(params, val_ds.features)
     geom = geometry_stats(z, val_ds.labels)
     ratio = geom.ratio if geom.ratio is not None else float("nan")
@@ -146,15 +193,52 @@ def _run_one(settings, arm, seed, out_dir):
     )
 
 
+def _failure(exc):
+    """The failure-row message for an exception raised in a cell or in its
+    seed's preparation; call it from the ``except`` block."""
+    if not isinstance(exc, (CirError, FloatingPointError)):
+        traceback.print_exc(file=sys.stderr)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _worker(packed):
-    settings, arm, seed, out_dir = packed
-    try:
-        return _run_one(settings, arm, seed, out_dir)
-    except Exception as exc:
-        # one failed cell becomes a failure row; the other cells still run
-        if not isinstance(exc, (CirError, FloatingPointError)):
-            traceback.print_exc(file=sys.stderr)
-        return (arm, seed, f"{type(exc).__name__}: {exc}")
+    """Run one block of (arm, seed) cells in order, preparing each seed's
+    inputs once; returns ((arm, seed), outcome) pairs.
+
+    A failed cell becomes one (arm, seed, message) row and the other cells
+    still run; a failed preparation gives its row to each of the seed's
+    cells in the block.
+    """
+    settings, block, out_dir = packed
+    outcomes = []
+    for seed, cells in groupby(block, key=lambda cell: cell[1]):
+        arms = [arm for arm, _ in cells]
+        try:
+            inputs = _prepare(settings, seed)
+        except Exception as exc:
+            message = _failure(exc)
+            outcomes.extend(((arm, seed), (arm, seed, message)) for arm in arms)
+            continue
+        for arm in arms:
+            try:
+                outcome = _run_one(settings, arm, seed, inputs, out_dir)
+            except Exception as exc:
+                outcome = (arm, seed, _failure(exc))
+            outcomes.append(((arm, seed), outcome))
+    return outcomes
+
+
+def _blocks(cells, count):
+    """Cut `cells` into min(count, len(cells)) contiguous blocks whose
+    sizes differ by at most one, the larger ones first."""
+    count = min(count, len(cells))
+    size, extra = divmod(len(cells), count)
+    blocks, start = [], 0
+    for i in range(count):
+        end = start + size + (i < extra)
+        blocks.append(cells[start:end])
+        start = end
+    return blocks
 
 
 def _thread_budget(threads):
@@ -259,17 +343,19 @@ def run_reproduction(out_dir, settings=None, threads=None):
     """
     settings = settings or ReproduceSettings()
     os.makedirs(out_dir, exist_ok=True)
+    # seed-major, so each block holds few seeds and prepares each once
+    cells = [(arm, seed) for seed in settings.seeds for arm in ARMS]
     jobs = [
-        (settings, arm, seed, out_dir)
-        for arm in ARMS
-        for seed in settings.seeds
+        (settings, block, out_dir)
+        for block in _blocks(cells, _thread_budget(threads))
     ]
-    budget = _thread_budget(threads)
-    if budget > 1:
-        with ProcessPoolExecutor(max_workers=budget) as pool:
-            outcomes = list(pool.map(_worker, jobs))
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            done = list(pool.map(_worker, jobs))
     else:
-        outcomes = [_worker(job) for job in jobs]
+        done = [_worker(job) for job in jobs]
+    by_cell = dict(pair for block in done for pair in block)
+    outcomes = [by_cell[(arm, seed)] for arm in ARMS for seed in settings.seeds]
 
     runs = tuple(o for o in outcomes if isinstance(o, RunResult))
     failures = tuple(o for o in outcomes if not isinstance(o, RunResult))

@@ -30,8 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from .datagen import Dataset
-from .errors import ConfigurationError, DataError, NumericError
+from .datagen import Dataset, floor_count
+from .errors import ConfigurationError, DataError, NumericError, ShapeError
 from .evaluate import episodic_accuracy, geometry_stats, retrieval_map, cmc_rank1
 from .interference import (
     InterferenceConfig,
@@ -185,13 +185,13 @@ def logs_to_csv(logs: list[EpochLog]) -> str:
 
 
 def _holdout_rows(labels: np.ndarray, fraction: float, seed: int):
-    """Deterministic stratified holdout: per class, the last floor(fraction
-    * count) of a seeded permutation of its rows."""
+    """Deterministic stratified holdout: per class, the first floor(fraction
+    * count) of a seeded permutation of its rows (counted by `floor_count`)."""
     rng = np.random.default_rng(seed)
     held = []
     for c in np.unique(labels):
         rows = np.flatnonzero(labels == c)
-        take = int(np.floor(fraction * len(rows)))
+        take = int(floor_count(fraction * len(rows)))
         if take:
             perm = rng.permutation(len(rows))
             held.extend(rows[perm[:take]])
@@ -214,7 +214,7 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
         need = cfg.eval_k_shot + cfg.eval_q_queries
         for ds, split in ((train_ds, "train"), (val_ds, "validation")):
             _check_rows(ds, split, cfg.eval_n_way, need, "episodes")
-    elif not np.floor(cfg.holdout_fraction * np.bincount(train_ds.labels)).any():
+    elif not floor_count(cfg.holdout_fraction * np.bincount(train_ds.labels)).any():
         # _holdout_rows takes floor(fraction * count) rows of each class
         raise DataError(
             f"holdout_fraction {cfg.holdout_fraction} holds out no rows: every "
@@ -516,6 +516,22 @@ def train_two_stage(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig)
     return params2, tac2, logs1 + logs2
 
 
+def _check_episode_rows(rows: np.ndarray, size: int, shape: tuple) -> None:
+    """Pre-drawn episode rows must be a non-empty integer array of the
+    episodes' shape that indexes rows of the split."""
+    rows = np.asarray(rows)
+    if rows.shape != shape or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
+        raise ShapeError(
+            f"episode rows are {rows.dtype} of shape {rows.shape}, expected "
+            f"a non-empty integer array of shape {shape}"
+        )
+    if rows.min() < 0 or rows.max() >= size:
+        raise ShapeError(
+            f"episode rows index [{rows.min()}, {rows.max()}], outside a split "
+            f"of {size} rows"
+        )
+
+
 def evaluate_checkpoint(
     params: ModelParams,
     tac: ClassTable,
@@ -528,17 +544,25 @@ def evaluate_checkpoint(
     episodes: int = 600,
     temperature: float = 1.0,
     metric: str = "euclidean",
+    rows: np.ndarray | None = None,
 ):
     """Metric rows [(name, value, ci95-or-None)] for one protocol.
 
-    episodic: N-way K-shot nearest-prototype accuracy over seeded episodes.
+    episodic: N-way K-shot nearest-prototype accuracy over seeded episodes,
+    or over `rows` when given: episode rows drawn beforehand by
+    `episode_rows`, an episodes x n_way x (k_shot + q_queries) array of
+    split rows (`seed` is then unused).
     retrieval: per class the first sample (in row order) queries the rest.
     classification: table-lookup argmax accuracy (the split must carry the
     table's classes). The split is embedded once, after these checks.
     """
-    rows = None
+    if rows is not None and protocol != "episodic":
+        raise ConfigurationError(f"episode rows given for protocol {protocol!r}")
     if protocol == "episodic":
-        rows = episode_rows(split.labels, n_way, k_shot, q_queries, episodes, seed)
+        if rows is None:
+            rows = episode_rows(split.labels, n_way, k_shot, q_queries, episodes, seed)
+        else:
+            _check_episode_rows(rows, split.size, (episodes, n_way, k_shot + q_queries))
     elif protocol == "classification":
         if split.class_count != tac.num_classes:
             raise ConfigurationError(

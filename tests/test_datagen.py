@@ -6,6 +6,7 @@ import pytest
 from cirlab.datagen import (
     Dataset,
     GeneratorSpec,
+    floor_count,
     gen_gaussian_mixture,
     load_dataset,
     reproduce_spec,
@@ -142,6 +143,19 @@ class TestSplitClasses:
         for x, y in zip(a, b):
             assert x.class_map == y.class_map
             assert np.array_equal(x.features, y.features)
+
+    def test_float_product_does_not_undershoot(self):
+        # 0.57 * 100 is 56.99999999999999 in float: 57 train classes, not 56
+        ds = self.make(num_classes=100)
+        train, val, test = split_classes(ds, (0.57, 0.23, 0.20), seed=0)
+        assert (train.class_count, val.class_count, test.class_count) == (57, 23, 20)
+
+    def test_floor_count_exact_for_two_decimal_fractions(self):
+        n = np.arange(1, 257)
+        for k in range(1, 100):
+            assert np.array_equal(floor_count(k / 100 * n), k * n // 100), k
+        assert int(floor_count(0.29 * 100)) == 29
+        assert int(floor_count(2.5)) == 2
 
     def test_empty_split_rejected(self):
         ds = self.make(num_classes=4)

@@ -3,11 +3,12 @@
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import oracles
 from cirlab import reproduce
-from cirlab.datagen import GeneratorSpec
+from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
 from cirlab.errors import ConfigurationError
 from cirlab.reproduce import (
     ARMS,
@@ -16,6 +17,7 @@ from cirlab.reproduce import (
     format_report,
     run_reproduction,
 )
+from cirlab.sampling import episode_rows
 
 TINY_DATASET = GeneratorSpec(
     num_classes=12, samples_per_class=16, input_dim=8,
@@ -47,6 +49,12 @@ SMALL_BASE = replace(
     ReproduceSettings().base,
     iterations=5, hidden_dims=(8,), embed_dim=4, p_classes=3, k_samples=3,
     eval_n_way=3, eval_episodes=5,
+)
+
+# two seeds of one epoch on SMALL_BASE
+SMALL = ReproduceSettings(
+    seeds=(0, 1), epochs=1, base=SMALL_BASE, eval_q_queries=3,
+    eval_episodes=10, dataset=TINY_DATASET, splits=TINY.splits,
 )
 
 
@@ -130,8 +138,6 @@ def test_failures_recorded_not_raised(tmp_path):
         eval_q_queries=3, eval_episodes=10,
         dataset=TINY.dataset, splits=TINY.splits,
     )
-    import numpy as np
-
     with np.errstate(over="ignore", invalid="ignore"):
         report = run_reproduction(str(tmp_path), settings=bad)
     assert not report.ok
@@ -144,17 +150,13 @@ def test_failures_recorded_not_raised(tmp_path):
 def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
     real_run_one = reproduce._run_one
 
-    def run_one(settings, arm, seed, out_dir):
+    def run_one(settings, arm, seed, inputs, out_dir):
         if (arm, seed) == ("cir", 1):
             raise RuntimeError("worker blew up")
-        return real_run_one(settings, arm, seed, out_dir)
+        return real_run_one(settings, arm, seed, inputs, out_dir)
 
     monkeypatch.setattr(reproduce, "_run_one", run_one)
-    small = ReproduceSettings(
-        seeds=(0, 1), epochs=1, base=SMALL_BASE, eval_q_queries=3,
-        eval_episodes=10, dataset=TINY.dataset, splits=TINY.splits,
-    )
-    report = run_reproduction(str(tmp_path), settings=small, threads=1)
+    report = run_reproduction(str(tmp_path), settings=SMALL, threads=1)
     assert not report.ok
     assert report.failures == (("cir", 1, "RuntimeError: worker blew up"),)
     assert sorted((r.arm, r.seed) for r in report.runs) == sorted(
@@ -162,16 +164,89 @@ def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
     )
 
 
-def test_parallel_matches_sequential(tmp_path):
-    small = ReproduceSettings(
-        seeds=(0, 1), epochs=1, base=SMALL_BASE, eval_q_queries=3,
-        eval_episodes=10, dataset=TINY.dataset, splits=TINY.splits,
+def test_failed_preparation_fails_only_that_seeds_cells(tmp_path, monkeypatch):
+    real_prepare = reproduce._prepare
+
+    def prepare(settings, seed):
+        if seed == 1:
+            raise RuntimeError("no data for seed 1")
+        return real_prepare(settings, seed)
+
+    monkeypatch.setattr(reproduce, "_prepare", prepare)
+    report = run_reproduction(str(tmp_path), settings=SMALL, threads=1)
+    assert report.failures == tuple(
+        (arm, 1, "RuntimeError: no data for seed 1") for arm in ARMS
     )
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    run_reproduction(str(seq), settings=small, threads=1)
-    run_reproduction(str(par), settings=small, threads=3)
-    assert (seq / "summary.csv").read_bytes() == (par / "summary.csv").read_bytes()
+    assert [(r.arm, r.seed) for r in report.runs] == [(arm, 0) for arm in ARMS]
+    rows = (tmp_path / "summary.csv").read_text().strip().split("\n")[1:4]
+    assert [row.split(",")[:2] for row in rows] == [[arm, "0"] for arm in ARMS]
+
+
+def test_each_seed_prepared_once_for_its_three_arms(tmp_path, monkeypatch):
+    calls = {"gen_gaussian_mixture": 0, "split_classes": 0, "episode_rows": 0}
+
+    def counted(name):
+        real = getattr(reproduce, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reproduce, name, counted(name))
+    report = run_reproduction(str(tmp_path), settings=SMALL, threads=1)
+    assert report.ok and len(report.runs) == 6
+    # one dataset and split per seed; val and train final-eval rows per seed
+    assert calls == {"gen_gaussian_mixture": 2, "split_classes": 2, "episode_rows": 4}
+
+
+def test_prepared_inputs_are_the_seeded_draws_and_read_only():
+    inputs = reproduce._prepare(SMALL, 1)
+    ds = gen_gaussian_mixture(replace(TINY_DATASET, seed=1))
+    train_ds, val_ds, _ = split_classes(ds, TINY.splits, seed=1)
+    for got, want in ((inputs.train_ds, train_ds), (inputs.val_ds, val_ds)):
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+    # the draws evaluate_checkpoint makes from seed=seed without rows
+    for rows, split in ((inputs.train_rows, train_ds), (inputs.val_rows, val_ds)):
+        assert np.array_equal(rows, episode_rows(split.labels, 3, 1, 3, 10, 1))
+    for array in (inputs.train_ds.features, inputs.train_ds.labels,
+                  inputs.val_ds.features, inputs.val_ds.labels,
+                  inputs.train_rows, inputs.val_rows):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("cells, count, sizes", [
+    (6, 1, [6]), (6, 2, [3, 3]), (6, 3, [2, 2, 2]), (15, 2, [8, 7]),
+    (15, 4, [4, 4, 4, 3]), (3, 5, [1, 1, 1]),
+])
+def test_blocks_are_contiguous_and_near_equal(cells, count, sizes):
+    items = list(range(cells))
+    blocks = reproduce._blocks(items, count)
+    assert [len(b) for b in blocks] == sizes
+    assert [i for b in blocks for i in b] == items
+
+
+def test_parallel_matches_sequential(tmp_path):
+    # blocks of 6, 3 + 3 (one seed each) and 2 + 2 + 2 (seed 0 split
+    # across two workers) must write the same bytes to every output file
+    outputs = {}
+    for threads in (1, 2, 3):
+        out = tmp_path / f"threads{threads}"
+        run_reproduction(str(out), settings=SMALL, threads=threads)
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    names = {"summary.csv", "val_accuracy.svg", "train_loss.svg"} | {
+        f"curves_{arm}_seed{seed}.csv" for arm in ARMS for seed in (0, 1)
+    }
+    assert set(outputs[1]) == names
+    # run rows in arm-major order, as before the cells were blocked by seed
+    rows = outputs[1]["summary.csv"].decode().split("\n")[1:7]
+    assert [row.split(",")[:2] for row in rows] == [
+        [arm, str(seed)] for arm in ARMS for seed in (0, 1)
+    ]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
 
 
 def test_settings_validation():

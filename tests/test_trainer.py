@@ -10,16 +10,17 @@ import pytest
 import cirlab.nn
 import cirlab.trainer
 from cirlab.datagen import Dataset, GeneratorSpec, gen_gaussian_mixture, split_classes
-from cirlab.errors import ConfigurationError, DataError, NumericError
+from cirlab.errors import ConfigurationError, DataError, NumericError, ShapeError
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig
 from cirlab.nn import forward, grad_check, init_params
-from cirlab.sampling import ClassIndex
+from cirlab.sampling import ClassIndex, episode_rows
 from cirlab.tac import tac_init
 from cirlab.trainer import (
     CSV_HEADER,
     EpochLog,
     TrainConfig,
+    _holdout_rows,
     _mode_parts,
     _step,
     check_feasible,
@@ -161,6 +162,14 @@ class TestConfigValidation:
         ten = replace(nine, labels=nine.labels.copy())
         ten.labels[9] = 0  # class 0 holds 10 rows, so it gives one up
         check_feasible(ten, None, small_cfg(loss_mode="oim"))
+
+    def test_holdout_float_product_does_not_undershoot(self):
+        # 0.29 * 100 is 28.999999999999996 in float: hold out 29, not 28
+        labels = np.repeat(np.arange(2), 100)
+        keep, held = _holdout_rows(labels, 0.29, seed=0)
+        assert np.bincount(labels[held]).tolist() == [29, 29]
+        assert keep.size == 2 * 71
+        assert np.array_equal(np.union1d(keep, held), np.arange(200))
 
     def test_declared_classes_beyond_rows_refused_before_bincount(self):
         # 2^20 declared classes would take an 8 MB bincount of class sizes
@@ -506,3 +515,39 @@ class TestEvaluateCheckpoint:
         b = evaluate_checkpoint(params, tac, te, "episodic", seed=4, n_way=3,
                                 q_queries=5, episodes=25)
         assert a == b
+
+    def test_episodic_rows_score_as_the_seeded_draw(self):
+        params, tac, _, te = self.trained()
+        drawn = evaluate_checkpoint(params, tac, te, "episodic", seed=4, n_way=3,
+                                    q_queries=5, episodes=25)
+        rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
+        given = evaluate_checkpoint(params, tac, te, "episodic", seed=99, n_way=3,
+                                    q_queries=5, episodes=25, rows=rows)
+        assert given == drawn
+
+    def test_episodic_rows_of_another_shape_refused(self):
+        params, tac, _, te = self.trained()
+        rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
+        shape = dict(n_way=3, k_shot=1, q_queries=5, episodes=25)
+        for bad, settings in (
+            (rows[:24], shape),
+            (rows[:, :2], shape),
+            (rows[:, :, :5], shape),
+            (rows, dict(shape, k_shot=2)),
+            (rows[0], shape),
+            (rows.astype(np.float64), shape),
+        ):
+            with pytest.raises(ShapeError, match="^episode rows are "):
+                evaluate_checkpoint(params, tac, te, "episodic", rows=bad, **settings)
+
+    def test_episodic_rows_outside_the_split_refused(self):
+        params, tac, _, te = self.trained()
+        rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
+        shape = dict(n_way=3, k_shot=1, q_queries=5, episodes=25)
+        for value in (te.size, -1):
+            bad = rows.copy()
+            bad[7, 1, 2] = value
+            with pytest.raises(ShapeError, match="outside a split of"):
+                evaluate_checkpoint(params, tac, te, "episodic", rows=bad, **shape)
+        with pytest.raises(ConfigurationError, match="episode rows given"):
+            evaluate_checkpoint(params, tac, te, "retrieval", rows=rows)
