@@ -248,13 +248,10 @@ def cmd_reproduce(args):
     report = run_reproduction(args.out, settings=settings, threads=args.threads)
     print(f"wall-clock {time.monotonic() - start:.1f}s", file=sys.stderr)
     print(format_report(report))
-    files = sorted(
-        f for f in os.listdir(args.out)
-        if f.endswith((".csv", ".svg"))
-    )
+    # only this run's files: a reused directory may hold an earlier run's
     _write_manifest(
         os.path.join(args.out, "reproduce.manifest"), "reproduce", [],
-        [(f.replace(".", "_"), os.path.join(args.out, f)) for f in files],
+        [(f.replace(".", "_"), os.path.join(args.out, f)) for f in report.outputs],
         config_text=config_to_text(settings.base) + "\n".join(
             f"# {f.name} = {getattr(settings, f.name)!r}"
             for f in dataclasses.fields(settings) if f.name != "base"

@@ -50,8 +50,10 @@ class NoiseConfig:
     enabled: bool = False
 
     def __post_init__(self):
-        if self.sigma is not None and self.sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
+        if self.sigma is not None and not (
+            math.isfinite(self.sigma) and self.sigma >= 0
+        ):
+            raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def interfere(z: np.ndarray, mu: np.ndarray, strength: float) -> np.ndarray:

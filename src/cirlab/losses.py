@@ -28,6 +28,7 @@ every call; without it the loss derives the masks from the labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class TripletConfig:
     squared: bool = True
 
     def __post_init__(self):
-        if self.margin < 0:
-            raise ConfigurationError(f"margin must be >= 0, got {self.margin}")
+        if not (math.isfinite(self.margin) and self.margin >= 0):
+            raise ConfigurationError(f"margin must be finite and >= 0, got {self.margin}")
         if self.reduction not in REDUCTIONS:
             raise ConfigurationError(
                 f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}"

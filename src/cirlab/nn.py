@@ -7,6 +7,7 @@ the output layer is always linear so embeddings are unconstrained reals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -82,8 +83,10 @@ class LrSchedule:
     total_epochs: int = 1
 
     def __post_init__(self):
-        if self.initial_rate <= 0:
-            raise ConfigurationError(f"initial_rate must be > 0, got {self.initial_rate}")
+        if not (math.isfinite(self.initial_rate) and self.initial_rate > 0):
+            raise ConfigurationError(
+                f"initial_rate must be finite and > 0, got {self.initial_rate}"
+            )
         if self.decay_start_epoch < 0:
             raise ConfigurationError("decay_start_epoch must be >= 0")
         if not 0.0 < self.decay_factor_per_epoch <= 1.0:

@@ -103,6 +103,7 @@ class ReproduceReport:
     failures: tuple  # (arm, seed, message)
     aggregates: dict = field(compare=False)
     verdicts: tuple = ()
+    outputs: tuple = ()  # names of the files this run wrote, sorted
 
     @property
     def ok(self):
@@ -184,13 +185,17 @@ def _run_one(settings, arm, seed, inputs, out_dir):
     geom = geometry_stats(z, val_ds.labels)
     ratio = geom.ratio if geom.ratio is not None else float("nan")
 
-    curve_path = os.path.join(out_dir, f"curves_{arm}_seed{seed}.csv")
+    curve_path = os.path.join(out_dir, _curve_file(arm, seed))
     with open(curve_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(logs_to_csv(logs))
     return RunResult(
         arm=arm, seed=seed, val_acc=val_acc, train_acc=train_acc,
         gap=train_acc - val_acc, ratio=ratio, logs=tuple(logs),
     )
+
+
+def _curve_file(arm, seed):
+    return f"curves_{arm}_seed{seed}.csv"
 
 
 def _failure(exc):
@@ -315,6 +320,8 @@ def _mean_curve(runs, attr):
 
 
 def _write_plots(out_dir, runs):
+    """Write the seed-mean curve charts; return the names written."""
+    written = []
     by_arm = {arm: [r for r in runs if r.arm == arm] for arm in ARMS}
     for attr, fname, ylab in (
         ("val_acc", "val_accuracy.svg", "validation episodic accuracy"),
@@ -333,13 +340,16 @@ def _write_plots(out_dir, runs):
                 line_chart(series, title=f"{ylab} (seed mean)",
                            x_label="epoch", y_label=ylab),
             )
+            written.append(fname)
+    return written
 
 
 def run_reproduction(out_dir, settings=None, threads=None):
     """Run the full matrix; write curves, summary.csv, and plots.
 
     Returns a ReproduceReport; ``report.ok`` is False when any run
-    failed (failed cells are recorded and excluded from aggregates).
+    failed (failed cells are recorded and excluded from aggregates), and
+    ``report.outputs`` names the files this call wrote in out_dir.
     """
     settings = settings or ReproduceSettings()
     os.makedirs(out_dir, exist_ok=True)
@@ -362,10 +372,12 @@ def run_reproduction(out_dir, settings=None, threads=None):
     agg = _aggregate(runs)
     verdicts = _verdicts(agg)
     _write_summary(os.path.join(out_dir, "summary.csv"), runs, agg)
+    written = ["summary.csv", *(_curve_file(r.arm, r.seed) for r in runs)]
     if runs:
-        _write_plots(out_dir, runs)
+        written += _write_plots(out_dir, runs)
     return ReproduceReport(
-        runs=runs, failures=failures, aggregates=agg, verdicts=verdicts
+        runs=runs, failures=failures, aggregates=agg, verdicts=verdicts,
+        outputs=tuple(sorted(written)),
     )
 
 

@@ -3,7 +3,16 @@
 PK batches (P classes, K samples each) feed triplet training; N-way K-shot
 episodes feed evaluation. Both draw from one `ClassIndex` per split: the
 sorted class ids and each class's row array, built once, so no batch or
-episode rescans the labels. Episode randomness is derived per-index from
+episode rescans the labels. `pk_batch` gives the rows, and leaves the
+generator state, of 1 + P `rng.choice(n, k, replace=False)` calls in two
+`rng.integers` calls: numpy makes each such `choice` as Floyd's selection
+then a Fisher-Yates shuffle, both from Lemire-bounded draws, which
+`integers` with array bounds makes alike; above 10000 classes or rows in
+a class numpy shuffles a tail instead, and `pk_batch` keeps `choice`
+(pinned by `TestPkBatchReplaysChoice` in tests/test_sampling.py).
+Episodes stay on `choice`: each has its own generator, and the fused
+draw of 600 5-way episodes of 16 rows came within about 10% of theirs
+(about 40 ms either way). Episode randomness is derived per-index from
 a master seed with a fixed 64-bit avalanche mix, so episode i has the
 same content no matter how many episodes run or in what order.
 `episode_rows` draws a whole episode set up front as one E x N x (K+Q)
@@ -22,6 +31,9 @@ from .errors import ConfigurationError, DataError, InputError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# numpy's Generator.choice(n, k, replace=False) takes Floyd's selection
+# for every n up to this; above it, a tail shuffle when k > n // 50
+_FLOYD_MAX = 10000
 
 
 @dataclass(frozen=True)
@@ -86,7 +98,9 @@ def child_seed(master_seed: int, index: int) -> int:
 class ClassIndex:
     """Sorted class ids of one split and each class's ascending row array.
 
-    Build it once per split with `for_episodes`, which checks the class
+    `order` holds every row of the split sorted by class, and class i's
+    rows are the `sizes[i]` rows of it from `offsets[i]`; `rows` maps each
+    class id to that (read-only) slice. Build it once per split with `for_episodes`, which checks the class
     and per-class row counts an episode needs, or with the constructor
     when the caller has checked the counts its draws need already; `draw`
     then samples from it without rescanning the labels.
@@ -94,8 +108,21 @@ class ClassIndex:
 
     def __init__(self, labels: np.ndarray):
         labels = np.asarray(labels)
-        self.classes = tuple(int(c) for c in np.unique(labels))
-        self.rows = {c: np.flatnonzero(labels == c) for c in self.classes}
+        # a stable sort keeps each class's rows ascending: `order` is every
+        # row, class-sorted, and class i's rows are the slice of `sizes[i]`
+        # rows from `offsets[i]`
+        order = np.argsort(labels, kind="stable").astype(np.int64)
+        order.flags.writeable = False
+        classes, sizes = np.unique(labels[order], return_counts=True)
+        self.classes = tuple(int(c) for c in classes)
+        self.order = order
+        self.sizes = sizes.tolist()
+        self.offsets = (np.cumsum(sizes) - sizes).tolist()
+        self.rows = {
+            c: order[o : o + n]
+            for c, o, n in zip(self.classes, self.offsets, self.sizes)
+        }
+        self._pk_bounds = {}
 
     @classmethod
     def for_episodes(
@@ -120,6 +147,23 @@ class ClassIndex:
                 )
         return index
 
+    def pk_bounds(self, p: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """`pk_batch`'s draw bounds for P x K batches, built on first use:
+        (`_choice_bounds(C, P)`, a C x (2K - 1) array of each class's
+        `_choice_bounds(n_c, K)`), or None where `draw` must run instead
+        (numpy's tail-shuffle branch, or a draw `choice` refuses)."""
+        if (p, k) not in self._pk_bounds:
+            c, sizes = len(self.classes), self.sizes
+            if p > c or k > min(sizes) or max(c, max(sizes)) > _FLOYD_MAX:
+                bounds = None
+            else:
+                bounds = (
+                    np.array(_choice_bounds(c, p), dtype=np.int64),
+                    np.array([_choice_bounds(n, k) for n in sizes], dtype=np.int64),
+                )
+            self._pk_bounds[p, k] = bounds
+        return self._pk_bounds[p, k]
+
     def draw(
         self, n_classes: int, per_class: int, rng: np.random.Generator
     ) -> tuple[tuple[int, ...], np.ndarray]:
@@ -134,15 +178,66 @@ class ClassIndex:
         return class_ids, out
 
 
+def _choice_bounds(n: int, k: int) -> list[int]:
+    """Inclusive upper bounds of the 2k - 1 draws that numpy's
+    `Generator.choice(n, k, replace=False)` makes in Floyd's branch: one
+    per step j = n-k..n-1 of Floyd's selection, then one per step
+    i = k-1..1 of the shuffle."""
+    return list(range(n - k, n)) + list(range(k - 1, 0, -1))
+
+
+def _choice_replay(draws: list[int], n: int, k: int, start: int = 0) -> list[int]:
+    """start + the values `Generator.choice(n, k, replace=False)` returns
+    in Floyd's branch, given the draws it makes on `_choice_bounds(n, k)`."""
+    out, seen = [], set()
+    for j, v in zip(range(start + n - k, start + n), draws):
+        v += start
+        if v in seen:
+            v = j
+        seen.add(v)
+        out.append(v)
+    for i, j in zip(range(k - 1, 0, -1), draws[k:]):
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.ndarray:
     """Row indices of one PK batch: P classes drawn without replacement,
     then K distinct rows per class, class-major order.
 
     index is the split's `ClassIndex`; the caller has checked that it
     holds at least P classes of K rows each (`trainer.check_feasible`).
+
+    The batch, and the generator state it leaves, are those of
+    `index.draw(P, K, rng)`, which makes 1 + P calls
+    `rng.choice(n, k, replace=False)`. For n <= 10000 numpy makes each
+    such call as Floyd's selection, one Lemire-bounded draw in [0, j] for
+    j = n-k..n-1, then a Fisher-Yates shuffle, one bounded draw in [0, i]
+    for i = k-1..1. `rng.integers(0, bounds, endpoint=True)` with array
+    bounds makes the same bounded draws in the same order, so two such
+    calls, one for the classes and one for every drawn class's rows,
+    replay the 1 + P calls, and Floyd's selection and the shuffle run
+    here on the drawn values. Above 10000 numpy shuffles a tail of
+    arange(n) instead, so a split with more than 10000 classes, or rows
+    in one class, keeps `index.draw`. `TestPkBatchReplaysChoice` in
+    tests/test_sampling.py pins both paths, generator state included,
+    to `index.draw`.
     """
-    _, rows = index.draw(spec.p_classes, spec.k_samples, rng)
-    return rows.reshape(-1)
+    p, k = spec.p_classes, spec.k_samples
+    bounds = index.pk_bounds(p, k)
+    if bounds is None:
+        return index.draw(p, k, rng)[1].reshape(-1)
+    class_bounds, row_bounds = bounds
+    drawn = _choice_replay(
+        rng.integers(0, class_bounds, endpoint=True).tolist(), len(index.classes), p
+    )
+    offsets, sizes = index.offsets, index.sizes
+    flat = []
+    for ci, draws in zip(
+        drawn, rng.integers(0, row_bounds[drawn], endpoint=True).tolist()
+    ):
+        flat += _choice_replay(draws, sizes[ci], k, offsets[ci])
+    return index.order[flat]
 
 
 def episode_rows(

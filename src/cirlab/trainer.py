@@ -25,6 +25,7 @@ class's block of K rows with a reshape instead of a per-label scatter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -132,8 +133,10 @@ class TrainConfig:
             raise ConfigurationError(
                 "interference and noise are mutually exclusive perturbations"
             )
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigurationError(
+                f"temperature must be finite and > 0, got {self.temperature}"
+            )
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigurationError("label_smoothing must lie in [0, 1)")
         if not 0.0 <= self.holdout_fraction < 1.0:

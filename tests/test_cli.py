@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,32 @@ class TestTrain:
             "--val", str(workdir / "ds.val.cird"), "-o", str(tmp_path / "m.ckpt"),
         ]) == 2
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("extra", [
+        "margin = nan\n",
+        "margin = inf\n",
+        "interference = false\nnoise = true\nsigma = nan\n",
+        "interference = false\nnoise = true\nsigma = inf\n",
+        "learning_rate = nan\n",
+        "learning_rate = inf\n",
+        "loss_mode = oim\ntemperature = nan\n",
+        "loss_mode = oim\ntemperature = inf\n",
+    ], ids=["margin-nan", "margin-inf", "sigma-nan", "sigma-inf", "lr-nan",
+            "lr-inf", "temperature-nan", "temperature-inf"])
+    def test_non_finite_float_exits_2(self, workdir, tmp_path, capsys, extra, dry_run):
+        # nan passes every `< 0` check: it trained a frozen encoder at loss
+        # 0.0, or diverged and exited 4
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(RUN_CFG.replace("learning_rate = 0.001\n", "") + extra)
+        out = tmp_path / "m.ckpt"
+        assert entrypoint([
+            "train", "-c", str(bad), "-d", str(workdir / "ds.train.cird"),
+            "--val", str(workdir / "ds.val.cird"), "-o", str(out),
+            *(["--dry-run"] if dry_run else []),
+        ]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_exits_2(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -310,6 +338,28 @@ class TestReproduceCommand:
         base = ReproduceSettings(seeds=(0,), epochs=2).base
         assert parse_config_text(config_block) == base
         assert "# seeds = (0,)\n" in config_block
+
+    def test_manifest_lists_only_this_runs_files(self, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for out, seeds in ((reused, "0,1"), (reused, "0"), (fresh, "0")):
+            assert entrypoint([
+                "reproduce", "-o", str(out), "--seeds", seeds, "--epochs", "1",
+                "--threads", "1",
+            ]) == 0
+        # the first run's seed-1 curves are still in the reused directory
+        assert (reused / "curves_cir_seed1.csv").exists()
+        manifest = (reused / "reproduce.manifest").read_text()
+        listed = [
+            line.split(" = ")[1] for line in manifest.splitlines()
+            if line.startswith("output_") and "_sha256 = " not in line
+        ]
+        assert [os.path.basename(p) for p in listed] == [
+            "curves_cir_seed0.csv", "curves_no_reg_seed0.csv",
+            "curves_noise_seed0.csv", "summary.csv", "train_loss.svg",
+            "val_accuracy.svg",
+        ]
+        fresh_manifest = (fresh / "reproduce.manifest").read_text()
+        assert manifest.replace(str(reused), str(fresh)) == fresh_manifest
 
     @pytest.mark.parametrize("flags", [
         ("--seeds", "a"),

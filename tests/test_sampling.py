@@ -1,13 +1,18 @@
 """Tests for PK batches, episodes, and derived seeds."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, reproduce_spec, split_classes
 from cirlab.errors import ConfigurationError, DataError, InputError
 from cirlab.losses import triplet_masks
 from cirlab.sampling import (
     ClassIndex,
     PKSpec,
+    _choice_bounds,
+    _choice_replay,
     child_seed,
     episode_rows,
     pk_batch,
@@ -42,6 +47,38 @@ def loop_draw(labels, n_classes, per_class, rng):
         rows = by_class[classes[int(ci)]]
         out.extend(rows[rng.choice(len(rows), size=per_class, replace=False)])
     return np.asarray(out, dtype=np.int64)
+
+
+def noisy_train_labels(spec):
+    """Train-split labels of a label-noise mixture: uneven class sizes."""
+    ds = gen_gaussian_mixture(spec)
+    return split_classes(ds, (0.64, 0.16, 0.20), seed=spec.seed)[0].labels
+
+
+REPRODUCE_LABELS = noisy_train_labels(reproduce_spec(3))
+# the CLI benchmark's split: 100 classes of 40 rows, 10% label noise
+CLI_LABELS = noisy_train_labels(
+    GeneratorSpec(
+        num_classes=100, samples_per_class=40, input_dim=4,
+        nonlinearity="rotate_mix", label_noise_rate=0.1, seed=5,
+    )
+)
+
+
+class CountingRng:
+    """Delegates to a Generator and counts the calls of each method."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 class TestChildSeed:
@@ -148,6 +185,113 @@ class TestPkBatch:
             PKSpec(1, 4)
         with pytest.raises(ConfigurationError):
             PKSpec(4, 1)
+
+
+def assert_replays_choice(labels, p, k, seed, batches, buffered):
+    """pk_batch gives index.draw's rows and leaves its generator state,
+    PCG64's buffered 32-bit half included, after every batch."""
+    index, spec = ClassIndex(labels), PKSpec(p, k)
+    fused, ref = (np.random.default_rng(seed) for _ in range(2))
+    if buffered:
+        # a 32-bit draw leaves the other half of a 64-bit word buffered
+        fused.integers(0, 7, dtype=np.int32)
+        ref.integers(0, 7, dtype=np.int32)
+        assert fused.bit_generator.state["has_uint32"] == 1
+    for _ in range(batches):
+        rows = pk_batch(index, spec, fused)
+        expected = index.draw(p, k, ref)[1].reshape(-1)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, expected)
+        assert fused.bit_generator.state == ref.bit_generator.state
+
+
+def class_sizes(labels):
+    return np.unique(labels, return_counts=True)[1]
+
+
+class TestPkBatchReplaysChoice:
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        "labels,p,k",
+        [
+            (REPRODUCE_LABELS, 8, 4),  # the reproduce matrix's batches
+            (CLI_LABELS, 32, 8),  # the CLI benchmark's batches
+            (CLI_LABELS, 16, 16),
+            (CLI_LABELS, 5, 2),
+            (REPRODUCE_LABELS, len(class_sizes(REPRODUCE_LABELS)), 3),  # P == C
+            (CLI_LABELS, 4, int(class_sizes(CLI_LABELS).min())),  # K == min size
+            (shuffled_uneven_labels(), 8, 8),  # P == C and K == min size
+        ],
+        ids=["reproduce-8x4", "cli-32x8", "cli-16x16", "cli-k2", "p-all",
+             "k-min", "p-all-k-min"],
+    )
+    def test_same_rows_and_state_as_choice(self, labels, p, k, buffered):
+        sizes = class_sizes(labels)
+        assert sizes.min() < sizes.max()  # uneven classes
+        assert_replays_choice(labels, p, k, seed=p * k, batches=200, buffered=buffered)
+
+    def test_random_splits(self):
+        rng = np.random.default_rng(0)
+        for trial in range(60):
+            c = int(rng.integers(2, 60))
+            sizes = rng.integers(2, 50, size=c)
+            labels = rng.permutation(np.repeat(rng.choice(500, c, replace=False), sizes))
+            p, k = int(rng.integers(2, c + 1)), int(rng.integers(2, sizes.min() + 1))
+            assert_replays_choice(labels, p, k, trial, batches=10, buffered=trial % 2)
+
+    def test_tail_shuffle_split_keeps_choice(self):
+        # numpy shuffles a tail of arange(n) for n > 10000 and k > n // 50,
+        # not Floyd's selection: 202 of a 10050-row class takes that branch
+        labels = np.random.default_rng(1).permutation(
+            np.repeat([0, 3, 9], [10050, 300, 250])
+        )
+        assert ClassIndex(labels).pk_bounds(2, 202) is None
+        assert_replays_choice(labels, 2, 202, seed=4, batches=6, buffered=True)
+
+    def test_infeasible_splits_keep_choice(self):
+        # the caller checks P and K first, but a draw past them still
+        # behaves as choice does: batches missing the short class come out
+        # equal, and drawing it raises choice's ValueError
+        labels = np.repeat([0, 1, 2, 3], [10, 10, 10, 3])
+        index = ClassIndex(labels)
+        assert index.pk_bounds(2, 4) is None and index.pk_bounds(5, 2) is None
+        fused, ref = np.random.default_rng(0), np.random.default_rng(0)
+        raised = 0
+        for _ in range(40):
+            try:
+                expected = index.draw(2, 4, ref)[1].reshape(-1)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    pk_batch(index, PKSpec(2, 4), fused)
+                raised += 1
+            else:
+                assert np.array_equal(pk_batch(index, PKSpec(2, 4), fused), expected)
+            assert fused.bit_generator.state == ref.bit_generator.state
+        assert 0 < raised < 40
+        with pytest.raises(ValueError):
+            pk_batch(index, PKSpec(5, 2), fused)
+
+    def test_floyd_replay_is_choice_up_to_the_tail_shuffle(self):
+        # the numpy behaviour the fused draw relies on
+        for n, k in [(1, 1), (2, 2), (25, 4), (40, 40), (10000, 300), (10001, 200)]:
+            fused, ref = (np.random.default_rng(n + k) for _ in range(2))
+            draws = fused.integers(0, np.array(_choice_bounds(n, k)), endpoint=True)
+            expected = ref.choice(n, size=k, replace=False)
+            assert _choice_replay(draws.tolist(), n, k) == expected.tolist()
+            assert fused.bit_generator.state == ref.bit_generator.state
+        fused, ref = (np.random.default_rng(0) for _ in range(2))
+        draws = fused.integers(0, np.array(_choice_bounds(10050, 202)), endpoint=True)
+        tail = ref.choice(10050, size=202, replace=False)
+        assert _choice_replay(draws.tolist(), 10050, 202) != tail.tolist()
+
+    @pytest.mark.parametrize("labels,p,k", [(REPRODUCE_LABELS, 8, 4), (CLI_LABELS, 32, 8)])
+    def test_two_integers_calls_per_batch(self, labels, p, k):
+        index, spec = ClassIndex(labels), PKSpec(p, k)
+        counting, plain = CountingRng(np.random.default_rng(7)), np.random.default_rng(7)
+        for _ in range(25):
+            rows = pk_batch(index, spec, counting)
+            assert np.array_equal(rows, pk_batch(index, spec, plain))
+        assert counting.calls == Counter(integers=50)
 
 
 class TestSampleEpisode:
