@@ -324,9 +324,9 @@ def build_parser():
     r.add_argument("-o", "--out", required=True)
     r.add_argument("--seeds", default="0,1,2,3,4")
     r.add_argument("--epochs", type=int, default=60)
-    r.add_argument("--threads", type=int, default=None,
+    r.add_argument("--threads", type=int, default=1,
                    help="worker processes, each running a contiguous block of "
-                        "seed-major cells (default: CIR_THREADS or 1)")
+                        "seed-major cells (default: 1)")
     r.set_defaults(func=cmd_reproduce)
 
     return parser

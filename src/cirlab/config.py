@@ -222,8 +222,6 @@ def config_to_text(cfg):
     text is a complete record of the run; ``parse_config_text`` on the
     result reconstructs an equal config.
     """
-    if cfg.stage2 is not None and cfg.stage2.stage2 is not None:
-        raise ConfigurationError("two-stage schedules do not nest further")
     lines = _emit_section(cfg)
     if cfg.stage2 is not None:
         lines.append("")

@@ -7,9 +7,8 @@ the output layer is always linear so embeddings are unconstrained reals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +39,6 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def copy(self) -> "ModelParams":
         return ModelParams(
             layer_dims=self.layer_dims,
@@ -73,35 +68,7 @@ class ParamGrads:
     biases: list[np.ndarray]
 
 
-@dataclass(frozen=True)
-class LrSchedule:
-    """Constant rate until decay_start_epoch, exponential decay afterward."""
-
-    initial_rate: float
-    decay_start_epoch: int = 0
-    decay_factor_per_epoch: float = 1.0
-    total_epochs: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.initial_rate) and self.initial_rate > 0):
-            raise ConfigurationError(
-                f"initial_rate must be finite and > 0, got {self.initial_rate}"
-            )
-        if self.decay_start_epoch < 0:
-            raise ConfigurationError("decay_start_epoch must be >= 0")
-        if not 0.0 < self.decay_factor_per_epoch <= 1.0:
-            raise ConfigurationError(
-                f"decay_factor_per_epoch must lie in (0, 1], got {self.decay_factor_per_epoch}"
-            )
-        if self.total_epochs < 1:
-            raise ConfigurationError("total_epochs must be >= 1")
-
-    def rate(self, epoch: int) -> float:
-        exponent = max(0, epoch - self.decay_start_epoch)
-        return self.initial_rate * self.decay_factor_per_epoch**exponent
-
-
-def _check_activation(activation: str) -> None:
+def check_activation(activation: str) -> None:
     if activation not in ACTIVATIONS:
         raise ConfigurationError(
             f"unknown activation {activation!r}; expected one of {ACTIVATIONS}"
@@ -120,7 +87,7 @@ def init_params(
         raise ConfigurationError(f"need at least input and output dims, got {dims}")
     if any(d <= 0 for d in dims):
         raise ConfigurationError(f"all layer dims must be positive, got {dims}")
-    _check_activation(activation)
+    check_activation(activation)
 
     rng = np.random.default_rng(seed)
     weights = []
@@ -230,46 +197,3 @@ def sgd_step(params: ModelParams, grads: ParamGrads, rate: float) -> ModelParams
         biases=new_b,
         activation=params.activation,
     )
-
-
-def grad_check(
-    params: ModelParams,
-    loss_closure: Callable[[ModelParams], tuple[float, ParamGrads]],
-    epsilon: float = 1e-5,
-) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    loss_closure maps params to (loss, ParamGrads) and must be deterministic.
-    Returns the maximum per-entry discrepancy, normalized by the largest
-    gradient magnitude seen (per-entry relative error is meaningless for
-    near-zero entries, where finite differences are pure rounding noise).
-    """
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
-
-    _, analytic = loss_closure(params)
-    work = params.copy()
-
-    def fd_entry(arr: np.ndarray, idx) -> float:
-        orig = arr[idx]
-        arr[idx] = orig + epsilon
-        lo_hi, _ = loss_closure(work)
-        arr[idx] = orig - epsilon
-        lo_lo, _ = loss_closure(work)
-        arr[idx] = orig
-        return (lo_hi - lo_lo) / (2.0 * epsilon)
-
-    max_diff = 0.0
-    max_mag = 0.0
-    for kind in ("weights", "biases"):
-        arrays = getattr(work, kind)
-        grads = getattr(analytic, kind)
-        for arr, ga in zip(arrays, grads):
-            for idx in np.ndindex(arr.shape):
-                fd = fd_entry(arr, idx)
-                an = float(ga[idx])
-                max_diff = max(max_diff, abs(fd - an))
-                max_mag = max(max_mag, abs(fd), abs(an))
-    if max_mag == 0.0:
-        return 0.0
-    return max_diff / max_mag

@@ -13,9 +13,9 @@ Within one seed the three arms share their inputs by design: the
 generated dataset, the class split and the final-eval episodes. The
 cells are listed seed-major and cut into contiguous blocks, one block
 per worker; a block prepares those inputs once per seed it holds and
-trains its cells in order, each internally single-threaded.
-``CIR_THREADS`` (or the ``threads`` argument) sets the number of blocks
-and worker processes; with 1 the whole matrix is one serial block.
+trains its cells in order. The ``threads`` argument sets the number of
+blocks and worker processes (below 1 counts as 1); with 1 the whole
+matrix is one serial block.
 Results are put back in arm-major order before aggregation, so every
 output file is the same at any thread count.
 """
@@ -246,18 +246,6 @@ def _blocks(cells, count):
     return blocks
 
 
-def _thread_budget(threads):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("CIR_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"CIR_THREADS={env!r} is not an integer")
-    return 1
-
-
 def _ci95(values):
     if len(values) < 2:
         return 0.0
@@ -344,7 +332,7 @@ def _write_plots(out_dir, runs):
     return written
 
 
-def run_reproduction(out_dir, settings=None, threads=None):
+def run_reproduction(out_dir, settings=None, threads=1):
     """Run the full matrix; write curves, summary.csv, and plots.
 
     Returns a ReproduceReport; ``report.ok`` is False when any run
@@ -357,7 +345,7 @@ def run_reproduction(out_dir, settings=None, threads=None):
     cells = [(arm, seed) for seed in settings.seeds for arm in ARMS]
     jobs = [
         (settings, block, out_dir)
-        for block in _blocks(cells, _thread_budget(threads))
+        for block in _blocks(cells, max(1, int(threads)))
     ]
     if len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:

@@ -30,18 +30,14 @@ class ClassTable:
     def dim(self) -> int:
         return self.table.shape[1]
 
-    def copy(self) -> "ClassTable":
-        return ClassTable(table=self.table.copy(), momentum=self.momentum)
-
 
 def tac_init(
-    num_classes: int, dim: int, momentum: float = 0.5, seed: int = 0, scale: float = 1.0
+    num_classes: int, dim: int, momentum: float = 0.5, seed: int = 0
 ) -> ClassTable:
-    """Create a class table with rows drawn N(0, scale^2), seed-determined.
+    """Create a class table with rows drawn N(0, 1), seed-determined.
 
     At least two classes are required — the whole point of the table is
-    offering a *wrong* class to blend toward. scale=0 gives a zero table
-    for tests that want exact hand arithmetic.
+    offering a *wrong* class to blend toward.
     """
     if num_classes < 2:
         raise ConfigurationError(
@@ -51,9 +47,7 @@ def tac_init(
         raise ConfigurationError(f"dim must be >= 1, got {dim}")
     if not 0.0 < momentum <= 1.0:
         raise ConfigurationError(f"momentum must lie in (0, 1], got {momentum}")
-    if scale < 0:
-        raise ConfigurationError(f"scale must be >= 0, got {scale}")
-    table = np.random.default_rng(seed).normal(0.0, scale, size=(num_classes, dim))
+    table = np.random.default_rng(seed).normal(0.0, 1.0, size=(num_classes, dim))
     return ClassTable(table=table, momentum=momentum)
 
 

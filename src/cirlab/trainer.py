@@ -52,9 +52,9 @@ from .losses import (
     triplet_masks,
 )
 from .nn import (
-    LrSchedule,
     ModelParams,
     backward,
+    check_activation,
     forward,
     init_params,
     input_gradient,
@@ -72,6 +72,9 @@ CSV_HEADER = "epoch,stage,lr,train_loss,train_acc,val_acc,center_dist,inter_intr
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything one run needs; see the module docstring for semantics.
+
+    Construction refuses every setting that training would refuse, so a
+    config that parses can train on any split that `check_feasible` passes.
 
     For the Gaussian-noise control arm, `noise` is set (and interference
     disabled); when noise.sigma is None the scale is matched per batch to
@@ -119,6 +122,24 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigurationError(f"hidden dims must be >= 1, got {self.hidden_dims}")
+        check_activation(self.activation)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if self.decay_start_epoch < 0:
+            raise ConfigurationError(
+                f"decay_start_epoch must be >= 0, got {self.decay_start_epoch}"
+            )
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise ConfigurationError(
+                f"decay_factor must lie in (0, 1], got {self.decay_factor}"
+            )
+        PKSpec(self.p_classes, self.k_samples)
+        if not 0.0 < self.tac_momentum <= 1.0:
+            raise ConfigurationError(
+                f"gamma (tac_momentum) must lie in (0, 1], got {self.tac_momentum}"
+            )
         if self.mining not in MINING_MODES:
             raise ConfigurationError(
                 f"mining must be one of {MINING_MODES}, got {self.mining!r}"
@@ -149,16 +170,33 @@ class TrainConfig:
             raise ConfigurationError("episodic eval needs n_way >= 2, k/q >= 1")
         if self.eval_episodes < 1:
             raise ConfigurationError("eval_episodes must be >= 1")
-        # construct to validate the rate/decay ranges even for epochs = 0
-        self.make_schedule()
+        if self.stage2 is not None:
+            self._check_two_stage()
 
-    def make_schedule(self) -> LrSchedule:
-        return LrSchedule(
-            initial_rate=self.learning_rate,
-            decay_start_epoch=self.decay_start_epoch,
-            decay_factor_per_epoch=self.decay_factor,
-            total_epochs=max(1, self.epochs),
-        )
+    def _check_two_stage(self):
+        """Stage 1 pretrains with cross-entropy; stage 2 continues its
+        encoder with the triplet loss, so it keeps the encoder's dims."""
+        if self.loss_mode != "cross_entropy":
+            raise ConfigurationError(
+                f"two-stage training starts from cross_entropy, got {self.loss_mode!r}"
+            )
+        if self.stage2.stage2 is not None:
+            raise ConfigurationError("two-stage schedules do not nest further")
+        if self.stage2.loss_mode != "triplet":
+            raise ConfigurationError(
+                f"stage2 must use the triplet loss, got {self.stage2.loss_mode!r}"
+            )
+        if (
+            self.stage2.hidden_dims != self.hidden_dims
+            or self.stage2.embed_dim != self.embed_dim
+        ):
+            raise ConfigurationError("stage2 must keep the stage-1 encoder architecture")
+
+    def rate(self, epoch: int) -> float:
+        """The SGD rate of `epoch`: learning_rate until decay_start_epoch,
+        then decayed by decay_factor per epoch."""
+        exponent = max(0, epoch - self.decay_start_epoch)
+        return self.learning_rate * self.decay_factor**exponent
 
 
 @dataclass(frozen=True)
@@ -302,7 +340,6 @@ def train(
         seed=child_seed(cfg.seed, 1),
     )
     rng = np.random.default_rng(child_seed(cfg.seed, 2))
-    schedule = cfg.make_schedule()
 
     feats = train_ds.features.astype(np.float64)
     labels = train_ds.labels
@@ -327,7 +364,7 @@ def train(
         val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
     logs: list[EpochLog] = []
     for e in range(cfg.epochs):
-        rate = schedule.rate(e)
+        rate = cfg.rate(e)
         loss_sum = 0.0
         acc_sum = 0.0
         for it in range(cfg.iterations):
@@ -496,19 +533,10 @@ def _classification_accuracy(z, labels, head, tac, temperature) -> float:
 def train_two_stage(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig):
     """Cross-entropy pretrain, then discard the head, re-derive a fresh
     class table, and continue with triplet training from the stage-1
-    encoder. Logs concatenate with stage markers 1 and 2."""
-    if cfg.loss_mode != "cross_entropy":
-        raise ConfigurationError(
-            f"two-stage training starts from cross_entropy, got {cfg.loss_mode!r}"
-        )
+    encoder. Logs concatenate with stage markers 1 and 2; TrainConfig has
+    checked the pair of stages."""
     if cfg.stage2 is None:
         raise ConfigurationError("two-stage training needs a stage2 config")
-    if cfg.stage2.loss_mode != "triplet":
-        raise ConfigurationError(
-            f"stage2 must use the triplet loss, got {cfg.stage2.loss_mode!r}"
-        )
-    if cfg.stage2.hidden_dims != cfg.hidden_dims or cfg.stage2.embed_dim != cfg.embed_dim:
-        raise ConfigurationError("stage2 must keep the stage-1 encoder architecture")
 
     stage1_cfg = replace(cfg, stage2=None)
     params, _, logs1 = train(train_ds, val_ds, stage1_cfg, stage=1)

@@ -3,7 +3,8 @@ one-triple triplet loss, the enumerated batch-all triple list, the B^3
 batch-all loss, the gather loss with its label masks rebuilt on every
 call and boolean-mask gathers, the per-label class-mean table update,
 the out-of-place pairwise distances, the dense N x N
-geometry statistics, the scalar negative-class draw, the four per-head
+geometry statistics, the scalar negative-class draw, the central
+finite-difference gradient checker, the four per-head
 training steps that the one shared training step replaced, and the
 reproduce settings that mirrored the training config. They are slow,
 memory-hungry or repetitive on purpose and live only with the tests."""
@@ -35,6 +36,45 @@ from cirlab.nn import backward, forward, input_gradient
 from cirlab.sampling import pk_batch
 from cirlab.tac import ClassTable
 from cirlab.trainer import TrainConfig
+
+
+def grad_check(params, loss_closure, epsilon=1e-5) -> float:
+    """Compare analytic gradients against central finite differences.
+
+    loss_closure maps params to (loss, ParamGrads) and must be deterministic.
+    Returns the maximum per-entry discrepancy, normalized by the largest
+    gradient magnitude seen (per-entry relative error is meaningless for
+    near-zero entries, where finite differences are pure rounding noise).
+    """
+    if epsilon <= 0:
+        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+
+    _, analytic = loss_closure(params)
+    work = params.copy()
+
+    def fd_entry(arr: np.ndarray, idx) -> float:
+        orig = arr[idx]
+        arr[idx] = orig + epsilon
+        lo_hi, _ = loss_closure(work)
+        arr[idx] = orig - epsilon
+        lo_lo, _ = loss_closure(work)
+        arr[idx] = orig
+        return (lo_hi - lo_lo) / (2.0 * epsilon)
+
+    max_diff = 0.0
+    max_mag = 0.0
+    for kind in ("weights", "biases"):
+        arrays = getattr(work, kind)
+        grads = getattr(analytic, kind)
+        for arr, ga in zip(arrays, grads):
+            for idx in np.ndindex(arr.shape):
+                fd = fd_entry(arr, idx)
+                an = float(ga[idx])
+                max_diff = max(max_diff, abs(fd - an))
+                max_mag = max(max_mag, abs(fd), abs(an))
+    if max_mag == 0.0:
+        return 0.0
+    return max_diff / max_mag
 
 
 def _dist(a: np.ndarray, b: np.ndarray, squared: bool) -> float:

@@ -26,12 +26,12 @@ from cirlab.losses import (
     oim_scores,
     study_case_loss,
 )
-from cirlab.nn import backward, forward, grad_check, init_params
+from cirlab.nn import backward, forward, init_params
 from cirlab.reproduce import ReproduceSettings, run_reproduction
 from cirlab.tac import tac_init, tac_update
 from cirlab.sampling import episode_rows
 from cirlab.trainer import TrainConfig, train
-from oracles import batch_all_triplets
+from oracles import batch_all_triplets, grad_check
 
 
 def _passline(n, msg):

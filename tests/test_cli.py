@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cirlab
 from cirlab.cli import entrypoint
 from cirlab.config import parse_config_text
 from cirlab.datagen import Dataset, load_dataset, save_dataset
@@ -38,6 +41,30 @@ def workdir(tmp_path_factory):
     assert code == 0
     (root / "run.cfg").write_text(RUN_CFG)
     return root
+
+
+@pytest.fixture(scope="module")
+def wide_split(tmp_path_factory):
+    """A split large enough for RUN_CFG's batches, episodes and holdout."""
+    root = tmp_path_factory.mktemp("wide")
+    assert entrypoint([
+        "gen", "--classes", "30", "--per-class", "20", "--seed", "3",
+        "--split", "0.5,0.3,0.2", "-o", str(root / "ds.cird"),
+    ]) == 0
+    return root
+
+
+def _set(text, key, value):
+    """RUN_CFG-style text with the line of `key` set to `value`."""
+    lines = [
+        f"{key} = {value}" if line.split(" = ")[0] == key else line
+        for line in text.splitlines()
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _two_stage(stage1_mode, stage2_text):
+    return f"{RUN_CFG}loss_mode = {stage1_mode}\n[stage2]\n{stage2_text}"
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +184,40 @@ class TestTrain:
         ]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (_set(RUN_CFG, "gamma", "0"), "gamma (tac_momentum) must lie in (0, 1]"),
+        (_set(RUN_CFG, "gamma", "1.5"), "gamma (tac_momentum) must lie in (0, 1]"),
+        (_set(RUN_CFG, "gamma", "nan"), "gamma (tac_momentum) must lie in (0, 1]"),
+        (_set(RUN_CFG, "p_classes", "1"), "p_classes must be >= 2"),
+        (_set(RUN_CFG, "k_samples", "1"), "k_samples must be >= 2"),
+        (RUN_CFG + "activation = sigmoid\n", "unknown activation 'sigmoid'"),
+        (_two_stage("oim", RUN_CFG), "starts from cross_entropy, got 'oim'"),
+        (_two_stage("cross_entropy", RUN_CFG + "loss_mode = oim\n"),
+         "stage2 must use the triplet loss"),
+        (_two_stage("cross_entropy", _set(RUN_CFG, "embed_dim", "4")),
+         "stage2 must keep the stage-1 encoder architecture"),
+        (_two_stage("cross_entropy", _set(RUN_CFG, "gamma", "0")),
+         "gamma (tac_momentum) must lie in (0, 1]"),
+    ], ids=["gamma-0", "gamma-1.5", "gamma-nan", "p-1", "k-1", "sigmoid",
+            "stage1-oim", "stage2-oim", "stage2-dims", "stage2-gamma-0"])
+    def test_dry_run_refuses_what_training_refuses(
+        self, wide_split, tmp_path, capsys, text, message
+    ):
+        # the split passes check_feasible, so only the config can fail
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        errors = []
+        for flags in (["--dry-run"], []):
+            out = tmp_path / "m.ckpt"
+            assert entrypoint([
+                "train", "-c", str(cfg), "-d", str(wide_split / "ds.train.cird"),
+                "--val", str(wide_split / "ds.val.cird"), "-o", str(out), *flags,
+            ]) == 2
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert message in errors[0]
 
     def test_unknown_key_exits_2(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -372,6 +433,44 @@ class TestReproduceCommand:
         assert entrypoint(["reproduce", "-o", str(out), *flags]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+
+BLAS_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS",
+)
+
+
+def _blas_probe(**env):
+    """Import cirlab.cli in a fresh interpreter with no BLAS variable set
+    but `env`, run a 300 x 300 matmul, and return the interpreter's thread
+    count (None without /proc) and its OPENBLAS_NUM_THREADS."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS} | env
+    src = os.path.dirname(os.path.dirname(cirlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import os, cirlab.cli, numpy as np\n"
+        "a = np.ones((300, 300)); a @ a\n"
+        "task = '/proc/self/task'\n"
+        "print(len(os.listdir(task)) if os.path.isdir(task) else None,"
+        " os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    return (None if out[0] == "None" else int(out[0])), out[1]
+
+
+class TestBlasThreads:
+    def test_one_thread_by_default(self):
+        threads, value = _blas_probe()
+        if threads is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert (threads, value) == (1, "1")
+
+    def test_explicit_setting_wins(self):
+        assert _blas_probe(OPENBLAS_NUM_THREADS="2")[1] == "2"
 
 
 def test_usage_error_exits_2(capsys):

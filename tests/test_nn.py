@@ -1,19 +1,21 @@
-"""Tests for the feed-forward encoder: forward, backward, SGD, schedules."""
+"""Tests for the feed-forward encoder: forward, backward, SGD, the
+learning-rate schedule of TrainConfig, and the finite-difference checker
+the other gradient tests rely on."""
 
 import numpy as np
 import pytest
 
 from cirlab.errors import ConfigurationError, NumericError, ShapeError
 from cirlab.nn import (
-    LrSchedule,
     ModelParams,
     backward,
     forward,
-    grad_check,
     init_params,
     input_gradient,
     sgd_step,
 )
+from cirlab.trainer import TrainConfig
+from oracles import grad_check
 
 
 def single_layer(w, b, activation="identity"):
@@ -204,34 +206,28 @@ class TestSgd:
 
 class TestLrSchedule:
     def test_flat_then_decay(self):
-        sched = LrSchedule(
-            initial_rate=0.1, decay_start_epoch=3, decay_factor_per_epoch=0.5, total_epochs=8
-        )
-        rates = [sched.rate(e) for e in range(8)]
+        cfg = TrainConfig(learning_rate=0.1, decay_start_epoch=3, decay_factor=0.5)
+        rates = [cfg.rate(e) for e in range(8)]
         assert rates[:4] == [0.1, 0.1, 0.1, 0.1]
         assert np.isclose(rates[4], 0.05)
         assert np.isclose(rates[7], 0.1 * 0.5**4)
 
     def test_non_increasing(self):
-        sched = LrSchedule(
-            initial_rate=0.2, decay_start_epoch=2, decay_factor_per_epoch=0.9, total_epochs=30
-        )
-        rates = [sched.rate(e) for e in range(30)]
+        cfg = TrainConfig(learning_rate=0.2, decay_start_epoch=2, decay_factor=0.9)
+        rates = [cfg.rate(e) for e in range(30)]
         assert all(b <= a for a, b in zip(rates, rates[1:]))
 
     def test_factor_one_is_constant(self):
-        sched = LrSchedule(initial_rate=0.3, total_epochs=5)
-        assert all(sched.rate(e) == 0.3 for e in range(5))
+        cfg = TrainConfig(learning_rate=0.3)
+        assert all(cfg.rate(e) == 0.3 for e in range(5))
 
     def test_invalid_settings_raise(self):
-        with pytest.raises(ConfigurationError):
-            LrSchedule(initial_rate=0.0)
-        with pytest.raises(ConfigurationError):
-            LrSchedule(initial_rate=0.1, decay_factor_per_epoch=0.0)
-        with pytest.raises(ConfigurationError):
-            LrSchedule(initial_rate=0.1, decay_factor_per_epoch=1.5)
-        with pytest.raises(ConfigurationError):
-            LrSchedule(initial_rate=0.1, total_epochs=0)
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            TrainConfig(learning_rate=0.0)
+        with pytest.raises(ConfigurationError, match="decay_factor"):
+            TrainConfig(learning_rate=0.1, decay_factor=0.0)
+        with pytest.raises(ConfigurationError, match="decay_factor"):
+            TrainConfig(learning_rate=0.1, decay_factor=1.5)
 
 
 class TestGradCheck:

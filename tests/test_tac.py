@@ -25,10 +25,6 @@ class TestInitAndLookup:
         assert np.array_equal(a.table, b.table)
         assert not np.array_equal(a.table, tac_init(4, 3, seed=10).table)
 
-    def test_zero_scale_gives_zero_table(self):
-        tac = tac_init(3, 2, scale=0.0)
-        assert np.all(tac.table == 0.0)
-
     def test_bad_settings(self):
         with pytest.raises(ConfigurationError):
             tac_init(1, 3)  # a lone class has no wrong class to offer

@@ -13,7 +13,7 @@ from cirlab.datagen import Dataset, GeneratorSpec, gen_gaussian_mixture, split_c
 from cirlab.errors import ConfigurationError, DataError, NumericError, ShapeError
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig
-from cirlab.nn import forward, grad_check, init_params
+from cirlab.nn import forward, init_params
 from cirlab.sampling import ClassIndex, episode_rows
 from cirlab.tac import tac_init
 from cirlab.trainer import (
@@ -29,6 +29,7 @@ from cirlab.trainer import (
     train,
     train_two_stage,
 )
+from oracles import grad_check
 
 
 def make_splits(seed=0, num_classes=12, per_class=20, dim=8, spread=0.3, scale=3.0):
