@@ -139,44 +139,63 @@ def batch_all_triplet_loss(
     row. With an empty triplet set the loss is 0 with zero gradients.
     masks, when given, must be `triplet_masks(labels)`, built once for
     every batch with this label pattern; otherwise it is derived here.
+
+    Features of shape S x B x d are S batches that share one label
+    pattern: labels is then S x B and masks is required. The loss and the
+    gradients are each batch's own, with its bits alone: loss is an S-vector
+    and the gradients are S x B x d. num_triplets and num_active are
+    totals over the S batches.
     """
     z = np.asarray(features, dtype=np.float64)
     zt = np.asarray(blended_anchors, dtype=np.float64)
     labels = np.asarray(labels)
-    if z.ndim != 2 or zt.shape != z.shape:
+    if z.ndim not in (2, 3) or zt.shape != z.shape:
         raise ShapeError(
             f"features {z.shape} and blended_anchors {zt.shape} must be "
-            "equal-shaped 2-D arrays"
+            "equal-shaped 2-D arrays, or 3-D for a stack of batches"
         )
-    if labels.shape != (z.shape[0],):
+    if labels.shape != z.shape[:-1]:
         raise ShapeError("labels do not match feature rows")
+    b = z.shape[-2]
     if masks is None:
+        if z.ndim == 3:
+            raise ShapeError("a stack of batches needs its shared label masks")
         masks = triplet_masks(labels)
-    elif masks.pos_ok.shape != (z.shape[0], z.shape[0]):
+    elif masks.pos_ok.shape != (b, b):
         raise ShapeError(
             f"masks of {masks.pos_ok.shape[0]} rows do not match "
-            f"{z.shape[0]} feature rows"
+            f"{b} feature rows"
         )
+    single = z.ndim == 2
+    if single:
+        z, zt = z[None], zt[None]
 
     # pairwise squared distances blended-anchor-to-raw, built in place on
     # the matmul output as in evaluate._pairwise_dist (same bits)
-    sq = zt @ z.T
+    sq = zt @ z.swapaxes(1, 2)
     sq *= -2.0
-    sq += (zt * zt).sum(axis=1)[:, None]
-    sq += (z * z).sum(axis=1)[None, :]
+    sq += (zt * zt).sum(axis=2)[:, :, None]
+    sq += (z * z).sum(axis=2)[:, None, :]
     np.maximum(sq, 0.0, out=sq)
     dist = sq if cfg.squared else np.sqrt(sq, out=sq)
 
-    num_triplets = masks.num_triplets
-    if num_triplets == 0:
-        return _zero_gradients(z, 0.0, 0)
+    stacks = z.shape[0]
+    if masks.num_triplets == 0:
+        return _result(single, np.zeros(stacks), np.zeros_like(z), np.zeros_like(z), 0, 0)
+    num_triplets = masks.num_triplets * stacks
 
-    count_ap, count_an, total = _active_counts(dist, masks, cfg.margin)
-    num_active = int(count_ap.sum())
-    denom = num_triplets if cfg.reduction == "mean_all" else max(num_active, 1)
-    loss = total / denom
+    count_ap, count_an, total, active = _active_counts(dist, masks, cfg.margin)
+    num_active = int(active.sum())
+    if cfg.reduction == "mean_all":
+        # one python scalar for every batch, as each batch alone divides
+        w = 1.0 / masks.num_triplets
+        loss = total / masks.num_triplets
+    else:
+        denom = np.maximum(active, 1)
+        w = (1.0 / denom)[:, None, None]
+        loss = total / denom
     if num_active == 0:
-        return _zero_gradients(z, loss, num_triplets)
+        return _result(single, loss, np.zeros_like(z), np.zeros_like(z), num_triplets, 0)
 
     # per-pair multiplicities, in place on the counts: wa[a,p] triplets
     # where (a,p) is the positive pair, wc[a,n] where (a,n) is the negative
@@ -190,13 +209,26 @@ def batch_all_triplet_loss(
         wa /= safe
         wc /= safe
 
-    w = 1.0 / denom
-    row_wa = wa.sum(axis=1)
-    row_wc = wc.sum(axis=1)
-    col_wa = wa.sum(axis=0)
-    col_wc = wc.sum(axis=0)
-    grad_anchor = w * ((row_wa - row_wc)[:, None] * zt - wa @ z + wc @ z)
-    grad_other = w * ((wc.T - wa.T) @ zt + (col_wa - col_wc)[:, None] * z)
+    row_wa = wa.sum(axis=2)
+    row_wc = wc.sum(axis=2)
+    col_wa = wa.sum(axis=1)
+    col_wc = wc.sum(axis=1)
+    grad_anchor = w * ((row_wa - row_wc)[:, :, None] * zt - wa @ z + wc @ z)
+    grad_other = w * (
+        (wc.swapaxes(1, 2) - wa.swapaxes(1, 2)) @ zt + (col_wa - col_wc)[:, :, None] * z
+    )
+    # a batch with no active triple has exact zero gradients, as alone
+    if stacks > 1 and not active.all():
+        idle = active == 0
+        grad_anchor[idle] = 0.0
+        grad_other[idle] = 0.0
+    return _result(single, loss, grad_anchor, grad_other, num_triplets, num_active)
+
+
+def _result(single, loss, grad_anchor, grad_other, num_triplets, num_active):
+    """The loss's result, with the stack axis dropped for a single batch."""
+    if single:
+        loss, grad_anchor, grad_other = float(loss[0]), grad_anchor[0], grad_other[0]
     return TripletBatchResult(
         loss=loss,
         grad_anchor=grad_anchor,
@@ -207,12 +239,14 @@ def batch_all_triplet_loss(
 
 
 def _active_counts(dist, masks, margin):
-    """Active-triple counts per pair and the hinge total over them.
+    """Active-triple counts per pair and the hinge total over them, for
+    each of a stack of S batches.
 
-    count_ap[a, p] counts the negatives n, and count_an[a, n] the
+    count_ap[s, a, p] counts the negatives n, and count_an[s, a, n] the
     positives p, for which (a, p, n) is active; both are float64 holding
-    exact integers. Every B x K x B and B x B temporary is freed on return,
-    before the caller's gradient block.
+    exact integers. total and active, each batch's hinge total and active
+    count, are S-vectors. Every S x B x K x B and S x B x B temporary is
+    freed on return, before the caller's gradient block.
     """
     # (a, p, n) is active iff dist[a, n] < s[a, p] with s = margin + dist;
     # this is the B^3 test fl(s - dist[a, n]) > 0 exactly. Row a of thr
@@ -220,39 +254,27 @@ def _active_counts(dist, masks, margin):
     # padded with 0, which no distance lies below; negd holds its negative
     # distances, +inf where the pair is not a negative. A NaN on either
     # side compares false, so a NaN hinge is never active.
-    b = dist.shape[0]
+    stacks, b = dist.shape[:2]
     s = margin + dist
-    thresholds = s.take(masks.pos_index)
+    thresholds = s.reshape(stacks, b * b).take(masks.pos_index, axis=1)
     if masks.slot_index is None:
-        thr = thresholds.reshape(b, masks.width)
+        thr = thresholds.reshape(stacks, b, masks.width)
     else:
-        thr = np.zeros((b, masks.width))
-        thr.reshape(-1)[masks.slot_index] = thresholds
+        thr = np.zeros((stacks, b, masks.width))
+        thr.reshape(stacks, -1)[:, masks.slot_index] = thresholds
     negd = np.where(masks.neg_ok, dist, np.inf)
-    active = negd[:, None, :] < thr[:, :, None]  # (anchor, positive slot, n)
-    count_an = active.sum(axis=1, dtype=np.float64)
-    per_slot = active.sum(axis=2).reshape(-1)
+    active = negd[:, :, None, :] < thr[:, :, :, None]  # (anchor, positive slot, n)
+    count_an = active.sum(axis=2, dtype=np.float64)
+    per_slot = active.sum(axis=3).reshape(stacks, -1)
     if masks.slot_index is not None:
-        per_slot = per_slot[masks.slot_index]
-    count_ap = np.zeros(b * b)
-    count_ap[masks.pos_index] = per_slot
-    count_ap = count_ap.reshape(b, b)
-    total = float(
-        (count_ap * s).sum(where=count_ap > 0, initial=0.0)
-        - (count_an * dist).sum(where=count_an > 0, initial=0.0)
-    )
-    return count_ap, count_an, total
-
-
-def _zero_gradients(z, loss, num_triplets):
-    """A result with no active triple: zero gradients in both slots."""
-    return TripletBatchResult(
-        loss=loss,
-        grad_anchor=np.zeros_like(z),
-        grad_other=np.zeros_like(z),
-        num_triplets=num_triplets,
-        num_active=0,
-    )
+        per_slot = per_slot.take(masks.slot_index, axis=1)
+    count_ap = np.zeros((stacks, b * b))
+    count_ap[:, masks.pos_index] = per_slot
+    count_ap = count_ap.reshape(stacks, b, b)
+    total = (count_ap * s).sum(axis=(1, 2), where=count_ap > 0, initial=0.0) - (
+        count_an * dist
+    ).sum(axis=(1, 2), where=count_an > 0, initial=0.0)
+    return count_ap, count_an, total, per_slot.sum(axis=1)
 
 
 def oim_scores(

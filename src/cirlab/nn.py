@@ -3,6 +3,12 @@
 Weights live in plain numpy arrays so every gradient is inspectable and
 checkable against finite differences. Hidden layers share one activation;
 the output layer is always linear so embeddings are unconstrained reals.
+
+The passes work on the last two axes of every array. Plain params hold
+2-D weights and take B x d_in batches; a stack of S encoders of one
+architecture (`stack_params`) holds (S, ...) weights and takes S x B x d_in
+batches, one per encoder, and each slice of its results has the bits of
+the same pass on that encoder alone.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ class ModelParams:
 
     weights[l] has shape (layer_dims[l+1], layer_dims[l]); biases[l] has
     length layer_dims[l+1]. The hidden activation applies to all layers
-    except the last, which stays linear.
+    except the last, which stays linear. A stack of S encoders puts a
+    leading axis of length S on every array.
     """
 
     layer_dims: tuple[int, ...]
@@ -39,11 +46,12 @@ class ModelParams:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def copy(self) -> "ModelParams":
+    def arm(self, s: int) -> "ModelParams":
+        """Encoder s of a stack, as plain params viewing the stack's arrays."""
         return ModelParams(
             layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
+            weights=[w[s] for w in self.weights],
+            biases=[b[s] for b in self.biases],
             activation=self.activation,
         )
 
@@ -73,6 +81,20 @@ def check_activation(activation: str) -> None:
         raise ConfigurationError(
             f"unknown activation {activation!r}; expected one of {ACTIVATIONS}"
         )
+
+
+def stack_params(arms: Sequence[ModelParams]) -> ModelParams:
+    """Stack plain params of one architecture on a new leading axis."""
+    first = arms[0]
+    if any(p.layer_dims != first.layer_dims or p.activation != first.activation
+           for p in arms):
+        raise ShapeError("stacked params must share dims and activation")
+    return ModelParams(
+        layer_dims=first.layer_dims,
+        weights=[np.stack(ws) for ws in zip(*(p.weights for p in arms))],
+        biases=[np.stack(bs) for bs in zip(*(p.biases for p in arms))],
+        activation=first.activation,
+    )
 
 
 def init_params(
@@ -117,13 +139,20 @@ def _activate_grad(pre: np.ndarray, activation: str) -> np.ndarray:
 
 
 def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run the encoder on a B x d_in batch, returning B x d features and a cache."""
+    """Run the encoder on a B x d_in batch, returning B x d features and a
+    cache; a stack of S encoders runs on S x B x d_in, batch s on encoder s."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
+    if params.weights[0].ndim == 3:
+        if x.ndim != 3 or x.shape[0] != params.weights[0].shape[0]:
+            raise ShapeError(
+                f"a stack of {params.weights[0].shape[0]} encoders takes one "
+                f"2-D batch each, got shape {x.shape}"
+            )
+    elif x.ndim != 2:
         raise ShapeError(f"input batch must be 2-D, got shape {x.shape}")
-    if x.shape[1] != params.input_dim:
+    if x.shape[-1] != params.input_dim:
         raise ShapeError(
-            f"input has {x.shape[1]} columns, encoder expects {params.input_dim}"
+            f"input has {x.shape[-1]} columns, encoder expects {params.input_dim}"
         )
     if x.size and not np.isfinite(x).all():
         raise NumericError("input batch contains non-finite values")
@@ -133,7 +162,8 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
     h = x
     last = params.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        pre = h @ w.T + b
+        pre = h @ w.swapaxes(-1, -2)
+        pre += b[..., None, :]
         preacts.append(pre)
         h = pre if l == last else _activate(pre, params.activation)
         if l != last:
@@ -154,8 +184,8 @@ def backward(params: ModelParams, cache: ForwardCache, grad_output: np.ndarray) 
     g_biases = [np.empty(0)] * params.num_layers
     delta = grad_output  # d loss / d preact of the (linear) output layer
     for l in range(params.num_layers - 1, -1, -1):
-        g_weights[l] = delta.T @ cache.inputs[l]
-        g_biases[l] = delta.sum(axis=0)
+        g_weights[l] = delta.swapaxes(-1, -2) @ cache.inputs[l]
+        g_biases[l] = delta.sum(axis=-2)
         if l > 0:
             delta = (delta @ params.weights[l]) * _activate_grad(
                 cache.preacts[l - 1], params.activation
@@ -177,7 +207,8 @@ def input_gradient(params: ModelParams, cache: ForwardCache, grad_output: np.nda
 
 
 def sgd_step(params: ModelParams, grads: ParamGrads, rate: float) -> ModelParams:
-    """Descend the loss: new = old - rate * grad, elementwise."""
+    """Descend the loss: new = old - rate * grad, elementwise, for plain or
+    stacked params alike."""
     if rate <= 0:
         raise ConfigurationError(f"learning rate must be > 0, got {rate}")
     if len(grads.weights) != params.num_layers:

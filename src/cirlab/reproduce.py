@@ -13,7 +13,10 @@ Within one seed the three arms share their inputs by design: the
 generated dataset, the class split and the final-eval episodes. The
 cells are listed seed-major and cut into contiguous blocks, one block
 per worker; a block prepares those inputs once per seed it holds and
-trains its cells in order. The ``threads`` argument sets the number of
+trains that seed's arms in lockstep, in one `train` call that runs each
+step's encoder, loss and updates once for the stacked arms (a seed cut
+across two blocks trains its arms in two such calls), then scores each
+cell in order. The ``threads`` argument sets the number of
 blocks and worker processes (below 1 counts as 1); with 1 the whole
 matrix is one serial block.
 Results are put back in arm-major order before aggregation, so every
@@ -159,17 +162,17 @@ def _prepare(settings, seed):
     return inputs
 
 
-def _run_one(settings, arm, seed, inputs, out_dir):
-    """Train one (arm, seed) cell on its seed's inputs and write its curve
-    CSV.
+def _score_cell(settings, arm, seed, inputs, trained, out_dir):
+    """Score one trained (arm, seed) cell on its seed's inputs and write
+    its curve CSV.
 
     Runs inside a worker process when parallelism is on, so everything
     it needs arrives through the arguments and everything it produces
     goes back through the return value (plus its own CSV file).
     """
     train_ds, val_ds = inputs.train_ds, inputs.val_ds
-    cfg = _train_config(settings, arm, seed)
-    params, tac, logs = train(train_ds, val_ds, cfg)
+    params, tac, logs = trained
+    cfg = settings.base
 
     def final_accuracy(split, rows):
         return evaluate_checkpoint(
@@ -200,19 +203,20 @@ def _curve_file(arm, seed):
 
 def _failure(exc):
     """The failure-row message for an exception raised in a cell or in its
-    seed's preparation; call it from the ``except`` block."""
+    seed's preparation; an unexpected one also prints its traceback."""
     if not isinstance(exc, (CirError, FloatingPointError)):
-        traceback.print_exc(file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
     return f"{type(exc).__name__}: {exc}"
 
 
 def _worker(packed):
-    """Run one block of (arm, seed) cells in order, preparing each seed's
-    inputs once; returns ((arm, seed), outcome) pairs.
+    """Run one block of (arm, seed) cells, preparing each seed's inputs
+    once and training its arms in lockstep; returns ((arm, seed), outcome)
+    pairs.
 
     A failed cell becomes one (arm, seed, message) row and the other cells
-    still run; a failed preparation gives its row to each of the seed's
-    cells in the block.
+    still run; a failed preparation, or a failure every arm of the seed
+    shares, gives its row to each of the seed's cells in the block.
     """
     settings, block, out_dir = packed
     outcomes = []
@@ -220,13 +224,22 @@ def _worker(packed):
         arms = [arm for arm, _ in cells]
         try:
             inputs = _prepare(settings, seed)
+            # one outcome per arm: (params, table, logs) or its exception
+            first, *rest = (_train_config(settings, arm, seed) for arm in arms)
+            train_ds, val_ds = inputs.train_ds, inputs.val_ds
+            trained = (
+                train(train_ds, val_ds, first, arms=tuple(rest)) if rest
+                else [train(train_ds, val_ds, first)]
+            )
         except Exception as exc:
             message = _failure(exc)
             outcomes.extend(((arm, seed), (arm, seed, message)) for arm in arms)
             continue
-        for arm in arms:
+        for arm, result in zip(arms, trained):
             try:
-                outcome = _run_one(settings, arm, seed, inputs, out_dir)
+                if isinstance(result, Exception):
+                    raise result
+                outcome = _score_cell(settings, arm, seed, inputs, result, out_dir)
             except Exception as exc:
                 outcome = (arm, seed, _failure(exc))
             outcomes.append(((arm, seed), outcome))

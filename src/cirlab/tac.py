@@ -17,18 +17,19 @@ from .errors import ConfigurationError, InputError, ShapeError
 @dataclass
 class ClassTable:
     """table has shape (num_classes, dim); momentum is the EMA weight on
-    the fresh batch mean."""
+    the fresh batch mean. A stack of S tables of one momentum has shape
+    (S, num_classes, dim)."""
 
     table: np.ndarray
     momentum: float
 
     @property
     def num_classes(self) -> int:
-        return self.table.shape[0]
+        return self.table.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.table.shape[1]
+        return self.table.shape[-1]
 
 
 def tac_init(
@@ -57,6 +58,16 @@ def class_means(features: np.ndarray, labels: np.ndarray, num_classes: int):
     Returns (means, counts): means is (num_classes, dim) with zero rows for
     absent classes, counts is the per-class row count.
     """
+    sums, counts = _class_sums(features, labels, num_classes)
+    means = np.zeros_like(sums)
+    present = counts > 0
+    means[present] = sums[present] / counts[present, None]
+    return means, counts
+
+
+def _class_sums(features, labels, num_classes):
+    """Per-class sums of the rows of features, each added in row order
+    from zero, and the per-class row counts."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if features.ndim != 2:
@@ -71,10 +82,7 @@ def class_means(features: np.ndarray, labels: np.ndarray, num_classes: int):
     counts = np.bincount(labels, minlength=num_classes).astype(np.int64)
     sums = np.zeros((num_classes, features.shape[1]))
     np.add.at(sums, labels, features)
-    means = np.zeros_like(sums)
-    present = counts > 0
-    means[present] = sums[present] / counts[present, None]
-    return means, counts
+    return sums, counts
 
 
 def tac_update(
@@ -95,38 +103,51 @@ def tac_update(
     class_rows = K declares a class-major batch of distinct classes, K rows
     each, as PK sampling draws it: each class's rows then form one block
     and are summed with a reshape, in the same order and to the same bits
-    as the general per-label accumulation.
+    as the general per-label accumulation. This path also takes a stack of
+    S tables with S x B features and S x B labels, batch s updating table
+    s to the bits of that update alone.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != tac.dim:
+    stacked = tac.table.ndim == 3
+    if (
+        features.ndim != tac.table.ndim
+        or features.shape[-1] != tac.dim
+        or (stacked and features.shape[0] != tac.table.shape[0])
+    ):
         raise ShapeError(
-            f"features shape {features.shape} does not match table dim {tac.dim}"
+            f"features shape {features.shape} does not match table shape "
+            f"{tac.table.shape}"
         )
     if class_rows is None:
-        means, counts = class_means(features, labels, tac.num_classes)
-        present = counts > 0
-        classes, means = np.flatnonzero(present), means[present]
+        if stacked:
+            raise ShapeError("a stack of tables needs class-major batches")
+        # the present classes' means, as class_means gives them
+        sums, counts = _class_sums(features, labels, tac.num_classes)
+        classes = np.flatnonzero(counts)
+        means = sums[classes] / counts[classes, None]
     else:
         labels = np.asarray(labels)
-        n = features.shape[0]
-        if class_rows < 1 or labels.shape != (n,) or n % class_rows:
+        n = features.shape[-2]
+        if class_rows < 1 or labels.shape != features.shape[:-1] or n % class_rows:
             raise ShapeError(
                 f"labels shape {labels.shape} is not a class-major batch of "
                 f"{n} rows, {class_rows} per class"
             )
         if n and (labels.min() < 0 or labels.max() >= tac.num_classes):
             raise InputError(f"labels must lie in [0, {tac.num_classes})")
-        classes = labels[::class_rows]
+        classes = labels[..., ::class_rows]
         # the blocks add each class's rows in row order, as np.add.at does;
         # + 0.0 makes an all -0.0 sum the +0.0 that np.add.at's zero start
         # gives, whatever sign this numpy's reduction leaves on it
-        sums = features.reshape(-1, class_rows, tac.dim).sum(axis=1) + 0.0
-        means = sums / class_rows
+        blocks = features.reshape(*features.shape[:-2], -1, class_rows, tac.dim)
+        means = (blocks.sum(axis=-2) + 0.0) / class_rows
     table = tac.table.copy()
-    rows = (1.0 - tac.momentum) * table[classes] + tac.momentum * means
+    # row (s, class) of a stack, or row class of one table
+    at = (np.arange(table.shape[0])[:, None], classes) if stacked else classes
+    rows = (1.0 - tac.momentum) * table[at] + tac.momentum * means
     if normalize:
-        norms = np.linalg.norm(rows, axis=1)
+        norms = np.linalg.norm(rows, axis=-1)
         safe = norms > 0
         rows[safe] = rows[safe] / norms[safe, None]
-    table[classes] = rows
+    table[at] = rows
     return ClassTable(table=table, momentum=tac.momentum)

@@ -21,6 +21,15 @@ Every PK batch is class-major with P distinct classes, so its label
 pattern is the same on every step: `_mode_parts` builds the batch-all
 loss's `TripletMasks` once per run, and the table update sums each
 class's block of K rows with a reshape instead of a per-label scatter.
+
+Configs that differ only in the anchor treatment (`interference` and
+`noise`) can train in lockstep, as arms of one `train` call: the arms
+share the split, the initial encoder and table, the episodes and the
+batch label pattern, so each step runs the encoder, the batch-all loss,
+the backward pass, the SGD step and the PK table update once, on arrays
+with a leading arm axis. Sampling, the blend or noise draws and the
+epoch-end metrics stay per arm, each arm on its own generator, and every
+arm gets the bits it gets alone. A single run is a stack of one arm.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,12 +63,14 @@ from .losses import (
 )
 from .nn import (
     ModelParams,
+    ParamGrads,
     backward,
     check_activation,
     forward,
     init_params,
     input_gradient,
     sgd_step,
+    stack_params,
 )
 from .sampling import ClassIndex, PKSpec, child_seed, episode_rows, pk_batch
 from .tac import ClassTable, tac_init, tac_update
@@ -175,7 +187,8 @@ class TrainConfig:
 
     def _check_two_stage(self):
         """Stage 1 pretrains with cross-entropy; stage 2 continues its
-        encoder with the triplet loss, so it keeps the encoder's dims."""
+        encoder with the triplet loss, so it keeps the encoder's dims and
+        activation."""
         if self.loss_mode != "cross_entropy":
             raise ConfigurationError(
                 f"two-stage training starts from cross_entropy, got {self.loss_mode!r}"
@@ -191,6 +204,12 @@ class TrainConfig:
             or self.stage2.embed_dim != self.embed_dim
         ):
             raise ConfigurationError("stage2 must keep the stage-1 encoder architecture")
+        # stage 2 continues the stage-1 encoder, activation included
+        if self.stage2.activation != self.activation:
+            raise ConfigurationError(
+                f"stage2 must keep the stage-1 activation {self.activation!r}, "
+                f"got {self.stage2.activation!r}"
+            )
 
     def rate(self, epoch: int) -> float:
         """The SGD rate of `epoch`: learning_rate until decay_start_epoch,
@@ -310,6 +329,57 @@ def _perturb(z, labels, tac, cfg, rng):
     return blended
 
 
+class _Stack:
+    """The arms of one `train` call that are still training.
+
+    Per arm: its position in the call's configs, its config, its
+    generator and the current epoch's loss and accuracy sums. Every arm's
+    encoder, head and class table are stacked on a leading arm axis. The
+    stacked table is updated in place, so `tables`, each arm's table as a
+    view of it, stays valid from step to step.
+    """
+
+    def __init__(self, positions, cfgs, rngs, params, head, tac, loss_sum, acc_sum):
+        self.positions, self.cfgs, self.rngs = positions, cfgs, rngs
+        self.params, self.head, self.tac = params, head, tac
+        self.loss_sum, self.acc_sum = loss_sum, acc_sum
+        self.tables = [ClassTable(t, tac.momentum) for t in tac.table]
+
+    def take(self, keep):
+        """A new stack of the arms at stack positions `keep`, in order."""
+        return _restack([(self, i) for i in keep])
+
+
+def _restack(arms):
+    """One stack of the (stack, position) arms, in order, copying their
+    arrays; None when there are none."""
+    if not arms:
+        return None
+    first = arms[0][0]
+    return _Stack(
+        positions=[s.positions[i] for s, i in arms],
+        cfgs=[s.cfgs[i] for s, i in arms],
+        rngs=[s.rngs[i] for s, i in arms],
+        params=stack_params([s.params.arm(i) for s, i in arms]),
+        head=None if first.head is None else stack_params(
+            [s.head.arm(i) for s, i in arms]
+        ),
+        tac=ClassTable(np.stack([s.tac.table[i] for s, i in arms]), first.tac.momentum),
+        loss_sum=[s.loss_sum[i] for s, i in arms],
+        acc_sum=[s.acc_sum[i] for s, i in arms],
+    )
+
+
+def _check_arms(cfg, arms):
+    """Lockstep arms share everything but the anchor treatment."""
+    for i, arm in enumerate(arms, 1):
+        if replace(arm, interference=cfg.interference, noise=cfg.noise) != cfg:
+            raise ConfigurationError(
+                f"arm {i} differs from the first config in more than "
+                "interference and noise"
+            )
+
+
 def train(
     train_ds: Dataset,
     val_ds: Dataset | None,
@@ -317,12 +387,26 @@ def train(
     initial_params: ModelParams | None = None,
     stage: int = 1,
     epoch_offset: int = 0,
+    arms: tuple = (),
 ):
     """Run one training stage; returns (params, table, epoch logs).
 
     With initial_params the encoder continues from that state (its own
     fresh table is still created — stage 2 of the two-stage schedule).
+
+    arms are further configs that differ from cfg only in `interference`
+    and `noise`. They train in lockstep with cfg: each step runs the
+    encoder, the loss, the SGD step and the table update once for all of
+    them, stacked on a leading arm axis, while sampling, the blend or
+    noise draws and the epoch-end metrics stay per arm, each on its own
+    generator. With arms the call returns one outcome per config of
+    (cfg, *arms): the (params, table, logs) of that config, or the
+    exception it raised. Each outcome has the bits, and each exception the
+    type and message, of a `train` call on that config alone; a failed arm
+    leaves the stack and the others carry on. A failure before the first
+    step (a bad split or config) is the same for every arm and is raised.
     """
+    _check_arms(cfg, arms)
     check_feasible(train_ds, val_ds, cfg)
 
     dims = (train_ds.input_dim, *cfg.hidden_dims, cfg.embed_dim)
@@ -332,14 +416,13 @@ def train(
                 f"initial params dims {initial_params.layer_dims} do not match "
                 f"configured dims {dims}"
             )
-        params = initial_params.copy()
+        params = initial_params
     else:
         params = init_params(dims, cfg.activation, seed=child_seed(cfg.seed, 0))
     tac = tac_init(
         train_ds.class_count, cfg.embed_dim, cfg.tac_momentum,
         seed=child_seed(cfg.seed, 1),
     )
-    rng = np.random.default_rng(child_seed(cfg.seed, 2))
 
     feats = train_ds.features.astype(np.float64)
     labels = train_ds.labels
@@ -356,102 +439,222 @@ def train(
             seed=child_seed(cfg.seed, 6),
         )
 
-    sample, head_loss, class_rows = _mode_parts(cfg, fit_labels)
+    parts = _mode_parts(cfg, fit_labels)
     if cfg.loss_mode == "triplet":
         # fixed master seeds: the same episodes score every epoch
         shape = cfg.eval_n_way, cfg.eval_k_shot, cfg.eval_q_queries, cfg.eval_episodes
         train_rows = episode_rows(labels, *shape, child_seed(cfg.seed, 4))
         val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
-    logs: list[EpochLog] = []
-    for e in range(cfg.epochs):
-        rate = cfg.rate(e)
-        loss_sum = 0.0
-        acc_sum = 0.0
-        for it in range(cfg.iterations):
-            z, y, loss, batch_acc, grads, head_grads = _step(
-                params, head, tac, fit_feats, fit_labels, sample, head_loss, cfg, rng
-            )
-            if not np.isfinite(loss) or not np.isfinite(z).all():
-                raise NumericError(
-                    f"non-finite loss or embeddings at epoch {epoch_offset + e} "
-                    f"iteration {it}"
-                )
-            params = sgd_step(params, grads, rate)
-            if head is not None:
-                head = sgd_step(head, head_grads, rate)
-            tac = tac_update(
-                tac, z, y, normalize=cfg.tac_normalize, class_rows=class_rows
-            )
-            loss_sum += loss
-            acc_sum += batch_acc
 
-        train_loss = loss_sum / cfg.iterations
-        z_train = forward(params, feats)[0]
+    configs = (cfg, *arms)
+    count = len(configs)
+    stack = _Stack(
+        positions=list(range(count)),
+        cfgs=list(configs),
+        rngs=[np.random.default_rng(child_seed(cfg.seed, 2)) for _ in configs],
+        params=stack_params([params] * count),
+        head=None if head is None else stack_params([head] * count),
+        tac=ClassTable(np.stack([tac.table] * count), tac.momentum),
+        loss_sum=[0.0] * count,
+        acc_sum=[0.0] * count,
+    )
+    logs = [[] for _ in configs]
+    failed = {}
+
+    def epoch_log(i, e, rate):
+        """Arm i's log row of epoch e, from its own embeddings."""
+        arm_params = stack.params.arm(i)
+        z_train = forward(arm_params, feats)[0]
         if cfg.loss_mode == "triplet":
             train_acc = episodic_accuracy(z_train, train_rows, cfg.eval_k_shot).mean
-            z_val = forward(params, val_ds.features)[0]
+            z_val = forward(arm_params, val_ds.features)[0]
             val_acc = episodic_accuracy(z_val, val_rows, cfg.eval_k_shot).mean
         else:
-            train_acc = acc_sum / cfg.iterations
+            train_acc = stack.acc_sum[i] / cfg.iterations
             val_acc = _classification_accuracy(
-                forward(params, held_feats)[0], held_labels, head, tac, cfg.temperature
+                forward(arm_params, held_feats)[0], held_labels,
+                None if stack.head is None else stack.head.arm(i),
+                stack.tables[i], cfg.temperature,
             )
-
         geom = geometry_stats(z_train, labels)
-        logs.append(
-            EpochLog(
-                epoch=epoch_offset + e,
-                stage=stage,
-                lr=rate,
-                train_loss=train_loss,
-                train_acc=train_acc,
-                val_acc=val_acc,
-                center_dist=geom.center_distance,
-                inter_intra_ratio=geom.ratio,
-            )
+        return EpochLog(
+            epoch=epoch_offset + e,
+            stage=stage,
+            lr=rate,
+            train_loss=stack.loss_sum[i] / cfg.iterations,
+            train_acc=train_acc,
+            val_acc=val_acc,
+            center_dist=geom.center_distance,
+            inter_intra_ratio=geom.ratio,
         )
-    return params, tac, logs
+
+    for e in range(cfg.epochs):
+        rate = cfg.rate(e)
+        stack.loss_sum = [0.0] * len(stack.positions)
+        stack.acc_sum = [0.0] * len(stack.positions)
+        for it in range(cfg.iterations):
+            where = f"epoch {epoch_offset + e} iteration {it}"
+            stack = _lockstep(stack, fit_feats, fit_labels, parts, rate, where, failed)
+            if stack is None:
+                break
+        if stack is None:
+            break
+        scored = []
+        for i, position in enumerate(stack.positions):
+            try:
+                logs[position].append(epoch_log(i, e, rate))
+                scored.append(i)
+            except Exception as exc:
+                failed[position] = exc
+        if len(scored) < len(stack.positions):
+            stack = stack.take(scored)
+            if stack is None:
+                break
+
+    outcomes = [failed.get(position) for position in range(count)]
+    if stack is not None:
+        for i, position in enumerate(stack.positions):
+            outcomes[position] = (stack.params.arm(i), stack.tables[i], logs[position])
+    if arms:
+        return outcomes
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
 
 
-def _step(params, head, tac, feats, labels, sample, head_loss, cfg, rng):
-    """One training step for every head; returns (z, y, loss, batch
-    accuracy, encoder gradients, head gradients or None)."""
-    rows, n_anchor = sample(rng)
-    x, y = feats[rows], labels[rows]
+def _lockstep(stack, feats, labels, parts, rate, where, failed):
+    """Advance every arm of the stack by one step; returns the stack of
+    the arms that carry on, or None.
+
+    An arm whose step raises is dropped, its exception recorded in
+    `failed` under its position. When a stacked step raises, the step is
+    replayed arm by arm from the same generator states, so each arm fails,
+    or carries on with the same bits, as it would alone.
+    """
+    alone = len(stack.positions) == 1
+    states = None if alone else [rng.bit_generator.state for rng in stack.rngs]
+    try:
+        _advance(stack, feats, labels, parts, rate, where)
+        return stack
+    except Exception as exc:
+        if alone:
+            failed[stack.positions[0]] = exc
+            return None
+    carried = []
+    for i, state in enumerate(states):
+        stack.rngs[i].bit_generator.state = state
+        arm = _lockstep(stack.take([i]), feats, labels, parts, rate, where, failed)
+        if arm is not None:
+            carried.append((arm, 0))
+    return _restack(carried)
+
+
+def _advance(stack, feats, labels, parts, rate, where):
+    """One training step of every arm, committed to the stack only when
+    every part of it succeeds: the step, the finiteness check, the SGD
+    steps and the table update."""
+    z, blended, y, loss, acc, grads, head_grads = _step(
+        stack.params, stack.head, stack.tables, feats, labels, parts, stack.cfgs,
+        stack.rngs,
+    )
+    losses = loss.tolist()
+    # the blended or noised anchors too: the batch-all loss leaves a
+    # non-finite anchor's triplets inactive, so its loss stays finite
+    if not (
+        all(map(math.isfinite, losses))
+        and np.isfinite(z).all()
+        and np.isfinite(blended).all()
+    ):
+        raise NumericError(f"non-finite loss or embeddings at {where}")
+    params = sgd_step(stack.params, grads, rate)
+    head = None if stack.head is None else sgd_step(stack.head, head_grads, rate)
+    normalize = stack.cfgs[0].tac_normalize
+    if parts.class_rows is None:
+        # the general table update has no stacked form
+        updated = [
+            tac_update(arm, z[s], y[s], normalize=normalize).table
+            for s, arm in enumerate(stack.tables)
+        ]
+    else:
+        updated = tac_update(
+            stack.tac, z, y, normalize=normalize, class_rows=parts.class_rows
+        ).table
+    stack.params, stack.head = params, head
+    for arm, table in zip(stack.tables, updated):
+        arm.table[...] = table
+    stack.loss_sum = [a + b for a, b in zip(stack.loss_sum, losses)]
+    if acc is not None:
+        stack.acc_sum = [a + b for a, b in zip(stack.acc_sum, acc.tolist())]
+
+
+def _step(params, head, tables, feats, labels, parts, cfgs, rngs):
+    """One training step of a stack of arms, for every head; returns (z,
+    blended anchors, y, loss, batch accuracy or None for the triplet
+    heads, encoder gradients, head gradients or None), each with a
+    leading arm axis.
+
+    Arm s draws its batch and its blend or noise from rngs[s] under
+    cfgs[s], against its class table tables[s]; the encoder, the
+    batch-all loss and the backward pass run once for the stack."""
+    rows = _stack([parts.sample(rng) for rng in rngs])
+    x, y = feats.take(rows, axis=0), labels.take(rows)
     z, cache = forward(params, x)
-    blended = _perturb(z[:n_anchor], y[:n_anchor], tac, cfg, rng)
-    loss, acc, grad_blended, grad_z, head_grads = head_loss(
-        z, blended, y, head, tac, cfg
+    n_anchor = parts.anchors
+    blended = _stack([
+        _perturb(z[s, :n_anchor], y[s, :n_anchor], table, cfg, rng)
+        for s, (table, cfg, rng) in enumerate(zip(tables, cfgs, rngs))
+    ])
+    loss, acc, grad_blended, grad_z, head_grads = parts.head_loss(
+        z, blended, y, head, tables, cfgs
     )
     # d(blended)/dz is (1 - strength) on the blended rows, a prefix, and
     # the identity on the others, noise-perturbed rows included (the noise
-    # is additive)
-    blend = cfg.interference
-    if blend.enabled and blend.strength != 0.0:
-        n = designated_rows(blend.fraction, n_anchor)
-        grad_blended[:n] = interfere_backward(grad_blended[:n], blend.strength)
-    grad_z[:n_anchor] += grad_blended
-    return z, y, loss, acc, backward(params, cache, grad_z), head_grads
+    # is additive); an arm with the blend off skips the multiply
+    for s, cfg in enumerate(cfgs):
+        blend = cfg.interference
+        if blend.enabled and blend.strength != 0.0:
+            n = designated_rows(blend.fraction, n_anchor)
+            grad_blended[s, :n] = interfere_backward(grad_blended[s, :n], blend.strength)
+    grad_z[:, :n_anchor] += grad_blended
+    return z, blended, y, loss, acc, backward(params, cache, grad_z), head_grads
+
+
+def _stack(arrays):
+    """The per-arm arrays on a leading arm axis; one arm's array is viewed,
+    not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+class _Parts(NamedTuple):
+    """The per-mode halves of `_step`; see `_mode_parts`."""
+
+    sample: Callable
+    anchors: int
+    head_loss: Callable
+    class_rows: int | None
 
 
 def _mode_parts(cfg, labels):
     """Pick the per-mode halves of `_step` once per run.
 
-    Returns (sample, head_loss, class_rows). sample(rng) returns the batch
-    rows and how many leading rows are anchors: all rows of PK and uniform
-    batches, the a-rows of preformed mining's [a | p | n] stack of
-    batch_size independent draws. head_loss returns (loss, batch accuracy,
-    gradient w.r.t. the blended anchors, gradient w.r.t. the raw rows, head
-    gradients or None). class_rows is K when every batch is a class-major
-    PK batch of distinct classes, for `tac_update`, else None.
+    sample(rng) returns the batch rows, of which the leading `anchors`
+    rows are anchors: all rows of PK and uniform batches, the a-rows of
+    preformed mining's [a | p | n] stack of batch_size independent draws.
+    head_loss(z, blended, y, head, tables, cfgs) takes a stack of arms and
+    their class tables and returns (loss, batch accuracy or None for the
+    triplet heads, gradient w.r.t. the blended anchors, gradient w.r.t.
+    the raw rows, head gradients or None), each with a leading arm axis.
+    class_rows is K when every batch is a class-major PK batch of
+    distinct classes, for `tac_update`, else None.
     """
     pk = PKSpec(cfg.p_classes, cfg.k_samples)
     if cfg.loss_mode != "triplet":
         n, size = len(labels), min(pk.batch_size, len(labels))
         head_loss = _oim_loss if cfg.loss_mode == "oim" else _cross_entropy_loss
-        return (
-            (lambda rng: (rng.choice(n, size=size, replace=False), size)),
-            head_loss,
+        return _Parts(
+            (lambda rng: rng.choice(n, size=size, replace=False)),
+            size,
+            partial(_each_arm, head_loss),
             None,
         )
     # check_feasible has already required P classes of K rows each
@@ -460,8 +663,9 @@ def _mode_parts(cfg, labels):
     if cfg.mining == "batch_all":
         # every PK batch has this label pattern, whichever classes it draws
         masks = triplet_masks(np.repeat(np.arange(pk.p_classes), pk.k_samples))
-        return (
-            (lambda rng: (pk_batch(index, pk, rng), b)),
+        return _Parts(
+            (lambda rng: pk_batch(index, pk, rng)),
+            b,
             partial(_batch_all_loss, masks=masks),
             pk.k_samples,
         )
@@ -480,14 +684,37 @@ def _mode_parts(cfg, labels):
                 p = int(same[rng.integers(0, len(same))])
             diff = negatives[c]
             stacked[:, i] = a, p, diff[rng.integers(0, len(diff))]
-        return stacked.reshape(-1), b
+        return stacked.reshape(-1)
 
-    return preformed, _preformed_loss, None
+    return _Parts(preformed, b, partial(_each_arm, _preformed_loss), None)
 
 
-def _batch_all_loss(z, blended, y, head, tac, cfg, masks):
-    res = batch_all_triplet_loss(z, blended, y, cfg.triplet, masks)
-    return res.loss, 0.0, res.grad_anchor, res.grad_other, None
+def _batch_all_loss(z, blended, y, head, tables, cfgs, masks):
+    # the arms share the triplet settings and the batch label pattern
+    res = batch_all_triplet_loss(z, blended, y, cfgs[0].triplet, masks)
+    return res.loss, None, res.grad_anchor, res.grad_other, None
+
+
+def _each_arm(head_loss, z, blended, y, head, tables, cfgs):
+    """Run a head that has no stacked form on each arm's slice, and stack
+    its results."""
+    heads = [None] * len(cfgs) if head is None else map(head.arm, range(len(cfgs)))
+    loss, acc, grad_blended, grad_z, head_grads = zip(
+        *map(head_loss, z, blended, y, heads, tables, cfgs)
+    )
+    if head is not None:
+        head_grads = ParamGrads(
+            weights=[_stack([g.weights[l] for g in head_grads])
+                     for l in range(head.num_layers)],
+            biases=[_stack([g.biases[l] for g in head_grads])
+                    for l in range(head.num_layers)],
+        )
+    else:
+        head_grads = None
+    return (
+        np.array(loss), None if acc[0] is None else np.array(acc),
+        _stack(grad_blended), _stack(grad_z), head_grads,
+    )
 
 
 def _preformed_loss(z, blended, y, head, tac, cfg):
@@ -498,7 +725,7 @@ def _preformed_loss(z, blended, y, head, tac, cfg):
     hinge = cfg.triplet.margin + (diff_p**2).sum(axis=1) - (diff_n**2).sum(axis=1)
     w = (hinge > 0.0)[:, None] / b
     grad_raw = np.concatenate([np.zeros_like(blended), -2.0 * w * diff_p, 2.0 * w * diff_n])
-    return float(np.maximum(hinge, 0.0).mean()), 0.0, 2.0 * w * (zn - zp), grad_raw, None
+    return float(np.maximum(hinge, 0.0).mean()), None, 2.0 * w * (zn - zp), grad_raw, None
 
 
 def _oim_loss(z, blended, y, head, tac, cfg):
@@ -518,7 +745,9 @@ def _cross_entropy_loss(z, blended, y, head, tac, cfg):
 def _softmax_loss(logits, y, cfg):
     targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
     loss, glog = cross_entropy(logits, targets, with_grads=True)
-    return loss, glog, float((logits.argmax(axis=1) == y).mean())
+    # the mean of the hits, without the ndarray.mean wrapper: an exact
+    # integer count over the row count, rounded once as the mean rounds it
+    return loss, glog, np.count_nonzero(logits.argmax(axis=1) == y) / len(y)
 
 
 def _classification_accuracy(z, labels, head, tac, temperature) -> float:

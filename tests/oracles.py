@@ -5,8 +5,9 @@ call and boolean-mask gathers, the per-label class-mean table update,
 the out-of-place pairwise distances, the dense N x N
 geometry statistics, the scalar negative-class draw, the central
 finite-difference gradient checker, the four per-head
-training steps that the one shared training step replaced, and the
-reproduce settings that mirrored the training config. They are slow,
+training steps that the one shared training step replaced, that step
+run on a stack of one arm, and the reproduce settings that mirrored the
+training config. They are slow,
 memory-hungry or repetitive on purpose and live only with the tests."""
 
 from dataclasses import dataclass
@@ -32,10 +33,10 @@ from cirlab.losses import (
     label_smooth,
     oim_scores,
 )
-from cirlab.nn import backward, forward, input_gradient
+from cirlab.nn import ParamGrads, backward, forward, input_gradient, stack_params
 from cirlab.sampling import pk_batch
 from cirlab.tac import ClassTable
-from cirlab.trainer import TrainConfig
+from cirlab.trainer import TrainConfig, _step
 
 
 def grad_check(params, loss_closure, epsilon=1e-5) -> float:
@@ -50,7 +51,8 @@ def grad_check(params, loss_closure, epsilon=1e-5) -> float:
         raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
 
     _, analytic = loss_closure(params)
-    work = params.copy()
+    # a copy to perturb: the stack of one copies the arrays
+    work = stack_params([params]).arm(0)
 
     def fd_entry(arr: np.ndarray, idx) -> float:
         orig = arr[idx]
@@ -485,6 +487,31 @@ def step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng):
     grad_z = _pull_back_anchor_grads(grad_blended, decoys, cfg)
     grads = backward(params, cache, grad_z)
     return z, y, loss, acc, grads, head_grads
+
+
+def arm_of_step(out, s):
+    """Arm s of a stacked `trainer._step` result, as the plain (z, y, loss,
+    acc, grads, head grads or None) of one arm."""
+    z, _, y, loss, acc, grads, head_grads = out
+
+    def one(g):
+        return None if g is None else ParamGrads(
+            weights=[w[s] for w in g.weights], biases=[b[s] for b in g.biases]
+        )
+
+    # the triplet heads report no batch accuracy; the per-head steps gave 0.0
+    acc = 0.0 if acc is None else float(acc[s])
+    return z[s], y[s], float(loss[s]), acc, one(grads), one(head_grads)
+
+
+def single_step(params, head, tac, feats, labels, parts, cfg, rng):
+    """`trainer._step` on a stack of one arm: plain params, head and table
+    in, one arm's plain results out."""
+    out = _step(
+        stack_params([params]), None if head is None else stack_params([head]),
+        [tac], feats, labels, parts, [cfg], [rng],
+    )
+    return arm_of_step(out, 0)
 
 
 # The reproduce settings as they stood when they mirrored TrainConfig's

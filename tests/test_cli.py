@@ -199,8 +199,11 @@ class TestTrain:
          "stage2 must keep the stage-1 encoder architecture"),
         (_two_stage("cross_entropy", _set(RUN_CFG, "gamma", "0")),
          "gamma (tac_momentum) must lie in (0, 1]"),
+        (_two_stage("cross_entropy", RUN_CFG + "activation = tanh\n"),
+         "stage2 must keep the stage-1 activation 'relu', got 'tanh'"),
     ], ids=["gamma-0", "gamma-1.5", "gamma-nan", "p-1", "k-1", "sigmoid",
-            "stage1-oim", "stage2-oim", "stage2-dims", "stage2-gamma-0"])
+            "stage1-oim", "stage2-oim", "stage2-dims", "stage2-gamma-0",
+            "stage2-activation"])
     def test_dry_run_refuses_what_training_refuses(
         self, wide_split, tmp_path, capsys, text, message
     ):

@@ -1,0 +1,297 @@
+"""Lockstep training against separate runs, bit for bit.
+
+Each stacked layer (forward, backward, SGD step, batch-all loss, table
+update) is checked slice by slice against the same call on one arm, and
+`train(..., arms=...)` against one `train` call per config: params,
+table, epoch logs and the final state of every training generator. A
+failing arm fails with its own exception and leaves the others' bits
+alone.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import cirlab.trainer
+from cirlab import reproduce
+from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
+from cirlab.errors import ConfigurationError, DataError, NumericError, ShapeError
+from cirlab.interference import InterferenceConfig, NoiseConfig
+from cirlab.losses import TripletConfig, batch_all_triplet_loss, triplet_masks
+from cirlab.nn import (
+    backward,
+    forward,
+    init_params,
+    input_gradient,
+    sgd_step,
+    stack_params,
+)
+from cirlab.sampling import child_seed
+from cirlab.tac import ClassTable, tac_update
+from cirlab.trainer import TrainConfig, train
+from test_reproduce import TINY
+
+
+def bits(a):
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+def same(a, b):
+    return bits(a) == bits(b)
+
+
+def same_params(a, b):
+    return a.layer_dims == b.layer_dims and all(
+        same(x, y) for x, y in zip(a.weights + a.biases, b.weights + b.biases)
+    )
+
+
+class TestStackedLayers:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("dims", [(8, 12, 5), (32, 64, 16), (3, 2), (6, 7, 5, 4)])
+    def test_forward_backward_sgd_per_slice(self, dims, activation):
+        arms = [init_params(dims, activation, seed=s) for s in range(3)]
+        stacked = stack_params(arms)
+        rng = np.random.default_rng(len(dims))
+        x = rng.standard_normal((3, 10, dims[0]))
+        g = rng.standard_normal((3, 10, dims[-1]))
+        z, cache = forward(stacked, x)
+        grads = backward(stacked, cache, g)
+        dx = input_gradient(stacked, cache, g)
+        stepped = sgd_step(stacked, grads, 0.05)
+        for s, params in enumerate(arms):
+            assert same_params(stacked.arm(s), params)
+            z1, cache1 = forward(params, x[s])
+            grads1 = backward(params, cache1, g[s])
+            assert same(z[s], z1)
+            assert same(dx[s], input_gradient(params, cache1, g[s]))
+            for got, want in zip(grads.weights + grads.biases,
+                                 grads1.weights + grads1.biases):
+                assert same(got[s], want)
+            assert same_params(stepped.arm(s), sgd_step(params, grads1, 0.05))
+
+    def test_shapes_refused(self):
+        stacked = stack_params([init_params((4, 3), seed=s) for s in range(2)])
+        with pytest.raises(ShapeError, match="one 2-D batch each"):
+            forward(stacked, np.zeros((5, 4)))
+        with pytest.raises(ShapeError, match="one 2-D batch each"):
+            forward(stacked, np.zeros((3, 5, 4)))
+        with pytest.raises(ShapeError, match="must be 2-D"):
+            forward(stacked.arm(0), np.zeros((2, 5, 4)))
+        with pytest.raises(ShapeError, match="share dims and activation"):
+            stack_params([init_params((4, 3)), init_params((4, 2))])
+
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("reduction", ["mean_all", "mean_nonzero"])
+    @pytest.mark.parametrize("p,k", [(8, 4), (3, 2), (5, 3)])
+    def test_batch_all_loss_per_slice(self, p, k, reduction, squared):
+        cfg = TripletConfig(margin=0.5, reduction=reduction, squared=squared)
+        labels = np.repeat(np.arange(p), k)
+        masks = triplet_masks(labels)
+        rng = np.random.default_rng(p * k)
+        z = rng.standard_normal((4, p * k, 6))
+        zt = z + 0.3 * rng.standard_normal(z.shape)
+        # arm 2 has no active triple: each class sits on one far point
+        z[2] = 1e4 * labels[:, None]
+        zt[2] = z[2]
+        # arm 3 is non-finite, as a diverged arm is
+        z[3, 0, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = batch_all_triplet_loss(z, zt, np.tile(labels, (4, 1)), cfg, masks)
+            alone = [batch_all_triplet_loss(z[s], zt[s], labels, cfg) for s in range(4)]
+        assert alone[2].num_active == 0
+        for s, want in enumerate(alone):
+            assert type(want.loss) is float
+            assert same(got.loss[s], want.loss)
+            assert same(got.grad_anchor[s], want.grad_anchor)
+            assert same(got.grad_other[s], want.grad_other)
+        assert type(got.num_triplets) is int and type(got.num_active) is int
+        assert got.num_triplets == sum(r.num_triplets for r in alone)
+        assert got.num_active == sum(r.num_active for r in alone)
+
+    def test_stacked_loss_needs_masks(self):
+        z = np.zeros((2, 4, 3))
+        with pytest.raises(ShapeError, match="shared label masks"):
+            batch_all_triplet_loss(z, z, np.zeros((2, 4), dtype=int), TripletConfig())
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_table_update_per_slice(self, normalize):
+        rng = np.random.default_rng(1)
+        p, k, c, d = 4, 3, 9, 5
+        table = rng.standard_normal((3, c, d))
+        labels = np.stack([np.repeat(rng.permutation(c)[:p], k) for _ in range(3)])
+        z = rng.standard_normal((3, p * k, d))
+        got = tac_update(ClassTable(table, 0.5), z, labels, normalize, class_rows=k)
+        assert same(table, np.asarray(table))  # the input is untouched
+        for s in range(3):
+            want = tac_update(ClassTable(table[s], 0.5), z[s], labels[s], normalize,
+                              class_rows=k)
+            assert same(got.table[s], want.table)
+        with pytest.raises(ShapeError, match="needs class-major batches"):
+            tac_update(ClassTable(table, 0.5), z, labels)
+
+
+def splits(seed=0, classes=12, per_class=20):
+    ds = gen_gaussian_mixture(GeneratorSpec(
+        num_classes=classes, samples_per_class=per_class, input_dim=8,
+        spread=0.4, center_scale=2.0, seed=seed,
+    ))
+    return split_classes(ds, (0.5, 0.25, 0.25), seed=seed)
+
+
+def recorded_generators(monkeypatch, seed):
+    """Record every generator made from `seed`, in the order made."""
+    made = []
+    real = np.random.default_rng
+
+    def default_rng(*args, **kwargs):
+        rng = real(*args, **kwargs)
+        if args and args[0] == seed:
+            made.append(rng)
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
+
+
+def assert_lockstep_matches_separate_runs(monkeypatch, train_ds, val_ds, configs):
+    made = recorded_generators(monkeypatch, child_seed(configs[0].seed, 2))
+    lockstep = train(train_ds, val_ds, configs[0], arms=tuple(configs[1:]))
+    lockstep_states = [rng.bit_generator.state for rng in made]
+    assert len(lockstep) == len(configs) == len(lockstep_states)
+    for cfg, got, state in zip(configs, lockstep, lockstep_states):
+        made.clear()
+        want = train(train_ds, val_ds, cfg)
+        assert same_params(got[0], want[0])
+        assert same(got[1].table, want[1].table) and got[1].momentum == want[1].momentum
+        assert got[2] == want[2] and len(got[2]) == cfg.epochs
+        assert state == made[0].bit_generator.state
+
+
+HEADS = {
+    "batch_all": dict(loss_mode="triplet"),
+    "preformed": dict(loss_mode="triplet", mining="preformed"),
+    "oim": dict(loss_mode="oim"),
+    "cross_entropy": dict(loss_mode="cross_entropy"),
+}
+
+
+class TestLockstepMatchesSeparateRuns:
+    @pytest.mark.parametrize("settings", [
+        TINY, reproduce.ReproduceSettings(seeds=(0,), epochs=2),
+    ], ids=["tiny", "default_cell"])
+    def test_three_reproduce_arms(self, monkeypatch, settings):
+        seed = settings.seeds[0]
+        inputs = reproduce._prepare(settings, seed)
+        configs = [reproduce._train_config(settings, arm, seed) for arm in reproduce.ARMS]
+        assert_lockstep_matches_separate_runs(
+            monkeypatch, inputs.train_ds, inputs.val_ds, configs
+        )
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_two_arms_of_each_head(self, monkeypatch, head):
+        tr, va, _ = splits()
+        cir = TrainConfig(
+            epochs=2, iterations=15, seed=3, hidden_dims=(16,), embed_dim=6,
+            learning_rate=0.01, p_classes=4, k_samples=3, eval_n_way=3,
+            eval_q_queries=3, eval_episodes=5,
+            interference=InterferenceConfig(strength=0.5, fraction=0.5),
+            **HEADS[head],
+        )
+        noise = replace(
+            cir, interference=replace(cir.interference, enabled=False),
+            noise=NoiseConfig(enabled=True),
+        )
+        assert_lockstep_matches_separate_runs(monkeypatch, tr, va, [cir, noise])
+
+
+class TestFailingArms:
+    def configs(self):
+        base = replace(TINY.base, seed=0)
+        return [reproduce._train_config(replace(TINY, base=base), arm, 0)
+                for arm in reproduce.ARMS]
+
+    def test_a_failing_arm_fails_alone(self, monkeypatch):
+        # only the noise arm draws Gaussian noise; make it non-finite
+        real = cirlab.trainer.gaussian_perturb
+        monkeypatch.setattr(
+            cirlab.trainer, "gaussian_perturb",
+            lambda features, sigma, rng: real(features, sigma, rng) * np.nan,
+        )
+        tr, va, _ = splits()
+        configs = self.configs()
+        outcomes = train(tr, va, configs[0], arms=tuple(configs[1:]))
+        with pytest.raises(NumericError) as alone:
+            train(tr, va, configs[2])
+        assert type(outcomes[2]) is NumericError
+        assert str(outcomes[2]) == str(alone.value)
+        assert str(alone.value) == "non-finite loss or embeddings at epoch 0 iteration 0"
+        for cfg, got in zip(configs[:2], outcomes[:2]):
+            want = train(tr, va, cfg)
+            assert same_params(got[0], want[0]) and got[2] == want[2]
+
+    def test_a_failing_stacked_layer_is_replayed_arm_by_arm(self, monkeypatch):
+        # from the third step on, the table update fails in any step that
+        # pulled a gradient back through the blend, which only the cir arm
+        # does: the stacked step fails, its replay fails the cir arm
+        # alone, and the other two carry on with their own bits
+        real_step = cirlab.trainer._step
+        real_backward = cirlab.trainer.interfere_backward
+        real_update = cirlab.trainer.tac_update
+        steps, blended = [], []
+
+        def step(*args):
+            steps.append(1)
+            blended.clear()
+            return real_step(*args)
+
+        def interfere_backward(grad, strength):
+            blended.append(1)
+            return real_backward(grad, strength)
+
+        def tac_update(*args, **kwargs):
+            if len(steps) >= 3 and blended:
+                raise RuntimeError("table update failed")
+            return real_update(*args, **kwargs)
+
+        tr, va, _ = splits()
+        configs = self.configs()
+        with monkeypatch.context() as patch:
+            patch.setattr(cirlab.trainer, "_step", step)
+            patch.setattr(cirlab.trainer, "interfere_backward", interfere_backward)
+            patch.setattr(cirlab.trainer, "tac_update", tac_update)
+            outcomes = train(tr, va, configs[0], arms=tuple(configs[1:]))
+        assert type(outcomes[1]) is RuntimeError
+        assert str(outcomes[1]) == "table update failed"
+        for i in (0, 2):
+            want = train(tr, va, configs[i])
+            assert same_params(outcomes[i][0], want[0]) and outcomes[i][2] == want[2]
+
+    def test_every_arm_failing_returns_every_failure(self):
+        tr, va, _ = splits()
+        configs = [replace(c, learning_rate=1e200, activation="identity", iterations=20)
+                   for c in self.configs()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = train(tr, va, configs[0], arms=tuple(configs[1:]))
+            for cfg, got in zip(configs, outcomes):
+                with pytest.raises(NumericError) as alone:
+                    train(tr, va, cfg)
+                assert type(got) is NumericError and str(got) == str(alone.value)
+
+    def test_shared_failures_are_raised(self):
+        tr, va, _ = splits()
+        configs = self.configs()
+        with pytest.raises(DataError):
+            train(tr, None, configs[0], arms=tuple(configs[1:]))
+
+    @pytest.mark.parametrize("change", [
+        dict(seed=9), dict(learning_rate=0.5), dict(epochs=1),
+        dict(triplet=TripletConfig(margin=1.0)),
+    ])
+    def test_arms_differ_only_in_the_anchor_treatment(self, change):
+        tr, va, _ = splits()
+        cfg = self.configs()[0]
+        with pytest.raises(ConfigurationError, match="arm 1 differs"):
+            train(tr, va, cfg, arms=(replace(cfg, **change),))

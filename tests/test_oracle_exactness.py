@@ -18,12 +18,13 @@ from cirlab.losses import TripletConfig, batch_all_triplet_loss, triplet_masks
 from cirlab.nn import init_params, sgd_step
 from cirlab.sampling import ClassIndex, PKSpec
 from cirlab.tac import ClassTable, tac_init, tac_update
-from cirlab.trainer import TrainConfig, _mode_parts, _step
+from cirlab.trainer import TrainConfig, _mode_parts
 from oracles import (
     batch_all_triplet_loss_b3,
     batch_all_triplet_loss_boolean,
     geometry_stats_dense,
     pairwise_dist_out_of_place,
+    single_step,
     step_cross_entropy,
     step_oim,
     step_triplet_batch_all,
@@ -286,6 +287,20 @@ class TestTacBlocksMatchAddAt:
         # at momentum 1 the row is the class mean itself: +0.0, not -0.0
         assert not np.signbit(got.table[labels[0]]).any()
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_any_batch_layout(self, normalize):
+        # the general path on shuffled labels with repeats and absent
+        # classes, signed zeros in the rows, against the per-label oracle
+        rng = np.random.default_rng(7)
+        for trial in range(60):
+            n, d, c = int(rng.integers(1, 50)), int(rng.integers(1, 8)), int(rng.integers(2, 30))
+            labels = rng.integers(0, c, size=n)
+            z = rng.standard_normal((n, d))
+            z[rng.random((n, d)) < 0.3] = -0.0
+            tac = ClassTable(rng.standard_normal((c, d)), float(rng.choice([0.5, 1.0])))
+            got = tac_update(tac, z, labels, normalize)
+            assert_same_table(got, tac_update_add_at(tac, z, labels, normalize))
+
     def test_bad_block_layouts(self):
         tac = tac_init(5, 2)
         with pytest.raises(ShapeError, match="class-major batch of 6 rows, 4 per"):
@@ -452,10 +467,10 @@ class TestStepMatchesPerHeadOracles:
         if head_mode == "cross_entropy":
             head = init_params((5, 7), "identity", seed=2)
         tac = tac_init(7, 5, seed=3)
-        sample, head_loss, _ = _mode_parts(cfg, labels)
+        parts = _mode_parts(cfg, labels)
         r_new, r_old = np.random.default_rng(4), np.random.default_rng(4)
         for _ in range(3):
-            got = _step(params, head, tac, feats, labels, sample, head_loss, cfg, r_new)
+            got = single_step(params, head, tac, feats, labels, parts, cfg, r_new)
             want = oracle_step(head_mode, params, head, tac, feats, labels, cfg, r_old)
             z, y, loss, acc, grads, head_grads = got
             assert np.array_equal(z, want[0])
@@ -489,9 +504,9 @@ class TestStepMatchesPerHeadOracles:
         if head_mode == "cross_entropy":
             head = init_params((4, 22), "identity", seed=2)
         tac = tac_init(22, 4, seed=3)
-        sample, head_loss, _ = _mode_parts(cfg, labels)
-        got = _step(params, head, tac, feats, labels, sample, head_loss, cfg,
-                    np.random.default_rng(4))
+        parts = _mode_parts(cfg, labels)
+        got = single_step(params, head, tac, feats, labels, parts, cfg,
+                          np.random.default_rng(4))
         want = oracle_step(head_mode, params, head, tac, feats, labels, cfg,
                            np.random.default_rng(4))
         assert got[2] == want[2]

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cirlab.trainer
 import oracles
 from cirlab import reproduce
 from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
-from cirlab.errors import ConfigurationError
+from cirlab.errors import ConfigurationError, NumericError
 from cirlab.reproduce import (
     ARMS,
     SUMMARY_HEADER,
@@ -148,20 +149,58 @@ def test_failures_recorded_not_raised(tmp_path):
 
 
 def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
-    real_run_one = reproduce._run_one
+    real_score_cell = reproduce._score_cell
 
-    def run_one(settings, arm, seed, inputs, out_dir):
+    def score_cell(settings, arm, seed, inputs, trained, out_dir):
         if (arm, seed) == ("cir", 1):
             raise RuntimeError("worker blew up")
-        return real_run_one(settings, arm, seed, inputs, out_dir)
+        return real_score_cell(settings, arm, seed, inputs, trained, out_dir)
 
-    monkeypatch.setattr(reproduce, "_run_one", run_one)
+    monkeypatch.setattr(reproduce, "_score_cell", score_cell)
     report = run_reproduction(str(tmp_path), settings=SMALL, threads=1)
     assert not report.ok
     assert report.failures == (("cir", 1, "RuntimeError: worker blew up"),)
     assert sorted((r.arm, r.seed) for r in report.runs) == sorted(
         (arm, seed) for arm in ARMS for seed in (0, 1) if (arm, seed) != ("cir", 1)
     )
+
+
+def test_one_failing_arm_fails_alone(tmp_path, monkeypatch):
+    # only the noise arm draws Gaussian noise: make it non-finite, and
+    # the noise cells fail as they do alone while no_reg and cir, trained
+    # in lockstep with them, keep every byte
+    clean, broken = tmp_path / "clean", tmp_path / "broken"
+    assert run_reproduction(str(clean), settings=SMALL, threads=1).ok
+    real = cirlab.trainer.gaussian_perturb
+    monkeypatch.setattr(
+        cirlab.trainer, "gaussian_perturb",
+        lambda features, sigma, rng: real(features, sigma, rng) * np.nan,
+    )
+    alone = []
+    for seed in SMALL.seeds:
+        inputs = reproduce._prepare(SMALL, seed)
+        with pytest.raises(NumericError) as failure:
+            cirlab.trainer.train(
+                inputs.train_ds, inputs.val_ds,
+                reproduce._train_config(SMALL, "noise", seed),
+            )
+        alone.append(("noise", seed, f"NumericError: {failure.value}"))
+    report = run_reproduction(str(broken), settings=SMALL, threads=1)
+    assert report.failures == tuple(alone)
+    assert alone[0][2] == (
+        "NumericError: non-finite loss or embeddings at epoch 0 iteration 0"
+    )
+    for arm in ("no_reg", "cir"):
+        for seed in SMALL.seeds:
+            name = f"curves_{arm}_seed{seed}.csv"
+            assert (broken / name).read_bytes() == (clean / name).read_bytes()
+
+    def rows(path):
+        return [row for row in (path / "summary.csv").read_text().split("\n")
+                if row.startswith(("no_reg,", "cir,"))]
+
+    assert rows(broken) == rows(clean) and len(rows(clean)) == 8
+    assert not (broken / "curves_noise_seed0.csv").exists()
 
 
 def test_failed_preparation_fails_only_that_seeds_cells(tmp_path, monkeypatch):

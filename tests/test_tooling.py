@@ -6,16 +6,23 @@ names in `cirlab.reproduce`, so a function deleted or renamed in the
 package breaks it; these tests catch that here instead. The tracer
 also sees a training step's calls only while the trainer makes them
 through its module-level names, not through references captured once
-per run. They read perfbench/ and change nothing there.
+per run. The reproduce workload's train_s times the matrix's calls of
+`cirlab.reproduce.train`, so every training step must run inside one,
+and the tracer sums the loss's counts and dumps them to JSON, so they
+must stay Python ints. They read perfbench/ and change nothing there.
 """
 
 import importlib
 import importlib.util
+import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import cirlab.reproduce
 import cirlab.trainer
 from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
+from cirlab.interference import NoiseConfig
 from cirlab.trainer import TrainConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -58,7 +65,9 @@ STEP_CALLS = (
 )
 
 
-def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
+def count_step_calls(monkeypatch, arms):
+    """Each step layer's calls in one more training step of a call that
+    trains a config plus `arms` further configs in lockstep."""
     counts = Counter()
 
     def counted(name, fn):
@@ -83,10 +92,94 @@ def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
             p_classes=4, k_samples=3, eval_n_way=3, eval_q_queries=2,
             eval_episodes=2,
         )
-        cirlab.trainer.train(tr, va, cfg)
+        off = replace(cfg.interference, enabled=False)
+        cir_noise = (
+            cfg, replace(cfg, interference=off, noise=NoiseConfig(enabled=True))
+        )[:arms]
+        cirlab.trainer.train(
+            tr, va, replace(cfg, interference=off), arms=cir_noise
+        )
         totals.append(counts.copy())
-    # one more step: one more call of each, outside the per-epoch embeds
-    assert {name: totals[1][name] - totals[0][name] for name in STEP_CALLS} == {
-        name: 1 for name in STEP_CALLS
-    }
     assert all(totals[0][name] >= 1 for name in STEP_CALLS)
+    return {name: totals[1][name] - totals[0][name] for name in STEP_CALLS}
+
+
+def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
+    # one more step: one more call of each, outside the per-epoch embeds
+    assert count_step_calls(monkeypatch, 0) == {name: 1 for name in STEP_CALLS}
+
+
+def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
+    # no_reg, cir and noise: each arm samples and perturbs on its own, and
+    # the encoder, the loss, the backward pass, the SGD step and the
+    # table update run once for all three
+    assert count_step_calls(monkeypatch, 2) == {
+        "pk_batch": 3, "interfere_batch": 3, "forward": 1,
+        "batch_all_triplet_loss": 1, "backward": 1, "sgd_step": 1, "tac_update": 1,
+    }
+
+
+TINY_MATRIX = cirlab.reproduce.ReproduceSettings(
+    seeds=(0, 1), epochs=1,
+    base=replace(
+        cirlab.reproduce.ReproduceSettings().base,
+        iterations=3, hidden_dims=(8,), embed_dim=4, p_classes=3, k_samples=3,
+        eval_n_way=3, eval_episodes=4,
+    ),
+    eval_q_queries=3, eval_episodes=6,
+    dataset=GeneratorSpec(num_classes=12, samples_per_class=16, input_dim=8),
+    splits=(0.5, 0.25, 0.25),
+)
+
+
+def test_reproduce_steps_run_only_inside_reproduce_train(monkeypatch, tmp_path):
+    # the benchmark's train_s times calls of cirlab.reproduce.train, so
+    # every training step of the matrix must run inside one; the arms of
+    # a seed share a call
+    depth, outside, calls = [0], [], []
+    real_train, real_step = cirlab.reproduce.train, cirlab.trainer._step
+
+    def train(*args, **kwargs):
+        calls.append(1)
+        depth[0] += 1
+        try:
+            return real_train(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def step(*args):
+        if not depth[0]:
+            outside.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(cirlab.reproduce, "train", train)
+    monkeypatch.setattr(cirlab.trainer, "_step", step)
+    report = cirlab.reproduce.run_reproduction(
+        str(tmp_path), settings=TINY_MATRIX, threads=1
+    )
+    assert report.ok and len(report.runs) == 6
+    assert outside == [] and len(calls) == 2
+
+
+def test_traced_matrix_counts_are_plain_ints(tmp_path):
+    # the tracer sums the loss's counts, compares them across passes and
+    # dumps them to JSON, so they must stay Python ints
+    tracer = load_tracer().Tracer()
+    tracer.pass_id = 0
+    tracer.install()
+    try:
+        report = cirlab.reproduce.run_reproduction(
+            str(tmp_path), settings=TINY_MATRIX, threads=1
+        )
+    finally:
+        tracer.uninstall()
+    assert report.ok
+    layers = tracer.layers()[0]
+    counts = {k: v for k, v in layers.items() if not k.endswith("_s")}
+    assert all(type(v) is int for v in counts.values()), counts
+    json.dumps(layers)
+    assert counts["trainer.train.calls"] == 2
+    assert counts["trainer.train.steps"] == 2 * 3
+    # 3 arms x 2 seeds x 3 steps, each a 3 x 3 batch of 9 x 2 x 6 triplets
+    assert counts["losses.batch_all_triplet_loss.triplets"] == 18 * 108
+    assert counts["interference.interfere_batch.calls"] == 18

@@ -22,14 +22,13 @@ from cirlab.trainer import (
     TrainConfig,
     _holdout_rows,
     _mode_parts,
-    _step,
     check_feasible,
     evaluate_checkpoint,
     logs_to_csv,
     train,
     train_two_stage,
 )
-from oracles import grad_check
+from oracles import grad_check, single_step
 
 
 def make_splits(seed=0, num_classes=12, per_class=20, dim=8, spread=0.3, scale=3.0):
@@ -327,11 +326,11 @@ class TestTripletTraining:
         )
         feats = tr.features.astype(np.float64)
         tac = tac_init(tr.class_count, 3, seed=2)
-        sample, head_loss, _ = _mode_parts(cfg, tr.labels)
+        parts = _mode_parts(cfg, tr.labels)
 
         def closure(p):
             rng = np.random.default_rng(9)
-            out = _step(p, None, tac, feats, tr.labels, sample, head_loss, cfg, rng)
+            out = single_step(p, None, tac, feats, tr.labels, parts, cfg, rng)
             return out[2], out[4]
 
         params = init_params((8, 5, 3), "tanh", seed=4)
@@ -381,8 +380,8 @@ class TestClassifierModes:
 
 
 class TestTwoStage:
-    def cfg_pair(self, stage2_epochs=3, **stage1_overrides):
-        stage2 = small_cfg(epochs=stage2_epochs, seed=11)
+    def cfg_pair(self, stage2_epochs=3, stage2=None, **stage1_overrides):
+        stage2 = stage2 or small_cfg(epochs=stage2_epochs, seed=11)
         merged = dict(
             loss_mode="cross_entropy", epochs=3, iterations=20,
             learning_rate=0.02, seed=11,
@@ -397,6 +396,30 @@ class TestTwoStage:
         stages = [log.stage for log in logs]
         assert stages == [1, 1, 1, 2, 2, 2]
         assert [log.epoch for log in logs] == [0, 1, 2, 3, 4, 5]
+
+    def test_stage2_counts_its_own_epochs_for_the_rate(self):
+        # stage 2 decays after its own epoch 1 (counted from 0), while the
+        # log's epoch column continues from stage 1's three epochs; on the
+        # log's count stage 2 would start at 0.004 * 0.5**2
+        tr, va, _ = make_splits()
+        stage2 = small_cfg(
+            epochs=3, seed=11, learning_rate=0.004, decay_start_epoch=1,
+            decay_factor=0.5,
+        )
+        cfg = self.cfg_pair(stage2=stage2, decay_start_epoch=1, decay_factor=0.9)
+        _, _, logs = train_two_stage(tr, va, cfg)
+        assert [(log.epoch, log.stage, log.lr) for log in logs] == [
+            (0, 1, 0.02), (1, 1, 0.02), (2, 1, 0.02 * 0.9),
+            (3, 2, 0.004), (4, 2, 0.004), (5, 2, 0.004 * 0.5),
+        ]
+        csv_lr = [row.split(",")[2] for row in logs_to_csv(logs).split("\n")[4:7]]
+        assert csv_lr == ["0.004", "0.004", "0.002"]
+
+    def test_stage2_activation_must_match(self):
+        with pytest.raises(
+            ConfigurationError, match="stage2 must keep the stage-1 activation"
+        ):
+            self.cfg_pair(activation="tanh")
 
     def test_zero_stage2_equals_stage1_encoder(self):
         tr, va, _ = make_splits()
