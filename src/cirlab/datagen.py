@@ -68,6 +68,8 @@ class GeneratorSpec:
             raise ConfigurationError(
                 f"label_noise_rate must lie in [0, 1), got {self.label_noise_rate}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def describe(self) -> str:
         return (
@@ -169,6 +171,8 @@ def split_classes(
         raise ConfigurationError(f"need three positive fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"fractions must sum to 1, got {sum(fractions)}")
+    if seed < 0:
+        raise ConfigurationError(f"split seed must be >= 0, got {seed}")
     c = ds.class_count
     n_train = int(floor_count(fractions[0] * c))
     n_val = int(floor_count(fractions[1] * c))
@@ -236,12 +240,17 @@ def load_dataset(path: str) -> Dataset:
     labels = records[:, 0].astype(np.int64)
     if labels.size and labels.max() >= c:
         raise DataError(f"{path}: label {labels.max()} outside class count {c}")
+    features = records[:, 1:].view("<f4").copy()
+    finite = np.isfinite(features)
+    if not finite.all():
+        row = np.flatnonzero(~finite.all(axis=1))[0]
+        raise DataError(f"{path}: row {row} has a non-finite feature")
     try:
         provenance = blob[body_end:].decode("utf-8")
     except UnicodeDecodeError:
         raise DataError(f"{path}: provenance is not valid UTF-8") from None
     return Dataset(
-        features=records[:, 1:].view("<f4").copy(),
+        features=features,
         labels=labels,
         class_count=c,
         provenance=provenance,

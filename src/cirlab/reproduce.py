@@ -15,10 +15,12 @@ cells are listed seed-major and cut into contiguous blocks, one block
 per worker; a block prepares those inputs once per seed it holds and
 trains that seed's arms in lockstep, in one `train` call that runs each
 step's encoder, loss and updates once for the stacked arms (a seed cut
-across two blocks trains its arms in two such calls), then scores each
-cell in order. The ``threads`` argument sets the number of
-blocks and worker processes (below 1 counts as 1); with 1 the whole
-matrix is one serial block.
+across two blocks trains its arms in two such calls; a lone arm trains
+alone), then scores each cell in order. A lockstep call that raises is
+followed by one `train` call per arm, so a failing cell fails as it does
+alone and the others keep their bits. The ``threads`` argument sets the
+number of blocks and worker processes (below 1 counts as 1); with 1 the
+whole matrix is one serial block.
 Results are put back in arm-major order before aggregation, so every
 output file is the same at any thread count.
 """
@@ -80,6 +82,8 @@ class ReproduceSettings:
             raise ConfigurationError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.base.stage2 is not None:
@@ -209,14 +213,37 @@ def _failure(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+def _train_arms(inputs, cfgs):
+    """Train one seed's arms on its inputs; returns one outcome per config:
+    its (params, table, logs), or the exception it raised.
+
+    Several arms train in lockstep. If that raises, each arm trains alone,
+    so every outcome is that of a `train` call on its config alone; the
+    re-run costs time only when a cell fails, which fails the report.
+    """
+    train_ds, val_ds = inputs.train_ds, inputs.val_ds
+    if len(cfgs) > 1:
+        try:
+            return train(train_ds, val_ds, cfgs[0], arms=tuple(cfgs[1:]))
+        except Exception:
+            pass  # each arm's own run below finds which arms fail, and how
+    outcomes = []
+    for cfg in cfgs:
+        try:
+            outcomes.append(train(train_ds, val_ds, cfg))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def _worker(packed):
     """Run one block of (arm, seed) cells, preparing each seed's inputs
-    once and training its arms in lockstep; returns ((arm, seed), outcome)
+    once and training its arms together; returns ((arm, seed), outcome)
     pairs.
 
     A failed cell becomes one (arm, seed, message) row and the other cells
-    still run; a failed preparation, or a failure every arm of the seed
-    shares, gives its row to each of the seed's cells in the block.
+    still run; a failed preparation gives its row to each of the seed's
+    cells in the block.
     """
     settings, block, out_dir = packed
     outcomes = []
@@ -224,18 +251,12 @@ def _worker(packed):
         arms = [arm for arm, _ in cells]
         try:
             inputs = _prepare(settings, seed)
-            # one outcome per arm: (params, table, logs) or its exception
-            first, *rest = (_train_config(settings, arm, seed) for arm in arms)
-            train_ds, val_ds = inputs.train_ds, inputs.val_ds
-            trained = (
-                train(train_ds, val_ds, first, arms=tuple(rest)) if rest
-                else [train(train_ds, val_ds, first)]
-            )
+            cfgs = [_train_config(settings, arm, seed) for arm in arms]
         except Exception as exc:
             message = _failure(exc)
             outcomes.extend(((arm, seed), (arm, seed, message)) for arm in arms)
             continue
-        for arm, result in zip(arms, trained):
+        for arm, result in zip(arms, _train_arms(inputs, cfgs)):
             try:
                 if isinstance(result, Exception):
                     raise result

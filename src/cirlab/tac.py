@@ -52,39 +52,6 @@ def tac_init(
     return ClassTable(table=table, momentum=momentum)
 
 
-def class_means(features: np.ndarray, labels: np.ndarray, num_classes: int):
-    """Per-class means of the rows of features.
-
-    Returns (means, counts): means is (num_classes, dim) with zero rows for
-    absent classes, counts is the per-class row count.
-    """
-    sums, counts = _class_sums(features, labels, num_classes)
-    means = np.zeros_like(sums)
-    present = counts > 0
-    means[present] = sums[present] / counts[present, None]
-    return means, counts
-
-
-def _class_sums(features, labels, num_classes):
-    """Per-class sums of the rows of features, each added in row order
-    from zero, and the per-class row counts."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2:
-        raise ShapeError(f"features must be 2-D, got shape {features.shape}")
-    if labels.shape != (features.shape[0],):
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match {features.shape[0]} rows"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise InputError(f"labels must lie in [0, {num_classes})")
-
-    counts = np.bincount(labels, minlength=num_classes).astype(np.int64)
-    sums = np.zeros((num_classes, features.shape[1]))
-    np.add.at(sums, labels, features)
-    return sums, counts
-
-
 def tac_update(
     tac: ClassTable,
     features: np.ndarray,
@@ -118,15 +85,24 @@ def tac_update(
             f"features shape {features.shape} does not match table shape "
             f"{tac.table.shape}"
         )
+    labels = np.asarray(labels)
     if class_rows is None:
         if stacked:
             raise ShapeError("a stack of tables needs class-major batches")
-        # the present classes' means, as class_means gives them
-        sums, counts = _class_sums(features, labels, tac.num_classes)
+        if labels.shape != (features.shape[0],):
+            raise ShapeError(
+                f"labels shape {labels.shape} does not match {features.shape[0]} rows"
+            )
+        if labels.size and (labels.min() < 0 or labels.max() >= tac.num_classes):
+            raise InputError(f"labels must lie in [0, {tac.num_classes})")
+        # the present classes' means, each class's rows added in row order
+        # from zero
+        counts = np.bincount(labels, minlength=tac.num_classes)
+        sums = np.zeros((tac.num_classes, tac.dim))
+        np.add.at(sums, labels, features)
         classes = np.flatnonzero(counts)
         means = sums[classes] / counts[classes, None]
     else:
-        labels = np.asarray(labels)
         n = features.shape[-2]
         if class_rows < 1 or labels.shape != features.shape[:-1] or n % class_rows:
             raise ShapeError(

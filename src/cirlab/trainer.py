@@ -29,7 +29,10 @@ batch label pattern, so each step runs the encoder, the batch-all loss,
 the backward pass, the SGD step and the PK table update once, on arrays
 with a leading arm axis. Sampling, the blend or noise draws and the
 epoch-end metrics stay per arm, each arm on its own generator, and every
-arm gets the bits it gets alone. A single run is a stack of one arm.
+arm gets the bits it gets alone. A single run is a stack of one arm. A
+lockstep call finishes for every arm or raises the first error any arm
+hits; the caller that needs per-arm outcomes (`reproduce`) then trains
+each arm alone.
 """
 
 from __future__ import annotations
@@ -329,47 +332,6 @@ def _perturb(z, labels, tac, cfg, rng):
     return blended
 
 
-class _Stack:
-    """The arms of one `train` call that are still training.
-
-    Per arm: its position in the call's configs, its config, its
-    generator and the current epoch's loss and accuracy sums. Every arm's
-    encoder, head and class table are stacked on a leading arm axis. The
-    stacked table is updated in place, so `tables`, each arm's table as a
-    view of it, stays valid from step to step.
-    """
-
-    def __init__(self, positions, cfgs, rngs, params, head, tac, loss_sum, acc_sum):
-        self.positions, self.cfgs, self.rngs = positions, cfgs, rngs
-        self.params, self.head, self.tac = params, head, tac
-        self.loss_sum, self.acc_sum = loss_sum, acc_sum
-        self.tables = [ClassTable(t, tac.momentum) for t in tac.table]
-
-    def take(self, keep):
-        """A new stack of the arms at stack positions `keep`, in order."""
-        return _restack([(self, i) for i in keep])
-
-
-def _restack(arms):
-    """One stack of the (stack, position) arms, in order, copying their
-    arrays; None when there are none."""
-    if not arms:
-        return None
-    first = arms[0][0]
-    return _Stack(
-        positions=[s.positions[i] for s, i in arms],
-        cfgs=[s.cfgs[i] for s, i in arms],
-        rngs=[s.rngs[i] for s, i in arms],
-        params=stack_params([s.params.arm(i) for s, i in arms]),
-        head=None if first.head is None else stack_params(
-            [s.head.arm(i) for s, i in arms]
-        ),
-        tac=ClassTable(np.stack([s.tac.table[i] for s, i in arms]), first.tac.momentum),
-        loss_sum=[s.loss_sum[i] for s, i in arms],
-        acc_sum=[s.acc_sum[i] for s, i in arms],
-    )
-
-
 def _check_arms(cfg, arms):
     """Lockstep arms share everything but the anchor treatment."""
     for i, arm in enumerate(arms, 1):
@@ -399,12 +361,9 @@ def train(
     encoder, the loss, the SGD step and the table update once for all of
     them, stacked on a leading arm axis, while sampling, the blend or
     noise draws and the epoch-end metrics stay per arm, each on its own
-    generator. With arms the call returns one outcome per config of
-    (cfg, *arms): the (params, table, logs) of that config, or the
-    exception it raised. Each outcome has the bits, and each exception the
-    type and message, of a `train` call on that config alone; a failed arm
-    leaves the stack and the others carry on. A failure before the first
-    step (a bad split or config) is the same for every arm and is raised.
+    generator. With arms the call returns one (params, table, logs) per
+    config of (cfg, *arms), each with the bits of a `train` call on that
+    config alone; the first error any arm hits is raised for the call.
     """
     _check_arms(cfg, arms)
     check_feasible(train_ds, val_ds, cfg)
@@ -446,42 +405,39 @@ def train(
         train_rows = episode_rows(labels, *shape, child_seed(cfg.seed, 4))
         val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
 
+    # every arm starts from the same encoder, head and table, each on its
+    # own copy of the training stream
     configs = (cfg, *arms)
     count = len(configs)
-    stack = _Stack(
-        positions=list(range(count)),
-        cfgs=list(configs),
-        rngs=[np.random.default_rng(child_seed(cfg.seed, 2)) for _ in configs],
-        params=stack_params([params] * count),
-        head=None if head is None else stack_params([head] * count),
-        tac=ClassTable(np.stack([tac.table] * count), tac.momentum),
-        loss_sum=[0.0] * count,
-        acc_sum=[0.0] * count,
-    )
+    rngs = [np.random.default_rng(child_seed(cfg.seed, 2)) for _ in configs]
+    params = stack_params([params] * count)
+    if head is not None:
+        head = stack_params([head] * count)
+    tac = ClassTable(np.stack([tac.table] * count), tac.momentum)
+    # each arm's table views the stack, which is updated in place
+    tables = [ClassTable(t, tac.momentum) for t in tac.table]
     logs = [[] for _ in configs]
-    failed = {}
 
-    def epoch_log(i, e, rate):
-        """Arm i's log row of epoch e, from its own embeddings."""
-        arm_params = stack.params.arm(i)
+    def epoch_log(s, e, rate, loss_sum, acc_sum):
+        """Arm s's log row of epoch e, from its own embeddings."""
+        arm_params = params.arm(s)
         z_train = forward(arm_params, feats)[0]
         if cfg.loss_mode == "triplet":
             train_acc = episodic_accuracy(z_train, train_rows, cfg.eval_k_shot).mean
             z_val = forward(arm_params, val_ds.features)[0]
             val_acc = episodic_accuracy(z_val, val_rows, cfg.eval_k_shot).mean
         else:
-            train_acc = stack.acc_sum[i] / cfg.iterations
+            train_acc = acc_sum / cfg.iterations
             val_acc = _classification_accuracy(
                 forward(arm_params, held_feats)[0], held_labels,
-                None if stack.head is None else stack.head.arm(i),
-                stack.tables[i], cfg.temperature,
+                None if head is None else head.arm(s), tables[s], cfg.temperature,
             )
         geom = geometry_stats(z_train, labels)
         return EpochLog(
             epoch=epoch_offset + e,
             stage=stage,
             lr=rate,
-            train_loss=stack.loss_sum[i] / cfg.iterations,
+            train_loss=loss_sum / cfg.iterations,
             train_acc=train_acc,
             val_acc=val_acc,
             center_dist=geom.center_distance,
@@ -490,101 +446,44 @@ def train(
 
     for e in range(cfg.epochs):
         rate = cfg.rate(e)
-        stack.loss_sum = [0.0] * len(stack.positions)
-        stack.acc_sum = [0.0] * len(stack.positions)
+        loss_sum, acc_sum = [0.0] * count, [0.0] * count
         for it in range(cfg.iterations):
-            where = f"epoch {epoch_offset + e} iteration {it}"
-            stack = _lockstep(stack, fit_feats, fit_labels, parts, rate, where, failed)
-            if stack is None:
-                break
-        if stack is None:
-            break
-        scored = []
-        for i, position in enumerate(stack.positions):
-            try:
-                logs[position].append(epoch_log(i, e, rate))
-                scored.append(i)
-            except Exception as exc:
-                failed[position] = exc
-        if len(scored) < len(stack.positions):
-            stack = stack.take(scored)
-            if stack is None:
-                break
+            z, blended, y, loss, acc, grads, head_grads = _step(
+                params, head, tables, fit_feats, fit_labels, parts, configs, rngs
+            )
+            losses = loss.tolist()
+            # the blended or noised anchors too: the batch-all loss leaves a
+            # non-finite anchor's triplets inactive, so its loss stays finite
+            if not (
+                all(map(math.isfinite, losses))
+                and np.isfinite(z).all()
+                and np.isfinite(blended).all()
+            ):
+                raise NumericError(
+                    f"non-finite loss or embeddings at epoch {epoch_offset + e} "
+                    f"iteration {it}"
+                )
+            params = sgd_step(params, grads, rate)
+            if head is not None:
+                head = sgd_step(head, head_grads, rate)
+            if parts.class_rows is None:
+                # the general table update has no stacked form
+                for s, arm in enumerate(tables):
+                    arm.table[...] = tac_update(
+                        arm, z[s], y[s], normalize=cfg.tac_normalize
+                    ).table
+            else:
+                tac.table[...] = tac_update(
+                    tac, z, y, normalize=cfg.tac_normalize, class_rows=parts.class_rows
+                ).table
+            loss_sum = [a + b for a, b in zip(loss_sum, losses)]
+            if acc is not None:
+                acc_sum = [a + b for a, b in zip(acc_sum, acc.tolist())]
+        for s in range(count):
+            logs[s].append(epoch_log(s, e, rate, loss_sum[s], acc_sum[s]))
 
-    outcomes = [failed.get(position) for position in range(count)]
-    if stack is not None:
-        for i, position in enumerate(stack.positions):
-            outcomes[position] = (stack.params.arm(i), stack.tables[i], logs[position])
-    if arms:
-        return outcomes
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
-
-
-def _lockstep(stack, feats, labels, parts, rate, where, failed):
-    """Advance every arm of the stack by one step; returns the stack of
-    the arms that carry on, or None.
-
-    An arm whose step raises is dropped, its exception recorded in
-    `failed` under its position. When a stacked step raises, the step is
-    replayed arm by arm from the same generator states, so each arm fails,
-    or carries on with the same bits, as it would alone.
-    """
-    alone = len(stack.positions) == 1
-    states = None if alone else [rng.bit_generator.state for rng in stack.rngs]
-    try:
-        _advance(stack, feats, labels, parts, rate, where)
-        return stack
-    except Exception as exc:
-        if alone:
-            failed[stack.positions[0]] = exc
-            return None
-    carried = []
-    for i, state in enumerate(states):
-        stack.rngs[i].bit_generator.state = state
-        arm = _lockstep(stack.take([i]), feats, labels, parts, rate, where, failed)
-        if arm is not None:
-            carried.append((arm, 0))
-    return _restack(carried)
-
-
-def _advance(stack, feats, labels, parts, rate, where):
-    """One training step of every arm, committed to the stack only when
-    every part of it succeeds: the step, the finiteness check, the SGD
-    steps and the table update."""
-    z, blended, y, loss, acc, grads, head_grads = _step(
-        stack.params, stack.head, stack.tables, feats, labels, parts, stack.cfgs,
-        stack.rngs,
-    )
-    losses = loss.tolist()
-    # the blended or noised anchors too: the batch-all loss leaves a
-    # non-finite anchor's triplets inactive, so its loss stays finite
-    if not (
-        all(map(math.isfinite, losses))
-        and np.isfinite(z).all()
-        and np.isfinite(blended).all()
-    ):
-        raise NumericError(f"non-finite loss or embeddings at {where}")
-    params = sgd_step(stack.params, grads, rate)
-    head = None if stack.head is None else sgd_step(stack.head, head_grads, rate)
-    normalize = stack.cfgs[0].tac_normalize
-    if parts.class_rows is None:
-        # the general table update has no stacked form
-        updated = [
-            tac_update(arm, z[s], y[s], normalize=normalize).table
-            for s, arm in enumerate(stack.tables)
-        ]
-    else:
-        updated = tac_update(
-            stack.tac, z, y, normalize=normalize, class_rows=parts.class_rows
-        ).table
-    stack.params, stack.head = params, head
-    for arm, table in zip(stack.tables, updated):
-        arm.table[...] = table
-    stack.loss_sum = [a + b for a, b in zip(stack.loss_sum, losses)]
-    if acc is not None:
-        stack.acc_sum = [a + b for a, b in zip(stack.acc_sum, acc.tolist())]
+    outcomes = [(params.arm(s), tables[s], logs[s]) for s in range(count)]
+    return outcomes if arms else outcomes[0]
 
 
 def _step(params, head, tables, feats, labels, parts, cfgs, rngs):

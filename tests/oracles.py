@@ -1,7 +1,8 @@
 """Reference implementations that the package's code is checked against:
 one-triple triplet loss, the enumerated batch-all triple list, the B^3
 batch-all loss, the gather loss with its label masks rebuilt on every
-call and boolean-mask gathers, the per-label class-mean table update,
+call and boolean-mask gathers, the per-class means and the per-label
+class-mean table update,
 the out-of-place pairwise distances, the dense N x N
 geometry statistics, the scalar negative-class draw, the central
 finite-difference gradient checker, the four per-head
@@ -283,6 +284,31 @@ def batch_all_triplet_loss_boolean(features, blended_anchors, labels, cfg):
     grad_anchor = w * ((row_wa - row_wc)[:, None] * zt - wa @ z + wc @ z)
     grad_other = w * ((wc.T - wa.T) @ zt + (col_wa - col_wc)[:, None] * z)
     return TripletBatchResult(loss, grad_anchor, grad_other, num_triplets, num_active)
+
+
+def class_means(features, labels, num_classes):
+    """Per-class means of the rows of features.
+
+    Returns (means, counts): means is (num_classes, dim) with zero rows for
+    absent classes, counts is the per-class row count.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if features.ndim != 2:
+        raise ShapeError(f"features must be 2-D, got shape {features.shape}")
+    if labels.shape != (features.shape[0],):
+        raise ShapeError(
+            f"labels shape {labels.shape} does not match {features.shape[0]} rows"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise InputError(f"labels must lie in [0, {num_classes})")
+    counts = np.bincount(labels, minlength=num_classes).astype(np.int64)
+    sums = np.zeros((num_classes, features.shape[1]))
+    np.add.at(sums, labels, features)
+    means = np.zeros_like(sums)
+    present = counts > 0
+    means[present] = sums[present] / counts[present, None]
+    return means, counts
 
 
 def tac_update_add_at(tac, features, labels, normalize=False):

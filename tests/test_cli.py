@@ -112,6 +112,16 @@ class TestGen:
         assert "--split needs comma-separated numbers" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "-3"),
+        ("--preset", "reproduce", "--seed", "-3"),
+        ("--split", "0.5,0.25,0.25", "--split-seed", "-1"),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, flags):
+        assert entrypoint(["gen", *flags, "-o", str(tmp_path / "x.cird")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_class_rejected(self, tmp_path):
         assert entrypoint([
             "gen", "--classes", "1", "-o", str(tmp_path / "x.cird"),
@@ -387,6 +397,28 @@ class TestAnalyze:
         assert float(line.split()[1]) < 1e-9
 
 
+@pytest.mark.parametrize("command", [
+    ("train",), ("eval", "--protocol", "episodic"), ("eval", "--protocol", "retrieval"),
+    ("eval", "--protocol", "classification"), ("analyze",),
+])
+def test_non_finite_feature_exits_2_naming_file_and_row(
+    trained, tmp_path, capsys, command
+):
+    split = "train" if command[0] == "train" else "test"
+    ds = load_dataset(str(trained / f"ds.{split}.cird"))
+    ds.features[3, 1] = np.inf
+    bad = tmp_path / "bad.cird"
+    save_dataset(ds, str(bad))
+    if command[0] == "train":
+        args = ["train", "-c", str(trained / "run.cfg"), "-d", str(bad),
+                "--val", str(trained / "ds.val.cird"), "-o", str(tmp_path / "m.ckpt")]
+    else:
+        args = [command[0], str(trained / "m.ckpt"), "-d", str(bad), *command[1:]]
+    assert entrypoint(args) == 2
+    assert f"{bad}: row 3 has a non-finite feature" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 class TestReproduceCommand:
     def test_tiny_matrix_runs(self, tmp_path, capsys):
         code = entrypoint([
@@ -430,6 +462,7 @@ class TestReproduceCommand:
         ("--seeds", "0,,1"),
         ("--epochs", "-1"),
         ("--epochs", "0"),
+        ("--seeds=-1",),
     ])
     def test_bad_matrix_flags_exit_2_before_any_output(self, tmp_path, capsys, flags):
         out = tmp_path / "rep"

@@ -1,5 +1,7 @@
 """Tests for the synthetic generator, class splitting, and the file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,8 @@ class TestGenerator:
             GeneratorSpec(
                 num_classes=3, samples_per_class=5, input_dim=3, nonlinearity="spin"
             )
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -3"):
+            GeneratorSpec(num_classes=3, samples_per_class=5, input_dim=3, seed=-3)
 
 
 class TestSplitClasses:
@@ -169,6 +173,10 @@ class TestSplitClasses:
         with pytest.raises(ConfigurationError):
             split_classes(ds, (1.0, 0.0, 0.0), seed=0)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ConfigurationError, match="split seed must be >= 0"):
+            split_classes(self.make(), (0.5, 0.2, 0.3), seed=-1)
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -218,4 +226,16 @@ class TestSerialization:
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.raises(DataError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_rejected_with_its_row(self, tmp_path, bad):
+        ds = gen_gaussian_mixture(
+            GeneratorSpec(num_classes=2, samples_per_class=3, input_dim=4, seed=15)
+        )
+        ds.features[4, 2] = bad
+        ds.features[5, 0] = bad
+        path = str(tmp_path / "f.cird")
+        save_dataset(ds, path)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: row 4 has a non-finite feature$"):
             load_dataset(path)

@@ -4,8 +4,9 @@ Each stacked layer (forward, backward, SGD step, batch-all loss, table
 update) is checked slice by slice against the same call on one arm, and
 `train(..., arms=...)` against one `train` call per config: params,
 table, epoch logs and the final state of every training generator. A
-failing arm fails with its own exception and leaves the others' bits
-alone.
+lockstep call raises the first error any arm hits; the reproduce helper
+then trains each arm alone, so a failing arm fails with its own exception
+and leaves the others' bits alone.
 """
 
 from dataclasses import replace
@@ -213,16 +214,35 @@ class TestFailingArms:
         return [reproduce._train_config(replace(TINY, base=base), arm, 0)
                 for arm in reproduce.ARMS]
 
-    def test_a_failing_arm_fails_alone(self, monkeypatch):
+    def inputs(self):
+        tr, va, _ = splits()
+        return reproduce.SeedInputs(tr, va, None, None)
+
+    def nan_noise(self, monkeypatch):
         # only the noise arm draws Gaussian noise; make it non-finite
         real = cirlab.trainer.gaussian_perturb
         monkeypatch.setattr(
             cirlab.trainer, "gaussian_perturb",
             lambda features, sigma, rng: real(features, sigma, rng) * np.nan,
         )
-        tr, va, _ = splits()
-        configs = self.configs()
-        outcomes = train(tr, va, configs[0], arms=tuple(configs[1:]))
+
+    def train_calls(self, monkeypatch):
+        """The number of arms of each `train` call the reproduce helper
+        makes, in order."""
+        calls, real = [], reproduce.train
+
+        def train(*args, arms=(), **kwargs):
+            calls.append(1 + len(arms))
+            return real(*args, arms=arms, **kwargs)
+
+        monkeypatch.setattr(reproduce, "train", train)
+        return calls
+
+    def test_a_failing_arm_fails_alone(self, monkeypatch):
+        self.nan_noise(monkeypatch)
+        inputs, configs = self.inputs(), self.configs()
+        tr, va = inputs.train_ds, inputs.val_ds
+        outcomes = reproduce._train_arms(inputs, configs)
         with pytest.raises(NumericError) as alone:
             train(tr, va, configs[2])
         assert type(outcomes[2]) is NumericError
@@ -232,11 +252,13 @@ class TestFailingArms:
             want = train(tr, va, cfg)
             assert same_params(got[0], want[0]) and got[2] == want[2]
 
-    def test_a_failing_stacked_layer_is_replayed_arm_by_arm(self, monkeypatch):
+    def test_a_failing_stacked_layer_fails_only_the_arm_it_fails_alone(
+        self, monkeypatch
+    ):
         # from the third step on, the table update fails in any step that
         # pulled a gradient back through the blend, which only the cir arm
-        # does: the stacked step fails, its replay fails the cir arm
-        # alone, and the other two carry on with their own bits
+        # does: the lockstep run fails, the cir arm fails alone, and the
+        # other two train alone to their own bits
         real_step = cirlab.trainer._step
         real_backward = cirlab.trainer.interfere_backward
         real_update = cirlab.trainer.tac_update
@@ -256,29 +278,67 @@ class TestFailingArms:
                 raise RuntimeError("table update failed")
             return real_update(*args, **kwargs)
 
-        tr, va, _ = splits()
-        configs = self.configs()
+        inputs, configs = self.inputs(), self.configs()
         with monkeypatch.context() as patch:
             patch.setattr(cirlab.trainer, "_step", step)
             patch.setattr(cirlab.trainer, "interfere_backward", interfere_backward)
             patch.setattr(cirlab.trainer, "tac_update", tac_update)
-            outcomes = train(tr, va, configs[0], arms=tuple(configs[1:]))
+            outcomes = reproduce._train_arms(inputs, configs)
         assert type(outcomes[1]) is RuntimeError
         assert str(outcomes[1]) == "table update failed"
         for i in (0, 2):
-            want = train(tr, va, configs[i])
+            want = train(inputs.train_ds, inputs.val_ds, configs[i])
             assert same_params(outcomes[i][0], want[0]) and outcomes[i][2] == want[2]
 
     def test_every_arm_failing_returns_every_failure(self):
-        tr, va, _ = splits()
+        inputs = self.inputs()
         configs = [replace(c, learning_rate=1e200, activation="identity", iterations=20)
                    for c in self.configs()]
         with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = train(tr, va, configs[0], arms=tuple(configs[1:]))
+            outcomes = reproduce._train_arms(inputs, configs)
             for cfg, got in zip(configs, outcomes):
                 with pytest.raises(NumericError) as alone:
-                    train(tr, va, cfg)
+                    train(inputs.train_ds, inputs.val_ds, cfg)
                 assert type(got) is NumericError and str(got) == str(alone.value)
+
+    def test_lockstep_raises_the_first_error_any_arm_hits(self, monkeypatch):
+        self.nan_noise(monkeypatch)
+        tr, va, _ = splits()
+        configs = self.configs()
+        with pytest.raises(NumericError) as failure:
+            train(tr, va, configs[0], arms=tuple(configs[1:]))
+        assert str(failure.value) == (
+            "non-finite loss or embeddings at epoch 0 iteration 0"
+        )
+
+        # arms 1 and 2 fail in their perturbation, arm 1 first
+        def perturb(z, labels, tac, cfg, rng):
+            arm = "cir" if cfg.interference.enabled else "noise" if cfg.noise else None
+            if arm:
+                raise RuntimeError(f"{arm} arm failed")
+            return real_perturb(z, labels, tac, cfg, rng)
+
+        real_perturb = cirlab.trainer._perturb
+        monkeypatch.setattr(cirlab.trainer, "_perturb", perturb)
+        with pytest.raises(RuntimeError, match="^cir arm failed$"):
+            train(tr, va, configs[0], arms=tuple(configs[1:]))
+
+    def test_a_lone_arm_trains_alone_without_a_lockstep_run(self, monkeypatch):
+        calls = self.train_calls(monkeypatch)
+        inputs, cfg = self.inputs(), self.configs()[1]
+        (got,) = reproduce._train_arms(inputs, [cfg])
+        assert calls == [1]
+        want = train(inputs.train_ds, inputs.val_ds, cfg)
+        assert same_params(got[0], want[0]) and got[2] == want[2]
+
+    def test_a_failed_lockstep_run_is_followed_by_one_call_per_arm(
+        self, monkeypatch
+    ):
+        self.nan_noise(monkeypatch)
+        calls = self.train_calls(monkeypatch)
+        outcomes = reproduce._train_arms(self.inputs(), self.configs())
+        assert calls == [3, 1, 1, 1]
+        assert [type(o) is NumericError for o in outcomes] == [False, False, True]
 
     def test_shared_failures_are_raised(self):
         tr, va, _ = splits()

@@ -293,6 +293,8 @@ def test_settings_validation():
         ReproduceSettings(seeds=())
     with pytest.raises(ConfigurationError):
         ReproduceSettings(seeds=(1, 1))
+    with pytest.raises(ConfigurationError, match="seeds must be >= 0, got -1"):
+        ReproduceSettings(seeds=(0, -1))
     for epochs in (0, -1):
         with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
             ReproduceSettings(epochs=epochs)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cirlab.errors import ConfigurationError, InputError, ShapeError
-from cirlab.tac import ClassTable, class_means, tac_init, tac_update
-from oracles import sample_negative_class
+from cirlab.tac import ClassTable, tac_init, tac_update
+from oracles import class_means, sample_negative_class
 
 
 class TestInitAndLookup:
