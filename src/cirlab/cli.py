@@ -212,6 +212,10 @@ def cmd_eval(args):
 
 
 def cmd_analyze(args):
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    if args.draws < 1:
+        raise ConfigurationError(f"--draws must be >= 1, got {args.draws}")
     params, tac = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     z, _ = forward(params, ds.features)

@@ -113,8 +113,16 @@ def interfere_batch(
 
     n = designated_rows(config.fraction, features.shape[0])
     decoys = np.full(features.shape[0], -1, dtype=np.int64)
+    c, designated = tac.num_classes, labels[:n]
     if n:
-        decoys[:n] = _negative_classes(rng, labels[:n], tac.num_classes)
+        if c < 2:
+            raise ConfigurationError(
+                f"need at least 2 classes to draw a different one, got {c}"
+            )
+        outside = (designated < 0) | (designated >= c)
+        if outside.any():
+            raise InputError(f"label {designated[np.argmax(outside)]} outside [0, {c})")
+        decoys[:n] = negative_classes(rng, designated, c)
 
     blended = features.copy()
     if config.enabled and config.strength > 0.0 and n:
@@ -122,20 +130,14 @@ def interfere_batch(
     return blended, decoys
 
 
-def _negative_classes(
+def negative_classes(
     rng: np.random.Generator, labels: np.ndarray, num_classes: int
 ) -> np.ndarray:
     """One uniform class other than labels[i] per row, from a single
     vector draw: the same stream as one scalar
-    `rng.integers(0, num_classes - 1)` draw per row, in row order."""
-    if num_classes < 2:
-        raise ConfigurationError(
-            f"need at least 2 classes to draw a different one, got {num_classes}"
-        )
-    outside = (labels < 0) | (labels >= num_classes)
-    if outside.any():
-        label = labels[np.argmax(outside)]
-        raise InputError(f"label {label} outside [0, {num_classes})")
+    `rng.integers(0, num_classes - 1)` draw per row, in row order.
+    Unchecked: `interfere_batch` checks num_classes >= 2 and the label
+    range on every call, `trainer.train` once per run."""
     k = rng.integers(0, num_classes - 1, size=labels.shape[0])
     return k + (k >= labels)
 

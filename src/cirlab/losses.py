@@ -318,15 +318,18 @@ def cross_entropy(
         raise ShapeError(f"logits must be 1-D or 2-D, got shape {logits.shape}")
     if (tg < 0).any() or (np.abs(tg.sum(axis=1) - 1.0) > 1e-6).any():
         raise InputError("target rows must be distributions (>= 0, sum to 1)")
+    loss, grads = batch_cross_entropy(lg, tg)
+    return (loss, grads[0] if single else grads) if with_grads else loss
 
-    shifted = lg - lg.max(axis=1, keepdims=True)
+
+def batch_cross_entropy(logits: np.ndarray, target: np.ndarray):
+    """`cross_entropy` with grads on float64 B x C logits and target rows
+    the caller has checked are distributions: (loss, d(loss)/d(logits))."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    loss = float(-(tg * logp).sum() / lg.shape[0])
-    if not with_grads:
-        return loss
-    grads = (np.exp(logp) - tg) / lg.shape[0]
-    return loss, (grads[0] if single else grads)
+    loss = float(-(target * logp).sum() / logits.shape[0])
+    return loss, (np.exp(logp) - target) / logits.shape[0]
 
 
 def label_smooth(classes, num_classes: int, epsilon: float = 0.0) -> np.ndarray:

@@ -25,14 +25,15 @@ class's block of K rows with a reshape instead of a per-label scatter.
 Configs that differ only in the anchor treatment (`interference` and
 `noise`) can train in lockstep, as arms of one `train` call: the arms
 share the split, the initial encoder and table, the episodes and the
-batch label pattern, so each step runs the encoder, the batch-all loss,
-the backward pass, the SGD step and the PK table update once, on arrays
-with a leading arm axis. Sampling, the blend or noise draws and the
-epoch-end metrics stay per arm, each arm on its own generator, and every
-arm gets the bits it gets alone. A single run is a stack of one arm. A
-lockstep call finishes for every arm or raises the first error any arm
-hits; the caller that needs per-arm outcomes (`reproduce`) then trains
-each arm alone.
+batch label pattern, so each step runs the encoder, the loss, the
+backward pass, the SGD step and the PK table update once, on arrays with
+a leading arm axis. Arms that draw alike (no noise, as many designated
+rows) share one random stream, which draws the batch and the decoy
+classes once for all of them; each arm then treats its own anchors and
+computes its own epoch-end metrics, and gets the bits it gets alone. A
+single run is one stream of one arm. A lockstep call finishes for every
+arm or raises the first error any arm hits; `reproduce` then trains each
+arm alone.
 """
 
 from __future__ import annotations
@@ -52,14 +53,15 @@ from .interference import (
     NoiseConfig,
     designated_rows,
     gaussian_perturb,
+    interfere,
     interfere_backward,
-    interfere_batch,
     matched_noise_sigma,
+    negative_classes,
 )
 from .losses import (
     TripletConfig,
     batch_all_triplet_loss,
-    cross_entropy,
+    batch_cross_entropy,
     label_smooth,
     oim_scores,
     triplet_masks,
@@ -304,32 +306,44 @@ def _check_rows(ds: Dataset, split: str, classes: int, need: int, use: str) -> N
 
 def _check_class_count(ds: Dataset, split: str) -> None:
     """The class count comes from a file header and sizes per-class arrays
-    (bincounts here, the class table in train()). More classes than rows
-    leaves some class empty, so refuse it before any such allocation."""
+    (bincounts here, the class table in train()), which labels index
+    unchecked. Refuse more classes than rows, which leaves some class empty,
+    and labels outside the count before any such allocation."""
     if ds.class_count > ds.size:
         raise DataError(
             f"{split} split declares {ds.class_count} classes "
             f"but has only {ds.size} rows"
         )
+    if ds.size and not 0 <= ds.labels.min() <= ds.labels.max() < ds.class_count:
+        raise DataError(f"{split} split has labels outside [0, {ds.class_count})")
 
 
-def _perturb(z, labels, tac, cfg, rng):
-    """Blend designated rows toward drawn wrong-class rows, or substitute
-    Gaussian noise at the same call site (control arm). The wrong-class
-    draws are consumed either way so streams stay aligned."""
-    blended, decoys = interfere_batch(z, labels, tac, cfg.interference, rng)
+def _streams(cfgs, anchors, seed):
+    """One generator per stream, each arm's stream and each stream's
+    designated rows. An arm draws a batch, one decoy class per designated
+    row (blend on or off), then any noise: arms that draw no noise and
+    designate as many rows share a stream; an arm that draws noise has its
+    own (one that designates no rows draws none)."""
+    keys, of = {}, []
+    for s, cfg in enumerate(cfgs):
+        n = designated_rows(cfg.interference.fraction, anchors)
+        noisy = n and cfg.noise is not None and cfg.noise.enabled
+        of.append(keys.setdefault((n, s if noisy else -1), len(keys)))
+    return [np.random.default_rng(seed) for _ in keys], of, [n for n, _ in keys]
+
+
+def _treat(out, z, labels, decoys, tac, cfg, rng):
+    """Write an arm's treatment of its designated rows, the leading
+    len(decoys) rows of z, into out: matched or fixed-scale noise from rng
+    (control arm), the blend toward the decoys' rows of tac, or nothing."""
+    n, blend = len(decoys), cfg.interference
     if cfg.noise is not None and cfg.noise.enabled:
-        # the config keeps the blend off in the noise arm, so blended is
-        # still an unmodified copy of z
-        n = designated_rows(cfg.interference.fraction, z.shape[0])
-        if n:
-            sigma = cfg.noise.sigma
-            if sigma is None:
-                sigma = matched_noise_sigma(
-                    z, labels, tac, cfg.interference.strength, decoys
-                )
-            blended[:n] = gaussian_perturb(z[:n], sigma, rng)
-    return blended
+        sigma = cfg.noise.sigma
+        if sigma is None:
+            sigma = matched_noise_sigma(z[:n], labels[:n], tac, blend.strength, decoys)
+        out[:n] = gaussian_perturb(z[:n], sigma, rng)
+    elif blend.enabled and blend.strength > 0.0:
+        out[:n] = interfere(z[:n], tac.table[decoys], blend.strength)
 
 
 def _check_arms(cfg, arms):
@@ -359,11 +373,12 @@ def train(
     arms are further configs that differ from cfg only in `interference`
     and `noise`. They train in lockstep with cfg: each step runs the
     encoder, the loss, the SGD step and the table update once for all of
-    them, stacked on a leading arm axis, while sampling, the blend or
-    noise draws and the epoch-end metrics stay per arm, each on its own
-    generator. With arms the call returns one (params, table, logs) per
-    config of (cfg, *arms), each with the bits of a `train` call on that
-    config alone; the first error any arm hits is raised for the call.
+    them, stacked on a leading arm axis. Arms that draw alike share one
+    random stream (`_streams`); the anchor treatment and the epoch-end
+    metrics stay per arm. With arms the call returns one (params, table,
+    logs) per config of (cfg, *arms), each with the bits of a `train` call
+    on that config alone; the first error any arm hits is raised for the
+    call.
     """
     _check_arms(cfg, arms)
     check_feasible(train_ds, val_ds, cfg)
@@ -405,11 +420,11 @@ def train(
         train_rows = episode_rows(labels, *shape, child_seed(cfg.seed, 4))
         val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
 
-    # every arm starts from the same encoder, head and table, each on its
-    # own copy of the training stream
+    # every arm starts from the same encoder, head and table; arms that
+    # draw alike share one copy of the training stream
     configs = (cfg, *arms)
     count = len(configs)
-    rngs = [np.random.default_rng(child_seed(cfg.seed, 2)) for _ in configs]
+    streams = _streams(configs, parts.anchors, child_seed(cfg.seed, 2))
     params = stack_params([params] * count)
     if head is not None:
         head = stack_params([head] * count)
@@ -434,13 +449,9 @@ def train(
             )
         geom = geometry_stats(z_train, labels)
         return EpochLog(
-            epoch=epoch_offset + e,
-            stage=stage,
-            lr=rate,
-            train_loss=loss_sum / cfg.iterations,
-            train_acc=train_acc,
-            val_acc=val_acc,
-            center_dist=geom.center_distance,
+            epoch=epoch_offset + e, stage=stage, lr=rate,
+            train_loss=loss_sum / cfg.iterations, train_acc=train_acc,
+            val_acc=val_acc, center_dist=geom.center_distance,
             inter_intra_ratio=geom.ratio,
         )
 
@@ -449,7 +460,7 @@ def train(
         loss_sum, acc_sum = [0.0] * count, [0.0] * count
         for it in range(cfg.iterations):
             z, blended, y, loss, acc, grads, head_grads = _step(
-                params, head, tables, fit_feats, fit_labels, parts, configs, rngs
+                params, head, tables, fit_feats, fit_labels, parts, configs, streams
             )
             losses = loss.tolist()
             # the blended or noised anchors too: the batch-all loss leaves a
@@ -486,23 +497,31 @@ def train(
     return outcomes if arms else outcomes[0]
 
 
-def _step(params, head, tables, feats, labels, parts, cfgs, rngs):
+def _step(params, head, tables, feats, labels, parts, cfgs, streams):
     """One training step of a stack of arms, for every head; returns (z,
     blended anchors, y, loss, batch accuracy or None for the triplet
     heads, encoder gradients, head gradients or None), each with a
     leading arm axis.
 
-    Arm s draws its batch and its blend or noise from rngs[s] under
-    cfgs[s], against its class table tables[s]; the encoder, the
-    batch-all loss and the backward pass run once for the stack."""
-    rows = _stack([parts.sample(rng) for rng in rngs])
+    Each of the `_streams` draws a batch and decoy classes for its arms;
+    arm s treats its own anchors under cfgs[s] against its own table
+    tables[s]. The encoder, the loss and the backward pass run once."""
+    rngs, of, designated = streams
+    batches = [parts.sample(rng) for rng in rngs]
+    rows = _stack([batches[k] for k in of])
     x, y = feats.take(rows, axis=0), labels.take(rows)
     z, cache = forward(params, x)
     n_anchor = parts.anchors
-    blended = _stack([
-        _perturb(z[s, :n_anchor], y[s, :n_anchor], table, cfg, rng)
-        for s, (table, cfg, rng) in enumerate(zip(tables, cfgs, rngs))
-    ])
+    # one copy for the stack, untreated arms included: with the raw rows
+    # themselves as anchors, matmul would take its symmetric a @ a.T path
+    # in the loss, which rounds differently
+    blended = z[:, :n_anchor].copy()
+    decoys = {}
+    for s, k in enumerate(of):
+        if n := designated[k]:
+            if k not in decoys:
+                decoys[k] = negative_classes(rngs[k], y[s, :n], tables[s].num_classes)
+            _treat(blended[s], z[s], y[s], decoys[k], tables[s], cfgs[s], rngs[k])
     loss, acc, grad_blended, grad_z, head_grads = parts.head_loss(
         z, blended, y, head, tables, cfgs
     )
@@ -512,7 +531,7 @@ def _step(params, head, tables, feats, labels, parts, cfgs, rngs):
     for s, cfg in enumerate(cfgs):
         blend = cfg.interference
         if blend.enabled and blend.strength != 0.0:
-            n = designated_rows(blend.fraction, n_anchor)
+            n = designated[of[s]]
             grad_blended[s, :n] = interfere_backward(grad_blended[s, :n], blend.strength)
     grad_z[:, :n_anchor] += grad_blended
     return z, blended, y, loss, acc, backward(params, cache, grad_z), head_grads
@@ -642,8 +661,9 @@ def _cross_entropy_loss(z, blended, y, head, tac, cfg):
 
 
 def _softmax_loss(logits, y, cfg):
+    # label_smooth builds distributions: no need for cross_entropy's checks
     targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
-    loss, glog = cross_entropy(logits, targets, with_grads=True)
+    loss, glog = batch_cross_entropy(logits, targets)
     # the mean of the hits, without the ndarray.mean wrapper: an exact
     # integer count over the row count, rounded once as the mean rounds it
     return loss, glog, np.count_nonzero(logits.argmax(axis=1) == y) / len(y)

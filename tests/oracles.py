@@ -37,7 +37,7 @@ from cirlab.losses import (
 from cirlab.nn import ParamGrads, backward, forward, input_gradient, stack_params
 from cirlab.sampling import pk_batch
 from cirlab.tac import ClassTable
-from cirlab.trainer import TrainConfig, _step
+from cirlab.trainer import TrainConfig, _step, _streams
 
 
 def grad_check(params, loss_closure, epsilon=1e-5) -> float:
@@ -531,11 +531,12 @@ def arm_of_step(out, s):
 
 
 def single_step(params, head, tac, feats, labels, parts, cfg, rng):
-    """`trainer._step` on a stack of one arm: plain params, head and table
-    in, one arm's plain results out."""
+    """`trainer._step` on a stack of one arm, drawing from rng: plain
+    params, head and table in, one arm's plain results out."""
+    _, of, designated = _streams([cfg], parts.anchors, 0)
     out = _step(
         stack_params([params]), None if head is None else stack_params([head]),
-        [tac], feats, labels, parts, [cfg], [rng],
+        [tac], feats, labels, parts, [cfg], ([rng], of, designated),
     )
     return arm_of_step(out, 0)
 

@@ -396,6 +396,20 @@ class TestAnalyze:
         line = next(l for l in out.split("\n") if l.startswith("blend_identity"))
         assert float(line.split()[1]) < 1e-9
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("--draws", "-3"), "--draws must be >= 1, got -3"),
+        (("--draws", "0"), "--draws must be >= 1, got 0"),
+    ])
+    def test_bad_flags_exit_2(self, trained, capsys, flags, message):
+        assert entrypoint([
+            "analyze", str(trained / "m.ckpt"),
+            "-d", str(trained / "ds.test.cird"), *flags,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
 
 @pytest.mark.parametrize("command", [
     ("train",), ("eval", "--protocol", "episodic"), ("eval", "--protocol", "retrieval"),

@@ -16,6 +16,7 @@ from cirlab.interference import (
     interfere_backward,
     interfere_batch,
     matched_noise_sigma,
+    negative_classes,
 )
 from cirlab.tac import ClassTable, tac_init
 from oracles import sample_negative_class
@@ -208,6 +209,17 @@ class TestInterfereBatch:
                 assert decoys[:n_designated].tolist() == expected
                 assert np.all(decoys[n_designated:] == -1)
                 assert r_batch.integers(0, 1 << 30) == r_loop.integers(0, 1 << 30)
+
+    def test_unchecked_draw_is_the_batch_draw(self):
+        # the trainer draws decoys with negative_classes, unchecked
+        tac = tac_init(9, 3)
+        labels = np.random.default_rng(2).integers(0, 9, size=20)
+        cfg = InterferenceConfig(strength=0.5, fraction=0.6)
+        r_batch, r_draw = np.random.default_rng(4), np.random.default_rng(4)
+        _, decoys = interfere_batch(np.zeros((20, 3)), labels, tac, cfg, r_batch)
+        got = negative_classes(r_draw, labels[:12], 9)
+        assert got.tolist() == decoys[:12].tolist()
+        assert r_batch.bit_generator.state == r_draw.bit_generator.state
 
     def test_label_outside_table_raises(self):
         tac = self.make_tac()

@@ -157,18 +157,25 @@ def recorded_generators(monkeypatch, seed):
     return made
 
 
-def assert_lockstep_matches_separate_runs(monkeypatch, train_ds, val_ds, configs):
+def assert_lockstep_matches_separate_runs(
+    monkeypatch, train_ds, val_ds, configs, streams
+):
+    """streams[i] is the random stream config i draws from, numbered in
+    order of first use: lockstep makes one training generator per stream,
+    and each config's run alone ends in its stream's final state."""
     made = recorded_generators(monkeypatch, child_seed(configs[0].seed, 2))
     lockstep = train(train_ds, val_ds, configs[0], arms=tuple(configs[1:]))
     lockstep_states = [rng.bit_generator.state for rng in made]
-    assert len(lockstep) == len(configs) == len(lockstep_states)
-    for cfg, got, state in zip(configs, lockstep, lockstep_states):
+    assert len(lockstep) == len(configs) == len(streams)
+    assert len(lockstep_states) == len(set(streams)) == max(streams) + 1
+    for cfg, got, stream in zip(configs, lockstep, streams):
         made.clear()
         want = train(train_ds, val_ds, cfg)
         assert same_params(got[0], want[0])
         assert same(got[1].table, want[1].table) and got[1].momentum == want[1].momentum
         assert got[2] == want[2] and len(got[2]) == cfg.epochs
-        assert state == made[0].bit_generator.state
+        assert len(made) == 1
+        assert lockstep_states[stream] == made[0].bit_generator.state
 
 
 HEADS = {
@@ -179,33 +186,82 @@ HEADS = {
 }
 
 
+def small_config(head, **blend):
+    return TrainConfig(
+        epochs=2, iterations=15, seed=3, hidden_dims=(16,), embed_dim=6,
+        learning_rate=0.01, p_classes=4, k_samples=3, eval_n_way=3,
+        eval_q_queries=3, eval_episodes=5,
+        interference=InterferenceConfig(**blend), **HEADS[head],
+    )
+
+
+def as_noise(cfg):
+    return replace(
+        cfg, interference=replace(cfg.interference, enabled=False),
+        noise=NoiseConfig(enabled=True),
+    )
+
+
+def as_no_reg(cfg):
+    return replace(cfg, interference=replace(cfg.interference, enabled=False))
+
+
 class TestLockstepMatchesSeparateRuns:
     @pytest.mark.parametrize("settings", [
         TINY, reproduce.ReproduceSettings(seeds=(0,), epochs=2),
     ], ids=["tiny", "default_cell"])
     def test_three_reproduce_arms(self, monkeypatch, settings):
+        # no_reg and cir draw alike and share a stream; noise has its own
         seed = settings.seeds[0]
         inputs = reproduce._prepare(settings, seed)
         configs = [reproduce._train_config(settings, arm, seed) for arm in reproduce.ARMS]
         assert_lockstep_matches_separate_runs(
-            monkeypatch, inputs.train_ds, inputs.val_ds, configs
+            monkeypatch, inputs.train_ds, inputs.val_ds, configs, [0, 0, 1]
         )
 
     @pytest.mark.parametrize("head", HEADS)
     def test_two_arms_of_each_head(self, monkeypatch, head):
         tr, va, _ = splits()
-        cir = TrainConfig(
-            epochs=2, iterations=15, seed=3, hidden_dims=(16,), embed_dim=6,
-            learning_rate=0.01, p_classes=4, k_samples=3, eval_n_way=3,
-            eval_q_queries=3, eval_episodes=5,
-            interference=InterferenceConfig(strength=0.5, fraction=0.5),
-            **HEADS[head],
+        cir = small_config(head, strength=0.5, fraction=0.5)
+        assert_lockstep_matches_separate_runs(
+            monkeypatch, tr, va, [cir, as_noise(cir)], [0, 1]
         )
-        noise = replace(
-            cir, interference=replace(cir.interference, enabled=False),
-            noise=NoiseConfig(enabled=True),
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_no_reg_and_two_blend_strengths_share_one_stream(self, monkeypatch, head):
+        tr, va, _ = splits()
+        weak = small_config(head, strength=0.2, fraction=0.5)
+        strong = replace(weak, interference=replace(weak.interference, strength=0.7))
+        assert_lockstep_matches_separate_runs(
+            monkeypatch, tr, va, [as_no_reg(weak), weak, strong], [0, 0, 0]
         )
-        assert_lockstep_matches_separate_runs(monkeypatch, tr, va, [cir, noise])
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_arms_designating_different_rows_do_not_share(self, monkeypatch, head):
+        # with 12 anchors, fractions 0.45 and 0.5 both designate 6 rows
+        # and 1.0 designates 12; a second noise arm gets a stream of its own
+        tr, va, _ = splits()
+        half = small_config(head, strength=0.5, fraction=0.5)
+        whole = replace(half, interference=replace(half.interference, fraction=1.0))
+        near = replace(half, interference=replace(half.interference, fraction=0.45))
+        assert_lockstep_matches_separate_runs(
+            monkeypatch, tr, va,
+            [whole, half, as_no_reg(whole), near, as_noise(half), as_noise(half)],
+            [0, 1, 0, 1, 2, 3],
+        )
+
+    def test_a_noise_arm_designating_no_rows(self, monkeypatch):
+        # it draws neither decoys nor noise, so it shares the stream of a
+        # blend arm that designates no rows, and trains as no_reg does
+        tr, va, _ = splits()
+        cir = small_config("batch_all", strength=0.5, fraction=1.0)
+        none = replace(cir, interference=replace(cir.interference, fraction=0.0))
+        noise = as_noise(none)
+        assert_lockstep_matches_separate_runs(
+            monkeypatch, tr, va, [cir, none, noise], [0, 1, 1]
+        )
+        got, want = train(tr, va, noise), train(tr, va, as_no_reg(none))
+        assert same_params(got[0], want[0]) and got[2] == want[2]
 
 
 class TestFailingArms:
@@ -312,14 +368,14 @@ class TestFailingArms:
         )
 
         # arms 1 and 2 fail in their perturbation, arm 1 first
-        def perturb(z, labels, tac, cfg, rng):
+        def treat(out, z, labels, decoys, tac, cfg, rng):
             arm = "cir" if cfg.interference.enabled else "noise" if cfg.noise else None
             if arm:
                 raise RuntimeError(f"{arm} arm failed")
-            return real_perturb(z, labels, tac, cfg, rng)
+            return real_treat(out, z, labels, decoys, tac, cfg, rng)
 
-        real_perturb = cirlab.trainer._perturb
-        monkeypatch.setattr(cirlab.trainer, "_perturb", perturb)
+        real_treat = cirlab.trainer._treat
+        monkeypatch.setattr(cirlab.trainer, "_treat", treat)
         with pytest.raises(RuntimeError, match="^cir arm failed$"):
             train(tr, va, configs[0], arms=tuple(configs[1:]))
 

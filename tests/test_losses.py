@@ -8,6 +8,7 @@ from cirlab.losses import (
     StudyCase,
     TripletConfig,
     batch_all_triplet_loss,
+    batch_cross_entropy,
     cross_entropy,
     label_smooth,
     oim_scores,
@@ -366,6 +367,18 @@ class TestCrossEntropy:
         target = label_smooth(np.array([0, 1, 2, 0]), 3)
         per_row = [cross_entropy(logits[i], target[i]) for i in range(4)]
         assert np.isclose(cross_entropy(logits, target), np.mean(per_row))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_unchecked_body_gives_the_checked_bits(self, epsilon):
+        # the trainer calls the body on label_smooth rows, skipping checks
+        rng = np.random.default_rng(13)
+        logits = rng.normal(size=(32, 25)) * 3.0
+        target = label_smooth(rng.integers(0, 25, size=32), 25, epsilon)
+        loss, grads = cross_entropy(logits, target, with_grads=True)
+        got_loss, got_grads = batch_cross_entropy(logits, target)
+        assert type(got_loss) is float and got_loss == loss
+        assert got_grads.tobytes() == grads.tobytes()
+        assert cross_entropy(logits, target) == loss
 
     def test_invalid_target_raises(self):
         with pytest.raises(InputError):

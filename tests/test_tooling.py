@@ -60,7 +60,7 @@ def test_reproduce_workload_call_contract():
 
 
 STEP_CALLS = (
-    "pk_batch", "forward", "interfere_batch", "batch_all_triplet_loss",
+    "pk_batch", "forward", "negative_classes", "batch_all_triplet_loss",
     "backward", "sgd_step", "tac_update",
 )
 
@@ -110,11 +110,12 @@ def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
 
 
 def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
-    # no_reg, cir and noise: each arm samples and perturbs on its own, and
-    # the encoder, the loss, the backward pass, the SGD step and the
-    # table update run once for all three
+    # no_reg, cir and noise: no_reg and cir draw alike, so they share one
+    # batch and one decoy draw, and noise draws its own; the encoder, the
+    # loss, the backward pass, the SGD step and the table update run once
+    # for all three
     assert count_step_calls(monkeypatch, 2) == {
-        "pk_batch": 3, "interfere_batch": 3, "forward": 1,
+        "pk_batch": 2, "negative_classes": 2, "forward": 1,
         "batch_all_triplet_loss": 1, "backward": 1, "sgd_step": 1, "tac_update": 1,
     }
 
@@ -182,4 +183,7 @@ def test_traced_matrix_counts_are_plain_ints(tmp_path):
     assert counts["trainer.train.steps"] == 2 * 3
     # 3 arms x 2 seeds x 3 steps, each a 3 x 3 batch of 9 x 2 x 6 triplets
     assert counts["losses.batch_all_triplet_loss.triplets"] == 18 * 108
-    assert counts["interference.interfere_batch.calls"] == 18
+    # 2 seeds x 3 steps, each drawing one batch for no_reg and cir and one
+    # for noise; the blend no longer goes through interfere_batch
+    assert counts["sampling.pk_batch.calls"] == 12
+    assert counts["interference.interfere_batch.calls"] == 0

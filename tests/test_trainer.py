@@ -124,6 +124,19 @@ class TestConfigValidation:
         ):
             train(empty, va, small_cfg())
 
+    @pytest.mark.parametrize("label", [-1, "count"])
+    @pytest.mark.parametrize("loss_mode", ["triplet", "oim"])
+    def test_labels_outside_the_class_count_are_refused(self, label, loss_mode):
+        # the table and the per-step decoy draws index classes by label
+        # unchecked, so one check per run refuses a label they cannot take
+        tr, va, _ = make_splits()
+        bad = replace(tr, labels=tr.labels.copy())
+        bad.labels[5] = tr.class_count if label == "count" else label
+        with pytest.raises(
+            DataError, match=rf"^train split has labels outside \[0, {tr.class_count}\)$"
+        ):
+            train(bad, va, small_cfg(loss_mode=loss_mode))
+
     def test_episode_shortfall_in_either_split_fails_before_first_step(
         self, monkeypatch
     ):
