@@ -99,6 +99,8 @@ def interfere_batch(
     stay aligned across configurations that differ only in whether
     blending acts. Returns (blended, decoy_labels) where decoy_labels
     holds the drawn class per row, -1 for rows never designated.
+    The trainer draws the same decoys with `negative_classes`, once per
+    random stream, and treats each arm's rows itself.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)

@@ -186,11 +186,12 @@ def _choice_bounds(n: int, k: int) -> list[int]:
     return list(range(n - k, n)) + list(range(k - 1, 0, -1))
 
 
-def _choice_replay(draws: list[int], n: int, k: int) -> list[int]:
-    """The values `Generator.choice(n, k, replace=False)` returns in
-    Floyd's branch, given the draws it makes on `_choice_bounds(n, k)`."""
+def _choice_replay(draws: list[int], n: int, k: int, start: int = 0) -> list[int]:
+    """start + the values `Generator.choice(n, k, replace=False)` returns
+    in Floyd's branch, given the draws it makes on `_choice_bounds(n, k)`."""
     out, seen = [], set()
-    for j, v in zip(range(n - k, n), draws):
+    for j, v in zip(range(start + n - k, start + n), draws):
+        v += start
         if v in seen:
             v = j
         seen.add(v)
@@ -231,23 +232,11 @@ def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.nd
         rng.integers(0, class_bounds, endpoint=True).tolist(), len(index.classes), p
     )
     offsets, sizes = index.offsets, index.sizes
-    # `_choice_replay` of every drawn class's rows, in one loop, offset
-    # into the class's slice of `order`
     flat = []
     for ci, draws in zip(
         drawn, rng.integers(0, row_bounds[drawn], endpoint=True).tolist()
     ):
-        start, top = offsets[ci], offsets[ci] + sizes[ci]
-        rows, seen = [], set()
-        for j, v in zip(range(top - k, top), draws):
-            v += start
-            if v in seen:
-                v = j
-            seen.add(v)
-            rows.append(v)
-        for i, j in zip(range(k - 1, 0, -1), draws[k:]):
-            rows[i], rows[j] = rows[j], rows[i]
-        flat += rows
+        flat += _choice_replay(draws, sizes[ci], k, offsets[ci])
     return index.order[flat]
 
 

@@ -449,9 +449,13 @@ def train(
             )
         geom = geometry_stats(z_train, labels)
         return EpochLog(
-            epoch=epoch_offset + e, stage=stage, lr=rate,
-            train_loss=loss_sum / cfg.iterations, train_acc=train_acc,
-            val_acc=val_acc, center_dist=geom.center_distance,
+            epoch=epoch_offset + e,
+            stage=stage,
+            lr=rate,
+            train_loss=loss_sum / cfg.iterations,
+            train_acc=train_acc,
+            val_acc=val_acc,
+            center_dist=geom.center_distance,
             inter_intra_ratio=geom.ratio,
         )
 
