@@ -31,19 +31,6 @@ def _parse_bool(text):
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _parse_int(text):
-    return int(text, 10)
-
-
-def _parse_float(text):
-    value = float(text)
-    return value
-
-
-def _parse_str(text):
-    return text
-
-
 def _parse_dims(text):
     if not text:
         return ()
@@ -59,36 +46,36 @@ def _parse_sigma(text):
 # key -> (converter, destination).  Destination "train" is a direct
 # TrainConfig field; the others collect into the nested config objects.
 _KEYS = {
-    "loss_mode": (_parse_str, ("train", "loss_mode")),
-    "epochs": (_parse_int, ("train", "epochs")),
-    "iterations": (_parse_int, ("train", "iterations")),
-    "seed": (_parse_int, ("train", "seed")),
+    "loss_mode": (str, ("train", "loss_mode")),
+    "epochs": (int, ("train", "epochs")),
+    "iterations": (int, ("train", "iterations")),
+    "seed": (int, ("train", "seed")),
     "hidden_dims": (_parse_dims, ("train", "hidden_dims")),
-    "embed_dim": (_parse_int, ("train", "embed_dim")),
-    "activation": (_parse_str, ("train", "activation")),
-    "learning_rate": (_parse_float, ("train", "learning_rate")),
-    "decay_start_epoch": (_parse_int, ("train", "decay_start_epoch")),
-    "decay_factor": (_parse_float, ("train", "decay_factor")),
-    "p_classes": (_parse_int, ("train", "p_classes")),
-    "k_samples": (_parse_int, ("train", "k_samples")),
-    "gamma": (_parse_float, ("train", "tac_momentum")),
+    "embed_dim": (int, ("train", "embed_dim")),
+    "activation": (str, ("train", "activation")),
+    "learning_rate": (float, ("train", "learning_rate")),
+    "decay_start_epoch": (int, ("train", "decay_start_epoch")),
+    "decay_factor": (float, ("train", "decay_factor")),
+    "p_classes": (int, ("train", "p_classes")),
+    "k_samples": (int, ("train", "k_samples")),
+    "gamma": (float, ("train", "tac_momentum")),
     "tac_normalize": (_parse_bool, ("train", "tac_normalize")),
     "interference": (_parse_bool, ("interference", "enabled")),
-    "lambda": (_parse_float, ("interference", "strength")),
-    "fraction": (_parse_float, ("interference", "fraction")),
+    "lambda": (float, ("interference", "strength")),
+    "fraction": (float, ("interference", "fraction")),
     "noise": (_parse_bool, ("noise", "enabled")),
     "sigma": (_parse_sigma, ("noise", "sigma")),
-    "margin": (_parse_float, ("triplet", "margin")),
-    "reduction": (_parse_str, ("triplet", "reduction")),
+    "margin": (float, ("triplet", "margin")),
+    "reduction": (str, ("triplet", "reduction")),
     "squared": (_parse_bool, ("triplet", "squared")),
-    "temperature": (_parse_float, ("train", "temperature")),
-    "label_smoothing": (_parse_float, ("train", "label_smoothing")),
-    "mining": (_parse_str, ("train", "mining")),
-    "eval_n_way": (_parse_int, ("train", "eval_n_way")),
-    "eval_k_shot": (_parse_int, ("train", "eval_k_shot")),
-    "eval_q_queries": (_parse_int, ("train", "eval_q_queries")),
-    "eval_episodes": (_parse_int, ("train", "eval_episodes")),
-    "holdout_fraction": (_parse_float, ("train", "holdout_fraction")),
+    "temperature": (float, ("train", "temperature")),
+    "label_smoothing": (float, ("train", "label_smoothing")),
+    "mining": (str, ("train", "mining")),
+    "eval_n_way": (int, ("train", "eval_n_way")),
+    "eval_k_shot": (int, ("train", "eval_k_shot")),
+    "eval_q_queries": (int, ("train", "eval_q_queries")),
+    "eval_episodes": (int, ("train", "eval_episodes")),
+    "holdout_fraction": (float, ("train", "holdout_fraction")),
 }
 
 _SECTIONS = ("main", "stage2")
@@ -198,19 +185,12 @@ def _format_value(key, value):
     return str(value)
 
 
-def _read_field(cfg, dest, field):
-    if dest == "train":
-        return getattr(cfg, field)
-    holder = getattr(cfg, dest)
-    return getattr(holder, field)
-
-
 def _emit_section(cfg):
     lines = []
     for key, (_, (dest, field)) in _KEYS.items():
         if dest == "noise" and cfg.noise is None:
             continue
-        value = _read_field(cfg, dest, field)
+        value = getattr(cfg if dest == "train" else getattr(cfg, dest), field)
         lines.append(f"{key} = {_format_value(key, value)}")
     return lines
 

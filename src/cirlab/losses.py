@@ -148,6 +148,10 @@ def batch_all_triplet_loss(
     """
     z = np.asarray(features, dtype=np.float64)
     zt = np.asarray(blended_anchors, dtype=np.float64)
+    if np.may_share_memory(zt, z):
+        # on one buffer matmul takes its symmetric a @ a.T path, which
+        # rounds differently from the same rows in two buffers
+        zt = zt.copy()
     labels = np.asarray(labels)
     if z.ndim not in (2, 3) or zt.shape != z.shape:
         raise ShapeError(
@@ -283,16 +287,20 @@ def oim_scores(
     """Similarity of embeddings to every table row: (table @ z) / temperature.
 
     Accepts one d-vector or a B x d batch; returns matching C or B x C
-    logits.
+    logits. A stack of S tables takes S x B x d embeddings, batch s scored
+    against table s, and returns S x B x C logits.
     """
     if temperature <= 0:
         raise ConfigurationError(f"temperature must be > 0, got {temperature}")
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     z2 = z[None, :] if single else z
-    if z2.ndim != 2 or z2.shape[1] != tac.dim:
-        raise ShapeError(f"embedding dim {z2.shape} does not match table dim {tac.dim}")
-    logits = (z2 @ tac.table.T) / temperature
+    # the same stack axes in front, and the same embedding dim
+    if z2.shape[:-2] + z2.shape[-1:] != tac.table.shape[:-2] + tac.table.shape[-1:]:
+        raise ShapeError(
+            f"embeddings of shape {z2.shape} do not match table shape {tac.table.shape}"
+        )
+    logits = (z2 @ tac.table.swapaxes(-1, -2)) / temperature
     return logits[0] if single else logits
 
 
@@ -319,32 +327,37 @@ def cross_entropy(
     if (tg < 0).any() or (np.abs(tg.sum(axis=1) - 1.0) > 1e-6).any():
         raise InputError("target rows must be distributions (>= 0, sum to 1)")
     loss, grads = batch_cross_entropy(lg, tg)
+    loss = float(loss)
     return (loss, grads[0] if single else grads) if with_grads else loss
 
 
 def batch_cross_entropy(logits: np.ndarray, target: np.ndarray):
     """`cross_entropy` with grads on float64 B x C logits and target rows
-    the caller has checked are distributions: (loss, d(loss)/d(logits))."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    the caller has checked are distributions: (loss, d(loss)/d(logits)).
+    S x B x C logits are a stack of S batches, each with its own bits, and
+    give an S-vector of losses."""
+    b = logits.shape[-2]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
-    loss = float(-(target * logp).sum() / logits.shape[0])
-    return loss, (np.exp(logp) - target) / logits.shape[0]
+    # each batch's B x C products summed as one flat run, as .sum() does
+    loss = -(target * logp).reshape(*logits.shape[:-2], -1).sum(axis=-1) / b
+    return loss, (np.exp(logp) - target) / b
 
 
 def label_smooth(classes, num_classes: int, epsilon: float = 0.0) -> np.ndarray:
     """Smoothed target distributions: (1 - epsilon) * onehot + epsilon / C.
 
-    classes may be a single id or an array of ids; returns a C-vector or a
-    B x C matrix accordingly.
+    classes may be a single id or an array of ids of any shape; returns a
+    C-vector, or one row per id with the ids' shape in front.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ConfigurationError(f"epsilon must lie in [0, 1), got {epsilon}")
     ids = np.atleast_1d(np.asarray(classes, dtype=np.int64))
     if ids.size and (ids.min() < 0 or ids.max() >= num_classes):
         raise InputError(f"class ids must lie in [0, {num_classes})")
-    out = np.full((ids.shape[0], num_classes), epsilon / num_classes)
-    out[np.arange(ids.shape[0]), ids] += 1.0 - epsilon
+    out = np.full((*ids.shape, num_classes), epsilon / num_classes)
+    out.reshape(-1, num_classes)[np.arange(ids.size), ids.reshape(-1)] += 1.0 - epsilon
     return out[0] if np.isscalar(classes) or np.ndim(classes) == 0 else out
 
 

@@ -31,6 +31,10 @@ class ClassTable:
     def dim(self) -> int:
         return self.table.shape[-1]
 
+    def arm(self, s: int) -> "ClassTable":
+        """Table s of a stack, as a plain table viewing the stack's array."""
+        return ClassTable(self.table[s], self.momentum)
+
 
 def tac_init(
     num_classes: int, dim: int, momentum: float = 0.5, seed: int = 0
@@ -70,60 +74,60 @@ def tac_update(
     class_rows = K declares a class-major batch of distinct classes, K rows
     each, as PK sampling draws it: each class's rows then form one block
     and are summed with a reshape, in the same order and to the same bits
-    as the general per-label accumulation. This path also takes a stack of
-    S tables with S x B features and S x B labels, batch s updating table
-    s to the bits of that update alone.
+    as the general per-label accumulation. Either path also takes a stack
+    of S tables with S x B features and S x B labels, batch s updating
+    table s to the bits of that update alone.
     """
     features = np.asarray(features, dtype=np.float64)
-    stacked = tac.table.ndim == 3
     if (
         features.ndim != tac.table.ndim
         or features.shape[-1] != tac.dim
-        or (stacked and features.shape[0] != tac.table.shape[0])
+        or features.shape[:-2] != tac.table.shape[:-2]
     ):
         raise ShapeError(
             f"features shape {features.shape} does not match table shape "
             f"{tac.table.shape}"
         )
     labels = np.asarray(labels)
+    n = features.shape[-2]
     if class_rows is None:
-        if stacked:
-            raise ShapeError("a stack of tables needs class-major batches")
-        if labels.shape != (features.shape[0],):
-            raise ShapeError(
-                f"labels shape {labels.shape} does not match {features.shape[0]} rows"
-            )
-        if labels.size and (labels.min() < 0 or labels.max() >= tac.num_classes):
-            raise InputError(f"labels must lie in [0, {tac.num_classes})")
-        # the present classes' means, each class's rows added in row order
-        # from zero
-        counts = np.bincount(labels, minlength=tac.num_classes)
-        sums = np.zeros((tac.num_classes, tac.dim))
-        np.add.at(sums, labels, features)
+        if labels.shape != features.shape[:-1]:
+            raise ShapeError(f"labels shape {labels.shape} does not match {n} rows")
+    elif class_rows < 1 or labels.shape != features.shape[:-1] or n % class_rows:
+        raise ShapeError(
+            f"labels shape {labels.shape} is not a class-major batch of "
+            f"{n} rows, {class_rows} per class"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= tac.num_classes):
+        raise InputError(f"labels must lie in [0, {tac.num_classes})")
+    table = tac.table.copy()
+    # a stack's tables as one (S * C) x d table, row s * C + c being row c
+    # of table s (one table needs no offset); keys are the flat rows of the
+    # batch's rows (general path) or of its classes' blocks (class-major)
+    flat = table.reshape(-1, tac.dim)
+    keys = labels if class_rows is None else labels[..., ::class_rows]
+    if len(flat) > tac.num_classes:
+        keys = keys + np.arange(0, len(flat), tac.num_classes)[:, None]
+    keys = keys.reshape(-1)
+    if class_rows is None:
+        # the present classes' means: bincount adds each (class, column)
+        # cell's entries in row order from zero, as np.add.at would
+        counts = np.bincount(keys, minlength=len(flat))
+        cells = (keys[:, None] * tac.dim + np.arange(tac.dim)).reshape(-1)
+        sums = np.bincount(cells, features.reshape(-1), minlength=flat.size)
         classes = np.flatnonzero(counts)
-        means = sums[classes] / counts[classes, None]
+        means = sums.reshape(flat.shape)[classes] / counts[classes, None]
     else:
-        n = features.shape[-2]
-        if class_rows < 1 or labels.shape != features.shape[:-1] or n % class_rows:
-            raise ShapeError(
-                f"labels shape {labels.shape} is not a class-major batch of "
-                f"{n} rows, {class_rows} per class"
-            )
-        if n and (labels.min() < 0 or labels.max() >= tac.num_classes):
-            raise InputError(f"labels must lie in [0, {tac.num_classes})")
-        classes = labels[..., ::class_rows]
+        classes = keys
         # the blocks add each class's rows in row order, as np.add.at does;
         # + 0.0 makes an all -0.0 sum the +0.0 that np.add.at's zero start
         # gives, whatever sign this numpy's reduction leaves on it
-        blocks = features.reshape(*features.shape[:-2], -1, class_rows, tac.dim)
+        blocks = features.reshape(-1, class_rows, tac.dim)
         means = (blocks.sum(axis=-2) + 0.0) / class_rows
-    table = tac.table.copy()
-    # row (s, class) of a stack, or row class of one table
-    at = (np.arange(table.shape[0])[:, None], classes) if stacked else classes
-    rows = (1.0 - tac.momentum) * table[at] + tac.momentum * means
+    rows = (1.0 - tac.momentum) * flat[classes] + tac.momentum * means
     if normalize:
         norms = np.linalg.norm(rows, axis=-1)
         safe = norms > 0
         rows[safe] = rows[safe] / norms[safe, None]
-    table[at] = rows
+    flat[classes] = rows
     return ClassTable(table=table, momentum=tac.momentum)

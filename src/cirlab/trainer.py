@@ -25,15 +25,15 @@ class's block of K rows with a reshape instead of a per-label scatter.
 Configs that differ only in the anchor treatment (`interference` and
 `noise`) can train in lockstep, as arms of one `train` call: the arms
 share the split, the initial encoder and table, the episodes and the
-batch label pattern, so each step runs the encoder, the loss, the
-backward pass, the SGD step and the PK table update once, on arrays with
-a leading arm axis. Arms that draw alike (no noise, as many designated
-rows) share one random stream, which draws the batch and the decoy
-classes once for all of them; each arm then treats its own anchors and
-computes its own epoch-end metrics, and gets the bits it gets alone. A
-single run is one stream of one arm. A lockstep call finishes for every
-arm or raises the first error any arm hits; `reproduce` then trains each
-arm alone.
+batch label pattern, so each step runs the encoder, the head and its
+loss, the backward pass, the SGD steps and the table update once, on
+arrays with a leading arm axis: every head takes the whole stack. Arms
+that draw alike (no noise, as many designated rows) share one random
+stream, which draws the batch and the decoy classes once for all of
+them; each arm then treats its own anchors and computes its own
+epoch-end metrics, and gets the bits it gets alone. A single run is one
+stream of one arm. A lockstep call finishes for every arm or raises the
+first error any arm hits; `reproduce` then trains each arm alone.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ from .losses import (
 )
 from .nn import (
     ModelParams,
-    ParamGrads,
     backward,
     check_activation,
     forward,
@@ -151,6 +150,12 @@ class TrainConfig:
         if not 0.0 < self.decay_factor <= 1.0:
             raise ConfigurationError(
                 f"decay_factor must lie in (0, 1], got {self.decay_factor}"
+            )
+        # the rate only decays, so the last epoch's is the smallest
+        if self.epochs and not self.rate(self.epochs - 1) > 0.0:
+            raise ConfigurationError(
+                f"learning rate decays to {self.rate(self.epochs - 1)} by epoch "
+                f"{self.epochs - 1}; it must stay > 0"
             )
         PKSpec(self.p_classes, self.k_samples)
         if not 0.0 < self.tac_momentum <= 1.0:
@@ -429,8 +434,6 @@ def train(
     if head is not None:
         head = stack_params([head] * count)
     tac = ClassTable(np.stack([tac.table] * count), tac.momentum)
-    # each arm's table views the stack, which is updated in place
-    tables = [ClassTable(t, tac.momentum) for t in tac.table]
     logs = [[] for _ in configs]
 
     def epoch_log(s, e, rate, loss_sum, acc_sum):
@@ -445,7 +448,7 @@ def train(
             train_acc = acc_sum / cfg.iterations
             val_acc = _classification_accuracy(
                 forward(arm_params, held_feats)[0], held_labels,
-                None if head is None else head.arm(s), tables[s], cfg.temperature,
+                None if head is None else head.arm(s), tac.arm(s), cfg.temperature,
             )
         geom = geometry_stats(z_train, labels)
         return EpochLog(
@@ -461,16 +464,15 @@ def train(
 
     for e in range(cfg.epochs):
         rate = cfg.rate(e)
-        loss_sum, acc_sum = [0.0] * count, [0.0] * count
+        loss_sum, acc_sum = np.zeros(count), np.zeros(count)
         for it in range(cfg.iterations):
             z, blended, y, loss, acc, grads, head_grads = _step(
-                params, head, tables, fit_feats, fit_labels, parts, configs, streams
+                params, head, tac, fit_feats, fit_labels, parts, configs, streams
             )
-            losses = loss.tolist()
             # the blended or noised anchors too: the batch-all loss leaves a
             # non-finite anchor's triplets inactive, so its loss stays finite
             if not (
-                all(map(math.isfinite, losses))
+                np.isfinite(loss).all()
                 and np.isfinite(z).all()
                 and np.isfinite(blended).all()
             ):
@@ -481,27 +483,21 @@ def train(
             params = sgd_step(params, grads, rate)
             if head is not None:
                 head = sgd_step(head, head_grads, rate)
-            if parts.class_rows is None:
-                # the general table update has no stacked form
-                for s, arm in enumerate(tables):
-                    arm.table[...] = tac_update(
-                        arm, z[s], y[s], normalize=cfg.tac_normalize
-                    ).table
-            else:
-                tac.table[...] = tac_update(
-                    tac, z, y, normalize=cfg.tac_normalize, class_rows=parts.class_rows
-                ).table
-            loss_sum = [a + b for a, b in zip(loss_sum, losses)]
+            tac = tac_update(
+                tac, z, y, normalize=cfg.tac_normalize, class_rows=parts.class_rows
+            )
+            loss_sum += loss
             if acc is not None:
-                acc_sum = [a + b for a, b in zip(acc_sum, acc.tolist())]
+                acc_sum += acc
+        losses, accs = loss_sum.tolist(), acc_sum.tolist()
         for s in range(count):
-            logs[s].append(epoch_log(s, e, rate, loss_sum[s], acc_sum[s]))
+            logs[s].append(epoch_log(s, e, rate, losses[s], accs[s]))
 
-    outcomes = [(params.arm(s), tables[s], logs[s]) for s in range(count)]
+    outcomes = [(params.arm(s), tac.arm(s), logs[s]) for s in range(count)]
     return outcomes if arms else outcomes[0]
 
 
-def _step(params, head, tables, feats, labels, parts, cfgs, streams):
+def _step(params, head, tac, feats, labels, parts, cfgs, streams):
     """One training step of a stack of arms, for every head; returns (z,
     blended anchors, y, loss, batch accuracy or None for the triplet
     heads, encoder gradients, head gradients or None), each with a
@@ -509,25 +505,26 @@ def _step(params, head, tables, feats, labels, parts, cfgs, streams):
 
     Each of the `_streams` draws a batch and decoy classes for its arms;
     arm s treats its own anchors under cfgs[s] against its own table
-    tables[s]. The encoder, the loss and the backward pass run once."""
+    tac.arm(s). The encoder, the head, the loss and the backward pass run
+    once, on the stacked params, head and tables."""
     rngs, of, designated = streams
     batches = [parts.sample(rng) for rng in rngs]
-    rows = _stack([batches[k] for k in of])
+    rows = np.array([batches[k] for k in of])
     x, y = feats.take(rows, axis=0), labels.take(rows)
     z, cache = forward(params, x)
     n_anchor = parts.anchors
-    # one copy for the stack, untreated arms included: with the raw rows
-    # themselves as anchors, matmul would take its symmetric a @ a.T path
-    # in the loss, which rounds differently
+    # one copy for the stack, untreated arms included, which the arms'
+    # treatments then overwrite in place
     blended = z[:, :n_anchor].copy()
     decoys = {}
     for s, k in enumerate(of):
         if n := designated[k]:
             if k not in decoys:
-                decoys[k] = negative_classes(rngs[k], y[s, :n], tables[s].num_classes)
-            _treat(blended[s], z[s], y[s], decoys[k], tables[s], cfgs[s], rngs[k])
+                decoys[k] = negative_classes(rngs[k], y[s, :n], tac.num_classes)
+            _treat(blended[s], z[s], y[s], decoys[k], tac.arm(s), cfgs[s], rngs[k])
+    # the arms share every setting a head reads (`_check_arms`)
     loss, acc, grad_blended, grad_z, head_grads = parts.head_loss(
-        z, blended, y, head, tables, cfgs
+        z, blended, y, head, tac, cfgs[0]
     )
     # d(blended)/dz is (1 - strength) on the blended rows, a prefix, and
     # the identity on the others, noise-perturbed rows included (the noise
@@ -539,12 +536,6 @@ def _step(params, head, tables, feats, labels, parts, cfgs, streams):
             grad_blended[s, :n] = interfere_backward(grad_blended[s, :n], blend.strength)
     grad_z[:, :n_anchor] += grad_blended
     return z, blended, y, loss, acc, backward(params, cache, grad_z), head_grads
-
-
-def _stack(arrays):
-    """The per-arm arrays on a leading arm axis; one arm's array is viewed,
-    not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 class _Parts(NamedTuple):
@@ -562,8 +553,10 @@ def _mode_parts(cfg, labels):
     sample(rng) returns the batch rows, of which the leading `anchors`
     rows are anchors: all rows of PK and uniform batches, the a-rows of
     preformed mining's [a | p | n] stack of batch_size independent draws.
-    head_loss(z, blended, y, head, tables, cfgs) takes a stack of arms and
-    their class tables and returns (loss, batch accuracy or None for the
+    head_loss(z, blended, y, head, tac, cfg) takes a stack of arms: z, the
+    blended anchors and y with a leading arm axis, the stacked head (or
+    None) and class tables, and cfg, whose head settings every arm shares
+    (`_check_arms`). It returns (loss, batch accuracy or None for the
     triplet heads, gradient w.r.t. the blended anchors, gradient w.r.t.
     the raw rows, head gradients or None), each with a leading arm axis.
     class_rows is K when every batch is a class-major PK batch of
@@ -576,7 +569,7 @@ def _mode_parts(cfg, labels):
         return _Parts(
             (lambda rng: rng.choice(n, size=size, replace=False)),
             size,
-            partial(_each_arm, head_loss),
+            head_loss,
             None,
         )
     # check_feasible has already required P classes of K rows each
@@ -608,46 +601,25 @@ def _mode_parts(cfg, labels):
             stacked[:, i] = a, p, diff[rng.integers(0, len(diff))]
         return stacked.reshape(-1)
 
-    return _Parts(preformed, b, partial(_each_arm, _preformed_loss), None)
+    return _Parts(preformed, b, _preformed_loss, None)
 
 
-def _batch_all_loss(z, blended, y, head, tables, cfgs, masks):
-    # the arms share the triplet settings and the batch label pattern
-    res = batch_all_triplet_loss(z, blended, y, cfgs[0].triplet, masks)
+def _batch_all_loss(z, blended, y, head, tac, cfg, masks):
+    res = batch_all_triplet_loss(z, blended, y, cfg.triplet, masks)
     return res.loss, None, res.grad_anchor, res.grad_other, None
-
-
-def _each_arm(head_loss, z, blended, y, head, tables, cfgs):
-    """Run a head that has no stacked form on each arm's slice, and stack
-    its results."""
-    heads = [None] * len(cfgs) if head is None else map(head.arm, range(len(cfgs)))
-    loss, acc, grad_blended, grad_z, head_grads = zip(
-        *map(head_loss, z, blended, y, heads, tables, cfgs)
-    )
-    if head is not None:
-        head_grads = ParamGrads(
-            weights=[_stack([g.weights[l] for g in head_grads])
-                     for l in range(head.num_layers)],
-            biases=[_stack([g.biases[l] for g in head_grads])
-                    for l in range(head.num_layers)],
-        )
-    else:
-        head_grads = None
-    return (
-        np.array(loss), None if acc[0] is None else np.array(acc),
-        _stack(grad_blended), _stack(grad_z), head_grads,
-    )
 
 
 def _preformed_loss(z, blended, y, head, tac, cfg):
     """Mean hinge of the stacked (a, p, n) triplets, squared distances."""
-    b = blended.shape[0]
-    zp, zn = z[b : 2 * b], z[2 * b :]
+    b = blended.shape[1]
+    zp, zn = z[:, b : 2 * b], z[:, 2 * b :]
     diff_p, diff_n = blended - zp, blended - zn
-    hinge = cfg.triplet.margin + (diff_p**2).sum(axis=1) - (diff_n**2).sum(axis=1)
-    w = (hinge > 0.0)[:, None] / b
-    grad_raw = np.concatenate([np.zeros_like(blended), -2.0 * w * diff_p, 2.0 * w * diff_n])
-    return float(np.maximum(hinge, 0.0).mean()), None, 2.0 * w * (zn - zp), grad_raw, None
+    hinge = cfg.triplet.margin + (diff_p**2).sum(axis=2) - (diff_n**2).sum(axis=2)
+    w = (hinge > 0.0)[..., None] / b
+    grad_raw = np.concatenate(
+        [np.zeros_like(blended), -2.0 * w * diff_p, 2.0 * w * diff_n], axis=1
+    )
+    return np.maximum(hinge, 0.0).mean(axis=1), None, 2.0 * w * (zn - zp), grad_raw, None
 
 
 def _oim_loss(z, blended, y, head, tac, cfg):
@@ -666,11 +638,11 @@ def _cross_entropy_loss(z, blended, y, head, tac, cfg):
 
 def _softmax_loss(logits, y, cfg):
     # label_smooth builds distributions: no need for cross_entropy's checks
-    targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
+    targets = label_smooth(y, logits.shape[-1], cfg.label_smoothing)
     loss, glog = batch_cross_entropy(logits, targets)
-    # the mean of the hits, without the ndarray.mean wrapper: an exact
-    # integer count over the row count, rounded once as the mean rounds it
-    return loss, glog, np.count_nonzero(logits.argmax(axis=1) == y) / len(y)
+    # each arm's mean of the hits: an exact integer count over the row
+    # count, rounded once as the mean rounds it
+    return loss, glog, (logits.argmax(axis=-1) == y).sum(axis=-1) / y.shape[-1]
 
 
 def _classification_accuracy(z, labels, head, tac, temperature) -> float:

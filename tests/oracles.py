@@ -536,7 +536,8 @@ def single_step(params, head, tac, feats, labels, parts, cfg, rng):
     _, of, designated = _streams([cfg], parts.anchors, 0)
     out = _step(
         stack_params([params]), None if head is None else stack_params([head]),
-        [tac], feats, labels, parts, [cfg], ([rng], of, designated),
+        ClassTable(tac.table[None], tac.momentum), feats, labels, parts, [cfg],
+        ([rng], of, designated),
     )
     return arm_of_step(out, 0)
 

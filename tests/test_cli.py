@@ -211,9 +211,19 @@ class TestTrain:
          "gamma (tac_momentum) must lie in (0, 1]"),
         (_two_stage("cross_entropy", RUN_CFG + "activation = tanh\n"),
          "stage2 must keep the stage-1 activation 'relu', got 'tanh'"),
+        # the rate underflows to 0.0 before the last epoch, where sgd_step
+        # refused it after training the earlier epochs
+        (_set(RUN_CFG, "epochs", "3") + "decay_factor = 1e-200\n",
+         "learning rate decays to 0.0 by epoch 2; it must stay > 0"),
+        (_set(RUN_CFG, "epochs", "130") + "decay_factor = 0.001\n",
+         "learning rate decays to 0.0 by epoch 129; it must stay > 0"),
+        (_two_stage("cross_entropy", _set(RUN_CFG, "epochs", "3")
+                    + "decay_factor = 1e-200\n"),
+         "learning rate decays to 0.0 by epoch 2; it must stay > 0"),
     ], ids=["gamma-0", "gamma-1.5", "gamma-nan", "p-1", "k-1", "sigmoid",
             "stage1-oim", "stage2-oim", "stage2-dims", "stage2-gamma-0",
-            "stage2-activation"])
+            "stage2-activation", "lr-underflow", "lr-decays-to-0",
+            "stage2-lr-underflow"])
     def test_dry_run_refuses_what_training_refuses(
         self, wide_split, tmp_path, capsys, text, message
     ):

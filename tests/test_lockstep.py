@@ -130,8 +130,12 @@ class TestStackedLayers:
             want = tac_update(ClassTable(table[s], 0.5), z[s], labels[s], normalize,
                               class_rows=k)
             assert same(got.table[s], want.table)
-        with pytest.raises(ShapeError, match="needs class-major batches"):
-            tac_update(ClassTable(table, 0.5), z, labels)
+        # the general path on shuffled labels with repeats and absent classes
+        labels = rng.integers(0, c, size=(3, p * k))
+        got = tac_update(ClassTable(table, 0.5), z, labels, normalize)
+        for s in range(3):
+            want = tac_update(ClassTable(table[s], 0.5), z[s], labels[s], normalize)
+            assert same(got.table[s], want.table)
 
 
 def splits(seed=0, classes=12, per_class=20):

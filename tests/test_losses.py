@@ -13,6 +13,7 @@ from cirlab.losses import (
     label_smooth,
     oim_scores,
     study_case_loss,
+    triplet_masks,
 )
 from cirlab.tac import ClassTable
 from oracles import batch_all_triplets, triplet_loss
@@ -277,6 +278,23 @@ class TestBatchAllLoss:
         res = batch_all_triplet_loss(z, z, np.empty(0, dtype=int), TripletConfig())
         assert res.loss == 0.0
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_one_buffer_as_anchors_gives_the_bits_of_a_copy(self, stacked):
+        # on one buffer matmul's symmetric a @ a.T path rounded the
+        # distances differently, moving losses and gradients in the last bits
+        rng = np.random.default_rng(21)
+        labels = np.repeat(np.arange(4), 3)
+        masks = triplet_masks(labels)
+        cfg = TripletConfig(margin=0.5)
+        for _ in range(200):
+            z = rng.standard_normal((2, 12, 6) if stacked else (12, 6))
+            y = np.tile(labels, (2, 1)) if stacked else labels
+            got = batch_all_triplet_loss(z, z, y, cfg, masks)
+            want = batch_all_triplet_loss(z, z.copy(), y, cfg, masks)
+            assert np.asarray(got.loss).tobytes() == np.asarray(want.loss).tobytes()
+            assert got.grad_anchor.tobytes() == want.grad_anchor.tobytes()
+            assert got.grad_other.tobytes() == want.grad_other.tobytes()
+
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             TripletConfig(margin=-0.1)
@@ -319,6 +337,19 @@ class TestOimScores:
         tac = ClassTable(table=np.eye(2), momentum=0.5)
         with pytest.raises(ConfigurationError):
             oim_scores(tac, np.array([1.0, 0.0]), temperature=0.0)
+
+    def test_stack_per_slice(self):
+        # batch s against table s, each with the bits of that call alone
+        rng = np.random.default_rng(9)
+        tables, z = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 7, 4))
+        got = oim_scores(ClassTable(tables, 0.5), z, 0.7)
+        for s in range(3):
+            want = oim_scores(ClassTable(tables[s], 0.5), z[s], 0.7)
+            assert got[s].tobytes() == want.tobytes()
+        with pytest.raises(ShapeError, match="do not match table shape"):
+            oim_scores(ClassTable(tables, 0.5), z[:2], 0.7)
+        with pytest.raises(ShapeError, match="do not match table shape"):
+            oim_scores(ClassTable(tables[0], 0.5), z, 0.7)
 
 
 class TestCrossEntropy:
@@ -376,9 +407,19 @@ class TestCrossEntropy:
         target = label_smooth(rng.integers(0, 25, size=32), 25, epsilon)
         loss, grads = cross_entropy(logits, target, with_grads=True)
         got_loss, got_grads = batch_cross_entropy(logits, target)
-        assert type(got_loss) is float and got_loss == loss
+        assert got_loss == loss
         assert got_grads.tobytes() == grads.tobytes()
+        assert type(cross_entropy(logits, target)) is float
         assert cross_entropy(logits, target) == loss
+        # a stack of batches: each batch's bits, and a vector of losses
+        stack = np.stack([logits, logits[::-1], 2.0 * logits])
+        targets = np.stack([target, target[::-1], target])
+        got_loss, got_grads = batch_cross_entropy(stack, targets)
+        assert got_loss.shape == (3,)
+        for s in range(3):
+            want_loss, want_grads = batch_cross_entropy(stack[s], targets[s])
+            assert got_loss[s] == want_loss
+            assert got_grads[s].tobytes() == want_grads.tobytes()
 
     def test_invalid_target_raises(self):
         with pytest.raises(InputError):
@@ -407,6 +448,13 @@ class TestLabelSmooth:
     def test_array_input(self):
         out = label_smooth(np.array([0, 1]), 2, 0.0)
         assert np.array_equal(out, np.eye(2))
+
+    def test_stack_of_id_rows(self):
+        ids = np.array([[0, 2, 1], [1, 1, 0]])
+        out = label_smooth(ids, 3, 0.3)
+        assert out.shape == (2, 3, 3)
+        for s in range(2):
+            assert out[s].tobytes() == label_smooth(ids[s], 3, 0.3).tobytes()
 
     def test_bad_epsilon(self):
         with pytest.raises(ConfigurationError):

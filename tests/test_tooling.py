@@ -19,6 +19,8 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import cirlab.reproduce
 import cirlab.trainer
 from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
@@ -63,11 +65,21 @@ STEP_CALLS = (
     "pk_batch", "forward", "negative_classes", "batch_all_triplet_loss",
     "backward", "sgd_step", "tac_update",
 )
+# the softmax heads' layers, which the batch-all head never calls
+SOFTMAX_CALLS = ("oim_scores", "label_smooth", "batch_cross_entropy", "input_gradient")
+
+HEADS = {
+    "batch_all": {},
+    "preformed": dict(mining="preformed"),
+    "oim": dict(loss_mode="oim"),
+    "cross_entropy": dict(loss_mode="cross_entropy"),
+}
 
 
-def count_step_calls(monkeypatch, arms):
+def count_step_calls(monkeypatch, arms, head="batch_all"):
     """Each step layer's calls in one more training step of a call that
-    trains a config plus `arms` further configs in lockstep."""
+    trains a config of this head plus `arms` further configs in lockstep;
+    layers the step does not call are left out."""
     counts = Counter()
 
     def counted(name, fn):
@@ -76,7 +88,7 @@ def count_step_calls(monkeypatch, arms):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in STEP_CALLS:
+    for name in STEP_CALLS + SOFTMAX_CALLS:
         monkeypatch.setattr(
             cirlab.trainer, name, counted(name, getattr(cirlab.trainer, name))
         )
@@ -90,7 +102,7 @@ def count_step_calls(monkeypatch, arms):
         cfg = TrainConfig(
             epochs=1, iterations=iterations, hidden_dims=(8,), embed_dim=4,
             p_classes=4, k_samples=3, eval_n_way=3, eval_q_queries=2,
-            eval_episodes=2,
+            eval_episodes=2, **HEADS[head],
         )
         off = replace(cfg.interference, enabled=False)
         cir_noise = (
@@ -100,8 +112,8 @@ def count_step_calls(monkeypatch, arms):
             tr, va, replace(cfg, interference=off), arms=cir_noise
         )
         totals.append(counts.copy())
-    assert all(totals[0][name] >= 1 for name in STEP_CALLS)
-    return {name: totals[1][name] - totals[0][name] for name in STEP_CALLS}
+    assert all(totals[0][name] >= 1 for name in totals[1])
+    return dict(totals[1] - totals[0])
 
 
 def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
@@ -118,6 +130,24 @@ def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
         "pk_batch": 2, "negative_classes": 2, "forward": 1,
         "batch_all_triplet_loss": 1, "backward": 1, "sgd_step": 1, "tac_update": 1,
     }
+
+
+@pytest.mark.parametrize("arms", [0, 2])
+@pytest.mark.parametrize("head", ["preformed", "oim", "cross_entropy"])
+def test_every_head_runs_once_on_the_arm_stack(monkeypatch, head, arms):
+    # the preformed and softmax heads and the general table update take
+    # the whole stack too: one call per step however many arms there are,
+    # and each stream draws its decoys once (two streams for three arms)
+    want = {"forward": 1, "negative_classes": 1 + arms // 2, "backward": 1,
+            "sgd_step": 1, "tac_update": 1}
+    if head == "oim":
+        want.update(oim_scores=1, label_smooth=1, batch_cross_entropy=1)
+    if head == "cross_entropy":
+        # the linear head's own forward, backward and SGD step, and the
+        # gradient through it; it scores the blended rows, not the table
+        want.update(label_smooth=1, batch_cross_entropy=1, forward=2, backward=2,
+                    sgd_step=2, input_gradient=1)
+    assert count_step_calls(monkeypatch, arms, head) == want
 
 
 TINY_MATRIX = cirlab.reproduce.ReproduceSettings(
