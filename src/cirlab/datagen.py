@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError
+from .sampling import negative_classes
 
 MAGIC = b"CIRD"
 VERSION = 1
@@ -129,9 +130,7 @@ def gen_gaussian_mixture(spec: GeneratorSpec) -> Dataset:
     n_noise = int(round(spec.label_noise_rate * n))
     if n_noise:
         noisy = rng.choice(n, size=n_noise, replace=False)
-        for i in noisy:
-            k = int(rng.integers(0, c - 1))
-            labels[i] = k + (1 if k >= labels[i] else 0)
+        labels[noisy] = negative_classes(rng, labels[noisy], c)
 
     counts = np.bincount(labels, minlength=c)
     if (counts == 0).any():
@@ -190,11 +189,12 @@ def split_classes(
         perm[n_train + n_val :],
     )
     names = ("train", "val", "test")
+    relabel = np.empty(c, dtype=np.int64)  # class id -> position in its group
     out = []
     for name, group in zip(names, groups):
-        relabel = {int(orig): new for new, orig in enumerate(group)}
+        relabel[group] = np.arange(len(group))
         mask = np.isin(ds.labels, group)
-        labels = np.array([relabel[int(y)] for y in ds.labels[mask]], dtype=np.int64)
+        labels = relabel[ds.labels[mask]]
         out.append(
             Dataset(
                 features=ds.features[mask].copy(),

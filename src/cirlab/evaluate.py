@@ -53,6 +53,17 @@ class GeometryStats:
     ratio: float | None
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between float64 rows of a and of b, leading axes a
+    stack: sum(a*a) - 2 (a @ b^T) + sum(b*b) clipped at 0, in place on the
+    matmul output (-2x + y is the float y - 2x: the out-of-place bits)."""
+    sq = a @ np.swapaxes(b, -1, -2)
+    sq *= -2.0
+    sq += np.sum(a * a, axis=-1)[..., :, None]
+    sq += np.sum(b * b, axis=-1)[..., None, :]
+    return np.maximum(sq, 0.0, out=sq)
+
+
 def _pairwise_dist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
     """Distance matrix between rows of a and rows of b; leading axes, if
     any, index a stack of independent (a, b) pairs."""
@@ -66,14 +77,7 @@ def _pairwise_dist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> n
         na = np.where(na > 0, na, 1.0)
         nb = np.where(nb > 0, nb, 1.0)
         return 1.0 - (a / na) @ np.swapaxes(b / nb, -1, -2)
-    # sum(a*a) - 2 (a @ b^T) + sum(b*b), evaluated in place on the matmul
-    # output: -2x + y is the same float as y - 2x, so the bits equal the
-    # out-of-place expression's
-    sq = a @ np.swapaxes(b, -1, -2)
-    sq *= -2.0
-    sq += np.sum(a * a, axis=-1)[..., :, None]
-    sq += np.sum(b * b, axis=-1)[..., None, :]
-    np.maximum(sq, 0.0, out=sq)
+    sq = squared_distances(a, b)
     return np.sqrt(sq, out=sq)
 
 

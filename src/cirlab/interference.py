@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import floor_count
 from .errors import ConfigurationError, InputError, ShapeError
+from .sampling import negative_classes
 from .tac import ClassTable
 
 
@@ -69,12 +71,9 @@ def interfere(z: np.ndarray, mu: np.ndarray, strength: float) -> np.ndarray:
 
 def designated_rows(fraction: float, n: int) -> int:
     """How many leading rows of an n-row batch are designated: ceil(fraction
-    * n), where a product within 1e-9 of an integer counts as that integer,
-    so float error does not designate an extra row (0.14 * 50 is
-    7.000000000000001 in float, and designates 7 rows, not 8)."""
-    x = fraction * n
-    nearest = round(x)
-    return int(nearest) if abs(x - nearest) <= 1e-9 else math.ceil(x)
+    * n), with `floor_count`'s rule for a near-integer product (0.14 * 50
+    is 7.000000000000001 in float, and designates 7 rows, not 8)."""
+    return int(-floor_count(-(fraction * n)))
 
 
 def interfere_backward(grad_blended: np.ndarray, strength: float) -> np.ndarray:
@@ -130,18 +129,6 @@ def interfere_batch(
     if config.enabled and config.strength > 0.0 and n:
         blended[:n] = interfere(features[:n], tac.table[decoys[:n]], config.strength)
     return blended, decoys
-
-
-def negative_classes(
-    rng: np.random.Generator, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """One uniform class other than labels[i] per row, from a single
-    vector draw: the same stream as one scalar
-    `rng.integers(0, num_classes - 1)` draw per row, in row order.
-    Unchecked: `interfere_batch` checks num_classes >= 2 and the label
-    range on every call, `trainer.train` once per run."""
-    k = rng.integers(0, num_classes - 1, size=labels.shape[0])
-    return k + (k >= labels)
 
 
 def gaussian_perturb(

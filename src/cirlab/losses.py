@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError, ShapeError
+from .evaluate import squared_distances
 from .tac import ClassTable
 
 REDUCTIONS = ("mean_all", "mean_nonzero")
@@ -174,13 +175,9 @@ def batch_all_triplet_loss(
     if single:
         z, zt = z[None], zt[None]
 
-    # pairwise squared distances blended-anchor-to-raw, built in place on
-    # the matmul output as in evaluate._pairwise_dist (same bits)
-    sq = zt @ z.swapaxes(1, 2)
-    sq *= -2.0
-    sq += (zt * zt).sum(axis=2)[:, :, None]
-    sq += (z * z).sum(axis=2)[:, None, :]
-    np.maximum(sq, 0.0, out=sq)
+    # pairwise squared distances blended-anchor-to-raw, as
+    # evaluate._pairwise_dist builds them (same bits)
+    sq = squared_distances(zt, z)
     dist = sq if cfg.squared else np.sqrt(sq, out=sq)
 
     stacks = z.shape[0]

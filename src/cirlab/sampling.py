@@ -3,13 +3,12 @@
 PK batches (P classes, K samples each) feed triplet training; N-way K-shot
 episodes feed evaluation. Both draw from one `ClassIndex` per split: the
 sorted class ids and each class's row array, built once, so no batch or
-episode rescans the labels. `pk_batch` gives the rows, and leaves the
-generator state, of 1 + P `rng.choice(n, k, replace=False)` calls in two
-`rng.integers` calls: numpy makes each such `choice` as Floyd's selection
-then a Fisher-Yates shuffle, both from Lemire-bounded draws, which
-`integers` with array bounds makes alike; above 10000 classes or rows in
-a class numpy shuffles a tail instead, and `pk_batch` keeps `choice`
-(pinned by `TestPkBatchReplaysChoice` in tests/test_sampling.py).
+episode rescans the labels. `pk_batch` draws a batch in two
+`rng.integers` calls, Floyd's selection then a Fisher-Yates shuffle per
+draw: for every split of at most 10000 classes and 10000 rows a class,
+the rows and generator state of 1 + P `rng.choice(n, k, replace=False)`
+calls, which numpy makes alike (`TestPkBatchReplaysChoice` in
+tests/test_sampling.py pins this).
 Episodes stay on `choice`: each has its own generator, and the fused
 draw of 600 5-way episodes of 16 rows came within about 10% of theirs
 (about 40 ms either way). Episode randomness is derived per-index from
@@ -18,7 +17,7 @@ same content no matter how many episodes run or in what order.
 `episode_rows` draws a whole episode set up front as one E x N x (K+Q)
 int64 row array, 8 bytes per row (640 B for a 5-way episode of 16 rows
 per class), so a caller that scores the same episodes many times draws
-them once.
+them once. `negative_classes` draws wrong classes, for blends and label noise.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from .errors import ConfigurationError, DataError, InputError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# numpy's Generator.choice(n, k, replace=False) takes Floyd's selection
-# for every n up to this; above it, a tail shuffle when k > n // 50
-_FLOYD_MAX = 10000
 
 
 @dataclass(frozen=True)
@@ -147,21 +143,17 @@ class ClassIndex:
                 )
         return index
 
-    def pk_bounds(self, p: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    def pk_bounds(self, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         """`pk_batch`'s draw bounds for P x K batches, built on first use:
-        (`_choice_bounds(C, P)`, a C x (2K - 1) array of each class's
-        `_choice_bounds(n_c, K)`), or None where `draw` must run instead
-        (numpy's tail-shuffle branch, or a draw `choice` refuses)."""
+        `_choice_bounds(C, P)`, and a C x (2K - 1) array of each class's
+        `_choice_bounds(n_c, K)`."""
         if (p, k) not in self._pk_bounds:
-            c, sizes = len(self.classes), self.sizes
-            if p > c or k > min(sizes) or max(c, max(sizes)) > _FLOYD_MAX:
-                bounds = None
-            else:
-                bounds = (
-                    np.array(_choice_bounds(c, p), dtype=np.int64),
-                    np.array([_choice_bounds(n, k) for n in sizes], dtype=np.int64),
-                )
-            self._pk_bounds[p, k] = bounds
+            if p > len(self.classes) or k > min(self.sizes):
+                raise DataError(f"no {p} classes of {k} rows for a PK batch")
+            self._pk_bounds[p, k] = (
+                np.array(_choice_bounds(len(self.classes), p), dtype=np.int64),
+                np.array([_choice_bounds(n, k) for n in self.sizes], dtype=np.int64),
+            )
         return self._pk_bounds[p, k]
 
     def draw(
@@ -205,29 +197,21 @@ def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.nd
     """Row indices of one PK batch: P classes drawn without replacement,
     then K distinct rows per class, class-major order.
 
-    index is the split's `ClassIndex`; the caller has checked that it
-    holds at least P classes of K rows each (`trainer.check_feasible`).
+    index is the split's `ClassIndex`; `pk_bounds` refuses one without
+    P classes of K rows each (`trainer.check_feasible` checks first).
 
-    The batch, and the generator state it leaves, are those of
-    `index.draw(P, K, rng)`, which makes 1 + P calls
-    `rng.choice(n, k, replace=False)`. For n <= 10000 numpy makes each
-    such call as Floyd's selection, one Lemire-bounded draw in [0, j] for
-    j = n-k..n-1, then a Fisher-Yates shuffle, one bounded draw in [0, i]
-    for i = k-1..1. `rng.integers(0, bounds, endpoint=True)` with array
-    bounds makes the same bounded draws in the same order, so two such
-    calls, one for the classes and one for every drawn class's rows,
-    replay the 1 + P calls, and Floyd's selection and the shuffle run
-    here on the drawn values. Above 10000 numpy shuffles a tail of
-    arange(n) instead, so a split with more than 10000 classes, or rows
-    in one class, keeps `index.draw`. `TestPkBatchReplaysChoice` in
-    tests/test_sampling.py pins both paths, generator state included,
-    to `index.draw`.
+    Each k-of-n draw is Floyd's selection, one Lemire-bounded draw in
+    [0, j] for j = n-k..n-1, then a Fisher-Yates shuffle, one in [0, i]
+    for i = k-1..1: uniform and ordered at any n, in O(k).
+    `rng.integers(0, bounds, endpoint=True)` with array bounds makes the
+    bounded draws in order, so two such calls, one for the classes and
+    one for every drawn class's rows, feed the whole batch. For n <= 10000
+    numpy's `choice(n, k, replace=False)` makes the same draws, so the
+    batch and the generator state it leaves are `index.draw(P, K, rng)`'s
+    (above it numpy shuffles a tail of arange(n) instead).
     """
     p, k = spec.p_classes, spec.k_samples
-    bounds = index.pk_bounds(p, k)
-    if bounds is None:
-        return index.draw(p, k, rng)[1].reshape(-1)
-    class_bounds, row_bounds = bounds
+    class_bounds, row_bounds = index.pk_bounds(p, k)
     drawn = _choice_replay(
         rng.integers(0, class_bounds, endpoint=True).tolist(), len(index.classes), p
     )
@@ -238,6 +222,18 @@ def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.nd
     ):
         flat += _choice_replay(draws, sizes[ci], k, offsets[ci])
     return index.order[flat]
+
+
+def negative_classes(
+    rng: np.random.Generator, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """One uniform class other than labels[i] per row, from a single
+    vector draw: the same stream as one scalar
+    `rng.integers(0, num_classes - 1)` draw per row, in row order.
+    Unchecked: `interfere_batch` checks num_classes >= 2 and the label
+    range on every call, `trainer.train` once per run."""
+    k = rng.integers(0, num_classes - 1, size=labels.shape[0])
+    return k + (k >= labels)
 
 
 def episode_rows(

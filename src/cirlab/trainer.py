@@ -39,6 +39,7 @@ first error any arm hits; `reproduce` then trains each arm alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -56,7 +57,6 @@ from .interference import (
     interfere,
     interfere_backward,
     matched_noise_sigma,
-    negative_classes,
 )
 from .losses import (
     TripletConfig,
@@ -76,7 +76,9 @@ from .nn import (
     sgd_step,
     stack_params,
 )
-from .sampling import ClassIndex, PKSpec, child_seed, episode_rows, pk_batch
+from .sampling import (
+    ClassIndex, PKSpec, child_seed, episode_rows, negative_classes, pk_batch,
+)
 from .tac import ClassTable, tac_init, tac_update
 
 LOSS_MODES = ("triplet", "oim", "cross_entropy")
@@ -259,12 +261,10 @@ def _holdout_rows(labels: np.ndarray, fraction: float, seed: int):
     * count) of a seeded permutation of its rows (counted by `floor_count`)."""
     rng = np.random.default_rng(seed)
     held = []
-    for c in np.unique(labels):
-        rows = np.flatnonzero(labels == c)
+    for rows in ClassIndex(labels).rows.values():
         take = int(floor_count(fraction * len(rows)))
         if take:
-            perm = rng.permutation(len(rows))
-            held.extend(rows[perm[:take]])
+            held.extend(rows[rng.permutation(len(rows))[:take]])
     held = np.array(sorted(held), dtype=np.int64)
     keep = np.setdiff1d(np.arange(len(labels)), held)
     return keep, held
@@ -584,8 +584,9 @@ def _mode_parts(cfg, labels):
             partial(_batch_all_loss, masks=masks),
             pk.k_samples,
         )
-    # each class's negative rows, ascending, as the draws index them
-    negatives = {c: np.flatnonzero(labels != c) for c in index.classes}
+    # the r-th row outside class c is r + (the count of class rows j with
+    # gaps[c][j] = rows[j] - j <= r, the rows outside c before rows[j])
+    gaps = {c: (rows - np.arange(len(rows))).tolist() for c, rows in index.rows.items()}
 
     def preformed(rng):
         # the index holds at least K >= 2 rows per class, so p != a exists
@@ -597,8 +598,8 @@ def _mode_parts(cfg, labels):
             p = a
             while p == a:
                 p = int(same[rng.integers(0, len(same))])
-            diff = negatives[c]
-            stacked[:, i] = a, p, diff[rng.integers(0, len(diff))]
+            r = int(rng.integers(0, len(labels) - len(same)))
+            stacked[:, i] = a, p, r + bisect_right(gaps[c], r)
         return stacked.reshape(-1)
 
     return _Parts(preformed, b, _preformed_loss, None)
@@ -736,10 +737,7 @@ def evaluate_checkpoint(
     if protocol == "classification":
         acc = _classification_accuracy(z, labels, None, tac, temperature)
         return [("classification_accuracy", acc, None)]
-    first = {}
-    for i, y in enumerate(labels):
-        first.setdefault(int(y), i)
-    q_rows = np.array(sorted(first.values()), dtype=np.int64)
+    q_rows = np.sort(np.unique(labels, return_index=True)[1])
     g_rows = np.setdiff1d(np.arange(split.size), q_rows)
     if g_rows.size == 0:
         raise DataError("retrieval needs at least one gallery row")

@@ -180,6 +180,34 @@ class TestPkBatch:
             expected = loop_draw(labels, 5, 4, r_ref)
             assert np.array_equal(pk_batch(index, spec, r_index), expected)
 
+    def test_valid_past_choices_floyd_range(self):
+        # above 10000 numpy's choice shuffles a tail of arange(n) and the
+        # bytes part from it; the draw stays P distinct classes of K
+        # distinct in-class rows: 202 of a 10050-row class, 3 of 10001 classes
+        big = np.random.default_rng(1).permutation(np.repeat([0, 3, 9], [10050, 300, 250]))
+        many = np.repeat(np.arange(10001), 2)
+        rng = np.random.default_rng(4)
+        # (labels, P, K, how many distinct classes 20 batches reach at least)
+        for labels, p, k, reach in [(big, 2, 202, 3), (many, 3, 2, 50)]:
+            index, seen = ClassIndex(labels), set()
+            for _ in range(20):
+                rows = pk_batch(index, PKSpec(p, k), rng).reshape(p, k)
+                assert len(np.unique(rows)) == p * k
+                classes = labels[rows]
+                assert (classes == classes[:, :1]).all()
+                assert len(set(classes[:, 0])) == p
+                seen.update(classes[:, 0].tolist())
+            assert len(seen) >= reach
+
+    def test_refuses_an_infeasible_split(self):
+        labels = np.repeat([0, 1, 2, 3], [10, 10, 10, 3])
+        index, rng = ClassIndex(labels), np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for p, k in [(2, 4), (5, 2)]:
+            with pytest.raises(DataError, match=f"no {p} classes of {k} rows"):
+                pk_batch(index, PKSpec(p, k), rng)
+        assert rng.bit_generator.state == state
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             PKSpec(1, 4)
@@ -238,38 +266,6 @@ class TestPkBatchReplaysChoice:
             labels = rng.permutation(np.repeat(rng.choice(500, c, replace=False), sizes))
             p, k = int(rng.integers(2, c + 1)), int(rng.integers(2, sizes.min() + 1))
             assert_replays_choice(labels, p, k, trial, batches=10, buffered=trial % 2)
-
-    def test_tail_shuffle_split_keeps_choice(self):
-        # numpy shuffles a tail of arange(n) for n > 10000 and k > n // 50,
-        # not Floyd's selection: 202 of a 10050-row class takes that branch
-        labels = np.random.default_rng(1).permutation(
-            np.repeat([0, 3, 9], [10050, 300, 250])
-        )
-        assert ClassIndex(labels).pk_bounds(2, 202) is None
-        assert_replays_choice(labels, 2, 202, seed=4, batches=6, buffered=True)
-
-    def test_infeasible_splits_keep_choice(self):
-        # the caller checks P and K first, but a draw past them still
-        # behaves as choice does: batches missing the short class come out
-        # equal, and drawing it raises choice's ValueError
-        labels = np.repeat([0, 1, 2, 3], [10, 10, 10, 3])
-        index = ClassIndex(labels)
-        assert index.pk_bounds(2, 4) is None and index.pk_bounds(5, 2) is None
-        fused, ref = np.random.default_rng(0), np.random.default_rng(0)
-        raised = 0
-        for _ in range(40):
-            try:
-                expected = index.draw(2, 4, ref)[1].reshape(-1)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    pk_batch(index, PKSpec(2, 4), fused)
-                raised += 1
-            else:
-                assert np.array_equal(pk_batch(index, PKSpec(2, 4), fused), expected)
-            assert fused.bit_generator.state == ref.bit_generator.state
-        assert 0 < raised < 40
-        with pytest.raises(ValueError):
-            pk_batch(index, PKSpec(5, 2), fused)
 
     def test_floyd_replay_is_choice_up_to_the_tail_shuffle(self):
         # the numpy behaviour the fused draw relies on
