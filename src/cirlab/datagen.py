@@ -11,6 +11,7 @@ generator provenance as a UTF-8 footer.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -57,10 +58,14 @@ class GeneratorSpec:
             raise ConfigurationError("samples_per_class must be >= 1")
         if self.input_dim < 1:
             raise ConfigurationError("input_dim must be >= 1")
-        if self.spread <= 0:
-            raise ConfigurationError(f"spread must be > 0, got {self.spread}")
-        if self.center_scale < 0:
-            raise ConfigurationError("center_scale must be >= 0")
+        if not (math.isfinite(self.spread) and self.spread > 0):
+            raise ConfigurationError(f"spread must be finite and > 0, got {self.spread}")
+        # centers are uniform on [-center_scale, center_scale], a finite width
+        if not (math.isfinite(2 * self.center_scale) and self.center_scale >= 0):
+            raise ConfigurationError(
+                f"center_scale must be >= 0 with 2 * center_scale finite, "
+                f"got {self.center_scale}"
+            )
         if self.nonlinearity not in NONLINEARITIES:
             raise ConfigurationError(
                 f"nonlinearity must be one of {NONLINEARITIES}, got {self.nonlinearity!r}"
@@ -208,8 +213,12 @@ def split_classes(
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    """Write the CIRD binary format (see module docstring)."""
+    """Write the CIRD binary format (see module docstring); refuses, as
+    `load_dataset` does, a feature that is not finite in float32."""
     feats = np.ascontiguousarray(ds.features, dtype="<f4")
+    if not np.isfinite(feats).all():
+        row = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
+        raise DataError(f"{path}: row {row} has a non-finite feature")
     labels = np.asarray(ds.labels, dtype="<u4")
     n, d = feats.shape
     rec = np.dtype([("label", "<u4"), ("feat", "<f4", (d,))])

@@ -287,8 +287,8 @@ def oim_scores(
     logits. A stack of S tables takes S x B x d embeddings, batch s scored
     against table s, and returns S x B x C logits.
     """
-    if temperature <= 0:
-        raise ConfigurationError(f"temperature must be > 0, got {temperature}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ConfigurationError(f"temperature must be finite and > 0, got {temperature}")
     z = np.asarray(z, dtype=np.float64)
     single = z.ndim == 1
     z2 = z[None, :] if single else z

@@ -652,6 +652,8 @@ def _classification_accuracy(z, labels, head, tac, temperature) -> float:
     if z.shape[0] == 0:
         return float("nan")
     logits = oim_scores(tac, z, temperature) if head is None else forward(head, z)[0]
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite classification logits")
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

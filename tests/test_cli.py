@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -120,6 +121,19 @@ class TestGen:
     def test_negative_seed_exits_2(self, tmp_path, capsys, flags):
         assert entrypoint(["gen", *flags, "-o", str(tmp_path / "x.cird")]) == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--spread", "nan"), "spread must be finite and > 0"),
+        (("--spread", "inf"), "spread must be finite and > 0"),
+        (("--center-scale", "nan"), "center_scale must be >= 0"),
+        (("--center-scale", "inf"), "center_scale must be >= 0"),
+        # finite, but the features overflow float32
+        (("--spread", "1e39"), "has a non-finite feature"),
+    ])
+    def test_non_finite_size_exits_2(self, tmp_path, capsys, flags, message):
+        assert entrypoint(["gen", *flags, "-o", str(tmp_path / "x.cird")]) == 2
+        assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_single_class_rejected(self, tmp_path):
@@ -384,6 +398,24 @@ class TestEval:
             "--episodes", "0",
         ]) == 2
 
+    @pytest.mark.parametrize("temperature, code, message", [
+        ("nan", 2, "temperature must be finite and > 0"),
+        ("inf", 2, "temperature must be finite and > 0"),
+        ("1e-320", 4, "non-finite classification logits"),
+    ])
+    def test_classification_temperature_out_of_range(
+        self, trained, capsys, temperature, code, message
+    ):
+        # argmax does not depend on a finite positive temperature; these
+        # would print another accuracy
+        assert entrypoint([
+            "eval", str(trained / "m.ckpt"), "-d", str(trained / "ds.train.cird"),
+            "--protocol", "classification", "--temperature", temperature,
+        ]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_dim_mismatch_exits_2(self, trained, tmp_path):
         assert entrypoint([
             "gen", "--classes", "4", "--per-class", "8", "--dim", "9",
@@ -429,10 +461,12 @@ def test_non_finite_feature_exits_2_naming_file_and_row(
     trained, tmp_path, capsys, command
 ):
     split = "train" if command[0] == "train" else "test"
-    ds = load_dataset(str(trained / f"ds.{split}.cird"))
-    ds.features[3, 1] = np.inf
+    # save_dataset refuses a non-finite feature: write it into the bytes
+    blob = bytearray((trained / f"ds.{split}.cird").read_bytes())
+    d = struct.unpack_from("<I", blob, 12)[0]
+    struct.pack_into("<f", blob, 20 + 4 * ((1 + d) * 3 + 2), np.inf)
     bad = tmp_path / "bad.cird"
-    save_dataset(ds, str(bad))
+    bad.write_bytes(blob)
     if command[0] == "train":
         args = ["train", "-c", str(trained / "run.cfg"), "-d", str(bad),
                 "--val", str(trained / "ds.val.cird"), "-o", str(tmp_path / "m.ckpt")]

@@ -1,6 +1,7 @@
 """Tests for the synthetic generator, class splitting, and the file format."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ class TestGenerator:
             )
         with pytest.raises(ConfigurationError, match="seed must be >= 0, got -3"):
             GeneratorSpec(num_classes=3, samples_per_class=5, input_dim=3, seed=-3)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("spread", np.nan, "spread must be finite"),
+        ("spread", np.inf, "spread must be finite"),
+        ("center_scale", np.nan, "center_scale must be >= 0"),
+        ("center_scale", np.inf, "center_scale must be >= 0"),
+        ("center_scale", 1e308, "center_scale must be >= 0"),  # 2e308 overflows
+    ])
+    def test_spec_refuses_non_finite_sizes(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            GeneratorSpec(num_classes=3, samples_per_class=5, input_dim=3, **{field: value})
 
 
 class TestSplitClasses:
@@ -233,9 +245,24 @@ class TestSerialization:
         ds = gen_gaussian_mixture(
             GeneratorSpec(num_classes=2, samples_per_class=3, input_dim=4, seed=15)
         )
-        ds.features[4, 2] = bad
-        ds.features[5, 0] = bad
         path = str(tmp_path / "f.cird")
         save_dataset(ds, path)
+        # save_dataset refuses such rows: write them into the file's bytes
+        blob = bytearray(open(path, "rb").read())
+        for row, col in ((4, 2), (5, 0)):
+            struct.pack_into("<f", blob, 20 + 4 * (5 * row + 1 + col), bad)
+        open(path, "wb").write(blob)
         with pytest.raises(DataError, match=f"^{re.escape(path)}: row 4 has a non-finite feature$"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e39])  # 1e39 is inf in float32
+    def test_save_refuses_what_load_refuses(self, tmp_path, bad):
+        ds = gen_gaussian_mixture(
+            GeneratorSpec(num_classes=2, samples_per_class=3, input_dim=4, seed=15)
+        )
+        ds.features = ds.features.astype(np.float64)
+        ds.features[4, 2] = bad
+        path = str(tmp_path / "f.cird")
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: row 4 has a non-finite feature$"):
+            save_dataset(ds, path)
+        assert list(tmp_path.iterdir()) == []

@@ -338,6 +338,12 @@ class TestOimScores:
         with pytest.raises(ConfigurationError):
             oim_scores(tac, np.array([1.0, 0.0]), temperature=0.0)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf])
+    def test_non_finite_temperature_refused(self, temperature):
+        tac = ClassTable(table=np.eye(2), momentum=0.5)
+        with pytest.raises(ConfigurationError, match="temperature must be finite and > 0"):
+            oim_scores(tac, np.array([1.0, 0.0]), temperature=temperature)
+
     def test_stack_per_slice(self):
         # batch s against table s, each with the bits of that call alone
         rng = np.random.default_rng(9)
