@@ -57,10 +57,10 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between float64 rows of a and of b, leading axes a
     stack: sum(a*a) - 2 (a @ b^T) + sum(b*b) clipped at 0, in place on the
     matmul output (-2x + y is the float y - 2x: the out-of-place bits)."""
-    sq = a @ np.swapaxes(b, -1, -2)
+    sq = a @ b.swapaxes(-1, -2)
     sq *= -2.0
-    sq += np.sum(a * a, axis=-1)[..., :, None]
-    sq += np.sum(b * b, axis=-1)[..., None, :]
+    sq += (a * a).sum(axis=-1)[..., :, None]
+    sq += (b * b).sum(axis=-1)[..., None, :]
     return np.maximum(sq, 0.0, out=sq)
 
 
