@@ -89,9 +89,9 @@ def _commands():
            ["oim.classification.csv"])
 
 
-def _digests(path, root):
-    """{relative path: sha256} of a file, or of every non-manifest file
-    below a directory."""
+def _digests(path):
+    """{path: sha256} of a file, or of every non-manifest file below a
+    directory, paths relative to the working directory."""
     if os.path.isfile(path):
         found = [path]
     else:
@@ -103,7 +103,7 @@ def _digests(path, root):
         if p.endswith(".manifest"):
             continue
         with open(p, "rb") as fh:
-            rel = os.path.relpath(p, root).replace(os.sep, "/")
+            rel = os.path.relpath(p).replace(os.sep, "/")
             out[rel] = hashlib.sha256(fh.read()).hexdigest()
     return out
 
@@ -125,7 +125,7 @@ def run_golden_set(root):
                 code = main(argv)
             assert code == 0, f"{' '.join(argv)} exited {code}"
             for out in outputs:
-                digests.update(_digests(out, "."))
+                digests.update(_digests(out))
     finally:
         os.chdir(old)
     return digests
