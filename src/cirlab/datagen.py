@@ -143,8 +143,10 @@ def gen_gaussian_mixture(spec: GeneratorSpec) -> Dataset:
             f"label noise emptied classes {np.flatnonzero(counts == 0).tolist()}; "
             "pick another seed or lower the rate"
         )
+    with np.errstate(over="ignore"):  # `save_dataset` refuses the inf
+        feats = feats.astype(np.float32)
     return Dataset(
-        features=feats.astype(np.float32),
+        features=feats,
         labels=labels,
         class_count=c,
         provenance=spec.describe(),
@@ -215,7 +217,8 @@ def split_classes(
 def save_dataset(ds: Dataset, path: str) -> None:
     """Write the CIRD binary format (see module docstring); refuses, as
     `load_dataset` does, a feature that is not finite in float32."""
-    feats = np.ascontiguousarray(ds.features, dtype="<f4")
+    with np.errstate(over="ignore"):  # the check below refuses an overflow
+        feats = np.ascontiguousarray(ds.features, dtype="<f4")
     if not np.isfinite(feats).all():
         row = np.flatnonzero(~np.isfinite(feats).all(axis=1))[0]
         raise DataError(f"{path}: row {row} has a non-finite feature")

@@ -99,7 +99,7 @@ def interfere_batch(
     blending acts. Returns (blended, decoy_labels) where decoy_labels
     holds the drawn class per row, -1 for rows never designated.
     The trainer draws the same decoys with `negative_classes`, once per
-    random stream, and treats each arm's rows itself.
+    step for every arm, and treats each arm's rows itself.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)

@@ -297,7 +297,8 @@ def oim_scores(
         raise ShapeError(
             f"embeddings of shape {z2.shape} do not match table shape {tac.table.shape}"
         )
-    logits = (z2 @ tac.table.swapaxes(-1, -2)) / temperature
+    with np.errstate(over="ignore"):  # training and evals refuse an inf
+        logits = (z2 @ tac.table.swapaxes(-1, -2)) / temperature
     return logits[0] if single else logits
 
 

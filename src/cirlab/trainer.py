@@ -5,11 +5,12 @@ then triplet).
 
 Every run is driven by one master seed. Independent random streams are
 derived with child_seed(master, k): k=0 encoder init, 1 class-table init,
-2 the training stream (batches, negative-class draws, noise), 3 validation
+2 the training stream (batches and negative-class draws), 3 validation
 episodes, 4 train-proxy episodes, 5 holdout selection, 6 classifier head
-init. Runs are fully deterministic on one thread. Both episode sets are
-drawn once per run, and after each epoch every split is embedded once
-for all the metrics scored on it.
+init, 7 the Gaussian noise of the control arm. Runs are fully
+deterministic on one thread. Both episode sets are drawn once per run,
+and after each epoch every split is embedded once for all the metrics
+scored on it.
 
 Per iteration: sample a batch, embed it, blend the designated rows toward
 drawn wrong-class table rows (or add matched Gaussian noise instead),
@@ -27,19 +28,18 @@ Configs that differ only in the anchor treatment (`interference` and
 share the split, the initial encoder and table, the episodes and the
 batch label pattern, so each step runs the encoder, the head and its
 loss, the backward pass, the SGD steps and the table update once, on
-arrays with a leading arm axis: every head takes the whole stack. Arms
-that draw alike (no noise, as many designated rows) share one random
-stream, which draws the batch and the decoy classes once for all of
-them; each arm then treats its own anchors and computes its own
-epoch-end metrics, and gets the bits it gets alone. A single run is one
-stream of one arm. A lockstep call finishes for every arm or raises the
-first error any arm hits; `reproduce` then trains each arm alone.
+arrays with a leading arm axis: every head takes the whole stack. The
+arms designate the same rows, and one training stream draws the batch
+and the decoy classes once for all of them; each arm then treats its
+own anchors, a noise arm with noise from its own generator, computes
+its own epoch-end metrics, and gets the bits it gets alone. A single run
+is a stack of one arm. A lockstep call finishes for every arm or raises
+the first error any arm hits; `reproduce` then trains each arm alone.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -323,24 +323,11 @@ def _check_class_count(ds: Dataset, split: str) -> None:
         raise DataError(f"{split} split has labels outside [0, {ds.class_count})")
 
 
-def _streams(cfgs, anchors, seed):
-    """One generator per stream, each arm's stream and each stream's
-    designated rows. An arm draws a batch, one decoy class per designated
-    row (blend on or off), then any noise: arms that draw no noise and
-    designate as many rows share a stream; an arm that draws noise has its
-    own (one that designates no rows draws none)."""
-    keys, of = {}, []
-    for s, cfg in enumerate(cfgs):
-        n = designated_rows(cfg.interference.fraction, anchors)
-        noisy = n and cfg.noise is not None and cfg.noise.enabled
-        of.append(keys.setdefault((n, s if noisy else -1), len(keys)))
-    return [np.random.default_rng(seed) for _ in keys], of, [n for n, _ in keys]
-
-
 def _treat(out, z, labels, decoys, tac, cfg, rng):
     """Write an arm's treatment of its designated rows, the leading
-    len(decoys) rows of z, into out: matched or fixed-scale noise from rng
-    (control arm), the blend toward the decoys' rows of tac, or nothing."""
+    len(decoys) rows of z, into out: matched or fixed-scale noise from rng,
+    the arm's own noise generator (control arm), the blend toward the
+    decoys' rows of tac, or nothing."""
     n, blend = len(decoys), cfg.interference
     if cfg.noise is not None and cfg.noise.enabled:
         sigma = cfg.noise.sigma
@@ -352,12 +339,16 @@ def _treat(out, z, labels, decoys, tac, cfg, rng):
 
 
 def _check_arms(cfg, arms):
-    """Lockstep arms share everything but the anchor treatment."""
+    """Lockstep arms differ only in the anchor treatment, the blend's
+    switch and strength and the noise: they designate the same rows, so
+    one draw of decoys serves them all."""
     for i, arm in enumerate(arms, 1):
-        if replace(arm, interference=cfg.interference, noise=cfg.noise) != cfg:
+        blend = arm.interference
+        treated = replace(cfg.interference, enabled=blend.enabled, strength=blend.strength)
+        if replace(cfg, interference=treated, noise=arm.noise) != arm:
             raise ConfigurationError(
-                f"arm {i} differs from the first config in more than "
-                "interference and noise"
+                f"arm {i} differs from the first config in more than the "
+                "blend's switch and strength and the noise"
             )
 
 
@@ -376,14 +367,14 @@ def train(
     fresh table is still created — stage 2 of the two-stage schedule).
 
     arms are further configs that differ from cfg only in `interference`
-    and `noise`. They train in lockstep with cfg: each step runs the
-    encoder, the loss, the SGD step and the table update once for all of
-    them, stacked on a leading arm axis. Arms that draw alike share one
-    random stream (`_streams`); the anchor treatment and the epoch-end
-    metrics stay per arm. With arms the call returns one (params, table,
-    logs) per config of (cfg, *arms), each with the bits of a `train` call
-    on that config alone; the first error any arm hits is raised for the
-    call.
+    and `noise`, with the same `interference.fraction`. They train in
+    lockstep with cfg: each step draws one batch and one set of decoys,
+    and runs the encoder, the loss, the SGD step and the table update
+    once for all of them, stacked on a leading arm axis; the anchor
+    treatment, each arm's noise generator and the epoch-end metrics stay
+    per arm. With arms the call returns one (params, table, logs) per
+    config of (cfg, *arms), each with the bits of a `train` call on that
+    config alone; the first error any arm hits is raised for the call.
     """
     _check_arms(cfg, arms)
     check_feasible(train_ds, val_ds, cfg)
@@ -425,11 +416,12 @@ def train(
         train_rows = episode_rows(labels, *shape, child_seed(cfg.seed, 4))
         val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
 
-    # every arm starts from the same encoder, head and table; arms that
-    # draw alike share one copy of the training stream
+    # every arm starts from the same encoder, head and table, and draws
+    # its batches and decoys from one training stream
     configs = (cfg, *arms)
     count = len(configs)
-    streams = _streams(configs, parts.anchors, child_seed(cfg.seed, 2))
+    rng = np.random.default_rng(child_seed(cfg.seed, 2))
+    noise_rngs = [np.random.default_rng(child_seed(cfg.seed, 7)) for _ in configs]
     params = stack_params([params] * count)
     if head is not None:
         head = stack_params([head] * count)
@@ -467,7 +459,8 @@ def train(
         loss_sum, acc_sum = np.zeros(count), np.zeros(count)
         for it in range(cfg.iterations):
             z, blended, y, loss, acc, grads, head_grads = _step(
-                params, head, tac, fit_feats, fit_labels, parts, configs, streams
+                params, head, tac, fit_feats, fit_labels, parts, configs,
+                rng, noise_rngs,
             )
             # the blended or noised anchors too: the batch-all loss leaves a
             # non-finite anchor's triplets inactive, so its loss stays finite
@@ -497,31 +490,29 @@ def train(
     return outcomes if arms else outcomes[0]
 
 
-def _step(params, head, tac, feats, labels, parts, cfgs, streams):
+def _step(params, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
     """One training step of a stack of arms, for every head; returns (z,
     blended anchors, y, loss, batch accuracy or None for the triplet
     heads, encoder gradients, head gradients or None), each with a
     leading arm axis.
 
-    Each of the `_streams` draws a batch and decoy classes for its arms;
-    arm s treats its own anchors under cfgs[s] against its own table
-    tac.arm(s). The encoder, the head, the loss and the backward pass run
-    once, on the stacked params, head and tables."""
-    rngs, of, designated = streams
-    batches = [parts.sample(rng) for rng in rngs]
-    rows = np.array([batches[k] for k in of])
+    rng draws one batch and, when the arms designate rows, one decoy class
+    per designated row for every arm; arm s treats its own anchors under
+    cfgs[s] against its own table tac.arm(s), drawing any noise from
+    noise_rngs[s]. The encoder, the head, the loss and the backward pass
+    run once, on the stacked params, head and tables."""
+    rows = parts.sample(rng)
+    rows = np.broadcast_to(rows, (len(cfgs), rows.size))
     x, y = feats.take(rows, axis=0), labels.take(rows)
     z, cache = forward(params, x)
-    n_anchor = parts.anchors
+    n_anchor, n = parts.anchors, parts.designated
     # one copy for the stack, untreated arms included, which the arms'
     # treatments then overwrite in place
     blended = z[:, :n_anchor].copy()
-    decoys = {}
-    for s, k in enumerate(of):
-        if n := designated[k]:
-            if k not in decoys:
-                decoys[k] = negative_classes(rngs[k], y[s, :n], tac.num_classes)
-            _treat(blended[s], z[s], y[s], decoys[k], tac.arm(s), cfgs[s], rngs[k])
+    if n:
+        decoys = negative_classes(rng, y[0, :n], tac.num_classes)
+        for s, cfg in enumerate(cfgs):
+            _treat(blended[s], z[s], y[s], decoys, tac.arm(s), cfg, noise_rngs[s])
     # the arms share every setting a head reads (`_check_arms`)
     loss, acc, grad_blended, grad_z, head_grads = parts.head_loss(
         z, blended, y, head, tac, cfgs[0]
@@ -532,7 +523,6 @@ def _step(params, head, tac, feats, labels, parts, cfgs, streams):
     for s, cfg in enumerate(cfgs):
         blend = cfg.interference
         if blend.enabled and blend.strength != 0.0:
-            n = designated[of[s]]
             grad_blended[s, :n] = interfere_backward(grad_blended[s, :n], blend.strength)
     grad_z[:, :n_anchor] += grad_blended
     return z, blended, y, loss, acc, backward(params, cache, grad_z), head_grads
@@ -543,6 +533,7 @@ class _Parts(NamedTuple):
 
     sample: Callable
     anchors: int
+    designated: int
     head_loss: Callable
     class_rows: int | None
 
@@ -553,6 +544,8 @@ def _mode_parts(cfg, labels):
     sample(rng) returns the batch rows, of which the leading `anchors`
     rows are anchors: all rows of PK and uniform batches, the a-rows of
     preformed mining's [a | p | n] stack of batch_size independent draws.
+    The leading `designated` anchors are the ones the arms treat; every
+    arm designates as many (`_check_arms`).
     head_loss(z, blended, y, head, tac, cfg) takes a stack of arms: z, the
     blended anchors and y with a leading arm axis, the stacked head (or
     None) and class tables, and cfg, whose head settings every arm shares
@@ -562,47 +555,48 @@ def _mode_parts(cfg, labels):
     class_rows is K when every batch is a class-major PK batch of
     distinct classes, for `tac_update`, else None.
     """
-    pk = PKSpec(cfg.p_classes, cfg.k_samples)
+    pk, n = PKSpec(cfg.p_classes, cfg.k_samples), len(labels)
+    b = pk.batch_size if cfg.loss_mode == "triplet" else min(pk.batch_size, n)
+    designated = designated_rows(cfg.interference.fraction, b)
     if cfg.loss_mode != "triplet":
-        n, size = len(labels), min(pk.batch_size, len(labels))
         head_loss = _oim_loss if cfg.loss_mode == "oim" else _cross_entropy_loss
         return _Parts(
-            (lambda rng: rng.choice(n, size=size, replace=False)),
-            size,
+            (lambda rng: rng.choice(n, size=b, replace=False)),
+            b,
+            designated,
             head_loss,
             None,
         )
     # check_feasible has already required P classes of K rows each
     index = ClassIndex(labels)
-    b = pk.batch_size
     if cfg.mining == "batch_all":
         # every PK batch has this label pattern, whichever classes it draws
         masks = triplet_masks(np.repeat(np.arange(pk.p_classes), pk.k_samples))
         return _Parts(
             (lambda rng: pk_batch(index, pk, rng)),
             b,
+            designated,
             partial(_batch_all_loss, masks=masks),
             pk.k_samples,
         )
-    # the r-th row outside class c is r + (the count of class rows j with
-    # gaps[c][j] = rows[j] - j <= r, the rows outside c before rows[j])
-    gaps = {c: (rows - np.arange(len(rows))).tolist() for c, rows in index.rows.items()}
+    # for each position of `index.order`: where its class's block starts,
+    # and how many rows it holds
+    order = index.order
+    lo, size = np.repeat([index.offsets, index.sizes], index.sizes, axis=1)
 
     def preformed(rng):
-        # the index holds at least K >= 2 rows per class, so p != a exists
-        stacked = np.empty((3, b), dtype=np.int64)
-        for i in range(b):
-            a = int(rng.integers(0, len(labels)))
-            c = int(labels[a])
-            same = index.rows[c]
-            p = a
-            while p == a:
-                p = int(same[rng.integers(0, len(same))])
-            r = int(rng.integers(0, len(labels) - len(same)))
-            stacked[:, i] = a, p, r + bisect_right(gaps[c], r)
-        return stacked.reshape(-1)
+        # positions in `order`: an anchor, a positive among the k - 1
+        # other rows of its class's block (k >= 2), a negative among the
+        # n - k positions outside the block
+        a = rng.integers(0, n, size=b)
+        first, k = lo[a], size[a]
+        p = first + rng.integers(0, k - 1)
+        p += p >= a
+        r = rng.integers(0, n - k)
+        r += (r >= first) * k
+        return order[np.concatenate([a, p, r])]
 
-    return _Parts(preformed, b, _preformed_loss, None)
+    return _Parts(preformed, b, designated, _preformed_loss, None)
 
 
 def _batch_all_loss(z, blended, y, head, tac, cfg, masks):

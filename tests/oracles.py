@@ -37,7 +37,7 @@ from cirlab.losses import (
 from cirlab.nn import ParamGrads, backward, forward, input_gradient, stack_params
 from cirlab.sampling import pk_batch
 from cirlab.tac import ClassTable
-from cirlab.trainer import TrainConfig, _step, _streams
+from cirlab.trainer import TrainConfig, _step
 
 
 def grad_check(params, loss_closure, epsilon=1e-5) -> float:
@@ -388,13 +388,16 @@ def sample_negative_class(rng: np.random.Generator, label: int, num_classes: int
 
 
 # The per-head training steps as they stood before they were folded into
-# `trainer._step`, with the helpers they called, kept verbatim.
+# `trainer._step`, with the helpers they called, kept verbatim but for
+# the stream layout: noise comes from its own generator, and preformed
+# triplets come from three passes of draws.
 
 
-def _perturb(z, labels, tac, cfg, rng):
-    """Blend designated rows toward drawn wrong-class rows, or substitute
-    Gaussian noise at the same call site (control arm). The wrong-class
-    draws are consumed either way so streams stay aligned."""
+def _perturb(z, labels, tac, cfg, rng, noise_rng):
+    """Blend designated rows toward wrong-class rows drawn from rng, or
+    substitute Gaussian noise from noise_rng at the same call site
+    (control arm). The wrong-class draws are consumed either way so the
+    arms' streams stay aligned."""
     blended, decoys = interfere_batch(z, labels, tac, cfg.interference, rng)
     if cfg.noise is not None and cfg.noise.enabled:
         n_designated = int((decoys >= 0).sum())
@@ -406,7 +409,7 @@ def _perturb(z, labels, tac, cfg, rng):
                 )
             blended = z.copy()
             blended[:n_designated] = gaussian_perturb(
-                z[:n_designated], sigma, rng
+                z[:n_designated], sigma, noise_rng
             )
     return blended, decoys
 
@@ -427,45 +430,45 @@ def _uniform_batch(n: int, size: int, rng) -> np.ndarray:
     return rng.choice(n, size=min(size, n), replace=False)
 
 
-def step_triplet_batch_all(params, tac, feats, labels, index, pk, cfg, rng):
+def step_triplet_batch_all(params, tac, feats, labels, index, pk, cfg, rng, noise_rng):
     idx = pk_batch(index, pk, rng)
     x, y = feats[idx], labels[idx]
     z, cache = forward(params, x)
-    blended, decoys = _perturb(z, y, tac, cfg, rng)
+    blended, decoys = _perturb(z, y, tac, cfg, rng, noise_rng)
     res = batch_all_triplet_loss(z, blended, y, cfg.triplet)
     grad_z = res.grad_other + _pull_back_anchor_grads(res.grad_anchor, decoys, cfg)
     grads = backward(params, cache, grad_z)
     return z, y, res.loss, grads
 
 
-def step_triplet_preformed(params, tac, feats, labels, index, negatives, pk, cfg, rng):
+def step_triplet_preformed(params, tac, feats, labels, pk, cfg, rng, noise_rng):
     """Literal pre-formed triplets: batch_size independent (a, p, n) draws,
     anchors blended, the mean of per-triplet hinges minimized.
 
-    Positives come from the anchor class's rows in `index`, which holds at
-    least K >= 2 rows per class; negatives from that class's precomputed
-    row pool in `negatives`."""
+    The draws pick places in the rows sorted by class (stably, so each
+    class's rows ascend), one scalar draw each: first every anchor's
+    place, then every positive's among the other rows of the anchor's
+    class, then every negative's among the rows of the other classes."""
     b = pk.batch_size
     n = feats.shape[0]
+    order = np.argsort(labels, kind="stable")
     a_idx = np.empty(b, dtype=np.int64)
     p_idx = np.empty(b, dtype=np.int64)
     n_idx = np.empty(b, dtype=np.int64)
     for i in range(b):
-        a = int(rng.integers(0, n))
-        c = int(labels[a])
-        same = index.rows[c]
-        p = a
-        while p == a:
-            p = int(same[rng.integers(0, len(same))])
-        diff = negatives[c]
-        a_idx[i], p_idx[i] = a, p
-        n_idx[i] = int(diff[rng.integers(0, len(diff))])
+        a_idx[i] = order[int(rng.integers(0, n))]
+    for i, a in enumerate(a_idx):
+        same = [int(r) for r in order if labels[r] == labels[a] and r != a]
+        p_idx[i] = same[int(rng.integers(0, len(same)))]
+    for i in range(b):
+        diff = [int(r) for r in order if labels[r] != labels[a_idx[i]]]
+        n_idx[i] = diff[int(rng.integers(0, len(diff)))]
 
     stacked = np.concatenate([a_idx, p_idx, n_idx])
     x, y = feats[stacked], labels[stacked]
     z, cache = forward(params, x)
     za, zp, zn = z[:b], z[b : 2 * b], z[2 * b :]
-    blended_a, decoys = _perturb(za, y[:b], tac, cfg, rng)
+    blended_a, decoys = _perturb(za, y[:b], tac, cfg, rng, noise_rng)
 
     diff_p = blended_a - zp
     diff_n = blended_a - zn
@@ -484,11 +487,11 @@ def step_triplet_preformed(params, tac, feats, labels, index, negatives, pk, cfg
     return z, y, loss, grads
 
 
-def step_oim(params, tac, feats, labels, pk, cfg, rng):
+def step_oim(params, tac, feats, labels, pk, cfg, rng, noise_rng):
     idx = _uniform_batch(feats.shape[0], pk.batch_size, rng)
     x, y = feats[idx], labels[idx]
     z, cache = forward(params, x)
-    blended, decoys = _perturb(z, y, tac, cfg, rng)
+    blended, decoys = _perturb(z, y, tac, cfg, rng, noise_rng)
     logits = oim_scores(tac, blended, cfg.temperature)
     targets = label_smooth(y, tac.num_classes, cfg.label_smoothing)
     loss, glog = cross_entropy(logits, targets, with_grads=True)
@@ -499,11 +502,11 @@ def step_oim(params, tac, feats, labels, pk, cfg, rng):
     return z, y, loss, acc, grads
 
 
-def step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng):
+def step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng, noise_rng):
     idx = _uniform_batch(feats.shape[0], pk.batch_size, rng)
     x, y = feats[idx], labels[idx]
     z, cache = forward(params, x)
-    blended, decoys = _perturb(z, y, tac, cfg, rng)
+    blended, decoys = _perturb(z, y, tac, cfg, rng, noise_rng)
     logits, head_cache = forward(head, blended)
     targets = label_smooth(y, logits.shape[1], cfg.label_smoothing)
     loss, glog = cross_entropy(logits, targets, with_grads=True)
@@ -530,14 +533,14 @@ def arm_of_step(out, s):
     return z[s], y[s], float(loss[s]), acc, one(grads), one(head_grads)
 
 
-def single_step(params, head, tac, feats, labels, parts, cfg, rng):
-    """`trainer._step` on a stack of one arm, drawing from rng: plain
-    params, head and table in, one arm's plain results out."""
-    _, of, designated = _streams([cfg], parts.anchors, 0)
+def single_step(params, head, tac, feats, labels, parts, cfg, rng, noise_rng=None):
+    """`trainer._step` on a stack of one arm, drawing its batch and decoys
+    from rng and any noise from noise_rng: plain params, head and table
+    in, one arm's plain results out."""
     out = _step(
         stack_params([params]), None if head is None else stack_params([head]),
         ClassTable(tac.table[None], tac.momentum), feats, labels, parts, [cfg],
-        ([rng], of, designated),
+        rng, [noise_rng],
     )
     return arm_of_step(out, 0)
 

@@ -9,6 +9,7 @@ then trains each arm alone, so a failing arm fails with its own exception
 and leaves the others' bits alone.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -146,40 +147,47 @@ def splits(seed=0, classes=12, per_class=20):
     return split_classes(ds, (0.5, 0.25, 0.25), seed=seed)
 
 
-def recorded_generators(monkeypatch, seed):
-    """Record every generator made from `seed`, in the order made."""
-    made = []
+def recorded_generators(monkeypatch, *seeds):
+    """Record every generator made from each of `seeds`, in the order made:
+    one list per seed."""
+    made = {seed: [] for seed in seeds}
     real = np.random.default_rng
 
     def default_rng(*args, **kwargs):
         rng = real(*args, **kwargs)
-        if args and args[0] == seed:
-            made.append(rng)
+        if args and args[0] in made:
+            made[args[0]].append(rng)
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
-    return made
+    return made.values()
 
 
-def assert_lockstep_matches_separate_runs(
-    monkeypatch, train_ds, val_ds, configs, streams
-):
-    """streams[i] is the random stream config i draws from, numbered in
-    order of first use: lockstep makes one training generator per stream,
-    and each config's run alone ends in its stream's final state."""
-    made = recorded_generators(monkeypatch, child_seed(configs[0].seed, 2))
+def states(generators):
+    return [rng.bit_generator.state for rng in generators]
+
+
+def assert_lockstep_matches_separate_runs(monkeypatch, train_ds, val_ds, configs):
+    """Lockstep makes one training generator for every arm and one noise
+    generator per arm; each config's run alone makes one of each, and
+    ends each in the state lockstep leaves the arm's in."""
+    seed = configs[0].seed
+    made, noise = recorded_generators(
+        monkeypatch, child_seed(seed, 2), child_seed(seed, 7)
+    )
     lockstep = train(train_ds, val_ds, configs[0], arms=tuple(configs[1:]))
-    lockstep_states = [rng.bit_generator.state for rng in made]
-    assert len(lockstep) == len(configs) == len(streams)
-    assert len(lockstep_states) == len(set(streams)) == max(streams) + 1
-    for cfg, got, stream in zip(configs, lockstep, streams):
+    stream, noise_states = states(made), states(noise)
+    assert len(lockstep) == len(configs) == len(noise_states)
+    assert len(stream) == 1
+    for cfg, got, noise_state in zip(configs, lockstep, noise_states):
         made.clear()
+        noise.clear()
         want = train(train_ds, val_ds, cfg)
         assert same_params(got[0], want[0])
         assert same(got[1].table, want[1].table) and got[1].momentum == want[1].momentum
         assert got[2] == want[2] and len(got[2]) == cfg.epochs
-        assert len(made) == 1
-        assert lockstep_states[stream] == made[0].bit_generator.state
+        assert states(made) == stream
+        assert states(noise) == [noise_state]
 
 
 HEADS = {
@@ -215,21 +223,52 @@ class TestLockstepMatchesSeparateRuns:
         TINY, reproduce.ReproduceSettings(seeds=(0,), epochs=2),
     ], ids=["tiny", "default_cell"])
     def test_three_reproduce_arms(self, monkeypatch, settings):
-        # no_reg and cir draw alike and share a stream; noise has its own
         seed = settings.seeds[0]
         inputs = reproduce._prepare(settings, seed)
         configs = [reproduce._train_config(settings, arm, seed) for arm in reproduce.ARMS]
         assert_lockstep_matches_separate_runs(
-            monkeypatch, inputs.train_ds, inputs.val_ds, configs, [0, 0, 1]
+            monkeypatch, inputs.train_ds, inputs.val_ds, configs
         )
+
+    def test_reproduce_arms_share_every_batch_and_decoy_draw(self, monkeypatch):
+        # the paired design: in the seed's one lockstep call every arm
+        # trains on the same rows, from one batch and one decoy draw a step
+        seed = TINY.seeds[0]
+        inputs = reproduce._prepare(TINY, seed)
+        configs = [reproduce._train_config(TINY, arm, seed) for arm in reproduce.ARMS]
+        calls, ys = Counter(), []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(reproduce, "train")
+        counted(cirlab.trainer, "pk_batch")
+        counted(cirlab.trainer, "negative_classes")
+        real_step = cirlab.trainer._step
+
+        def step(*args):
+            out = real_step(*args)
+            ys.append(out[2])
+            return out
+
+        monkeypatch.setattr(cirlab.trainer, "_step", step)
+        outcomes = reproduce._train_arms(inputs, configs)
+        assert all(type(o) is tuple for o in outcomes)
+        steps = configs[0].epochs * configs[0].iterations
+        assert calls == {"train": 1, "pk_batch": steps, "negative_classes": steps}
+        assert len(ys) == steps
+        assert all(y.shape[0] == 3 and (y == y[0]).all() for y in ys)
 
     @pytest.mark.parametrize("head", HEADS)
     def test_two_arms_of_each_head(self, monkeypatch, head):
         tr, va, _ = splits()
         cir = small_config(head, strength=0.5, fraction=0.5)
-        assert_lockstep_matches_separate_runs(
-            monkeypatch, tr, va, [cir, as_noise(cir)], [0, 1]
-        )
+        assert_lockstep_matches_separate_runs(monkeypatch, tr, va, [cir, as_noise(cir)])
 
     @pytest.mark.parametrize("head", HEADS)
     def test_no_reg_and_two_blend_strengths_share_one_stream(self, monkeypatch, head):
@@ -237,34 +276,25 @@ class TestLockstepMatchesSeparateRuns:
         weak = small_config(head, strength=0.2, fraction=0.5)
         strong = replace(weak, interference=replace(weak.interference, strength=0.7))
         assert_lockstep_matches_separate_runs(
-            monkeypatch, tr, va, [as_no_reg(weak), weak, strong], [0, 0, 0]
+            monkeypatch, tr, va, [as_no_reg(weak), weak, strong]
         )
 
     @pytest.mark.parametrize("head", HEADS)
-    def test_arms_designating_different_rows_do_not_share(self, monkeypatch, head):
-        # with 12 anchors, fractions 0.45 and 0.5 both designate 6 rows
-        # and 1.0 designates 12; a second noise arm gets a stream of its own
+    def test_each_noise_arm_draws_from_a_generator_of_its_own(self, monkeypatch, head):
         tr, va, _ = splits()
-        half = small_config(head, strength=0.5, fraction=0.5)
-        whole = replace(half, interference=replace(half.interference, fraction=1.0))
-        near = replace(half, interference=replace(half.interference, fraction=0.45))
+        cir = small_config(head, strength=0.5, fraction=1.0)
+        fixed = replace(as_noise(cir), noise=NoiseConfig(sigma=0.3, enabled=True))
         assert_lockstep_matches_separate_runs(
-            monkeypatch, tr, va,
-            [whole, half, as_no_reg(whole), near, as_noise(half), as_noise(half)],
-            [0, 1, 0, 1, 2, 3],
+            monkeypatch, tr, va, [cir, as_noise(cir), as_no_reg(cir), fixed]
         )
 
     def test_a_noise_arm_designating_no_rows(self, monkeypatch):
-        # it draws neither decoys nor noise, so it shares the stream of a
-        # blend arm that designates no rows, and trains as no_reg does
+        # it draws no noise, and so trains as no_reg does
         tr, va, _ = splits()
-        cir = small_config("batch_all", strength=0.5, fraction=1.0)
-        none = replace(cir, interference=replace(cir.interference, fraction=0.0))
-        noise = as_noise(none)
-        assert_lockstep_matches_separate_runs(
-            monkeypatch, tr, va, [cir, none, noise], [0, 1, 1]
-        )
-        got, want = train(tr, va, noise), train(tr, va, as_no_reg(none))
+        cir = small_config("batch_all", strength=0.5, fraction=0.0)
+        noise = as_noise(cir)
+        assert_lockstep_matches_separate_runs(monkeypatch, tr, va, [cir, noise])
+        got, want = train(tr, va, noise), train(tr, va, as_no_reg(cir))
         assert same_params(got[0], want[0]) and got[2] == want[2]
 
 
@@ -415,3 +445,16 @@ class TestFailingArms:
         cfg = self.configs()[0]
         with pytest.raises(ConfigurationError, match="arm 1 differs"):
             train(tr, va, cfg, arms=(replace(cfg, **change),))
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.45, 0.5])
+    def test_arms_designate_the_same_rows(self, fraction):
+        # one decoy draw serves every arm, so every arm designates the
+        # same rows; 0.45 and 0.5 of 12 anchors are both 6 rows, and
+        # are still refused
+        tr, va, _ = splits()
+        cfg = small_config("batch_all", strength=0.5, fraction=1.0)
+        other = as_noise(replace(
+            cfg, interference=replace(cfg.interference, fraction=fraction)
+        ))
+        with pytest.raises(ConfigurationError, match="^arm 2 differs"):
+            train(tr, va, cfg, arms=(as_no_reg(cfg), other))

@@ -423,23 +423,23 @@ PERTURBATIONS = {
 }
 
 
-def oracle_step(head_mode, params, head, tac, feats, labels, cfg, rng):
+def oracle_step(head_mode, params, head, tac, feats, labels, cfg, rng, noise_rng):
     """The per-head step the trainer ran before the fold, returning the
     shared step's tuple (z, y, loss, acc, grads, head grads or None)."""
     pk = PKSpec(cfg.p_classes, cfg.k_samples)
     if head_mode == "oim":
-        return (*step_oim(params, tac, feats, labels, pk, cfg, rng), None)
+        return (*step_oim(params, tac, feats, labels, pk, cfg, rng, noise_rng), None)
     if head_mode == "cross_entropy":
-        return step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng)
-    index = ClassIndex(labels)
+        return step_cross_entropy(
+            params, head, tac, feats, labels, pk, cfg, rng, noise_rng
+        )
     if head_mode == "batch_all":
         z, y, loss, grads = step_triplet_batch_all(
-            params, tac, feats, labels, index, pk, cfg, rng
+            params, tac, feats, labels, ClassIndex(labels), pk, cfg, rng, noise_rng
         )
     else:
-        negatives = {c: np.flatnonzero(labels != c) for c in index.classes}
         z, y, loss, grads = step_triplet_preformed(
-            params, tac, feats, labels, index, negatives, pk, cfg, rng
+            params, tac, feats, labels, pk, cfg, rng, noise_rng
         )
     return z, y, loss, 0.0, grads, None
 
@@ -469,9 +469,12 @@ class TestStepMatchesPerHeadOracles:
         tac = tac_init(7, 5, seed=3)
         parts = _mode_parts(cfg, labels)
         r_new, r_old = np.random.default_rng(4), np.random.default_rng(4)
+        n_new, n_old = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(3):
-            got = single_step(params, head, tac, feats, labels, parts, cfg, r_new)
-            want = oracle_step(head_mode, params, head, tac, feats, labels, cfg, r_old)
+            got = single_step(params, head, tac, feats, labels, parts, cfg, r_new, n_new)
+            want = oracle_step(
+                head_mode, params, head, tac, feats, labels, cfg, r_old, n_old
+            )
             z, y, loss, acc, grads, head_grads = got
             assert np.array_equal(z, want[0])
             assert np.array_equal(y, want[1])
@@ -484,6 +487,7 @@ class TestStepMatchesPerHeadOracles:
             params = sgd_step(params, grads, 0.1)
             tac = tac_update(tac, z, y)
         assert r_new.bit_generator.state == r_old.bit_generator.state
+        assert n_new.bit_generator.state == n_old.bit_generator.state
 
     @pytest.mark.parametrize("p,k,fraction", [(10, 5, 0.14), (5, 5, 0.28), (20, 5, 0.07)])
     @pytest.mark.parametrize("head_mode", ["batch_all", "cross_entropy"])
@@ -508,6 +512,6 @@ class TestStepMatchesPerHeadOracles:
         got = single_step(params, head, tac, feats, labels, parts, cfg,
                           np.random.default_rng(4))
         want = oracle_step(head_mode, params, head, tac, feats, labels, cfg,
-                           np.random.default_rng(4))
+                           np.random.default_rng(4), None)
         assert got[2] == want[2]
         assert_grads_equal(got[4], want[4])

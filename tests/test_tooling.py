@@ -122,12 +122,11 @@ def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
 
 
 def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
-    # no_reg, cir and noise: no_reg and cir draw alike, so they share one
-    # batch and one decoy draw, and noise draws its own; the encoder, the
-    # loss, the backward pass, the SGD step and the table update run once
-    # for all three
+    # no_reg, cir and noise share one batch and one decoy draw; the
+    # encoder, the loss, the backward pass, the SGD step and the table
+    # update run once for all three
     assert count_step_calls(monkeypatch, 2) == {
-        "pk_batch": 2, "negative_classes": 2, "forward": 1,
+        "pk_batch": 1, "negative_classes": 1, "forward": 1,
         "batch_all_triplet_loss": 1, "backward": 1, "sgd_step": 1, "tac_update": 1,
     }
 
@@ -137,8 +136,8 @@ def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
 def test_every_head_runs_once_on_the_arm_stack(monkeypatch, head, arms):
     # the preformed and softmax heads and the general table update take
     # the whole stack too: one call per step however many arms there are,
-    # and each stream draws its decoys once (two streams for three arms)
-    want = {"forward": 1, "negative_classes": 1 + arms // 2, "backward": 1,
+    # and one decoy draw for every arm
+    want = {"forward": 1, "negative_classes": 1, "backward": 1,
             "sgd_step": 1, "tac_update": 1}
     if head == "oim":
         want.update(oim_scores=1, label_smooth=1, batch_cross_entropy=1)
@@ -213,7 +212,7 @@ def test_traced_matrix_counts_are_plain_ints(tmp_path):
     assert counts["trainer.train.steps"] == 2 * 3
     # 3 arms x 2 seeds x 3 steps, each a 3 x 3 batch of 9 x 2 x 6 triplets
     assert counts["losses.batch_all_triplet_loss.triplets"] == 18 * 108
-    # 2 seeds x 3 steps, each drawing one batch for no_reg and cir and one
-    # for noise; the blend no longer goes through interfere_batch
-    assert counts["sampling.pk_batch.calls"] == 12
+    # 2 seeds x 3 steps, each drawing one batch for all three arms; the
+    # blend no longer goes through interfere_batch
+    assert counts["sampling.pk_batch.calls"] == 6
     assert counts["interference.interfere_batch.calls"] == 0

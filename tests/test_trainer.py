@@ -360,6 +360,54 @@ class TestTripletTraining:
         assert logs[-1].val_acc > 0.9
 
 
+class TestPreformedSampler:
+    """The preformed triplets: three array draws over the rows sorted by
+    class, on splits whose classes differ in size and whose rows are not
+    grouped by class."""
+
+    SIZES = (2, 3, 7, 4, 11)
+
+    def labels(self, seed):
+        labels = np.repeat(np.arange(len(self.SIZES)), self.SIZES)
+        return np.random.default_rng(seed).permutation(labels)
+
+    def sample(self, labels, rng, p=2, k=2):
+        parts = _mode_parts(small_cfg(mining="preformed", p_classes=p, k_samples=k),
+                            labels)
+        return parts.sample(rng).reshape(3, p * k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triplets_and_coverage(self, seed):
+        labels = self.labels(seed)
+        rng = np.random.default_rng(seed)
+        seen = [set(), set(), set()]
+        for _ in range(300):
+            a, p, n = self.sample(labels, rng)
+            assert (a != p).all()
+            assert (labels[a] == labels[p]).all()
+            assert (labels[n] != labels[a]).all()
+            for slot, rows in zip(seen, (a, p, n)):
+                slot.update(rows.tolist())
+        # every row can be an anchor, a positive (every class has a second
+        # row) and a negative (for the anchors of every other class)
+        assert seen == [set(range(len(labels)))] * 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_three_integers_calls(self, seed):
+        labels = self.labels(seed)
+        b = 4 * 2
+        rng = np.random.default_rng(seed)
+        got = self.sample(labels, rng, p=4)
+        twin = np.random.default_rng(seed)
+        order = np.argsort(labels, kind="stable")
+        a = twin.integers(0, len(labels), size=b)
+        k = np.bincount(labels)[labels[order[a]]]
+        twin.integers(0, k - 1)
+        twin.integers(0, len(labels) - k)
+        assert (got[0] == order[a]).all()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestClassifierModes:
     def test_oim_learns(self):
         tr, va, _ = make_splits(spread=0.1, scale=5.0)
