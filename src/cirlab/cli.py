@@ -48,6 +48,7 @@ from .evaluate import geometry_stats
 from .losses import StudyCase, study_case_loss
 from .nn import forward
 from .reproduce import ReproduceSettings, format_report, run_reproduction
+from .sampling import check_seed
 from .trainer import (
     check_feasible,
     evaluate_checkpoint,
@@ -177,6 +178,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    check_seed(args.seed, "--seed")
     params, tac = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     start = time.monotonic()
@@ -212,8 +214,7 @@ def cmd_eval(args):
 
 
 def cmd_analyze(args):
-    if args.seed < 0:
-        raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
+    check_seed(args.seed, "--seed")
     if args.draws < 1:
         raise ConfigurationError(f"--draws must be >= 1, got {args.draws}")
     params, tac = load_checkpoint(args.checkpoint)

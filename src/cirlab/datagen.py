@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .sampling import negative_classes
+from .sampling import check_seed, negative_classes
 
 MAGIC = b"CIRD"
 VERSION = 1
@@ -74,8 +74,7 @@ class GeneratorSpec:
             raise ConfigurationError(
                 f"label_noise_rate must lie in [0, 1), got {self.label_noise_rate}"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)
 
     def describe(self) -> str:
         return (
@@ -177,8 +176,7 @@ def split_classes(
         raise ConfigurationError(f"need three positive fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"fractions must sum to 1, got {sum(fractions)}")
-    if seed < 0:
-        raise ConfigurationError(f"split seed must be >= 0, got {seed}")
+    check_seed(seed, "split seed")
     c = ds.class_count
     n_train = int(floor_count(fractions[0] * c))
     n_val = int(floor_count(fractions[1] * c))

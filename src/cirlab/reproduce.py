@@ -46,7 +46,7 @@ from .errors import CirError, ConfigurationError
 from .evaluate import geometry_stats
 from .interference import NoiseConfig
 from .nn import forward
-from .sampling import episode_rows
+from .sampling import check_seed, episode_rows
 from .svgplot import Series, line_chart, save_chart
 from .trainer import TrainConfig, evaluate_checkpoint, logs_to_csv, train
 
@@ -82,8 +82,8 @@ class ReproduceSettings:
             raise ConfigurationError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be distinct")
-        if min(self.seeds) < 0:
-            raise ConfigurationError(f"seeds must be >= 0, got {min(self.seeds)}")
+        for seed in sorted(self.seeds):
+            check_seed(seed, "seeds")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.base.stage2 is not None:

@@ -3,21 +3,22 @@
 PK batches (P classes, K samples each) feed triplet training; N-way K-shot
 episodes feed evaluation. Both draw from one `ClassIndex` per split: the
 sorted class ids and each class's row array, built once, so no batch or
-episode rescans the labels. `pk_batch` draws a batch in two
-`rng.integers` calls, Floyd's selection then a Fisher-Yates shuffle per
-draw: for every split of at most 10000 classes and 10000 rows a class,
-the rows and generator state of 1 + P `rng.choice(n, k, replace=False)`
-calls, which numpy makes alike (`TestPkBatchReplaysChoice` in
-tests/test_sampling.py pins this).
-Episodes stay on `choice`: each has its own generator, and the fused
-draw of 600 5-way episodes of 16 rows came within about 10% of theirs
-(about 40 ms either way). Episode randomness is derived per-index from
-a master seed with a fixed 64-bit avalanche mix, so episode i has the
-same content no matter how many episodes run or in what order.
-`episode_rows` draws a whole episode set up front as one E x N x (K+Q)
-int64 row array, 8 bytes per row (640 B for a 5-way episode of 16 rows
-per class), so a caller that scores the same episodes many times draws
-them once. `negative_classes` draws wrong classes, for blends and label noise.
+episode rescans the labels. A batch or an episode is two `rng.integers`
+calls, one for the classes and one for every drawn class's rows, each
+replayed as Floyd's selection then a Fisher-Yates shuffle: for every
+split of at most 10000 classes and 10000 rows a class, the rows and
+generator state of 1 + P (or 1 + N) `rng.choice(n, k, replace=False)`
+calls, which numpy makes alike (tests/test_sampling.py pins this against
+the `choice` oracle in tests/oracles.py). Above those sizes numpy's
+`choice` shuffles a tail of arange(n) instead, and the bytes may differ.
+Episode randomness is derived per-index from a master seed with a fixed
+64-bit avalanche mix, so episode i has the same content no matter how
+many episodes run or in what order. `episode_rows` draws a whole episode
+set up front as one E x N x (K+Q) int64 row array, 8 bytes per row (640 B
+for a 5-way episode of 16 rows per class), so a caller that scores the
+same episodes many times draws them once; it replays the row draws of
+`_EPISODE_CHUNK` episodes at a time in one vectorized pass.
+`negative_classes` draws wrong classes, for blends and label noise.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from .errors import ConfigurationError, DataError, InputError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# episodes whose row draws one vectorized replay takes at once: its
+# buffers are this many episodes' draws, whatever the episode count
+_EPISODE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -74,12 +78,23 @@ class Episode:
     query_indices: np.ndarray
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a seed outside [0, 2**64): `child_seed` mixes its master seed
+    mod 2**64, so -1 and 2**64 - 1 would draw the same streams."""
+    if seed < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {seed}")
+    if seed > _MASK64:
+        raise ConfigurationError(f"{name} must be < 2**64, got {seed}")
+
+
 def child_seed(master_seed: int, index: int) -> int:
     """Mix (master_seed, index) into an independent 64-bit stream seed.
 
     splitmix64 finalizer over master_seed + (index + 1) * golden-gamma;
     stable across releases — serialized run provenance depends on it.
+    master_seed must lie in [0, 2**64) (`check_seed`).
     """
+    check_seed(master_seed, "master seed")
     if index < 0:
         raise InputError(f"index must be >= 0, got {index}")
     x = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
@@ -96,10 +111,11 @@ class ClassIndex:
 
     `order` holds every row of the split sorted by class, and class i's
     rows are the `sizes[i]` rows of it from `offsets[i]`; `rows` maps each
-    class id to that (read-only) slice. Build it once per split with `for_episodes`, which checks the class
-    and per-class row counts an episode needs, or with the constructor
-    when the caller has checked the counts its draws need already; `draw`
-    then samples from it without rescanning the labels.
+    class id to that (read-only) slice. Build it once per split with
+    `for_episodes`, which checks the class and per-class row counts an
+    episode needs, or with the constructor when the caller has checked the
+    counts its draws need already; batches and episodes then draw from it
+    without rescanning the labels.
     """
 
     def __init__(self, labels: np.ndarray):
@@ -156,19 +172,6 @@ class ClassIndex:
             )
         return self._pk_bounds[p, k]
 
-    def draw(
-        self, n_classes: int, per_class: int, rng: np.random.Generator
-    ) -> tuple[tuple[int, ...], np.ndarray]:
-        """n_classes classes without replacement, then per_class distinct
-        rows of each: (class ids in drawn order, n_classes x per_class rows)."""
-        drawn = rng.choice(len(self.classes), size=n_classes, replace=False)
-        class_ids = tuple(self.classes[int(ci)] for ci in drawn)
-        out = np.empty((n_classes, per_class), dtype=np.int64)
-        for slot, c in enumerate(class_ids):
-            rows = self.rows[c]
-            out[slot] = rows[rng.choice(len(rows), size=per_class, replace=False)]
-        return class_ids, out
-
 
 def _choice_bounds(n: int, k: int) -> list[int]:
     """Inclusive upper bounds of the 2k - 1 draws that numpy's
@@ -193,6 +196,19 @@ def _choice_replay(draws: list[int], n: int, k: int, start: int = 0) -> list[int
     return out
 
 
+def _pk_draws(
+    index: ClassIndex, p: int, k: int, rng: np.random.Generator
+) -> tuple[list[int], np.ndarray]:
+    """The two bounded draws of P classes of K rows: the drawn class
+    positions, replayed, and the P x (2K - 1) row draws, each row on its
+    class's `_choice_bounds`."""
+    class_bounds, row_bounds = index.pk_bounds(p, k)
+    drawn = _choice_replay(
+        rng.integers(0, class_bounds, endpoint=True).tolist(), len(index.classes), p
+    )
+    return drawn, rng.integers(0, row_bounds[drawn], endpoint=True)
+
+
 def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.ndarray:
     """Row indices of one PK batch: P classes drawn without replacement,
     then K distinct rows per class, class-major order.
@@ -207,20 +223,17 @@ def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.nd
     bounded draws in order, so two such calls, one for the classes and
     one for every drawn class's rows, feed the whole batch. For n <= 10000
     numpy's `choice(n, k, replace=False)` makes the same draws, so the
-    batch and the generator state it leaves are `index.draw(P, K, rng)`'s
-    (above it numpy shuffles a tail of arange(n) instead).
+    batch and the generator state it leaves are those of 1 + P `choice`
+    calls (above it numpy shuffles a tail of arange(n) instead). The rows
+    are replayed one class at a time: at P x K = 8 x 4 that beats
+    `_floyd_replay`'s vectorized pass.
     """
-    p, k = spec.p_classes, spec.k_samples
-    class_bounds, row_bounds = index.pk_bounds(p, k)
-    drawn = _choice_replay(
-        rng.integers(0, class_bounds, endpoint=True).tolist(), len(index.classes), p
-    )
+    k = spec.k_samples
+    drawn, draws = _pk_draws(index, spec.p_classes, k, rng)
     offsets, sizes = index.offsets, index.sizes
     flat = []
-    for ci, draws in zip(
-        drawn, rng.integers(0, row_bounds[drawn], endpoint=True).tolist()
-    ):
-        flat += _choice_replay(draws, sizes[ci], k, offsets[ci])
+    for ci, row in zip(drawn, draws.tolist()):
+        flat += _choice_replay(row, sizes[ci], k, offsets[ci])
     return index.order[flat]
 
 
@@ -236,6 +249,45 @@ def negative_classes(
     return k + (k >= labels)
 
 
+def _floyd_replay(draws: np.ndarray, sizes: np.ndarray, k: int) -> np.ndarray:
+    """`_choice_replay` of every row at once: row r of the R x (2k - 1)
+    draws, made on `_choice_bounds(sizes[r], k)`, gives row r of the
+    R x k result, the values `choice(sizes[r], k, replace=False)` returns.
+    The loops run over the 2k - 1 steps, each step a few array operations
+    on all R rows; the work is laid out step-major, so each step's values
+    are contiguous, and the result is a transposed view."""
+    n = draws.shape[0]
+    steps = draws.T
+    out = np.empty((k, n), dtype=np.int64)
+    for t in range(k):
+        v = steps[t]
+        # Floyd: a value already taken is replaced by this step's bound j
+        taken = (out[:t] == v).any(axis=0)
+        out[t] = np.where(taken, sizes - k + t, v)
+    flat, cols = out.reshape(-1), np.arange(n)
+    for i, j in zip(range(k - 1, 0, -1), steps[k:]):
+        at = j * n + cols
+        swapped = flat[at]
+        flat[at] = out[i]
+        out[i] = swapped
+    return out.T
+
+
+def _episode_set_rows(
+    index: ClassIndex, classes: np.ndarray, draws: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into out (E x N x M) the split rows of E episodes from their
+    drawn class positions (E x N) and row draws (E x N x (2M - 1)); one
+    episode's arrays may drop the leading E."""
+    m = out.shape[-1]
+    classes = classes.reshape(-1)
+    picks = _floyd_replay(
+        draws.reshape(-1, 2 * m - 1), np.asarray(index.sizes)[classes], m
+    )
+    picks += np.asarray(index.offsets)[classes][:, None]
+    out.reshape(picks.shape)[...] = index.order[picks]
+
+
 def episode_rows(
     labels: np.ndarray,
     n_way: int,
@@ -248,15 +300,28 @@ def episode_rows(
     class: an episodes x n_way x (k_shot + q_queries) int64 array.
 
     Episode i is drawn with child_seed(master_seed, i), the draw
-    `sample_episode` makes from that seed.
+    `sample_episode` makes from that seed: `_pk_draws`'s two
+    `rng.integers` calls, as for a batch of N classes of K + Q rows. The rows are those of 1 + N `choice`
+    calls on that generator, for splits of at most 10000 classes and 10000
+    rows a class (above either, numpy's `choice` shuffles a tail of
+    arange(n), and the rows may differ). Each `_EPISODE_CHUNK` episodes'
+    row draws are replayed in one `_floyd_replay`, so the memory the draw
+    holds beyond the result is one chunk's, whatever the episode count.
     """
     if episodes < 1:
         raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
     index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
-    rows = np.empty((episodes, n_way, k_shot + q_queries), dtype=np.int64)
-    for i in range(episodes):
-        rng = np.random.default_rng(child_seed(master_seed, i))
-        rows[i] = index.draw(n_way, k_shot + q_queries, rng)[1]
+    m = k_shot + q_queries
+    rows = np.empty((episodes, n_way, m), dtype=np.int64)
+    chunk = min(episodes, _EPISODE_CHUNK)
+    classes = np.empty((chunk, n_way), dtype=np.int64)
+    draws = np.empty((chunk, n_way, 2 * m - 1), dtype=np.int64)
+    for lo in range(0, episodes, chunk):
+        hi = min(lo + chunk, episodes)
+        for e in range(hi - lo):
+            rng = np.random.default_rng(child_seed(master_seed, lo + e))
+            classes[e], draws[e] = _pk_draws(index, n_way, m, rng)
+        _episode_set_rows(index, classes[: hi - lo], draws[: hi - lo], rows[lo:hi])
     return rows
 
 
@@ -271,11 +336,14 @@ def sample_episode(
     """Draw one N-way K-shot episode with Q queries per class.
 
     N classes without replacement; per class K+Q distinct rows, the first K
-    to support; episode labels are 0..N-1 in sampled order.
+    to support; episode labels are 0..N-1 in sampled order. The draws and
+    the generator state they leave are `episode_rows`'s for one episode.
     """
     index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
     features = np.asarray(features)
-    class_ids, rows = index.draw(n_way, k_shot + q_queries, rng)
+    drawn, draws = _pk_draws(index, n_way, k_shot + q_queries, rng)
+    rows = np.empty((n_way, k_shot + q_queries), dtype=np.int64)
+    _episode_set_rows(index, np.asarray(drawn), draws, rows)
     sup_idx = rows[:, :k_shot].reshape(-1)
     qry_idx = rows[:, k_shot:].reshape(-1)
     return Episode(
@@ -286,7 +354,7 @@ def sample_episode(
         support_labels=np.repeat(np.arange(n_way, dtype=np.int64), k_shot),
         query_features=features[qry_idx],
         query_labels=np.repeat(np.arange(n_way, dtype=np.int64), q_queries),
-        class_ids=class_ids,
+        class_ids=tuple(index.classes[ci] for ci in drawn),
         support_indices=sup_idx,
         query_indices=qry_idx,
     )

@@ -77,7 +77,8 @@ from .nn import (
     stack_params,
 )
 from .sampling import (
-    ClassIndex, PKSpec, child_seed, episode_rows, negative_classes, pk_batch,
+    ClassIndex, PKSpec, check_seed, child_seed, episode_rows, negative_classes,
+    pk_batch,
 )
 from .tac import ClassTable, tac_init, tac_update
 
@@ -135,6 +136,7 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.iterations < 1:
             raise ConfigurationError("iterations must be >= 1")
+        check_seed(self.seed)
         if self.embed_dim < 1:
             raise ConfigurationError("embed_dim must be >= 1")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))

@@ -4,7 +4,8 @@ batch-all loss, the gather loss with its label masks rebuilt on every
 call and boolean-mask gathers, the per-class means and the per-label
 class-mean table update,
 the out-of-place pairwise distances, the dense N x N
-geometry statistics, the scalar negative-class draw, the central
+geometry statistics, the scalar negative-class draw, the k-of-n draws
+of batches and episodes through numpy's `choice`, the central
 finite-difference gradient checker, the four per-head
 training steps that the one shared training step replaced, that step
 run on a stack of one arm, and the reproduce settings that mirrored the
@@ -35,7 +36,7 @@ from cirlab.losses import (
     oim_scores,
 )
 from cirlab.nn import ParamGrads, backward, forward, input_gradient, stack_params
-from cirlab.sampling import pk_batch
+from cirlab.sampling import ClassIndex, child_seed, pk_batch
 from cirlab.tac import ClassTable
 from cirlab.trainer import TrainConfig, _step
 
@@ -385,6 +386,31 @@ def sample_negative_class(rng: np.random.Generator, label: int, num_classes: int
         raise InputError(f"label {label} outside [0, {num_classes})")
     k = int(rng.integers(0, num_classes - 1))
     return k + (1 if k >= label else 0)
+
+
+def choice_draw(index, n_classes, per_class, rng):
+    """n_classes classes without replacement, then per_class distinct rows
+    of each, through numpy's `choice`: (class ids in drawn order,
+    n_classes x per_class rows). `pk_batch` and the episode draws replay
+    its rows and generator state from two array draws."""
+    drawn = rng.choice(len(index.classes), size=n_classes, replace=False)
+    class_ids = tuple(index.classes[int(ci)] for ci in drawn)
+    out = np.empty((n_classes, per_class), dtype=np.int64)
+    for slot, c in enumerate(class_ids):
+        rows = index.rows[c]
+        out[slot] = rows[rng.choice(len(rows), size=per_class, replace=False)]
+    return class_ids, out
+
+
+def choice_episode_rows(labels, n_way, k_shot, q_queries, episodes, master_seed):
+    """`sampling.episode_rows` one episode at a time: episode i is
+    `choice_draw` on a generator seeded child_seed(master_seed, i)."""
+    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
+    rows = np.empty((episodes, n_way, k_shot + q_queries), dtype=np.int64)
+    for i in range(episodes):
+        rng = np.random.default_rng(child_seed(master_seed, i))
+        rows[i] = choice_draw(index, n_way, k_shot + q_queries, rng)[1]
+    return rows
 
 
 # The per-head training steps as they stood before they were folded into

@@ -123,6 +123,15 @@ class TestGen:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--seed", "18446744073709551616"),
+        ("--split", "0.5,0.25,0.25", "--split-seed", "18446744073709551616"),
+    ])
+    def test_seed_of_2_to_the_64_exits_2(self, tmp_path, capsys, flags):
+        assert entrypoint(["gen", *flags, "-o", str(tmp_path / "x.cird")]) == 2
+        assert "seed must be < 2**64, got 18446744073709551616" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags, message", [
         (("--spread", "nan"), "spread must be finite and > 0"),
         (("--spread", "inf"), "spread must be finite and > 0"),
@@ -234,10 +243,13 @@ class TestTrain:
         (_two_stage("cross_entropy", _set(RUN_CFG, "epochs", "3")
                     + "decay_factor = 1e-200\n"),
          "learning rate decays to 0.0 by epoch 2; it must stay > 0"),
+        (RUN_CFG + "seed = -1\n", "seed must be >= 0, got -1"),
+        (RUN_CFG + "seed = 18446744073709551616\n",
+         "seed must be < 2**64, got 18446744073709551616"),
     ], ids=["gamma-0", "gamma-1.5", "gamma-nan", "p-1", "k-1", "sigmoid",
             "stage1-oim", "stage2-oim", "stage2-dims", "stage2-gamma-0",
             "stage2-activation", "lr-underflow", "lr-decays-to-0",
-            "stage2-lr-underflow"])
+            "stage2-lr-underflow", "seed-negative", "seed-2**64"])
     def test_dry_run_refuses_what_training_refuses(
         self, wide_split, tmp_path, capsys, text, message
     ):
@@ -362,6 +374,23 @@ class TestEval:
             *extra,
         ]
 
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "--seed must be >= 0, got -1"),
+        ("18446744073709551616", "--seed must be < 2**64, got 18446744073709551616"),
+    ])
+    def test_seed_outside_64_bits_exits_2_before_loading(
+        self, tmp_path, capsys, seed, message
+    ):
+        # -1 drew the episodes of 2**64 - 1, and 2**64 those of 0; a
+        # missing checkpoint would exit 3, so the seed is refused first
+        assert entrypoint([
+            "eval", str(tmp_path / "none.ckpt"), "-d", str(tmp_path / "none.cird"),
+            "--seed", seed,
+        ]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_stdout_csv_schema(self, trained, capsys):
         assert entrypoint(self.eval_args(trained)) == 0
         out = capsys.readouterr().out
@@ -440,6 +469,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flags,message", [
         (("--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("--seed", "18446744073709551616"),
+         "--seed must be < 2**64, got 18446744073709551616"),
         (("--draws", "-3"), "--draws must be >= 1, got -3"),
         (("--draws", "0"), "--draws must be >= 1, got 0"),
     ])
@@ -521,6 +552,7 @@ class TestReproduceCommand:
         ("--epochs", "-1"),
         ("--epochs", "0"),
         ("--seeds=-1",),
+        ("--seeds", "0,18446744073709551616"),
     ])
     def test_bad_matrix_flags_exit_2_before_any_output(self, tmp_path, capsys, flags):
         out = tmp_path / "rep"

@@ -295,6 +295,8 @@ def test_settings_validation():
         ReproduceSettings(seeds=(1, 1))
     with pytest.raises(ConfigurationError, match="seeds must be >= 0, got -1"):
         ReproduceSettings(seeds=(0, -1))
+    with pytest.raises(ConfigurationError, match=r"seeds must be < 2\*\*64"):
+        ReproduceSettings(seeds=(1 << 64, 0))
     for epochs in (0, -1):
         with pytest.raises(ConfigurationError, match="epochs must be >= 1"):
             ReproduceSettings(epochs=epochs)

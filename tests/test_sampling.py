@@ -1,5 +1,6 @@
 """Tests for PK batches, episodes, and derived seeds."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,15 +10,19 @@ from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, reproduce_spec, 
 from cirlab.errors import ConfigurationError, DataError, InputError
 from cirlab.losses import triplet_masks
 from cirlab.sampling import (
+    _EPISODE_CHUNK,
     ClassIndex,
     PKSpec,
     _choice_bounds,
     _choice_replay,
+    _floyd_replay,
+    check_seed,
     child_seed,
     episode_rows,
     pk_batch,
     sample_episode,
 )
+from oracles import choice_draw, choice_episode_rows
 
 
 def toy_dataset(num_classes=6, per_class=10, dim=3, seed=0):
@@ -109,6 +114,23 @@ class TestChildSeed:
     def test_negative_index_raises(self):
         with pytest.raises(InputError):
             child_seed(1, -1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+    def test_master_seed_outside_64_bits_raises(self, seed):
+        # the mix reduces mod 2**64: -1 would alias 2**64 - 1, 2**64 alias 0
+        with pytest.raises(ConfigurationError, match="master seed must be"):
+            child_seed(seed, 0)
+        with pytest.raises(ConfigurationError, match="master seed must be"):
+            episode_rows(np.repeat(np.arange(3), 4), 2, 1, 1, 3, seed)
+
+    def test_seed_range_edges(self):
+        for seed in (0, (1 << 64) - 1):
+            check_seed(seed)
+            assert 0 <= child_seed(seed, 3) < (1 << 64)
+        with pytest.raises(ConfigurationError, match="--seed must be >= 0, got -1"):
+            check_seed(-1, "--seed")
+        with pytest.raises(ConfigurationError, match=r"seed must be < 2\*\*64"):
+            check_seed(1 << 64)
 
 
 class TestPkBatch:
@@ -216,7 +238,7 @@ class TestPkBatch:
 
 
 def assert_replays_choice(labels, p, k, seed, batches, buffered):
-    """pk_batch gives index.draw's rows and leaves its generator state,
+    """pk_batch gives choice_draw's rows and leaves its generator state,
     PCG64's buffered 32-bit half included, after every batch."""
     index, spec = ClassIndex(labels), PKSpec(p, k)
     fused, ref = (np.random.default_rng(seed) for _ in range(2))
@@ -227,7 +249,7 @@ def assert_replays_choice(labels, p, k, seed, batches, buffered):
         assert fused.bit_generator.state["has_uint32"] == 1
     for _ in range(batches):
         rows = pk_batch(index, spec, fused)
-        expected = index.draw(p, k, ref)[1].reshape(-1)
+        expected = choice_draw(index, p, k, ref)[1].reshape(-1)
         assert rows.dtype == np.int64
         assert np.array_equal(rows, expected)
         assert fused.bit_generator.state == ref.bit_generator.state
@@ -403,3 +425,92 @@ class TestEpisodeRows:
         for args in ((1, 1, 1, 5), (3, 0, 1, 5), (3, 1, 0, 5), (3, 1, 1, 0)):
             with pytest.raises(ConfigurationError):
                 episode_rows(labels, *args, master_seed=0)
+
+
+class TestFloydReplay:
+    @pytest.mark.parametrize("k", [1, 2, 5, 16, 31])
+    def test_equals_choice_replay_row_by_row(self, k):
+        rng = np.random.default_rng(k)
+        sizes = rng.integers(k, 2 * k + 10, size=400)
+        sizes[:5] = k  # n == k: Floyd's first bound is 0
+        draws = np.array(
+            [rng.integers(0, _choice_bounds(int(n), k), endpoint=True) for n in sizes]
+        ).reshape(len(sizes), 2 * k - 1)
+        picks = _floyd_replay(draws, sizes, k)
+        assert picks.shape == (len(sizes), k) and picks.dtype == np.int64
+        for row, n, got in zip(draws, sizes, picks):
+            assert got.tolist() == _choice_replay(row.tolist(), int(n), k)
+
+
+def exact_class_labels():
+    """Uneven classes, two of them exactly K + Q = 5 rows."""
+    ids, sizes = [3, 5, 9, 12, 20], [5, 9, 7, 5, 11]
+    return np.random.default_rng(6).permutation(np.repeat(ids, sizes))
+
+
+EPISODE_SPLITS = {
+    # (labels, n_way, k_shot, q_queries)
+    "uneven": (shuffled_uneven_labels(seed=3), 4, 2, 3),
+    "exact-k+q": (exact_class_labels(), 3, 2, 3),
+    "n-all": (shuffled_uneven_labels(seed=5), 8, 3, 4),
+    "reproduce-5x16": (REPRODUCE_LABELS, 5, 1, 15),
+}
+
+
+class TestEpisodeRowsReplayChoice:
+    @pytest.mark.parametrize(
+        "episodes", [_EPISODE_CHUNK - 1, _EPISODE_CHUNK, _EPISODE_CHUNK + 1]
+    )
+    @pytest.mark.parametrize("split", sorted(EPISODE_SPLITS))
+    def test_rows_are_the_choice_oracles(self, split, episodes):
+        labels, n, k, q = EPISODE_SPLITS[split]
+        sizes = class_sizes(labels)
+        assert sizes.min() < sizes.max()  # uneven classes
+        assert sizes.min() >= k + q
+        if split == "exact-k+q":
+            assert sizes.min() == k + q
+        if split == "n-all":
+            assert n == sizes.size
+        rows = episode_rows(labels, n, k, q, episodes, master_seed=episodes)
+        expected = choice_episode_rows(labels, n, k, q, episodes, episodes)
+        assert rows.dtype == np.int64
+        assert np.array_equal(rows, expected)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("split", sorted(EPISODE_SPLITS))
+    def test_sample_episode_draws_as_choice(self, split, buffered):
+        labels, n, k, q = EPISODE_SPLITS[split]
+        features = np.zeros((labels.size, 1))
+        index = ClassIndex(labels)
+        counting, ref = CountingRng(np.random.default_rng(8)), np.random.default_rng(8)
+        if buffered:
+            counting.rng.integers(0, 7, dtype=np.int32)
+            ref.integers(0, 7, dtype=np.int32)
+        for _ in range(40):
+            ep = sample_episode(features, labels, n, k, q, counting)
+            class_ids, rows = choice_draw(index, n, k + q, ref)
+            assert ep.class_ids == class_ids
+            assert np.array_equal(ep.support_indices, rows[:, :k].reshape(-1))
+            assert np.array_equal(ep.query_indices, rows[:, k:].reshape(-1))
+            assert counting.rng.bit_generator.state == ref.bit_generator.state
+        assert counting.calls == Counter(integers=80)
+
+    @pytest.mark.parametrize("n,k,q", [(5, 1, 15), (3, 2, 2), (12, 3, 4)])
+    def test_peak_memory_is_the_rows_plus_one_chunk(self, n, k, q):
+        labels = np.repeat(np.arange(12), 20)
+        m = k + q
+        # one chunk: its row draws, its replayed positions and its gathered
+        # rows, 8 bytes each; plus the split's ClassIndex and small arrays
+        chunk = _EPISODE_CHUNK * n * ((2 * m - 1) + 2 * m) * 8
+        extra = {}
+        for episodes in (_EPISODE_CHUNK, 4 * _EPISODE_CHUNK + 3):
+            tracemalloc.start()
+            try:
+                rows = episode_rows(labels, n, k, q, episodes, master_seed=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra[episodes] = peak - rows.nbytes
+            assert extra[episodes] <= chunk + 64 * 1024
+        # the extra memory does not grow with the episode count
+        assert extra[4 * _EPISODE_CHUNK + 3] <= extra[_EPISODE_CHUNK] + 1024

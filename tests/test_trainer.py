@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import cirlab.nn
+import cirlab.sampling
 import cirlab.trainer
 from cirlab.datagen import Dataset, GeneratorSpec, gen_gaussian_mixture, split_classes
 from cirlab.errors import ConfigurationError, DataError, NumericError, ShapeError
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig
 from cirlab.nn import forward, init_params
-from cirlab.sampling import ClassIndex, episode_rows
+from cirlab.sampling import episode_rows
 from cirlab.tac import tac_init
 from cirlab.trainer import (
     CSV_HEADER,
@@ -88,6 +89,17 @@ class TestConfigValidation:
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(loss_mode="contrastive")
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1 << 64, r"seed must be < 2\*\*64, got 18446744073709551616"),
+    ])
+    def test_seed_outside_64_bits_rejected(self, seed, message):
+        # child_seed mixes seeds mod 2**64: -1 would train as 2**64 - 1,
+        # and 2**64 as 0
+        with pytest.raises(ConfigurationError, match=message):
+            TrainConfig(seed=seed)
+        assert TrainConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
 
     def test_classifier_needs_holdout(self):
         with pytest.raises(ConfigurationError):
@@ -289,7 +301,7 @@ class TestTripletTraining:
     ):
         tr, va, _ = make_splits()
         cfg = small_cfg()  # batches of 4 rows per class, episodes of 1 + 5
-        real_forward, real_draw = cirlab.nn.forward, ClassIndex.draw
+        real_forward, real_draw = cirlab.nn.forward, cirlab.sampling._pk_draws
         embedded, episode_draws = [], []
 
         def counting_forward(params, x):
@@ -305,7 +317,7 @@ class TestTripletTraining:
             # every cirlab module that holds the encoder's forward
             if name.startswith("cirlab") and vars(module).get("forward") is real_forward:
                 monkeypatch.setattr(module, "forward", counting_forward)
-        monkeypatch.setattr(ClassIndex, "draw", counting_draw)
+        monkeypatch.setattr(cirlab.sampling, "_pk_draws", counting_draw)
         train(tr, va, cfg)
         assert embedded.count(tr.size) == cfg.epochs
         assert embedded.count(va.size) == cfg.epochs
