@@ -5,7 +5,8 @@ dims, u8 activation code, then per layer the weight matrix (row-major) and
 bias vector as f32; after the encoder block the class table: u32 C, u32 d,
 f32 momentum, then C*d f32 row-major. Weights are stored in 32-bit floats,
 so save/load round-trips are bit-exact only after one save (float64 state
-is truncated once, then stable).
+is truncated once, then stable). Both directions refuse a non-finite
+weight, bias or table entry and a momentum outside (0, 1].
 """
 
 from __future__ import annotations
@@ -21,17 +22,29 @@ from .tac import ClassTable
 MAGIC = b"CIR1"
 
 
+def _check_values(path, arrays, momentum) -> None:
+    """Refuse what no training run leaves in a checkpoint: a non-finite
+    weight, bias or table entry, or a momentum outside (0, 1]."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DataError(f"{path}: non-finite weight, bias or table entry")
+    if not 0.0 < momentum <= 1.0:
+        raise DataError(f"{path}: momentum {momentum} outside (0, 1]")
+
+
 def save_checkpoint(params: ModelParams, tac: ClassTable, path: str) -> None:
+    with np.errstate(over="ignore"):  # _check_values refuses an overflow
+        layers = [np.ascontiguousarray(a, dtype="<f4")
+                  for pair in zip(params.weights, params.biases) for a in pair]
+        table = np.ascontiguousarray(tac.table, dtype="<f4")
+        momentum = np.float32(tac.momentum)
+    _check_values(path, [*layers, table], momentum)
     parts = [MAGIC]
     parts.append(struct.pack("<I", params.num_layers))
     parts.append(struct.pack(f"<{len(params.layer_dims)}I", *params.layer_dims))
     parts.append(struct.pack("<B", ACTIVATIONS.index(params.activation)))
-    for w, b in zip(params.weights, params.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f4").tobytes())
-        parts.append(np.asarray(b, dtype="<f4").tobytes())
-    parts.append(struct.pack("<II", tac.num_classes, tac.dim))
-    parts.append(struct.pack("<f", tac.momentum))
-    parts.append(np.ascontiguousarray(tac.table, dtype="<f4").tobytes())
+    parts += [a.tobytes() for a in layers]
+    parts.append(struct.pack("<IIf", tac.num_classes, tac.dim, momentum))
+    parts.append(table.tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -71,6 +84,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, ClassTable]:
     table = np.frombuffer(take(4 * c * d), dtype="<f4").reshape(c, d)
     if off != len(blob):
         raise DataError(f"{path}: {len(blob) - off} trailing bytes")
+    _check_values(path, [*weights, *biases, table], momentum)
     params = ModelParams(
         layer_dims=dims,
         weights=weights,

@@ -48,7 +48,7 @@ from .evaluate import geometry_stats
 from .losses import StudyCase, study_case_loss
 from .nn import forward
 from .reproduce import ReproduceSettings, format_report, run_reproduction
-from .sampling import check_seed
+from .sampling import check_seed, episode_rows
 from .trainer import (
     check_feasible,
     evaluate_checkpoint,
@@ -182,10 +182,14 @@ def cmd_eval(args):
     params, tac = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     start = time.monotonic()
+    episodes = None
+    if args.protocol == "episodic":
+        episodes = episode_rows(
+            ds.labels, args.way, args.shot, args.queries, args.episodes, args.seed
+        )
     rows = evaluate_checkpoint(
-        params, tac, ds, args.protocol, seed=args.seed, n_way=args.way,
-        k_shot=args.shot, q_queries=args.queries, episodes=args.episodes,
-        temperature=args.temperature, metric=args.metric,
+        params, tac, ds, args.protocol, k_shot=args.shot,
+        temperature=args.temperature, metric=args.metric, rows=episodes,
     )
     lines = ["metric,value,ci95"]
     for name, value, ci in rows:
@@ -330,8 +334,8 @@ def build_parser():
     r.add_argument("--seeds", default="0,1,2,3,4")
     r.add_argument("--epochs", type=int, default=60)
     r.add_argument("--threads", type=int, default=1,
-                   help="worker processes, each running a contiguous block of "
-                        "seed-major cells (default: 1)")
+                   help="worker processes, at most one per seed; each runs "
+                        "whole seeds (default: 1)")
     r.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -10,17 +10,15 @@ train-validation gap, expand the embedding geometry?) are returned for
 the caller to print.
 
 Within one seed the three arms share their inputs by design: the
-generated dataset, the class split and the final-eval episodes. The
-cells are listed seed-major and cut into contiguous blocks, one block
-per worker; a block prepares those inputs once per seed it holds and
-trains that seed's arms in lockstep, in one `train` call that runs each
-step's encoder, loss and updates once for the stacked arms (a seed cut
-across two blocks trains its arms in two such calls; a lone arm trains
-alone), then scores each cell in order. A lockstep call that raises is
-followed by one `train` call per arm, so a failing cell fails as it does
-alone and the others keep their bits. The ``threads`` argument sets the
-number of blocks and worker processes (below 1 counts as 1); with 1 the
-whole matrix is one serial block.
+generated dataset, the class split and the final-eval episodes. So the
+seed is the unit of work: one job per seed prepares those inputs once,
+trains the seed's three arms in lockstep, in one `train` call that runs
+each step's encoder, loss and updates once for the stacked arms, then
+scores each cell in order. A lockstep call that raises is followed by
+one `train` call per arm, so a failing cell fails as it does alone and
+the others keep their bits. The ``threads`` argument sets the number of
+worker processes, min(threads, number of seeds) (below 1 counts as 1),
+each taking whole seeds; with 1 the seeds run serially in this process.
 Results are put back in arm-major order before aggregation, so every
 output file is the same at any thread count.
 """
@@ -31,7 +29,6 @@ import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -176,14 +173,10 @@ def _score_cell(settings, arm, seed, inputs, trained, out_dir):
     """
     train_ds, val_ds = inputs.train_ds, inputs.val_ds
     params, tac, logs = trained
-    cfg = settings.base
 
     def final_accuracy(split, rows):
         return evaluate_checkpoint(
-            params, tac, split, "episodic",
-            n_way=cfg.eval_n_way, k_shot=cfg.eval_k_shot,
-            q_queries=settings.eval_q_queries, episodes=settings.eval_episodes,
-            rows=rows,
+            params, tac, split, "episodic", k_shot=settings.base.eval_k_shot, rows=rows
         )[0][1]
 
     val_acc = final_accuracy(val_ds, inputs.val_rows)
@@ -236,48 +229,30 @@ def _train_arms(inputs, cfgs):
     return outcomes
 
 
-def _worker(packed):
-    """Run one block of (arm, seed) cells, preparing each seed's inputs
-    once and training its arms together; returns ((arm, seed), outcome)
-    pairs.
+def _run_seed(packed):
+    """Run one seed's cells: prepare its inputs once, train its arms
+    together and score each; returns one outcome per arm, in ARMS order.
 
     A failed cell becomes one (arm, seed, message) row and the other cells
     still run; a failed preparation gives its row to each of the seed's
-    cells in the block.
+    cells.
     """
-    settings, block, out_dir = packed
+    settings, seed, out_dir = packed
+    try:
+        inputs = _prepare(settings, seed)
+        cfgs = [_train_config(settings, arm, seed) for arm in ARMS]
+    except Exception as exc:
+        message = _failure(exc)
+        return [(arm, seed, message) for arm in ARMS]
     outcomes = []
-    for seed, cells in groupby(block, key=lambda cell: cell[1]):
-        arms = [arm for arm, _ in cells]
+    for arm, result in zip(ARMS, _train_arms(inputs, cfgs)):
         try:
-            inputs = _prepare(settings, seed)
-            cfgs = [_train_config(settings, arm, seed) for arm in arms]
+            if isinstance(result, Exception):
+                raise result
+            outcomes.append(_score_cell(settings, arm, seed, inputs, result, out_dir))
         except Exception as exc:
-            message = _failure(exc)
-            outcomes.extend(((arm, seed), (arm, seed, message)) for arm in arms)
-            continue
-        for arm, result in zip(arms, _train_arms(inputs, cfgs)):
-            try:
-                if isinstance(result, Exception):
-                    raise result
-                outcome = _score_cell(settings, arm, seed, inputs, result, out_dir)
-            except Exception as exc:
-                outcome = (arm, seed, _failure(exc))
-            outcomes.append(((arm, seed), outcome))
+            outcomes.append((arm, seed, _failure(exc)))
     return outcomes
-
-
-def _blocks(cells, count):
-    """Cut `cells` into min(count, len(cells)) contiguous blocks whose
-    sizes differ by at most one, the larger ones first."""
-    count = min(count, len(cells))
-    size, extra = divmod(len(cells), count)
-    blocks, start = [], 0
-    for i in range(count):
-        end = start + size + (i < extra)
-        blocks.append(cells[start:end])
-        start = end
-    return blocks
 
 
 def _ci95(values):
@@ -375,19 +350,15 @@ def run_reproduction(out_dir, settings=None, threads=1):
     """
     settings = settings or ReproduceSettings()
     os.makedirs(out_dir, exist_ok=True)
-    # seed-major, so each block holds few seeds and prepares each once
-    cells = [(arm, seed) for seed in settings.seeds for arm in ARMS]
-    jobs = [
-        (settings, block, out_dir)
-        for block in _blocks(cells, max(1, int(threads)))
-    ]
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            done = list(pool.map(_worker, jobs))
+    jobs = [(settings, seed, out_dir) for seed in settings.seeds]
+    workers = min(max(1, int(threads)), len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            by_seed = list(pool.map(_run_seed, jobs))
     else:
-        done = [_worker(job) for job in jobs]
-    by_cell = dict(pair for block in done for pair in block)
-    outcomes = [by_cell[(arm, seed)] for arm in ARMS for seed in settings.seeds]
+        by_seed = [_run_seed(job) for job in jobs]
+    # arm-major, as the summary lists the runs
+    outcomes = [o for of_arm in zip(*by_seed) for o in of_arm]
 
     runs = tuple(o for o in outcomes if isinstance(o, RunResult))
     failures = tuple(o for o in outcomes if not isinstance(o, RunResult))

@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .datagen import Dataset, floor_count
-from .errors import ConfigurationError, DataError, NumericError, ShapeError
+from .errors import ConfigurationError, DataError, NumericError
 from .evaluate import episodic_accuracy, geometry_stats, retrieval_map, cmc_rank1
 from .interference import (
     InterferenceConfig,
@@ -645,8 +645,6 @@ def _softmax_loss(logits, y, cfg):
 def _classification_accuracy(z, labels, head, tac, temperature) -> float:
     """Argmax accuracy of raw (unblended) embeddings, scored by the head, or
     by table lookup when there is no head."""
-    if z.shape[0] == 0:
-        return float("nan")
     logits = oim_scores(tac, z, temperature) if head is None else forward(head, z)[0]
     if not np.isfinite(logits).all():
         raise NumericError("non-finite classification logits")
@@ -670,63 +668,42 @@ def train_two_stage(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig)
     return params2, tac2, logs1 + logs2
 
 
-def _check_episode_rows(rows: np.ndarray, size: int, shape: tuple) -> None:
-    """Pre-drawn episode rows must be a non-empty integer array of the
-    episodes' shape that indexes rows of the split."""
-    rows = np.asarray(rows)
-    if rows.shape != shape or rows.size == 0 or not np.issubdtype(rows.dtype, np.integer):
-        raise ShapeError(
-            f"episode rows are {rows.dtype} of shape {rows.shape}, expected "
-            f"a non-empty integer array of shape {shape}"
-        )
-    if rows.min() < 0 or rows.max() >= size:
-        raise ShapeError(
-            f"episode rows index [{rows.min()}, {rows.max()}], outside a split "
-            f"of {size} rows"
-        )
-
-
 def evaluate_checkpoint(
     params: ModelParams,
     tac: ClassTable,
     split: Dataset,
     protocol: str,
-    seed: int = 0,
-    n_way: int = 5,
     k_shot: int = 1,
-    q_queries: int = 15,
-    episodes: int = 600,
     temperature: float = 1.0,
     metric: str = "euclidean",
     rows: np.ndarray | None = None,
 ):
     """Metric rows [(name, value, ci95-or-None)] for one protocol.
 
-    episodic: N-way K-shot nearest-prototype accuracy over seeded episodes,
-    or over `rows` when given: episode rows drawn beforehand by
-    `episode_rows`, an episodes x n_way x (k_shot + q_queries) array of
-    split rows (`seed` is then unused).
+    episodic: N-way K-shot nearest-prototype accuracy over `rows`, the
+    episodes x n_way x (k_shot + q_queries) split rows that the caller drew
+    with `episode_rows`; the other protocols take no rows.
     retrieval: per class the first sample (in row order) queries the rest.
     classification: table-lookup argmax accuracy (the split must carry the
-    table's classes). The split is embedded once, after these checks.
+    table's classes and at least one row). The split is embedded once,
+    after these checks.
     """
-    if rows is not None and protocol != "episodic":
-        raise ConfigurationError(f"episode rows given for protocol {protocol!r}")
-    if protocol == "episodic":
-        if rows is None:
-            rows = episode_rows(split.labels, n_way, k_shot, q_queries, episodes, seed)
-        else:
-            _check_episode_rows(rows, split.size, (episodes, n_way, k_shot + q_queries))
-    elif protocol == "classification":
+    if protocol not in ("episodic", "retrieval", "classification"):
+        raise ConfigurationError(
+            f"protocol must be episodic, retrieval, or classification, got {protocol!r}"
+        )
+    if (rows is None) == (protocol == "episodic"):
+        raise ConfigurationError(
+            f"protocol {protocol} {'needs' if rows is None else 'takes no'} episode rows"
+        )
+    if protocol == "classification":
         if split.class_count != tac.num_classes:
             raise ConfigurationError(
                 f"split has {split.class_count} classes but the table holds "
                 f"{tac.num_classes}"
             )
-    elif protocol != "retrieval":
-        raise ConfigurationError(
-            f"protocol must be episodic, retrieval, or classification, got {protocol!r}"
-        )
+        if split.size == 0:
+            raise DataError("classification needs at least one row")
     z, _ = forward(params, split.features)
     labels = split.labels
     if rows is not None:

@@ -1,5 +1,7 @@
 """Tests for the binary checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,46 @@ class TestValidation:
             fh.write(b"\x00\x00\x00")
         with pytest.raises(DataError):
             load_checkpoint(path)
+
+    def write_with(self, tmp_path, offset, value):
+        """A saved checkpoint with the f32 at byte `offset` (from the end
+        when negative) set to `value`; returns its path."""
+        params, tac = make_state()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, tac, str(path))
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<f", blob, offset % len(blob), value)
+        path.write_bytes(blob)
+        return str(path)
+
+    # the first weight, the last bias of the encoder, the last table entry
+    @pytest.mark.parametrize("offset", [4 + 4 + 4 * 3 + 1, -(4 * 5 * 4 + 16), -4])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused_on_load(self, tmp_path, offset, value):
+        path = self.write_with(tmp_path, offset, value)
+        with pytest.raises(DataError, match="non-finite weight, bias or table entry"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("momentum", [0.0, -0.5, 1.5, np.nan, np.inf])
+    def test_momentum_outside_unit_interval_refused_on_load(self, tmp_path, momentum):
+        path = self.write_with(tmp_path, -(4 * 5 * 4 + 4), momentum)
+        with pytest.raises(DataError, match=r"outside \(0, 1\]"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda p, t: p.weights[0].__setitem__((1, 2), np.nan),
+        lambda p, t: p.biases[1].__setitem__(0, -np.inf),
+        lambda p, t: p.weights[1].__setitem__((0, 0), 1e39),  # inf in f32
+        lambda p, t: t.table.__setitem__((4, 3), np.nan),
+        lambda p, t: setattr(t, "momentum", 0.0),
+        lambda p, t: setattr(t, "momentum", 1.5),
+        lambda p, t: setattr(t, "momentum", 1e-50),  # 0 in f32
+        lambda p, t: setattr(t, "momentum", float("nan")),
+    ])
+    def test_save_refuses_what_load_refuses(self, tmp_path, change):
+        params, tac = make_state()
+        change(params, tac)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(DataError, match=f"^{path}: "):
+            save_checkpoint(params, tac, str(path))
+        assert not path.exists()

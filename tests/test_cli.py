@@ -508,6 +508,37 @@ def test_non_finite_feature_exits_2_naming_file_and_row(
     assert list(tmp_path.iterdir()) == [bad]
 
 
+@pytest.mark.parametrize("command", [
+    ("eval", "--protocol", "episodic", "--way", "2", "--queries", "3"),
+    ("eval", "--protocol", "retrieval"), ("analyze",),
+])
+def test_non_finite_weight_exits_2_naming_file(trained, tmp_path, capsys, command):
+    # save_checkpoint refuses a NaN weight: write it into the bytes; the
+    # scores came out as numbers, and analyze printed a nan distance
+    blob = bytearray((trained / "m.ckpt").read_bytes())
+    layers = struct.unpack_from("<I", blob, 4)[0]
+    struct.pack_into("<f", blob, 4 + 4 * (layers + 2) + 1, np.nan)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    assert entrypoint([command[0], str(bad), "-d", str(trained / "ds.test.cird"),
+                       *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert f"{bad}: non-finite weight, bias or table entry" in captured.err
+    assert captured.out == ""
+
+
+def test_classification_of_an_empty_split_exits_2(trained, tmp_path, capsys):
+    # the other protocols and analyze refuse a 0-row file too
+    ds = load_dataset(str(trained / "ds.train.cird"))
+    empty = tmp_path / "empty.cird"
+    save_dataset(Dataset(ds.features[:0], ds.labels[:0], ds.class_count, ""), str(empty))
+    assert entrypoint(["eval", str(trained / "m.ckpt"), "-d", str(empty),
+                       "--protocol", "classification"]) == 2
+    captured = capsys.readouterr()
+    assert "classification needs at least one row" in captured.err
+    assert captured.out == ""
+
+
 class TestReproduceCommand:
     def test_tiny_matrix_runs(self, tmp_path, capsys):
         code = entrypoint([

@@ -247,7 +247,7 @@ def test_prepared_inputs_are_the_seeded_draws_and_read_only():
     for got, want in ((inputs.train_ds, train_ds), (inputs.val_ds, val_ds)):
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.labels, want.labels)
-    # the draws evaluate_checkpoint makes from seed=seed without rows
+    # the draws `cirlab eval` makes from --seed
     for rows, split in ((inputs.train_rows, train_ds), (inputs.val_rows, val_ds)):
         assert np.array_equal(rows, episode_rows(split.labels, 3, 1, 3, 10, 1))
     for array in (inputs.train_ds.features, inputs.train_ds.labels,
@@ -256,33 +256,25 @@ def test_prepared_inputs_are_the_seeded_draws_and_read_only():
         assert not array.flags.writeable
 
 
-@pytest.mark.parametrize("cells, count, sizes", [
-    (6, 1, [6]), (6, 2, [3, 3]), (6, 3, [2, 2, 2]), (15, 2, [8, 7]),
-    (15, 4, [4, 4, 4, 3]), (3, 5, [1, 1, 1]),
-])
-def test_blocks_are_contiguous_and_near_equal(cells, count, sizes):
-    items = list(range(cells))
-    blocks = reproduce._blocks(items, count)
-    assert [len(b) for b in blocks] == sizes
-    assert [i for b in blocks for i in b] == items
-
-
-def test_parallel_matches_sequential(tmp_path):
-    # blocks of 6, 3 + 3 (one seed each) and 2 + 2 + 2 (seed 0 split
-    # across two workers) must write the same bytes to every output file
+@pytest.mark.parametrize("seeds", [(0, 1), (0, 1, 2)])
+def test_parallel_matches_sequential(tmp_path, seeds):
+    # each worker takes whole seeds: one seed per worker, or at 2 threads
+    # with 3 seeds one worker runs two; every output file keeps its bytes
+    settings = replace(SMALL, seeds=seeds)
     outputs = {}
     for threads in (1, 2, 3):
         out = tmp_path / f"threads{threads}"
-        run_reproduction(str(out), settings=SMALL, threads=threads)
+        run_reproduction(str(out), settings=settings, threads=threads)
         outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
     names = {"summary.csv", "val_accuracy.svg", "train_loss.svg"} | {
-        f"curves_{arm}_seed{seed}.csv" for arm in ARMS for seed in (0, 1)
+        f"curves_{arm}_seed{seed}.csv" for arm in ARMS for seed in seeds
     }
     assert set(outputs[1]) == names
-    # run rows in arm-major order, as before the cells were blocked by seed
-    rows = outputs[1]["summary.csv"].decode().split("\n")[1:7]
+    # run rows in arm-major order, though each job runs one seed's arms
+    lines = outputs[1]["summary.csv"].decode().split("\n")
+    rows = lines[1:1 + len(ARMS) * len(seeds)]
     assert [row.split(",")[:2] for row in rows] == [
-        [arm, str(seed)] for arm in ARMS for seed in (0, 1)
+        [arm, str(seed)] for arm in ARMS for seed in seeds
     ]
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]

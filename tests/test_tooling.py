@@ -7,9 +7,11 @@ package breaks it; these tests catch that here instead. The tracer
 also sees a training step's calls only while the trainer makes them
 through its module-level names, not through references captured once
 per run. The reproduce workload's train_s times the matrix's calls of
-`cirlab.reproduce.train`, so every training step must run inside one,
-and the tracer sums the loss's counts and dumps them to JSON, so they
-must stay Python ints. They read perfbench/ and change nothing there.
+`cirlab.reproduce.train`, so every training step must run inside one;
+its eval_s times the calls of `cirlab.reproduce.evaluate_checkpoint`,
+so every final episodic score must run inside one. The tracer sums the
+loss's counts and dumps them to JSON, so they must stay Python ints.
+They read perfbench/ and change nothing there.
 """
 
 import importlib
@@ -189,6 +191,41 @@ def test_reproduce_steps_run_only_inside_reproduce_train(monkeypatch, tmp_path):
     )
     assert report.ok and len(report.runs) == 6
     assert outside == [] and len(calls) == 2
+
+
+def test_reproduce_final_evals_run_only_inside_reproduce_evaluate_checkpoint(
+    monkeypatch, tmp_path
+):
+    # the benchmark's eval_s times calls of cirlab.reproduce.evaluate_checkpoint,
+    # so every episodic score outside training must run inside one: a
+    # validation and a train score per cell
+    active, calls = Counter(), []
+    real_episodic = cirlab.trainer.episodic_accuracy
+
+    def entered(name, fn):
+        def wrapper(*args, **kwargs):
+            active[name] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                active[name] -= 1
+        return wrapper
+
+    def episodic_accuracy(*args, **kwargs):
+        if not active["train"]:  # the epoch logs score inside train
+            calls.append(active["evaluate_checkpoint"])
+        return real_episodic(*args, **kwargs)
+
+    for name in ("train", "evaluate_checkpoint"):
+        monkeypatch.setattr(
+            cirlab.reproduce, name, entered(name, getattr(cirlab.reproduce, name))
+        )
+    monkeypatch.setattr(cirlab.trainer, "episodic_accuracy", episodic_accuracy)
+    report = cirlab.reproduce.run_reproduction(
+        str(tmp_path), settings=TINY_MATRIX, threads=1
+    )
+    assert report.ok and len(report.runs) == 6
+    assert calls == [1] * 2 * 6
 
 
 def test_traced_matrix_counts_are_plain_ints(tmp_path):

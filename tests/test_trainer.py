@@ -11,7 +11,8 @@ import cirlab.nn
 import cirlab.sampling
 import cirlab.trainer
 from cirlab.datagen import Dataset, GeneratorSpec, gen_gaussian_mixture, split_classes
-from cirlab.errors import ConfigurationError, DataError, NumericError, ShapeError
+from cirlab.errors import ConfigurationError, DataError, NumericError
+from cirlab.evaluate import episodic_accuracy
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig
 from cirlab.nn import forward, init_params
@@ -562,10 +563,8 @@ class TestEvaluateCheckpoint:
 
     def test_episodic_report(self):
         params, tac, _, te = self.trained()
-        rows = evaluate_checkpoint(
-            params, tac, te, "episodic", seed=1, n_way=3, k_shot=1,
-            q_queries=5, episodes=30,
-        )
+        episodes = episode_rows(te.labels, 3, 1, 5, 30, 1)
+        rows = evaluate_checkpoint(params, tac, te, "episodic", rows=episodes)
         assert len(rows) == 1
         name, value, ci = rows[0]
         assert name == "episodic_accuracy"
@@ -605,46 +604,33 @@ class TestEvaluateCheckpoint:
         with pytest.raises(ConfigurationError):
             evaluate_checkpoint(params, tac, tr, "verification")
 
+    def test_classification_of_an_empty_split_refused(self):
+        # a mean over no rows would print nan
+        params, tac, tr, _ = self.trained()
+        empty = replace(tr, features=tr.features[:0], labels=tr.labels[:0])
+        with pytest.raises(DataError, match="classification needs at least one row"):
+            evaluate_checkpoint(params, tac, empty, "classification")
+
     def test_episodic_deterministic(self):
         params, tac, _, te = self.trained()
-        a = evaluate_checkpoint(params, tac, te, "episodic", seed=4, n_way=3,
-                                q_queries=5, episodes=25)
-        b = evaluate_checkpoint(params, tac, te, "episodic", seed=4, n_way=3,
-                                q_queries=5, episodes=25)
+        a = evaluate_checkpoint(params, tac, te, "episodic",
+                                rows=episode_rows(te.labels, 3, 1, 5, 25, 4))
+        b = evaluate_checkpoint(params, tac, te, "episodic",
+                                rows=episode_rows(te.labels, 3, 1, 5, 25, 4))
         assert a == b
 
-    def test_episodic_rows_score_as_the_seeded_draw(self):
+    def test_episodic_scores_the_given_rows(self):
         params, tac, _, te = self.trained()
-        drawn = evaluate_checkpoint(params, tac, te, "episodic", seed=4, n_way=3,
-                                    q_queries=5, episodes=25)
-        rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
-        given = evaluate_checkpoint(params, tac, te, "episodic", seed=99, n_way=3,
-                                    q_queries=5, episodes=25, rows=rows)
-        assert given == drawn
+        rows = episode_rows(te.labels, 3, 2, 4, 25, 4)
+        res = episodic_accuracy(forward(params, te.features)[0], rows, 2)
+        given = evaluate_checkpoint(params, tac, te, "episodic", k_shot=2, rows=rows)
+        assert given == [("episodic_accuracy", res.mean, res.ci95)]
 
-    def test_episodic_rows_of_another_shape_refused(self):
-        params, tac, _, te = self.trained()
+    def test_episode_rows_go_with_the_episodic_protocol_only(self):
+        params, tac, tr, te = self.trained()
+        with pytest.raises(ConfigurationError, match="episodic needs episode rows"):
+            evaluate_checkpoint(params, tac, te, "episodic")
         rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
-        shape = dict(n_way=3, k_shot=1, q_queries=5, episodes=25)
-        for bad, settings in (
-            (rows[:24], shape),
-            (rows[:, :2], shape),
-            (rows[:, :, :5], shape),
-            (rows, dict(shape, k_shot=2)),
-            (rows[0], shape),
-            (rows.astype(np.float64), shape),
-        ):
-            with pytest.raises(ShapeError, match="^episode rows are "):
-                evaluate_checkpoint(params, tac, te, "episodic", rows=bad, **settings)
-
-    def test_episodic_rows_outside_the_split_refused(self):
-        params, tac, _, te = self.trained()
-        rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
-        shape = dict(n_way=3, k_shot=1, q_queries=5, episodes=25)
-        for value in (te.size, -1):
-            bad = rows.copy()
-            bad[7, 1, 2] = value
-            with pytest.raises(ShapeError, match="outside a split of"):
-                evaluate_checkpoint(params, tac, te, "episodic", rows=bad, **shape)
-        with pytest.raises(ConfigurationError, match="episode rows given"):
-            evaluate_checkpoint(params, tac, te, "retrieval", rows=rows)
+        for protocol, split in (("retrieval", te), ("classification", tr)):
+            with pytest.raises(ConfigurationError, match="takes no episode rows"):
+                evaluate_checkpoint(params, tac, split, protocol, rows=rows)
