@@ -210,16 +210,15 @@ def _train_arms(inputs, cfgs):
     """Train one seed's arms on its inputs; returns one outcome per config:
     its (params, table, logs), or the exception it raised.
 
-    Several arms train in lockstep. If that raises, each arm trains alone,
-    so every outcome is that of a `train` call on its config alone; the
+    The arms train in lockstep. If that raises, each arm trains alone, so
+    every outcome is that of a `train` call on its config alone; the
     re-run costs time only when a cell fails, which fails the report.
     """
     train_ds, val_ds = inputs.train_ds, inputs.val_ds
-    if len(cfgs) > 1:
-        try:
-            return train(train_ds, val_ds, cfgs[0], arms=tuple(cfgs[1:]))
-        except Exception:
-            pass  # each arm's own run below finds which arms fail, and how
+    try:
+        return train(train_ds, val_ds, cfgs[0], arms=tuple(cfgs[1:]))
+    except Exception:
+        pass  # each arm's own run below finds which arms fail, and how
     outcomes = []
     for cfg in cfgs:
         try:

@@ -162,7 +162,8 @@ class TrainConfig:
                 f"{self.epochs - 1}; it must stay > 0"
             )
         PKSpec(self.p_classes, self.k_samples)
-        if not 0.0 < self.tac_momentum <= 1.0:
+        # a checkpoint stores gamma as a float32, which must not round to 0
+        if not 0.0 < self.tac_momentum <= 1.0 or np.float32(self.tac_momentum) == 0:
             raise ConfigurationError(
                 f"gamma (tac_momentum) must lie in (0, 1], got {self.tac_momentum}"
             )
@@ -673,7 +674,7 @@ def evaluate_checkpoint(
     tac: ClassTable,
     split: Dataset,
     protocol: str,
-    k_shot: int = 1,
+    k_shot: int | None = None,
     temperature: float = 1.0,
     metric: str = "euclidean",
     rows: np.ndarray | None = None,
@@ -682,7 +683,8 @@ def evaluate_checkpoint(
 
     episodic: N-way K-shot nearest-prototype accuracy over `rows`, the
     episodes x n_way x (k_shot + q_queries) split rows that the caller drew
-    with `episode_rows`; the other protocols take no rows.
+    with `episode_rows`, and their `k_shot`; the other protocols take no
+    rows and ignore `k_shot`.
     retrieval: per class the first sample (in row order) queries the rest.
     classification: table-lookup argmax accuracy (the split must carry the
     table's classes and at least one row). The split is embedded once,
@@ -696,6 +698,8 @@ def evaluate_checkpoint(
         raise ConfigurationError(
             f"protocol {protocol} {'needs' if rows is None else 'takes no'} episode rows"
         )
+    if rows is not None and k_shot is None:
+        raise ConfigurationError("episode rows need their k_shot")
     if protocol == "classification":
         if split.class_count != tac.num_classes:
             raise ConfigurationError(

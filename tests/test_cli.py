@@ -222,6 +222,8 @@ class TestTrain:
         (_set(RUN_CFG, "gamma", "0"), "gamma (tac_momentum) must lie in (0, 1]"),
         (_set(RUN_CFG, "gamma", "1.5"), "gamma (tac_momentum) must lie in (0, 1]"),
         (_set(RUN_CFG, "gamma", "nan"), "gamma (tac_momentum) must lie in (0, 1]"),
+        # 0 as the checkpoint's float32: the save refused it after training
+        (_set(RUN_CFG, "gamma", "1e-46"), "gamma (tac_momentum) must lie in (0, 1]"),
         (_set(RUN_CFG, "p_classes", "1"), "p_classes must be >= 2"),
         (_set(RUN_CFG, "k_samples", "1"), "k_samples must be >= 2"),
         (RUN_CFG + "activation = sigmoid\n", "unknown activation 'sigmoid'"),
@@ -246,7 +248,7 @@ class TestTrain:
         (RUN_CFG + "seed = -1\n", "seed must be >= 0, got -1"),
         (RUN_CFG + "seed = 18446744073709551616\n",
          "seed must be < 2**64, got 18446744073709551616"),
-    ], ids=["gamma-0", "gamma-1.5", "gamma-nan", "p-1", "k-1", "sigmoid",
+    ], ids=["gamma-0", "gamma-1.5", "gamma-nan", "gamma-0-in-f32", "p-1", "k-1", "sigmoid",
             "stage1-oim", "stage2-oim", "stage2-dims", "stage2-gamma-0",
             "stage2-activation", "lr-underflow", "lr-decays-to-0",
             "stage2-lr-underflow", "seed-negative", "seed-2**64"])

@@ -413,14 +413,6 @@ class TestFailingArms:
         with pytest.raises(RuntimeError, match="^cir arm failed$"):
             train(tr, va, configs[0], arms=tuple(configs[1:]))
 
-    def test_a_lone_arm_trains_alone_without_a_lockstep_run(self, monkeypatch):
-        calls = self.train_calls(monkeypatch)
-        inputs, cfg = self.inputs(), self.configs()[1]
-        (got,) = reproduce._train_arms(inputs, [cfg])
-        assert calls == [1]
-        want = train(inputs.train_ds, inputs.val_ds, cfg)
-        assert same_params(got[0], want[0]) and got[2] == want[2]
-
     def test_a_failed_lockstep_run_is_followed_by_one_call_per_arm(
         self, monkeypatch
     ):

@@ -564,7 +564,7 @@ class TestEvaluateCheckpoint:
     def test_episodic_report(self):
         params, tac, _, te = self.trained()
         episodes = episode_rows(te.labels, 3, 1, 5, 30, 1)
-        rows = evaluate_checkpoint(params, tac, te, "episodic", rows=episodes)
+        rows = evaluate_checkpoint(params, tac, te, "episodic", k_shot=1, rows=episodes)
         assert len(rows) == 1
         name, value, ci = rows[0]
         assert name == "episodic_accuracy"
@@ -613,9 +613,9 @@ class TestEvaluateCheckpoint:
 
     def test_episodic_deterministic(self):
         params, tac, _, te = self.trained()
-        a = evaluate_checkpoint(params, tac, te, "episodic",
+        a = evaluate_checkpoint(params, tac, te, "episodic", k_shot=1,
                                 rows=episode_rows(te.labels, 3, 1, 5, 25, 4))
-        b = evaluate_checkpoint(params, tac, te, "episodic",
+        b = evaluate_checkpoint(params, tac, te, "episodic", k_shot=1,
                                 rows=episode_rows(te.labels, 3, 1, 5, 25, 4))
         assert a == b
 
@@ -629,8 +629,11 @@ class TestEvaluateCheckpoint:
     def test_episode_rows_go_with_the_episodic_protocol_only(self):
         params, tac, tr, te = self.trained()
         with pytest.raises(ConfigurationError, match="episodic needs episode rows"):
-            evaluate_checkpoint(params, tac, te, "episodic")
+            evaluate_checkpoint(params, tac, te, "episodic", k_shot=1)
         rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
+        # without their k_shot, rows drawn at K = 5 would score as 1-shot
+        with pytest.raises(ConfigurationError, match="episode rows need their k_shot"):
+            evaluate_checkpoint(params, tac, te, "episodic", rows=rows)
         for protocol, split in (("retrieval", te), ("classification", tr)):
             with pytest.raises(ConfigurationError, match="takes no episode rows"):
                 evaluate_checkpoint(params, tac, split, protocol, rows=rows)
