@@ -9,11 +9,17 @@ The passes work on the last two axes of every array. Plain params hold
 architecture (`stack_params`) holds (S, ...) weights and takes S x B x d_in
 batches, one per encoder, and each slice of its results has the bits of
 the same pass on that encoder alone.
+
+Training steps its weights in place: `flatten_params` copies params into
+one contiguous buffer with per-layer views, plus a gradient buffer of the
+same layout that `backward(..., out=)` fills, and `sgd_step_in_place`
+descends the whole buffer at once with the checks and bits of `sgd_step`,
+which stays as the allocating reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +82,18 @@ class ParamGrads:
     biases: list[np.ndarray]
 
 
+@dataclass
+class FlatParams:
+    """Params and gradients of one layout, each a set of per-layer views
+    of one contiguous float64 buffer (buf and grad_buf), for in-place SGD
+    steps."""
+
+    params: ModelParams
+    grads: ParamGrads
+    buf: np.ndarray
+    grad_buf: np.ndarray
+
+
 def check_activation(activation: str) -> None:
     if activation not in ACTIVATIONS:
         raise ConfigurationError(
@@ -94,6 +112,26 @@ def stack_params(arms: Sequence[ModelParams]) -> ModelParams:
         weights=[np.stack(ws) for ws in zip(*(p.weights for p in arms))],
         biases=[np.stack(bs) for bs in zip(*(p.biases for p in arms))],
         activation=first.activation,
+    )
+
+
+def flatten_params(params: ModelParams) -> FlatParams:
+    """Copy plain or stacked params into one buffer, layer by layer, each
+    layer's weights then its biases; the gradient buffer starts at 0."""
+    arrays = [a for pair in zip(params.weights, params.biases) for a in pair]
+    buf = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+    grad_buf = np.zeros_like(buf)
+    ends = np.cumsum([a.size for a in arrays])[:-1]
+
+    def views(flat):
+        return [part.reshape(a.shape) for part, a in zip(np.split(flat, ends), arrays)]
+
+    layers, grads = views(buf), views(grad_buf)
+    return FlatParams(
+        params=replace(params, weights=layers[0::2], biases=layers[1::2]),
+        grads=ParamGrads(weights=grads[0::2], biases=grads[1::2]),
+        buf=buf,
+        grad_buf=grad_buf,
     )
 
 
@@ -171,8 +209,16 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
     return h, ForwardCache(inputs=inputs, preacts=preacts)
 
 
-def backward(params: ModelParams, cache: ForwardCache, grad_output: np.ndarray) -> ParamGrads:
-    """Accumulate d(loss)/d(params) from d(loss)/d(output) by reverse passes."""
+def backward(
+    params: ModelParams,
+    cache: ForwardCache,
+    grad_output: np.ndarray,
+    out: ParamGrads | None = None,
+) -> ParamGrads:
+    """Accumulate d(loss)/d(params) from d(loss)/d(output) by reverse passes.
+
+    With out, shaped like params, the gradients are written into its
+    arrays, and out is returned with the bits of a call without it."""
     grad_output = np.asarray(grad_output, dtype=np.float64)
     if grad_output.shape != cache.preacts[-1].shape:
         raise ShapeError(
@@ -180,17 +226,19 @@ def backward(params: ModelParams, cache: ForwardCache, grad_output: np.ndarray) 
             f"output {cache.preacts[-1].shape}"
         )
 
-    g_weights = [np.empty(0)] * params.num_layers
-    g_biases = [np.empty(0)] * params.num_layers
+    if out is None:
+        out = ParamGrads([None] * params.num_layers, [None] * params.num_layers)
     delta = grad_output  # d loss / d preact of the (linear) output layer
     for l in range(params.num_layers - 1, -1, -1):
-        g_weights[l] = delta.swapaxes(-1, -2) @ cache.inputs[l]
-        g_biases[l] = delta.sum(axis=-2)
+        out.weights[l] = np.matmul(
+            delta.swapaxes(-1, -2), cache.inputs[l], out=out.weights[l]
+        )
+        out.biases[l] = delta.sum(axis=-2, out=out.biases[l])
         if l > 0:
             delta = (delta @ params.weights[l]) * _activate_grad(
                 cache.preacts[l - 1], params.activation
             )
-    return ParamGrads(weights=g_weights, biases=g_biases)
+    return out
 
 
 def input_gradient(params: ModelParams, cache: ForwardCache, grad_output: np.ndarray) -> np.ndarray:
@@ -228,3 +276,13 @@ def sgd_step(params: ModelParams, grads: ParamGrads, rate: float) -> ModelParams
         biases=new_b,
         activation=params.activation,
     )
+
+
+def sgd_step_in_place(flat: FlatParams, rate: float) -> None:
+    """`sgd_step` of flat.params by flat.grads, written into flat.buf: the
+    same checks and bits, and on a non-finite gradient nothing is written."""
+    if rate <= 0:
+        raise ConfigurationError(f"learning rate must be > 0, got {rate}")
+    if not np.isfinite(flat.grad_buf).all():
+        raise NumericError("non-finite gradients")
+    flat.buf -= rate * flat.grad_buf

@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -352,6 +351,9 @@ def run_reproduction(out_dir, settings=None, threads=1):
     jobs = [(settings, seed, out_dir) for seed in settings.seeds]
     workers = min(max(1, int(threads)), len(jobs))
     if workers > 1:
+        # imported here, so that a one-worker run does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_seed = list(pool.map(_run_seed, jobs))
     else:

@@ -7,7 +7,6 @@ which keeps reproduction artifacts diffable.
 """
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,13 @@ PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
+
+
+def escape(text: str) -> str:
+    """Escape &, > and < for SVG text, as xml.sax.saxutils.escape does,
+    without importing xml.sax (which pulls in urllib and email)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
 
 _WIDTH = 640
 _HEIGHT = 400

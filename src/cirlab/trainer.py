@@ -23,6 +23,14 @@ pattern is the same on every step: `_mode_parts` builds the batch-all
 loss's `TripletMasks` once per run, and the table update sums each
 class's block of K rows with a reshape instead of a per-label scatter.
 
+What a run fixes is built once per run, not per step. The encoder and
+the cross-entropy head each live in one flat buffer (`flatten_params`):
+`backward` writes their gradients into a buffer of the same layout, and
+each SGD step is one finiteness check and one in-place subtraction over
+the whole buffer (`sgd_step_in_place`, with the bits of `sgd_step`). The
+softmax heads take their smoothed targets as rows of one C x C
+`label_smooth` table.
+
 Configs that differ only in the anchor treatment (`interference` and
 `noise`) can train in lockstep, as arms of one `train` call: the arms
 share the split, the initial encoder and table, the episodes and the
@@ -70,10 +78,11 @@ from .nn import (
     ModelParams,
     backward,
     check_activation,
+    flatten_params,
     forward,
     init_params,
     input_gradient,
-    sgd_step,
+    sgd_step_in_place,
     stack_params,
 )
 from .sampling import (
@@ -412,7 +421,7 @@ def train(
             seed=child_seed(cfg.seed, 6),
         )
 
-    parts = _mode_parts(cfg, fit_labels)
+    parts = _mode_parts(cfg, fit_labels, train_ds.class_count)
     if cfg.loss_mode == "triplet":
         # fixed master seeds: the same episodes score every epoch
         shape = cfg.eval_n_way, cfg.eval_k_shot, cfg.eval_q_queries, cfg.eval_episodes
@@ -420,14 +429,16 @@ def train(
         val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
 
     # every arm starts from the same encoder, head and table, and draws
-    # its batches and decoys from one training stream
+    # its batches and decoys from one training stream; the stacked
+    # encoder and head each step in place in one flat buffer
     configs = (cfg, *arms)
     count = len(configs)
     rng = np.random.default_rng(child_seed(cfg.seed, 2))
     noise_rngs = [np.random.default_rng(child_seed(cfg.seed, 7)) for _ in configs]
-    params = stack_params([params] * count)
+    encoder = flatten_params(stack_params([params] * count))
+    params = encoder.params
     if head is not None:
-        head = stack_params([head] * count)
+        head = flatten_params(stack_params([head] * count))
     tac = ClassTable(np.stack([tac.table] * count), tac.momentum)
     logs = [[] for _ in configs]
 
@@ -443,7 +454,8 @@ def train(
             train_acc = acc_sum / cfg.iterations
             val_acc = _classification_accuracy(
                 forward(arm_params, held_feats)[0], held_labels,
-                None if head is None else head.arm(s), tac.arm(s), cfg.temperature,
+                None if head is None else head.params.arm(s), tac.arm(s),
+                cfg.temperature,
             )
         geom = geometry_stats(z_train, labels)
         return EpochLog(
@@ -461,8 +473,8 @@ def train(
         rate = cfg.rate(e)
         loss_sum, acc_sum = np.zeros(count), np.zeros(count)
         for it in range(cfg.iterations):
-            z, blended, y, loss, acc, grads, head_grads = _step(
-                params, head, tac, fit_feats, fit_labels, parts, configs,
+            z, blended, y, loss, acc = _step(
+                encoder, head, tac, fit_feats, fit_labels, parts, configs,
                 rng, noise_rngs,
             )
             # the blended or noised anchors too: the batch-all loss leaves a
@@ -476,9 +488,9 @@ def train(
                     f"non-finite loss or embeddings at epoch {epoch_offset + e} "
                     f"iteration {it}"
                 )
-            params = sgd_step(params, grads, rate)
+            sgd_step_in_place(encoder, rate)
             if head is not None:
-                head = sgd_step(head, head_grads, rate)
+                sgd_step_in_place(head, rate)
             tac = tac_update(
                 tac, z, y, normalize=cfg.tac_normalize, class_rows=parts.class_rows
             )
@@ -493,11 +505,11 @@ def train(
     return outcomes if arms else outcomes[0]
 
 
-def _step(params, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
+def _step(encoder, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
     """One training step of a stack of arms, for every head; returns (z,
     blended anchors, y, loss, batch accuracy or None for the triplet
-    heads, encoder gradients, head gradients or None), each with a
-    leading arm axis.
+    heads), each with a leading arm axis, and leaves the gradients of the
+    flat encoder and head (or None) in their gradient buffers.
 
     rng draws one batch and, when the arms designate rows, one decoy class
     per designated row for every arm; arm s treats its own anchors under
@@ -507,7 +519,7 @@ def _step(params, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
     rows = parts.sample(rng)
     rows = np.broadcast_to(rows, (len(cfgs), rows.size))
     x, y = feats.take(rows, axis=0), labels.take(rows)
-    z, cache = forward(params, x)
+    z, cache = forward(encoder.params, x)
     n_anchor, n = parts.anchors, parts.designated
     # one copy for the stack, untreated arms included, which the arms'
     # treatments then overwrite in place
@@ -517,7 +529,7 @@ def _step(params, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
         for s, cfg in enumerate(cfgs):
             _treat(blended[s], z[s], y[s], decoys, tac.arm(s), cfg, noise_rngs[s])
     # the arms share every setting a head reads (`_check_arms`)
-    loss, acc, grad_blended, grad_z, head_grads = parts.head_loss(
+    loss, acc, grad_blended, grad_z = parts.head_loss(
         z, blended, y, head, tac, cfgs[0]
     )
     # d(blended)/dz is (1 - strength) on the blended rows, a prefix, and
@@ -528,7 +540,8 @@ def _step(params, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
         if blend.enabled and blend.strength != 0.0:
             grad_blended[s, :n] = interfere_backward(grad_blended[s, :n], blend.strength)
     grad_z[:, :n_anchor] += grad_blended
-    return z, blended, y, loss, acc, backward(params, cache, grad_z), head_grads
+    backward(encoder.params, cache, grad_z, out=encoder.grads)
+    return z, blended, y, loss, acc
 
 
 class _Parts(NamedTuple):
@@ -541,7 +554,7 @@ class _Parts(NamedTuple):
     class_rows: int | None
 
 
-def _mode_parts(cfg, labels):
+def _mode_parts(cfg, labels, num_classes):
     """Pick the per-mode halves of `_step` once per run.
 
     sample(rng) returns the batch rows, of which the leading `anchors`
@@ -550,11 +563,14 @@ def _mode_parts(cfg, labels):
     The leading `designated` anchors are the ones the arms treat; every
     arm designates as many (`_check_arms`).
     head_loss(z, blended, y, head, tac, cfg) takes a stack of arms: z, the
-    blended anchors and y with a leading arm axis, the stacked head (or
-    None) and class tables, and cfg, whose head settings every arm shares
-    (`_check_arms`). It returns (loss, batch accuracy or None for the
-    triplet heads, gradient w.r.t. the blended anchors, gradient w.r.t.
-    the raw rows, head gradients or None), each with a leading arm axis.
+    blended anchors and y with a leading arm axis, the flat stacked head
+    (or None) and class tables, and cfg, whose head settings every arm
+    shares (`_check_arms`). It returns (loss, batch accuracy or None for
+    the triplet heads, gradient w.r.t. the blended anchors, gradient
+    w.r.t. the raw rows), each with a leading arm axis, and leaves the
+    head's gradients in its gradient buffer. The softmax heads take their
+    targets as rows of one C x C table of smoothed distributions, built
+    here for the run's `num_classes`.
     class_rows is K when every batch is a class-major PK batch of
     distinct classes, for `tac_update`, else None.
     """
@@ -563,11 +579,12 @@ def _mode_parts(cfg, labels):
     designated = designated_rows(cfg.interference.fraction, b)
     if cfg.loss_mode != "triplet":
         head_loss = _oim_loss if cfg.loss_mode == "oim" else _cross_entropy_loss
+        targets = label_smooth(np.arange(num_classes), num_classes, cfg.label_smoothing)
         return _Parts(
             (lambda rng: rng.choice(n, size=b, replace=False)),
             b,
             designated,
-            head_loss,
+            partial(head_loss, targets=targets),
             None,
         )
     # check_feasible has already required P classes of K rows each
@@ -604,7 +621,7 @@ def _mode_parts(cfg, labels):
 
 def _batch_all_loss(z, blended, y, head, tac, cfg, masks):
     res = batch_all_triplet_loss(z, blended, y, cfg.triplet, masks)
-    return res.loss, None, res.grad_anchor, res.grad_other, None
+    return res.loss, None, res.grad_anchor, res.grad_other
 
 
 def _preformed_loss(z, blended, y, head, tac, cfg):
@@ -617,27 +634,27 @@ def _preformed_loss(z, blended, y, head, tac, cfg):
     grad_raw = np.concatenate(
         [np.zeros_like(blended), -2.0 * w * diff_p, 2.0 * w * diff_n], axis=1
     )
-    return np.maximum(hinge, 0.0).mean(axis=1), None, 2.0 * w * (zn - zp), grad_raw, None
+    return np.maximum(hinge, 0.0).mean(axis=1), None, 2.0 * w * (zn - zp), grad_raw
 
 
-def _oim_loss(z, blended, y, head, tac, cfg):
+def _oim_loss(z, blended, y, head, tac, cfg, targets):
     logits = oim_scores(tac, blended, cfg.temperature)
-    loss, glog, acc = _softmax_loss(logits, y, cfg)
-    return loss, acc, (glog @ tac.table) / cfg.temperature, np.zeros_like(z), None
+    loss, glog, acc = _softmax_loss(logits, y, targets)
+    return loss, acc, (glog @ tac.table) / cfg.temperature, np.zeros_like(z)
 
 
-def _cross_entropy_loss(z, blended, y, head, tac, cfg):
-    logits, head_cache = forward(head, blended)
-    loss, glog, acc = _softmax_loss(logits, y, cfg)
-    head_grads = backward(head, head_cache, glog)
-    grad_blended = input_gradient(head, head_cache, glog)
-    return loss, acc, grad_blended, np.zeros_like(z), head_grads
+def _cross_entropy_loss(z, blended, y, head, tac, cfg, targets):
+    logits, head_cache = forward(head.params, blended)
+    loss, glog, acc = _softmax_loss(logits, y, targets)
+    backward(head.params, head_cache, glog, out=head.grads)
+    grad_blended = input_gradient(head.params, head_cache, glog)
+    return loss, acc, grad_blended, np.zeros_like(z)
 
 
-def _softmax_loss(logits, y, cfg):
-    # label_smooth builds distributions: no need for cross_entropy's checks
-    targets = label_smooth(y, logits.shape[-1], cfg.label_smoothing)
-    loss, glog = batch_cross_entropy(logits, targets)
+def _softmax_loss(logits, y, targets):
+    # the rows of label_smooth's table are distributions: no need for
+    # cross_entropy's checks
+    loss, glog = batch_cross_entropy(logits, targets.take(y, axis=0))
     # each arm's mean of the hits: an exact integer count over the row
     # count, rounded once as the mean rounds it
     return loss, glog, (logits.argmax(axis=-1) == y).sum(axis=-1) / y.shape[-1]

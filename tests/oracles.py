@@ -35,7 +35,9 @@ from cirlab.losses import (
     label_smooth,
     oim_scores,
 )
-from cirlab.nn import ParamGrads, backward, forward, input_gradient, stack_params
+from cirlab.nn import (
+    ParamGrads, backward, flatten_params, forward, input_gradient, stack_params,
+)
 from cirlab.sampling import ClassIndex, child_seed, pk_batch
 from cirlab.tac import ClassTable
 from cirlab.trainer import TrainConfig, _step
@@ -545,8 +547,9 @@ def step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng, noise_rng
 
 
 def arm_of_step(out, s):
-    """Arm s of a stacked `trainer._step` result, as the plain (z, y, loss,
-    acc, grads, head grads or None) of one arm."""
+    """Arm s of a stacked `trainer._step` result followed by the encoder's
+    and the head's (or None) gradient views, as the plain (z, y, loss, acc,
+    grads, head grads or None) of one arm."""
     z, _, y, loss, acc, grads, head_grads = out
 
     def one(g):
@@ -563,12 +566,14 @@ def single_step(params, head, tac, feats, labels, parts, cfg, rng, noise_rng=Non
     """`trainer._step` on a stack of one arm, drawing its batch and decoys
     from rng and any noise from noise_rng: plain params, head and table
     in, one arm's plain results out."""
+    encoder = flatten_params(stack_params([params]))
+    if head is not None:
+        head = flatten_params(stack_params([head]))
     out = _step(
-        stack_params([params]), None if head is None else stack_params([head]),
-        ClassTable(tac.table[None], tac.momentum), feats, labels, parts, [cfg],
-        rng, [noise_rng],
+        encoder, head, ClassTable(tac.table[None], tac.momentum), feats, labels,
+        parts, [cfg], rng, [noise_rng],
     )
-    return arm_of_step(out, 0)
+    return arm_of_step((*out, encoder.grads, None if head is None else head.grads), 0)
 
 
 # The reproduce settings as they stood when they mirrored TrainConfig's

@@ -1,6 +1,7 @@
 """Tests for the binary checkpoint format."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestRoundTrip:
         save_checkpoint(params, tac, p1)
         loaded = load_checkpoint(p1)
         save_checkpoint(*loaded, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_loaded_encoder_runs(self, tmp_path):
         params, tac = make_state()
@@ -64,7 +65,7 @@ class TestRoundTrip:
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(params, tac, a)
         save_checkpoint(params, tac, b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestValidation:
@@ -72,7 +73,7 @@ class TestValidation:
         params, tac = make_state()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, tac, path)
-        assert open(path, "rb").read(4) == b"CIR1"
+        assert Path(path).read_bytes()[:4] == b"CIR1"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "x.ckpt")
@@ -85,7 +86,7 @@ class TestValidation:
         params, tac = make_state()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, tac, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob[:-9])
         with pytest.raises(DataError):

@@ -2,6 +2,7 @@
 
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ class TestSerialization:
         p1, p2 = str(tmp_path / "a.cird"), str(tmp_path / "b.cird")
         save_dataset(ds, p1)
         save_dataset(ds, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_magic_bytes_present(self, tmp_path):
         ds = gen_gaussian_mixture(
@@ -219,7 +220,7 @@ class TestSerialization:
         )
         path = str(tmp_path / "m.cird")
         save_dataset(ds, path)
-        assert open(path, "rb").read(4) == b"CIRD"
+        assert Path(path).read_bytes()[:4] == b"CIRD"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "junk.cird")
@@ -234,7 +235,7 @@ class TestSerialization:
         )
         path = str(tmp_path / "t.cird")
         save_dataset(ds, path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         with pytest.raises(DataError):
@@ -248,10 +249,10 @@ class TestSerialization:
         path = str(tmp_path / "f.cird")
         save_dataset(ds, path)
         # save_dataset refuses such rows: write them into the file's bytes
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         for row, col in ((4, 2), (5, 0)):
             struct.pack_into("<f", blob, 20 + 4 * (5 * row + 1 + col), bad)
-        open(path, "wb").write(blob)
+        Path(path).write_bytes(blob)
         with pytest.raises(DataError, match=f"^{re.escape(path)}: row 4 has a non-finite feature$"):
             load_dataset(path)
 

@@ -466,6 +466,17 @@ class TestLabelSmooth:
         with pytest.raises(ConfigurationError):
             label_smooth(0, 2, 1.0)
 
+    @pytest.mark.parametrize("shape", [(32,), (3, 32)])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_table_rows_are_the_targets_of_the_ids(self, epsilon, shape):
+        # the trainer builds one C x C table per run and takes its rows by
+        # label, for a batch or an S x B stack of them
+        ids = np.random.default_rng(4).integers(0, 7, size=shape)
+        table = label_smooth(np.arange(7), 7, epsilon)
+        got, want = table.take(ids, axis=0), label_smooth(ids, 7, epsilon)
+        assert got.shape == want.shape == (*shape, 7)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestStudyCase:
     def test_zero_lambda_reduces_to_plain(self):

@@ -1,6 +1,6 @@
-"""Tests for the feed-forward encoder: forward, backward, SGD, the
-learning-rate schedule of TrainConfig, and the finite-difference checker
-the other gradient tests rely on."""
+"""Tests for the feed-forward encoder: forward, backward, SGD and its
+in-place form on flat buffers, the learning-rate schedule of TrainConfig,
+and the finite-difference checker the other gradient tests rely on."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,13 @@ from cirlab.errors import ConfigurationError, NumericError, ShapeError
 from cirlab.nn import (
     ModelParams,
     backward,
+    flatten_params,
     forward,
     init_params,
     input_gradient,
     sgd_step,
+    sgd_step_in_place,
+    stack_params,
 )
 from cirlab.trainer import TrainConfig
 from oracles import grad_check
@@ -202,6 +205,88 @@ class TestSgd:
         grads = ParamGrads(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
         with pytest.raises(ConfigurationError):
             sgd_step(params, grads, 0.0)
+
+
+def params_of(dims, arms, activation="relu"):
+    """Plain params (arms = 0) or a stack of `arms` encoders."""
+    if not arms:
+        return init_params(dims, activation, seed=1)
+    return stack_params([init_params(dims, activation, seed=s) for s in range(arms)])
+
+
+def batch_of(params, rows=6, seed=0):
+    """An input batch and an output gradient shaped for params."""
+    lead = params.weights[0].shape[:-2]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((*lead, rows, params.input_dim))
+    g = rng.standard_normal((*lead, rows, params.layer_dims[-1]))
+    return x, g
+
+
+def bits_of(arrays):
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+LAYOUTS = [((5, 7, 3), 0), ((5, 7, 3), 3), ((4, 3), 3), ((6, 5, 4, 2), 3)]
+
+
+class TestFlatParams:
+    @pytest.mark.parametrize("dims,arms", LAYOUTS)
+    def test_views_of_one_buffer_holding_a_copy(self, dims, arms):
+        params = params_of(dims, arms)
+        flat = flatten_params(params)
+        arrays = params.weights + params.biases
+        views = flat.params.weights + flat.params.biases
+        assert bits_of(views) == bits_of(arrays)
+        assert all(np.shares_memory(v, flat.buf) for v in views)
+        assert not any(np.shares_memory(a, flat.buf) for a in arrays)
+        grads = flat.grads.weights + flat.grads.biases
+        assert all(np.shares_memory(g, flat.grad_buf) for g in grads)
+        assert [g.shape for g in grads] == [a.shape for a in arrays]
+        assert flat.buf.size == flat.grad_buf.size == sum(a.size for a in arrays)
+
+    @pytest.mark.parametrize("dims,arms", LAYOUTS)
+    def test_backward_into_out_has_the_bits_of_backward(self, dims, arms):
+        params = params_of(dims, arms, "tanh")
+        flat = flatten_params(params)
+        x, g = batch_of(params)
+        _, cache = forward(params, x)
+        got = backward(params, cache, g, out=flat.grads)
+        want = backward(params, cache, g)
+        assert got is flat.grads
+        assert bits_of(got.weights + got.biases) == bits_of(want.weights + want.biases)
+        assert all(np.shares_memory(a, flat.grad_buf) for a in got.weights + got.biases)
+
+    @pytest.mark.parametrize("dims,arms", LAYOUTS)
+    def test_in_place_step_has_the_bits_of_sgd_step(self, dims, arms):
+        params = params_of(dims, arms)
+        flat = flatten_params(params)
+        x, g = batch_of(params)
+        _, cache = forward(params, x)
+        grads = backward(params, cache, g, out=flat.grads)
+        want = sgd_step(params, grads, 0.05)
+        sgd_step_in_place(flat, 0.05)
+        assert bits_of(flat.params.weights + flat.params.biases) == bits_of(
+            want.weights + want.biases
+        )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dims,arms", LAYOUTS)
+    def test_non_finite_gradient_raises_and_writes_nothing(self, dims, arms, bad):
+        flat = flatten_params(params_of(dims, arms))
+        flat.grad_buf[:] = 1.0
+        # in the last layer's bias, after every other layer's gradient
+        flat.grads.biases[-1].flat[-1] = bad
+        before = flat.buf.tobytes()
+        with pytest.raises(NumericError, match="^non-finite gradients$"):
+            sgd_step_in_place(flat, 0.1)
+        assert flat.buf.tobytes() == before
+
+    def test_nonpositive_rate_raises(self):
+        flat = flatten_params(single_layer([[1.0]], [0.0]))
+        with pytest.raises(ConfigurationError):
+            sgd_step_in_place(flat, 0.0)
+        assert flat.buf.tolist() == [1.0, 0.0]
 
 
 class TestLrSchedule:

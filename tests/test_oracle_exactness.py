@@ -467,7 +467,7 @@ class TestStepMatchesPerHeadOracles:
         if head_mode == "cross_entropy":
             head = init_params((5, 7), "identity", seed=2)
         tac = tac_init(7, 5, seed=3)
-        parts = _mode_parts(cfg, labels)
+        parts = _mode_parts(cfg, labels, tac.num_classes)
         r_new, r_old = np.random.default_rng(4), np.random.default_rng(4)
         n_new, n_old = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(3):
@@ -508,7 +508,7 @@ class TestStepMatchesPerHeadOracles:
         if head_mode == "cross_entropy":
             head = init_params((4, 22), "identity", seed=2)
         tac = tac_init(22, 4, seed=3)
-        parts = _mode_parts(cfg, labels)
+        parts = _mode_parts(cfg, labels, tac.num_classes)
         got = single_step(params, head, tac, feats, labels, parts, cfg,
                           np.random.default_rng(4))
         want = oracle_step(head_mode, params, head, tac, feats, labels, cfg,

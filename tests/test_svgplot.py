@@ -1,11 +1,12 @@
 """Tests for the SVG chart writer."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 
 from cirlab.errors import InputError
-from cirlab.svgplot import Series, line_chart
+from cirlab.svgplot import Series, escape, line_chart
 
 
 def sample_chart():
@@ -65,6 +66,14 @@ def test_label_escaping():
     svg = line_chart([Series("a<b & c", (0, 1), (0, 1))])
     assert "a&lt;b &amp; c" in svg
     ET.fromstring(svg)
+
+
+@pytest.mark.parametrize("label", [
+    "", "plain", "a<b & c", "&amp;", "&lt;&gt;", "<&>\"'", "'\"'", ">>&<<", "x &&& y <> z",
+])
+def test_escape_matches_saxutils(label):
+    # the local escape replaces xml.sax.saxutils.escape, with its bytes
+    assert escape(label) == sax_escape(label)
 
 
 def test_empty_inputs_rejected():

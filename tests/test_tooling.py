@@ -65,9 +65,10 @@ def test_reproduce_workload_call_contract():
 
 STEP_CALLS = (
     "pk_batch", "forward", "negative_classes", "batch_all_triplet_loss",
-    "backward", "sgd_step", "tac_update",
+    "backward", "sgd_step_in_place", "tac_update",
 )
-# the softmax heads' layers, which the batch-all head never calls
+# the softmax heads' layers, which the batch-all head never calls;
+# label_smooth builds the run's target table once, so no step calls it
 SOFTMAX_CALLS = ("oim_scores", "label_smooth", "batch_cross_entropy", "input_gradient")
 
 HEADS = {
@@ -129,7 +130,8 @@ def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
     # update run once for all three
     assert count_step_calls(monkeypatch, 2) == {
         "pk_batch": 1, "negative_classes": 1, "forward": 1,
-        "batch_all_triplet_loss": 1, "backward": 1, "sgd_step": 1, "tac_update": 1,
+        "batch_all_triplet_loss": 1, "backward": 1, "sgd_step_in_place": 1,
+        "tac_update": 1,
     }
 
 
@@ -140,14 +142,14 @@ def test_every_head_runs_once_on_the_arm_stack(monkeypatch, head, arms):
     # the whole stack too: one call per step however many arms there are,
     # and one decoy draw for every arm
     want = {"forward": 1, "negative_classes": 1, "backward": 1,
-            "sgd_step": 1, "tac_update": 1}
+            "sgd_step_in_place": 1, "tac_update": 1}
     if head == "oim":
-        want.update(oim_scores=1, label_smooth=1, batch_cross_entropy=1)
+        want.update(oim_scores=1, batch_cross_entropy=1)
     if head == "cross_entropy":
         # the linear head's own forward, backward and SGD step, and the
         # gradient through it; it scores the blended rows, not the table
-        want.update(label_smooth=1, batch_cross_entropy=1, forward=2, backward=2,
-                    sgd_step=2, input_gradient=1)
+        want.update(batch_cross_entropy=1, forward=2, backward=2,
+                    sgd_step_in_place=2, input_gradient=1)
     assert count_step_calls(monkeypatch, arms, head) == want
 
 

@@ -352,7 +352,7 @@ class TestTripletTraining:
         )
         feats = tr.features.astype(np.float64)
         tac = tac_init(tr.class_count, 3, seed=2)
-        parts = _mode_parts(cfg, tr.labels)
+        parts = _mode_parts(cfg, tr.labels, tr.class_count)
 
         def closure(p):
             rng = np.random.default_rng(9)
@@ -386,7 +386,7 @@ class TestPreformedSampler:
 
     def sample(self, labels, rng, p=2, k=2):
         parts = _mode_parts(small_cfg(mining="preformed", p_classes=p, k_samples=k),
-                            labels)
+                            labels, len(self.SIZES))
         return parts.sample(rng).reshape(3, p * k)
 
     @pytest.mark.parametrize("seed", range(4))
