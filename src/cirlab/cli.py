@@ -188,8 +188,8 @@ def cmd_eval(args):
             ds.labels, args.way, args.shot, args.queries, args.episodes, args.seed
         )
     rows = evaluate_checkpoint(
-        params, tac, ds, args.protocol, k_shot=args.shot,
-        temperature=args.temperature, metric=args.metric, rows=episodes,
+        params, tac, ds, args.protocol, temperature=args.temperature,
+        metric=args.metric, episodes=episodes,
     )
     lines = ["metric,value,ci95"]
     for name, value, ci in rows:

@@ -3,11 +3,12 @@ embedding-geometry statistics.
 
 Every metric scores embeddings; running the encoder is the caller's
 job, so one embedding of a split serves every metric on it. Episodic
-accuracy takes the split's embedding and its E x N x (K+Q) int64 episode
-rows from `sampling.episode_rows` (640 B for a 5-way episode of 16 rows
-per class), and scores the episodes in fixed chunks with batched gathers
-and one stacked distance per chunk, so the gathered embeddings stay at
-one chunk's worth. Geometry statistics visit the pairwise distances one
+accuracy takes the split's embedding and its episode set, the
+(support, query) pair of E x N x K and E x N x Q int64 row arrays from
+`sampling.episode_rows` (640 B for a 5-way episode of 16 rows per class),
+and scores the episodes in fixed chunks with batched gathers and one
+stacked distance per chunk, so the gathered embeddings stay at one
+chunk's worth. Geometry statistics visit the pairwise distances one
 block of rows at a time, so their memory stays flat in the sample count.
 Distances are plain Euclidean on raw embeddings throughout; a cosine
 option exists for ablation.
@@ -112,32 +113,40 @@ def nearest_prototype_classify(
 
 
 def episodic_accuracy(
-    z: np.ndarray, rows: np.ndarray, k_shot: int, metric: str = "euclidean"
+    z: np.ndarray,
+    episodes: tuple[np.ndarray, np.ndarray],
+    metric: str = "euclidean",
 ) -> EpisodicResult:
-    """Mean nearest-prototype accuracy over the episodes in rows.
+    """Mean nearest-prototype accuracy over an episode set.
 
-    z embeds the split; rows is an episodes x n_way x (k_shot + q_queries)
-    array of its row indices (`sampling.episode_rows`), the first k_shot
-    of each class the support. Accuracy is averaged over episodes with a
+    z embeds the split; episodes is the (support, query) pair that
+    `sampling.episode_rows` draws, E x N x K and E x N x Q arrays of its
+    row indices: support[e, j] and query[e, j] are the rows of class j in
+    episode e. Accuracy is averaged over episodes with a
     1.96 * sd / sqrt(E) half-width. Each chunk of EPISODE_CHUNK episodes
     is scored by one stacked distance from its queries to its support
     means, and distance ties go to the lowest episode class, as in
     nearest_prototype_classify.
     """
-    episodes, n_way, per_class = rows.shape
-    q_queries = per_class - k_shot
+    support, query = episodes
+    count, n_way, q_queries = query.shape
+    if support.shape[:2] != query.shape[:2]:
+        raise ShapeError(
+            f"support rows {support.shape} and query rows {query.shape} "
+            "differ in episodes or classes"
+        )
     query_labels = np.repeat(np.arange(n_way), q_queries)
-    accs = np.empty(episodes)
-    for start in range(0, episodes, EPISODE_CHUNK):
-        emb = z[rows[start : start + EPISODE_CHUNK]]
-        protos = emb[:, :, :k_shot].mean(axis=2)
-        queries = emb[:, :, k_shot:].reshape(len(emb), n_way * q_queries, -1)
+    accs = np.empty(count)
+    for start in range(0, count, EPISODE_CHUNK):
+        stop = start + EPISODE_CHUNK
+        protos = z[support[start:stop]].mean(axis=2)
+        queries = z[query[start:stop]].reshape(len(protos), n_way * q_queries, -1)
         pred = np.argmin(_pairwise_dist(queries, protos, metric), axis=2)
-        accs[start : start + len(emb)] = np.mean(pred == query_labels, axis=1)
+        accs[start:stop] = np.mean(pred == query_labels, axis=1)
     mean = float(accs.mean())
-    sd = float(accs.std(ddof=1)) if episodes > 1 else 0.0
+    sd = float(accs.std(ddof=1)) if count > 1 else 0.0
     return EpisodicResult(
-        mean=mean, ci95=float(1.96 * sd / np.sqrt(episodes)), episodes=episodes
+        mean=mean, ci95=float(1.96 * sd / np.sqrt(count)), episodes=count
     )
 
 

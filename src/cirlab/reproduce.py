@@ -42,7 +42,7 @@ from .errors import CirError, ConfigurationError
 from .evaluate import geometry_stats
 from .interference import NoiseConfig
 from .nn import forward
-from .sampling import check_seed, episode_rows
+from .sampling import check_episode_set, check_seed, episode_rows
 from .svgplot import Series, line_chart, save_chart
 from .trainer import TrainConfig, evaluate_checkpoint, logs_to_csv, train
 
@@ -60,9 +60,11 @@ class ReproduceSettings:
     treatment; ``epochs`` is written into ``base``, so after construction
     ``base`` is the config the cells train with. The final episodic eval
     takes its way and shot from ``base`` and its query and episode counts
-    from here. ``dataset`` overrides the generator spec (its seed field is
-    replaced by each run's seed); None means the standard benchmark spec.
-    The defaults are the calibrated benchmark preset; tests shrink them.
+    from here; its episode set may hold at most 2**28 row indices
+    (`check_episode_set`). ``dataset`` overrides the generator spec (its
+    seed field is replaced by each run's seed); None means the standard
+    benchmark spec. The defaults are the calibrated benchmark preset;
+    tests shrink them.
     """
 
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -86,6 +88,10 @@ class ReproduceSettings:
             raise ConfigurationError(
                 "reproduce cells train one stage; base must not set stage2"
             )
+        check_episode_set(
+            self.base.eval_n_way, self.base.eval_k_shot, self.eval_q_queries,
+            self.eval_episodes, "eval_episodes",
+        )
         object.__setattr__(self, "base", replace(self.base, epochs=self.epochs))
 
 
@@ -132,13 +138,14 @@ def _dataset_spec(settings, seed):
 @dataclass(frozen=True)
 class SeedInputs:
     """What every arm of one seed trains and is scored on: the train and
-    validation splits and the final-eval episode rows of each. The arrays
-    are read-only, because the seed's cells share them."""
+    validation splits and the final-eval episodes of each, as the
+    (support, query) pairs of `episode_rows`. The arrays are read-only,
+    because the seed's cells share them."""
 
     train_ds: Dataset
     val_ds: Dataset
-    train_rows: np.ndarray
-    val_rows: np.ndarray
+    train_episodes: tuple[np.ndarray, np.ndarray]
+    val_episodes: tuple[np.ndarray, np.ndarray]
 
 
 def _prepare(settings, seed):
@@ -153,11 +160,11 @@ def _prepare(settings, seed):
     inputs = SeedInputs(
         train_ds=train_ds,
         val_ds=val_ds,
-        train_rows=episode_rows(train_ds.labels, *shape, seed),
-        val_rows=episode_rows(val_ds.labels, *shape, seed),
+        train_episodes=episode_rows(train_ds.labels, *shape, seed),
+        val_episodes=episode_rows(val_ds.labels, *shape, seed),
     )
     for array in (train_ds.features, train_ds.labels, val_ds.features,
-                  val_ds.labels, inputs.train_rows, inputs.val_rows):
+                  val_ds.labels, *inputs.train_episodes, *inputs.val_episodes):
         array.flags.writeable = False
     return inputs
 
@@ -173,13 +180,13 @@ def _score_cell(settings, arm, seed, inputs, trained, out_dir):
     train_ds, val_ds = inputs.train_ds, inputs.val_ds
     params, tac, logs = trained
 
-    def final_accuracy(split, rows):
+    def final_accuracy(split, episodes):
         return evaluate_checkpoint(
-            params, tac, split, "episodic", k_shot=settings.base.eval_k_shot, rows=rows
+            params, tac, split, "episodic", episodes=episodes
         )[0][1]
 
-    val_acc = final_accuracy(val_ds, inputs.val_rows)
-    train_acc = final_accuracy(train_ds, inputs.train_rows)
+    val_acc = final_accuracy(val_ds, inputs.val_episodes)
+    train_acc = final_accuracy(train_ds, inputs.train_episodes)
     z, _ = forward(params, val_ds.features)
     geom = geometry_stats(z, val_ds.labels)
     ratio = geom.ratio if geom.ratio is not None else float("nan")

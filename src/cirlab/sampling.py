@@ -14,10 +14,14 @@ the `choice` oracle in tests/oracles.py). Above those sizes numpy's
 Episode randomness is derived per-index from a master seed with a fixed
 64-bit avalanche mix, so episode i has the same content no matter how
 many episodes run or in what order. `episode_rows` draws a whole episode
-set up front as one E x N x (K+Q) int64 row array, 8 bytes per row (640 B
-for a 5-way episode of 16 rows per class), so a caller that scores the
-same episodes many times draws them once; it replays the row draws of
-`_EPISODE_CHUNK` episodes at a time in one vectorized pass.
+set up front into one E x N x (K+Q) int64 row buffer, 8 bytes per row
+(640 B for a 5-way episode of 16 rows per class), so a caller that
+scores the same episodes many times draws them once; it replays the row
+draws of `_EPISODE_CHUNK` episodes at a time in one vectorized pass. It
+returns the set as its (support, query) pair, E x N x K and E x N x Q
+views of that buffer, so the support/query split is made here, where the
+rows are drawn, and scoring takes no K. An episode set may hold at most
+`MAX_EPISODE_ROWS` row indices (`check_episode_set`).
 `negative_classes` draws wrong classes, for blends and label noise.
 """
 
@@ -34,6 +38,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # episodes whose row draws one vectorized replay takes at once: its
 # buffers are this many episodes' draws, whatever the episode count
 _EPISODE_CHUNK = 256
+# the most row indices one episode set may hold: 2**28 int64s, 2 GiB
+MAX_EPISODE_ROWS = 2**28
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,20 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise ConfigurationError(f"{name} must be >= 0, got {seed}")
     if seed > _MASK64:
         raise ConfigurationError(f"{name} must be < 2**64, got {seed}")
+
+
+def check_episode_set(
+    n_way: int, k_shot: int, q_queries: int, episodes: int, name: str = "episodes"
+) -> None:
+    """Refuse an episode set whose E x N x (K + Q) row array would hold
+    more than MAX_EPISODE_ROWS indices; name is the episode-count setting
+    the message names."""
+    count = episodes * n_way * (k_shot + q_queries)
+    if count > MAX_EPISODE_ROWS:
+        raise ConfigurationError(
+            f"{name} = {episodes} episodes of {n_way} x ({k_shot} + {q_queries}) "
+            f"rows need {count} row indices; at most 2**28 (2 GiB) are allowed"
+        )
 
 
 def child_seed(master_seed: int, index: int) -> int:
@@ -295,21 +315,25 @@ def episode_rows(
     q_queries: int,
     episodes: int,
     master_seed: int,
-) -> np.ndarray:
-    """Rows of `episodes` N-way episodes, K support then Q query rows per
-    class: an episodes x n_way x (k_shot + q_queries) int64 array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (support, query) rows of `episodes` N-way episodes: an
+    episodes x n_way x k_shot and an episodes x n_way x q_queries int64
+    array, views of one buffer that holds each class's K support rows
+    and then its Q query rows. `check_episode_set` bounds its size.
 
     Episode i is drawn with child_seed(master_seed, i), the draw
     `sample_episode` makes from that seed: `_pk_draws`'s two
-    `rng.integers` calls, as for a batch of N classes of K + Q rows. The rows are those of 1 + N `choice`
-    calls on that generator, for splits of at most 10000 classes and 10000
-    rows a class (above either, numpy's `choice` shuffles a tail of
-    arange(n), and the rows may differ). Each `_EPISODE_CHUNK` episodes'
-    row draws are replayed in one `_floyd_replay`, so the memory the draw
-    holds beyond the result is one chunk's, whatever the episode count.
+    `rng.integers` calls, as for a batch of N classes of K + Q rows. The
+    rows are those of 1 + N `choice` calls on that generator, for splits
+    of at most 10000 classes and 10000 rows a class (above either, numpy's
+    `choice` shuffles a tail of arange(n), and the rows may differ). Each
+    `_EPISODE_CHUNK` episodes' row draws are replayed in one
+    `_floyd_replay`, so the memory the draw holds beyond the result is one
+    chunk's, whatever the episode count.
     """
     if episodes < 1:
         raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
+    check_episode_set(n_way, k_shot, q_queries, episodes)
     index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
     m = k_shot + q_queries
     rows = np.empty((episodes, n_way, m), dtype=np.int64)
@@ -322,7 +346,7 @@ def episode_rows(
             rng = np.random.default_rng(child_seed(master_seed, lo + e))
             classes[e], draws[e] = _pk_draws(index, n_way, m, rng)
         _episode_set_rows(index, classes[: hi - lo], draws[: hi - lo], rows[lo:hi])
-    return rows
+    return rows[:, :, :k_shot], rows[:, :, k_shot:]
 
 
 def sample_episode(

@@ -9,8 +9,8 @@ derived with child_seed(master, k): k=0 encoder init, 1 class-table init,
 episodes, 4 train-proxy episodes, 5 holdout selection, 6 classifier head
 init, 7 the Gaussian noise of the control arm. Runs are fully
 deterministic on one thread. Both episode sets are drawn once per run,
-and after each epoch every split is embedded once for all the metrics
-scored on it.
+as the (support, query) pairs of `episode_rows`, and after each epoch
+every split is embedded once for all the metrics scored on it.
 
 Per iteration: sample a batch, embed it, blend the designated rows toward
 drawn wrong-class table rows (or add matched Gaussian noise instead),
@@ -86,8 +86,8 @@ from .nn import (
     stack_params,
 )
 from .sampling import (
-    ClassIndex, PKSpec, check_seed, child_seed, episode_rows, negative_classes,
-    pk_batch,
+    ClassIndex, PKSpec, check_episode_set, check_seed, child_seed, episode_rows,
+    negative_classes, pk_batch,
 )
 from .tac import ClassTable, tac_init, tac_update
 
@@ -206,6 +206,10 @@ class TrainConfig:
             raise ConfigurationError("episodic eval needs n_way >= 2, k/q >= 1")
         if self.eval_episodes < 1:
             raise ConfigurationError("eval_episodes must be >= 1")
+        check_episode_set(
+            self.eval_n_way, self.eval_k_shot, self.eval_q_queries,
+            self.eval_episodes, "eval_episodes",
+        )
         if self.stage2 is not None:
             self._check_two_stage()
 
@@ -425,8 +429,8 @@ def train(
     if cfg.loss_mode == "triplet":
         # fixed master seeds: the same episodes score every epoch
         shape = cfg.eval_n_way, cfg.eval_k_shot, cfg.eval_q_queries, cfg.eval_episodes
-        train_rows = episode_rows(labels, *shape, child_seed(cfg.seed, 4))
-        val_rows = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
+        train_episodes = episode_rows(labels, *shape, child_seed(cfg.seed, 4))
+        val_episodes = episode_rows(val_ds.labels, *shape, child_seed(cfg.seed, 3))
 
     # every arm starts from the same encoder, head and table, and draws
     # its batches and decoys from one training stream; the stacked
@@ -447,9 +451,9 @@ def train(
         arm_params = params.arm(s)
         z_train = forward(arm_params, feats)[0]
         if cfg.loss_mode == "triplet":
-            train_acc = episodic_accuracy(z_train, train_rows, cfg.eval_k_shot).mean
+            train_acc = episodic_accuracy(z_train, train_episodes).mean
             z_val = forward(arm_params, val_ds.features)[0]
-            val_acc = episodic_accuracy(z_val, val_rows, cfg.eval_k_shot).mean
+            val_acc = episodic_accuracy(z_val, val_episodes).mean
         else:
             train_acc = acc_sum / cfg.iterations
             val_acc = _classification_accuracy(
@@ -691,17 +695,15 @@ def evaluate_checkpoint(
     tac: ClassTable,
     split: Dataset,
     protocol: str,
-    k_shot: int | None = None,
     temperature: float = 1.0,
     metric: str = "euclidean",
-    rows: np.ndarray | None = None,
+    episodes: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Metric rows [(name, value, ci95-or-None)] for one protocol.
 
-    episodic: N-way K-shot nearest-prototype accuracy over `rows`, the
-    episodes x n_way x (k_shot + q_queries) split rows that the caller drew
-    with `episode_rows`, and their `k_shot`; the other protocols take no
-    rows and ignore `k_shot`.
+    episodic: N-way K-shot nearest-prototype accuracy over `episodes`, the
+    (support, query) split rows that the caller drew with `episode_rows`;
+    the other protocols take no episodes.
     retrieval: per class the first sample (in row order) queries the rest.
     classification: table-lookup argmax accuracy (the split must carry the
     table's classes and at least one row). The split is embedded once,
@@ -711,12 +713,11 @@ def evaluate_checkpoint(
         raise ConfigurationError(
             f"protocol must be episodic, retrieval, or classification, got {protocol!r}"
         )
-    if (rows is None) == (protocol == "episodic"):
+    if (episodes is None) == (protocol == "episodic"):
         raise ConfigurationError(
-            f"protocol {protocol} {'needs' if rows is None else 'takes no'} episode rows"
+            f"protocol {protocol} {'needs' if episodes is None else 'takes no'} "
+            "episode rows"
         )
-    if rows is not None and k_shot is None:
-        raise ConfigurationError("episode rows need their k_shot")
     if protocol == "classification":
         if split.class_count != tac.num_classes:
             raise ConfigurationError(
@@ -727,8 +728,8 @@ def evaluate_checkpoint(
             raise DataError("classification needs at least one row")
     z, _ = forward(params, split.features)
     labels = split.labels
-    if rows is not None:
-        res = episodic_accuracy(z, rows, k_shot, metric)
+    if episodes is not None:
+        res = episodic_accuracy(z, episodes, metric)
         return [("episodic_accuracy", res.mean, res.ci95)]
     if protocol == "classification":
         acc = _classification_accuracy(z, labels, None, tac, temperature)

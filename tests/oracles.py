@@ -406,13 +406,14 @@ def choice_draw(index, n_classes, per_class, rng):
 
 def choice_episode_rows(labels, n_way, k_shot, q_queries, episodes, master_seed):
     """`sampling.episode_rows` one episode at a time: episode i is
-    `choice_draw` on a generator seeded child_seed(master_seed, i)."""
+    `choice_draw` on a generator seeded child_seed(master_seed, i), whose
+    K + Q rows a class are split into (support, query) at K."""
     index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
     rows = np.empty((episodes, n_way, k_shot + q_queries), dtype=np.int64)
     for i in range(episodes):
         rng = np.random.default_rng(child_seed(master_seed, i))
         rows[i] = choice_draw(index, n_way, k_shot + q_queries, rng)[1]
-    return rows
+    return rows[:, :, :k_shot], rows[:, :, k_shot:]
 
 
 # The per-head training steps as they stood before they were folded into

@@ -8,6 +8,7 @@ meant to be consumed.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from cirlab.losses import (
     study_case_loss,
 )
 from cirlab.nn import backward, forward, init_params
-from cirlab.reproduce import ReproduceSettings, run_reproduction
+from cirlab.reproduce import ReproduceSettings, format_report, run_reproduction
 from cirlab.tac import tac_init, tac_update
 from cirlab.sampling import episode_rows
 from cirlab.trainer import TrainConfig, train
@@ -386,6 +387,13 @@ def test_criterion_08_geometry_expansion(benchmark_matrix):
     _passline(8, f"inter/intra {cir:.4f} > {base:.4f}")
 
 
+def test_readme_shows_the_default_matrix_report(benchmark_matrix):
+    """README's outcome block is the default matrix's report, verbatim."""
+    report, _ = benchmark_matrix
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert format_report(report) in readme.read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------- 9
 
 
@@ -400,7 +408,7 @@ def test_criterion_09_chance_and_separable():
     params = init_params([16, 32, 8], activation="relu", seed=4)
     res = episodic_accuracy(
         forward(params, flat.features)[0],
-        episode_rows(flat.labels, 5, 1, 15, 600, master_seed=17), k_shot=1,
+        episode_rows(flat.labels, 5, 1, 15, 600, master_seed=17),
     )
     sigma = res.ci95 / 1.96
     assert abs(res.mean - 0.20) <= 3.0 * sigma, (res.mean, sigma)
@@ -412,7 +420,7 @@ def test_criterion_09_chance_and_separable():
     params = init_params([16, 8], activation="identity", seed=4)
     res_sep = episodic_accuracy(
         forward(params, separable.features)[0],
-        episode_rows(separable.labels, 5, 1, 15, 600, master_seed=17), k_shot=1,
+        episode_rows(separable.labels, 5, 1, 15, 600, master_seed=17),
     )
     assert res_sep.mean == 1.0
     elapsed = time.monotonic() - start

@@ -270,6 +270,25 @@ class TestTrain:
         assert errors[0] == errors[1]
         assert message in errors[0]
 
+    @pytest.mark.parametrize("episodes", [10**12, 10**30])
+    def test_episode_set_beyond_the_bound_exits_2(
+        self, wide_split, tmp_path, capsys, episodes
+    ):
+        # the rows of 2-way episodes of 1 + 3 rows would need 64 TB, or
+        # overflow numpy's dimension limit; --dry-run printed "config ok"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(_set(RUN_CFG, "eval_episodes", str(episodes)))
+        for flags in (["--dry-run"], []):
+            out = tmp_path / "m.ckpt"
+            assert entrypoint([
+                "train", "-c", str(cfg), "-d", str(wide_split / "ds.train.cird"),
+                "--val", str(wide_split / "ds.val.cird"), "-o", str(out), *flags,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert f"eval_episodes = {episodes} episodes of 2 x (1 + 3) rows" in err
+            assert "at most 2**28" in err and "Traceback" not in err
+            assert not out.exists()
+
     def test_unknown_key_exits_2(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("lamda = 0.5\n")
@@ -428,6 +447,16 @@ class TestEval:
             "eval", str(trained / "m.ckpt"), "-d", str(trained / "ds.test.cird"),
             "--episodes", "0",
         ]) == 2
+
+    @pytest.mark.parametrize("episodes", [10**12, 10**30])
+    def test_episode_set_beyond_the_bound_exits_2(self, trained, capsys, episodes):
+        # numpy raised MemoryError at 10**12 and ValueError at 10**30 (exit 1)
+        extra = ("--episodes", str(episodes))
+        assert entrypoint(self.eval_args(trained, extra)) == 2
+        captured = capsys.readouterr()
+        assert f"episodes = {episodes} episodes of 2 x (1 + 3) rows" in captured.err
+        assert "at most 2**28" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("temperature, code, message", [
         ("nan", 2, "temperature must be finite and > 0"),

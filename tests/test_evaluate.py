@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cirlab.errors import ConfigurationError, DataError
+from cirlab.errors import ConfigurationError, DataError, ShapeError
 from cirlab.evaluate import (
     EPISODE_CHUNK,
     EpisodicResult,
@@ -53,8 +53,8 @@ def episodic(
     metric="euclidean",
 ):
     """Embed the split once, draw its episodes, score them."""
-    rows = episode_rows(labels, n_way, k_shot, q_queries, episodes, master_seed)
-    return episodic_accuracy(forward(params, features)[0], rows, k_shot, metric)
+    drawn = episode_rows(labels, n_way, k_shot, q_queries, episodes, master_seed)
+    return episodic_accuracy(forward(params, features)[0], drawn, metric)
 
 
 def brute_force_ap(dists, gallery_labels, query_label):
@@ -216,11 +216,20 @@ class TestEpisodicAccuracy:
         assert str(from_eval.value) == str(from_index.value)
         assert str(from_eval.value) == "class 1 has 3 samples, episode needs 4"
 
+    def test_support_and_query_of_other_episode_sets_refused(self):
+        # scored anyway, they would pair support means with wrong queries
+        feats, labels = self.separable_split()
+        support, query = episode_rows(labels, 3, 1, 2, 5, 0)
+        other = episode_rows(labels, 4, 1, 2, 6, 0)
+        for pair in ((support, other[1]), (other[0], query), (support, query[:4])):
+            with pytest.raises(ShapeError, match="differ in episodes or classes"):
+                episodic_accuracy(feats, pair)
+
     def test_bad_metric(self):
         feats, labels = self.separable_split()
         with pytest.raises(ConfigurationError):
             episodic_accuracy(
-                feats, episode_rows(labels, 3, 1, 1, 5, 0), 1, metric="l1"
+                feats, episode_rows(labels, 3, 1, 1, 5, 0), metric="l1"
             )
 
 

@@ -248,11 +248,13 @@ def test_prepared_inputs_are_the_seeded_draws_and_read_only():
         assert np.array_equal(got.features, want.features)
         assert np.array_equal(got.labels, want.labels)
     # the draws `cirlab eval` makes from --seed
-    for rows, split in ((inputs.train_rows, train_ds), (inputs.val_rows, val_ds)):
-        assert np.array_equal(rows, episode_rows(split.labels, 3, 1, 3, 10, 1))
+    for drawn, split in ((inputs.train_episodes, train_ds),
+                         (inputs.val_episodes, val_ds)):
+        for got, want in zip(drawn, episode_rows(split.labels, 3, 1, 3, 10, 1)):
+            assert np.array_equal(got, want)
     for array in (inputs.train_ds.features, inputs.train_ds.labels,
                   inputs.val_ds.features, inputs.val_ds.labels,
-                  inputs.train_rows, inputs.val_rows):
+                  *inputs.train_episodes, *inputs.val_episodes):
         assert not array.flags.writeable
 
 
@@ -298,6 +300,12 @@ def test_settings_validation():
     )
     with pytest.raises(ConfigurationError, match="stage2"):
         ReproduceSettings(base=two_stage)
+    # the final-eval episodes: 5-way, 1 + 15 rows a class by default
+    for episodes in (10**12, 10**30):
+        with pytest.raises(ConfigurationError, match=f"eval_episodes = {episodes} "):
+            ReproduceSettings(eval_episodes=episodes)
+    with pytest.raises(ConfigurationError, match=r"5 x \(1 \+ 1000000000\) rows"):
+        ReproduceSettings(eval_q_queries=10**9)
 
 
 # TINY as the settings spelled it when they mirrored TrainConfig

@@ -11,11 +11,13 @@ from cirlab.errors import ConfigurationError, DataError, InputError
 from cirlab.losses import triplet_masks
 from cirlab.sampling import (
     _EPISODE_CHUNK,
+    MAX_EPISODE_ROWS,
     ClassIndex,
     PKSpec,
     _choice_bounds,
     _choice_replay,
     _floyd_replay,
+    check_episode_set,
     check_seed,
     child_seed,
     episode_rows,
@@ -389,25 +391,27 @@ class TestSampleEpisode:
 class TestEpisodeRows:
     def test_shape_and_dtype(self):
         _, labels = toy_dataset(num_classes=8, per_class=20)
-        rows = episode_rows(labels, 5, 1, 15, 7, master_seed=3)
-        assert rows.shape == (7, 5, 16)
-        assert rows.dtype == np.int64
+        support, query = episode_rows(labels, 5, 1, 15, 7, master_seed=3)
+        assert support.shape == (7, 5, 1) and query.shape == (7, 5, 15)
+        assert support.base is query.base and support.base.shape == (7, 5, 16)
+        assert support.dtype == query.dtype == np.int64
 
     def test_episode_i_is_sample_episode_from_child_seed(self):
         labels = shuffled_uneven_labels(seed=2)
         features = np.zeros((labels.size, 1))
-        rows = episode_rows(labels, 4, 3, 2, 40, master_seed=21)
+        support, query = episode_rows(labels, 4, 3, 2, 40, master_seed=21)
         for i in range(40):
             ep = sample_episode(
                 features, labels, 4, 3, 2, np.random.default_rng(child_seed(21, i))
             )
-            assert np.array_equal(rows[i, :, :3].reshape(-1), ep.support_indices)
-            assert np.array_equal(rows[i, :, 3:].reshape(-1), ep.query_indices)
+            assert np.array_equal(support[i].reshape(-1), ep.support_indices)
+            assert np.array_equal(query[i].reshape(-1), ep.query_indices)
 
     def test_prefix_independent_of_episode_count(self):
         _, labels = toy_dataset(num_classes=7, per_class=10)
         long = episode_rows(labels, 3, 2, 2, 50, master_seed=4)
-        assert np.array_equal(episode_rows(labels, 3, 2, 2, 17, 4), long[:17])
+        for short, full in zip(episode_rows(labels, 3, 2, 2, 17, 4), long):
+            assert np.array_equal(short, full[:17])
 
     def test_short_class_same_error_as_index(self):
         _, labels = toy_dataset(num_classes=5, per_class=6)
@@ -425,6 +429,35 @@ class TestEpisodeRows:
         for args in ((1, 1, 1, 5), (3, 0, 1, 5), (3, 1, 0, 5), (3, 1, 1, 0)):
             with pytest.raises(ConfigurationError):
                 episode_rows(labels, *args, master_seed=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_split_at_k_of_one_row_buffer(self, k):
+        labels = shuffled_uneven_labels(seed=4)
+        q, episodes = 3, 60
+        support, query = episode_rows(labels, 4, k, q, episodes, master_seed=k)
+        expected = choice_episode_rows(labels, 4, k, q, episodes, k)
+        # the E x N x (K + Q) rows of one draw, split at K
+        rows = np.concatenate((support, query), axis=2)
+        assert np.array_equal(rows, np.concatenate(expected, axis=2))
+        assert support.base is query.base
+        assert np.array_equal(support.base, rows)
+        for episode in rows:
+            assert len({int(labels[r[0]]) for r in episode}) == 4
+            for class_rows in episode:
+                assert len(set(class_rows.tolist())) == k + q
+                assert len(set(labels[class_rows].tolist())) == 1
+
+    def test_episode_set_size_bound(self):
+        # 2 x (1 + 1) rows an episode: 2**26 episodes fill the bound exactly
+        check_episode_set(2, 1, 1, MAX_EPISODE_ROWS // 4)
+        with pytest.raises(ConfigurationError, match=r"episodes = 67108865 .*2\*\*28"):
+            check_episode_set(2, 1, 1, MAX_EPISODE_ROWS // 4 + 1)
+        with pytest.raises(ConfigurationError, match="eval_episodes = "):
+            check_episode_set(5, 1, 15, 10**30, "eval_episodes")
+        # refused before the split is read or a row is allocated
+        for episodes in (10**12, 10**30):
+            with pytest.raises(ConfigurationError, match="row indices"):
+                episode_rows(np.array([0, 1]), 5, 1, 15, episodes, 0)
 
 
 class TestFloydReplay:
@@ -471,10 +504,11 @@ class TestEpisodeRowsReplayChoice:
             assert sizes.min() == k + q
         if split == "n-all":
             assert n == sizes.size
-        rows = episode_rows(labels, n, k, q, episodes, master_seed=episodes)
+        support, query = episode_rows(labels, n, k, q, episodes, master_seed=episodes)
         expected = choice_episode_rows(labels, n, k, q, episodes, episodes)
-        assert rows.dtype == np.int64
-        assert np.array_equal(rows, expected)
+        assert support.dtype == query.dtype == np.int64
+        assert np.array_equal(support, expected[0])
+        assert np.array_equal(query, expected[1])
 
     @pytest.mark.parametrize("buffered", [False, True])
     @pytest.mark.parametrize("split", sorted(EPISODE_SPLITS))
@@ -506,11 +540,11 @@ class TestEpisodeRowsReplayChoice:
         for episodes in (_EPISODE_CHUNK, 4 * _EPISODE_CHUNK + 3):
             tracemalloc.start()
             try:
-                rows = episode_rows(labels, n, k, q, episodes, master_seed=2)
+                support, query = episode_rows(labels, n, k, q, episodes, master_seed=2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            extra[episodes] = peak - rows.nbytes
+            extra[episodes] = peak - support.base.nbytes
             assert extra[episodes] <= chunk + 64 * 1024
         # the extra memory does not grow with the episode count
         assert extra[4 * _EPISODE_CHUNK + 3] <= extra[_EPISODE_CHUNK] + 1024

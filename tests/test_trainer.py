@@ -564,7 +564,7 @@ class TestEvaluateCheckpoint:
     def test_episodic_report(self):
         params, tac, _, te = self.trained()
         episodes = episode_rows(te.labels, 3, 1, 5, 30, 1)
-        rows = evaluate_checkpoint(params, tac, te, "episodic", k_shot=1, rows=episodes)
+        rows = evaluate_checkpoint(params, tac, te, "episodic", episodes=episodes)
         assert len(rows) == 1
         name, value, ci = rows[0]
         assert name == "episodic_accuracy"
@@ -613,27 +613,24 @@ class TestEvaluateCheckpoint:
 
     def test_episodic_deterministic(self):
         params, tac, _, te = self.trained()
-        a = evaluate_checkpoint(params, tac, te, "episodic", k_shot=1,
-                                rows=episode_rows(te.labels, 3, 1, 5, 25, 4))
-        b = evaluate_checkpoint(params, tac, te, "episodic", k_shot=1,
-                                rows=episode_rows(te.labels, 3, 1, 5, 25, 4))
+        a = evaluate_checkpoint(params, tac, te, "episodic",
+                                episodes=episode_rows(te.labels, 3, 1, 5, 25, 4))
+        b = evaluate_checkpoint(params, tac, te, "episodic",
+                                episodes=episode_rows(te.labels, 3, 1, 5, 25, 4))
         assert a == b
 
     def test_episodic_scores_the_given_rows(self):
         params, tac, _, te = self.trained()
-        rows = episode_rows(te.labels, 3, 2, 4, 25, 4)
-        res = episodic_accuracy(forward(params, te.features)[0], rows, 2)
-        given = evaluate_checkpoint(params, tac, te, "episodic", k_shot=2, rows=rows)
+        episodes = episode_rows(te.labels, 3, 2, 4, 25, 4)
+        res = episodic_accuracy(forward(params, te.features)[0], episodes)
+        given = evaluate_checkpoint(params, tac, te, "episodic", episodes=episodes)
         assert given == [("episodic_accuracy", res.mean, res.ci95)]
 
     def test_episode_rows_go_with_the_episodic_protocol_only(self):
         params, tac, tr, te = self.trained()
         with pytest.raises(ConfigurationError, match="episodic needs episode rows"):
-            evaluate_checkpoint(params, tac, te, "episodic", k_shot=1)
-        rows = episode_rows(te.labels, 3, 1, 5, 25, 4)
-        # without their k_shot, rows drawn at K = 5 would score as 1-shot
-        with pytest.raises(ConfigurationError, match="episode rows need their k_shot"):
-            evaluate_checkpoint(params, tac, te, "episodic", rows=rows)
+            evaluate_checkpoint(params, tac, te, "episodic")
+        episodes = episode_rows(te.labels, 3, 1, 5, 25, 4)
         for protocol, split in (("retrieval", te), ("classification", tr)):
             with pytest.raises(ConfigurationError, match="takes no episode rows"):
-                evaluate_checkpoint(params, tac, split, protocol, rows=rows)
+                evaluate_checkpoint(params, tac, split, protocol, episodes=episodes)
