@@ -24,6 +24,8 @@ MAGIC = b"CIRD"
 VERSION = 1
 
 NONLINEARITIES = ("none", "rotate_mix")
+# most values a generated float64 array may hold (2 GiB)
+MAX_GENERATED_VALUES = 2**28
 
 # default spec for the reproduction experiments: small classes, mixing
 # nonlinearity, and label noise so an unregularized model can overfit
@@ -73,6 +75,16 @@ class GeneratorSpec:
         if not 0.0 <= self.label_noise_rate < 1.0:
             raise ConfigurationError(
                 f"label_noise_rate must lie in [0, 1), got {self.label_noise_rate}"
+            )
+        # the n x d features outgrow the C x d centres; rotate_mix adds d x d
+        d = self.input_dim
+        values = max(self.num_classes * self.samples_per_class * d,
+                     d * d if self.nonlinearity == "rotate_mix" else 0)
+        if values > MAX_GENERATED_VALUES:
+            raise ConfigurationError(
+                f"num_classes = {self.num_classes}, samples_per_class = "
+                f"{self.samples_per_class} and input_dim = {d} need "
+                f"an array of {values} values; at most 2**28 (2 GiB) are allowed"
             )
         check_seed(self.seed)
 

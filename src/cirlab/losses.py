@@ -264,9 +264,13 @@ def _active_counts(dist, masks, margin):
         thr = np.zeros((stacks, b, masks.width))
         thr.reshape(stacks, -1)[:, masks.slot_index] = thresholds
     negd = np.where(masks.neg_ok, dist, np.inf)
-    active = negd[:, :, None, :] < thr[:, :, :, None]  # (anchor, positive slot, n)
-    count_an = active.sum(axis=2, dtype=np.float64)
-    per_slot = active.sum(axis=3).reshape(stacks, -1)
+    # (anchor, positive slot, n) as 0/1 bytes, whose counts are summed
+    # exactly in the narrowest accumulator that holds them
+    active = (negd[:, :, None, :] < thr[:, :, :, None]).view(np.uint8)
+    narrow = np.uint8 if masks.width < 256 else np.int64
+    count_an = active.sum(axis=2, dtype=narrow).astype(np.float64)
+    per_slot = active.sum(axis=3, dtype=np.uint16 if b < 65536 else np.int64)
+    per_slot = per_slot.reshape(stacks, -1)
     if masks.slot_index is not None:
         per_slot = per_slot.take(masks.slot_index, axis=1)
     count_ap = np.zeros((stacks, b * b))
@@ -275,7 +279,7 @@ def _active_counts(dist, masks, margin):
     total = (count_ap * s).sum(axis=(1, 2), where=count_ap > 0, initial=0.0) - (
         count_an * dist
     ).sum(axis=(1, 2), where=count_an > 0, initial=0.0)
-    return count_ap, count_an, total, per_slot.sum(axis=1)
+    return count_ap, count_an, total, per_slot.sum(axis=1, dtype=np.int64)
 
 
 def oim_scores(

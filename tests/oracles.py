@@ -1,7 +1,8 @@
 """Reference implementations that the package's code is checked against:
 one-triple triplet loss, the enumerated batch-all triple list, the B^3
 batch-all loss, the gather loss with its label masks rebuilt on every
-call and boolean-mask gathers, the per-class means and the per-label
+call and boolean-mask gathers, the active-triple counts summed off the
+bool tensor, the per-class means and the per-label
 class-mean table update,
 the out-of-place pairwise distances, the dense N x N
 geometry statistics, the scalar negative-class draw, the k-of-n draws
@@ -287,6 +288,32 @@ def batch_all_triplet_loss_boolean(features, blended_anchors, labels, cfg):
     grad_anchor = w * ((row_wa - row_wc)[:, None] * zt - wa @ z + wc @ z)
     grad_other = w * ((wc.T - wa.T) @ zt + (col_wa - col_wc)[:, None] * z)
     return TripletBatchResult(loss, grad_anchor, grad_other, num_triplets, num_active)
+
+
+def active_counts_bool_sums(dist, masks, margin):
+    """losses._active_counts with its counts summed straight off the bool
+    B^3 tensor, into float64 and into numpy's default integer."""
+    stacks, b = dist.shape[:2]
+    s = margin + dist
+    thresholds = s.reshape(stacks, b * b).take(masks.pos_index, axis=1)
+    if masks.slot_index is None:
+        thr = thresholds.reshape(stacks, b, masks.width)
+    else:
+        thr = np.zeros((stacks, b, masks.width))
+        thr.reshape(stacks, -1)[:, masks.slot_index] = thresholds
+    negd = np.where(masks.neg_ok, dist, np.inf)
+    active = negd[:, :, None, :] < thr[:, :, :, None]
+    count_an = active.sum(axis=2, dtype=np.float64)
+    per_slot = active.sum(axis=3).reshape(stacks, -1)
+    if masks.slot_index is not None:
+        per_slot = per_slot.take(masks.slot_index, axis=1)
+    count_ap = np.zeros((stacks, b * b))
+    count_ap[:, masks.pos_index] = per_slot
+    count_ap = count_ap.reshape(stacks, b, b)
+    total = (count_ap * s).sum(axis=(1, 2), where=count_ap > 0, initial=0.0) - (
+        count_an * dist
+    ).sum(axis=(1, 2), where=count_an > 0, initial=0.0)
+    return count_ap, count_an, total, per_slot.sum(axis=1)
 
 
 def class_means(features, labels, num_classes):

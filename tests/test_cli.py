@@ -145,6 +145,23 @@ class TestGen:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("--classes", str(10**30)),
+        ("--classes", str(10**12)),
+        ("--per-class", str(10**30)),
+        ("--dim", str(10**30)),
+        # 2 x 1 x 20000 features, but a 20000 x 20000 rotate_mix matrix
+        ("--classes", "2", "--per-class", "1", "--dim", "20000",
+         "--nonlinearity", "rotate_mix"),
+    ])
+    def test_oversized_arrays_exit_2(self, tmp_path, capsys, flags):
+        # refused when the spec is built, before any array is allocated
+        assert entrypoint(["gen", *flags, "-o", str(tmp_path / "x.cird")]) == 2
+        err = capsys.readouterr().err
+        assert "at most 2**28 (2 GiB) are allowed" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_class_rejected(self, tmp_path):
         assert entrypoint([
             "gen", "--classes", "1", "-o", str(tmp_path / "x.cird"),

@@ -106,6 +106,20 @@ class TestGenerator:
         with pytest.raises(ConfigurationError, match="seed must be >= 0, got -3"):
             GeneratorSpec(num_classes=3, samples_per_class=5, input_dim=3, seed=-3)
 
+    def test_array_size_bound(self):
+        # 2**28 values is the largest array a spec may ask for
+        GeneratorSpec(num_classes=2**4, samples_per_class=2**16, input_dim=2**8)
+        GeneratorSpec(num_classes=2, samples_per_class=1, input_dim=2**14,
+                      nonlinearity="rotate_mix")
+        refused = r"an array of {} values; at most 2\*\*28"
+        with pytest.raises(ConfigurationError, match=refused.format(2**28 + 1)):
+            GeneratorSpec(num_classes=17, samples_per_class=15790321, input_dim=1)
+        with pytest.raises(ConfigurationError, match=refused.format(2**28 + 2**12)):
+            GeneratorSpec(num_classes=2**4, samples_per_class=2**16 + 1, input_dim=2**8)
+        with pytest.raises(ConfigurationError, match=refused.format((2**14 + 1) ** 2)):
+            GeneratorSpec(num_classes=2, samples_per_class=1, input_dim=2**14 + 1,
+                          nonlinearity="rotate_mix")
+
     @pytest.mark.parametrize("field, value, message", [
         ("spread", np.nan, "spread must be finite"),
         ("spread", np.inf, "spread must be finite"),

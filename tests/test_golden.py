@@ -8,8 +8,10 @@ when reruns still agree with each other.
 
     python tests/test_golden.py --record
 
-reruns the set and rewrites the file. A change that moves bytes on
-purpose re-records it and names every digest that moved, and why.
+reruns the set, prints the outputs whose digests moved, went missing or
+are new against the recorded file, and then rewrites it. A change that
+moves bytes on purpose re-records it and names every digest that moved,
+and why.
 """
 
 import contextlib
@@ -131,13 +133,26 @@ def run_golden_set(root):
     return digests
 
 
+def compare_digests(want, got):
+    """(moved, missing, extra): the sorted outputs whose digest changed,
+    that are recorded but no longer made, and that are made but not
+    recorded."""
+    moved = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
+    return moved, sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+
+
+def test_compare_digests_names_each_kind_of_difference():
+    want = {"a": "1", "b": "2", "c": "3"}
+    got = {"c": "3", "b": "9", "d": "4"}
+    assert compare_digests(want, got) == (["b"], ["a"], ["d"])
+    assert compare_digests(want, dict(want)) == ([], [], [])
+
+
 def test_outputs_match_golden_digests(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     got = run_golden_set(str(tmp_path))
-    want = golden["digests"]
-    moved = sorted(k for k in want.keys() & got.keys() if want[k] != got[k])
-    missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
+    moved, missing, extra = compare_digests(golden["digests"], got)
     if moved or missing or extra:
         note = ""
         if golden["numpy"] != np.__version__:
@@ -157,6 +172,12 @@ if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(GOLDEN), "..", "src"))
     with tempfile.TemporaryDirectory() as root:
         digests = run_golden_set(root)
+    with open(GOLDEN, encoding="utf-8") as fh:
+        recorded = json.load(fh)["digests"]
+    for kind, keys in zip(("moved", "missing", "extra"), compare_digests(recorded, digests)):
+        print(f"{kind} ({len(keys)}):")
+        for key in keys:
+            print(f"  {key}")
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
         json.dump({"numpy": np.__version__, "digests": digests}, fh, indent=1,
                   sort_keys=True)

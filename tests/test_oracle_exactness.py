@@ -1,7 +1,8 @@
-"""The gather-based batch-all triplet loss, the in-place pairwise
-distances and the row-blocked geometry statistics against their dense or
-out-of-place oracles, the loss with per-run cached masks and the
-block-summed table update against their per-call boolean-mask and
+"""The gather-based batch-all triplet loss, its narrow-accumulator
+active-triple counts, the in-place pairwise distances and the
+class-sorted, row-blocked geometry statistics against their dense,
+bool-sum or out-of-place oracles, the loss with per-run cached masks and
+the block-summed table update against their per-call boolean-mask and
 np.add.at forms, memory guards that fail if the cubic, quadratic or
 block-sized transients come back, and the shared training step against
 the four per-head steps it replaced."""
@@ -12,14 +13,19 @@ import numpy as np
 import pytest
 
 from cirlab.errors import InputError, ShapeError
-from cirlab.evaluate import GEOMETRY_BLOCK, _pairwise_dist, geometry_stats
+from cirlab.evaluate import (
+    GEOMETRY_BLOCK, _pairwise_dist, geometry_stats, squared_distances,
+)
 from cirlab.interference import InterferenceConfig, NoiseConfig
-from cirlab.losses import TripletConfig, batch_all_triplet_loss, triplet_masks
+from cirlab.losses import (
+    TripletConfig, _active_counts, batch_all_triplet_loss, triplet_masks,
+)
 from cirlab.nn import init_params, sgd_step
 from cirlab.sampling import ClassIndex, PKSpec
 from cirlab.tac import ClassTable, tac_init, tac_update
 from cirlab.trainer import TrainConfig, _mode_parts
 from oracles import (
+    active_counts_bool_sums,
     batch_all_triplet_loss_b3,
     batch_all_triplet_loss_boolean,
     geometry_stats_dense,
@@ -170,6 +176,52 @@ def class_major_labels(p, k, seed, num_classes=100):
     """A PK batch's labels: p distinct class ids, k rows each, class-major."""
     ids = np.random.default_rng(seed).choice(num_classes, size=p, replace=False)
     return np.repeat(ids, k)
+
+
+def assert_counts_match(dist, masks, margin=0.5):
+    """_active_counts gives the bool-sum oracle's bits and dtypes."""
+    got = _active_counts(dist, masks, margin)
+    want = active_counts_bool_sums(dist, masks, margin)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
+    return want
+
+
+def stacked_distances(stacks, b, dim, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((stacks, b, dim))
+    zt = z + 0.3 * rng.standard_normal(z.shape)
+    return np.sqrt(squared_distances(zt, z))
+
+
+class TestActiveCountsMatchBoolSums:
+    @pytest.mark.parametrize("stacks", [1, 3])
+    def test_pk_batch_of_256(self, stacks):
+        masks = triplet_masks(np.repeat(np.arange(32), 8))
+        assert_counts_match(stacked_distances(stacks, 256, 16, stacks), masks)
+
+    @pytest.mark.parametrize("stacks", [1, 3])
+    def test_class_of_300_rows(self, stacks):
+        # 299 positive slots overflow a uint8 count, and an anchor outside
+        # the big class has more than 255 negatives
+        labels = np.repeat(np.arange(5), [300, 12, 9, 9, 1])
+        labels = labels[np.random.default_rng(0).permutation(len(labels))]
+        masks = triplet_masks(labels)
+        assert masks.width == 299 and masks.slot_index is not None
+        dist = stacked_distances(stacks, len(labels), 4, stacks)
+        count_ap, count_an, _, _ = assert_counts_match(dist, masks, margin=2.0)
+        assert count_an.max() > 255 and count_ap.max() > 255
+
+    def test_non_finite_distances(self):
+        masks = triplet_masks(np.repeat(np.arange(32), 8))
+        dist = stacked_distances(3, 256, 8, 7)
+        rng = np.random.default_rng(7)
+        for value in (np.nan, np.inf, -np.inf):
+            dist.reshape(-1)[rng.choice(dist.size, 500, replace=False)] = value
+        with np.errstate(invalid="ignore"):  # 0 counts times inf in the total
+            want = assert_counts_match(dist, masks)
+        assert (want[3] > 0).all()
 
 
 class TestCachedMasksMatchBooleanMasks:
@@ -355,6 +407,52 @@ class TestGeometryMatchesDense:
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 3, size=300)
         z = rng.integers(-1, 2, size=(300, 2)).astype(np.float64)
+        assert_geometry_matches_dense(z, labels)
+
+    @pytest.mark.parametrize("n", [40, 255, 256, 257, 513])
+    def test_integer_distances_are_exact(self, n):
+        # rows on one axis at integer offsets: every squared distance, root
+        # and sum is an exact integer in either order
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, 5, size=n)
+        z = np.zeros((n, 3))
+        z[:, 1] = rng.integers(-50, 51, size=n)
+        got, want = geometry_stats(z, labels), geometry_stats_dense(z, labels)
+        assert got == want and got.intra > 0
+
+    def test_row_order_does_not_matter(self):
+        rng = np.random.default_rng(4)
+        labels = rng.integers(0, 9, size=600)
+        z = rng.standard_normal((600, 8)) + labels[:, None] * 0.2
+        base = geometry_stats(z, labels)
+        perm = rng.permutation(600)
+        moved = geometry_stats(z[perm], labels[perm])
+        for field in ("center_distance", "intra", "inter", "ratio"):
+            assert getattr(moved, field) == pytest.approx(
+                getattr(base, field), rel=1e-12, abs=0.0
+            )
+
+    def test_class_ids_with_gaps(self):
+        rng = np.random.default_rng(6)
+        labels = rng.choice(np.array([3, 17, 40]), size=300)
+        z = rng.standard_normal((300, 4)) + (labels == 17)[:, None]
+        assert assert_geometry_matches_dense(z, labels).ratio is not None
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 513])
+    def test_class_across_a_block_edge(self, n):
+        # sorted, class 1 holds rows 250..259 and class 3 rows 500..529,
+        # so at n > 256 and n > 512 a class run crosses a block edge
+        sizes = [250, 10, 240, 30]
+        labels = np.repeat(np.arange(4), sizes)[:n]
+        perm = np.random.default_rng(n).permutation(n)
+        z = np.random.default_rng(n + 1).standard_normal((n, 6)) + labels[:, None]
+        assert_geometry_matches_dense(z[perm], labels[perm])
+
+    def test_singletons_beside_large_classes(self):
+        rng = np.random.default_rng(9)
+        labels = np.concatenate((np.zeros(400), np.ones(100), np.arange(2, 32)))
+        rng.shuffle(labels)
+        z = rng.standard_normal((530, 5)) + 0.5 * labels[:, None]
         assert_geometry_matches_dense(z, labels)
 
 
