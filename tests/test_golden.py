@@ -85,6 +85,11 @@ def _commands():
             yield (["eval", ckpt, "-d", "rep.test.cird", "--protocol", protocol,
                     "--episodes", "100", "--seed", "5", "-o", out],
                    [out])
+    # cosine scoring, and a set of three 256-episode draw chunks
+    yield (["eval", "triplet_decay.ckpt", "-d", "rep.test.cird", "--protocol",
+            "episodic", "--metric", "cosine", "--episodes", "600", "--seed", "5",
+            "-o", "triplet_decay.cosine600.csv"],
+           ["triplet_decay.cosine600.csv"])
     # the table's classes are the train split's
     yield (["eval", "oim.ckpt", "-d", "rep.train.cird", "--protocol",
             "classification", "-o", "oim.classification.csv"],
