@@ -8,7 +8,9 @@ Subcommands:
   reproduce  the three-arm regularization comparison matrix
 
 Exit codes are a stable contract: 0 success, 2 user/config error,
-3 IO error, 4 numeric failure.
+3 IO error, 4 numeric failure. Settings are refused before they size an
+array of more than 2**28 values; a `MemoryError` that still gets through
+is a setting too large for this machine, and exits 2 as well.
 
 Every file-writing command drops a `<output>.manifest` next to its main
 output: tool version, input/output sha256 hashes and a [config] block.
@@ -361,6 +363,9 @@ def entrypoint(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an array too large'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -27,6 +27,17 @@ NONLINEARITIES = ("none", "rotate_mix")
 # most values a generated float64 array may hold (2 GiB)
 MAX_GENERATED_VALUES = 2**28
 
+
+def check_array_size(what: str, values: int) -> None:
+    """Refuse an array of more than MAX_GENERATED_VALUES values; what names
+    the settings that size it."""
+    if values > MAX_GENERATED_VALUES:
+        raise ConfigurationError(
+            f"{what} would size an array of {values} values; at most 2**28 "
+            "(2 GiB) are allowed"
+        )
+
+
 # default spec for the reproduction experiments: small classes, mixing
 # nonlinearity, and label noise so an unregularized model can overfit
 REPRODUCE_SPEC = dict(
@@ -80,12 +91,10 @@ class GeneratorSpec:
         d = self.input_dim
         values = max(self.num_classes * self.samples_per_class * d,
                      d * d if self.nonlinearity == "rotate_mix" else 0)
-        if values > MAX_GENERATED_VALUES:
-            raise ConfigurationError(
-                f"num_classes = {self.num_classes}, samples_per_class = "
-                f"{self.samples_per_class} and input_dim = {d} need "
-                f"an array of {values} values; at most 2**28 (2 GiB) are allowed"
-            )
+        check_array_size(
+            f"num_classes = {self.num_classes}, samples_per_class = "
+            f"{self.samples_per_class} and input_dim = {d}", values,
+        )
         check_seed(self.seed)
 
     def describe(self) -> str:

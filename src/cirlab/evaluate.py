@@ -8,8 +8,10 @@ accuracy takes the split's embedding and its episode set, the
 `sampling.episode_rows` (640 B for a 5-way episode of 16 rows per class),
 and scores the episodes in fixed chunks with batched gathers and one
 stacked distance per chunk, so the gathered embeddings stay at one
-chunk's worth. Geometry statistics take the distances of one block of
-class-sorted rows per GEMM, so their memory stays flat in the row count.
+chunk's worth; the metric's per-row work on the queries is done once per
+row of the split, not once per episode that draws the row. Geometry
+statistics take the distances of one block of class-sorted rows per
+GEMM, so their memory stays flat in the row count.
 Distances are plain Euclidean on raw embeddings throughout; a cosine
 option exists for ablation.
 """
@@ -54,30 +56,42 @@ class GeometryStats:
     ratio: float | None
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def squared_distances(
+    a: np.ndarray, b: np.ndarray, a_squared: np.ndarray | None = None
+) -> np.ndarray:
     """Squared distances between float64 rows of a and of b, leading axes a
     stack: sum(a*a) - 2 (a @ b^T) + sum(b*b) clipped at 0, in place on the
-    matmul output (-2x + y is the float y - 2x: the out-of-place bits)."""
+    matmul output (-2x + y is the float y - 2x: the out-of-place bits).
+    a_squared, if given, is sum(a*a) over the last axis, which a caller
+    that gathers a's rows from one array can take once, for equal bits."""
+    if a_squared is None:
+        a_squared = (a * a).sum(axis=-1)
     sq = a @ b.swapaxes(-1, -2)
     sq *= -2.0
-    sq += (a * a).sum(axis=-1)[..., :, None]
+    sq += a_squared[..., :, None]
     sq += (b * b).sum(axis=-1)[..., None, :]
     return np.maximum(sq, 0.0, out=sq)
+
+
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise ConfigurationError(f"metric must be one of {METRICS}, got {metric!r}")
+
+
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """a's rows over their norms; a zero row stays zero."""
+    norm = np.linalg.norm(a, axis=-1, keepdims=True)
+    return a / np.where(norm > 0, norm, 1.0)
 
 
 def _pairwise_dist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
     """Distance matrix between rows of a and rows of b; leading axes, if
     any, index a stack of independent (a, b) pairs."""
-    if metric not in METRICS:
-        raise ConfigurationError(f"metric must be one of {METRICS}, got {metric!r}")
+    _check_metric(metric)
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if metric == "cosine":
-        na = np.linalg.norm(a, axis=-1, keepdims=True)
-        nb = np.linalg.norm(b, axis=-1, keepdims=True)
-        na = np.where(na > 0, na, 1.0)
-        nb = np.where(nb > 0, nb, 1.0)
-        return 1.0 - (a / na) @ np.swapaxes(b / nb, -1, -2)
+        return 1.0 - _unit_rows(a) @ np.swapaxes(_unit_rows(b), -1, -2)
     sq = squared_distances(a, b)
     return np.sqrt(sq, out=sq)
 
@@ -126,8 +140,13 @@ def episodic_accuracy(
     1.96 * sd / sqrt(E) half-width. Each chunk of EPISODE_CHUNK episodes
     is scored by one stacked distance from its queries to its support
     means, and distance ties go to the lowest episode class, as in
-    nearest_prototype_classify.
+    nearest_prototype_classify. The metric's work on a query row, its
+    squared norm (euclidean) or its unit row (cosine), is done once per
+    row of z and gathered per chunk: each gathered row reduces the same
+    values in the same order, so the bits are those of `_pairwise_dist`
+    on the gathered queries.
     """
+    _check_metric(metric)
     support, query = episodes
     count, n_way, q_queries = query.shape
     if support.shape[:2] != query.shape[:2]:
@@ -135,13 +154,23 @@ def episodic_accuracy(
             f"support rows {support.shape} and query rows {query.shape} "
             "differ in episodes or classes"
         )
+    rows = np.asarray(z, dtype=np.float64)
+    if metric == "cosine":
+        rows = _unit_rows(rows)
+    else:
+        rows_squared = (rows * rows).sum(axis=-1)
     query_labels = np.repeat(np.arange(n_way), q_queries)
     accs = np.empty(count)
     for start in range(0, count, EPISODE_CHUNK):
         stop = start + EPISODE_CHUNK
-        protos = z[support[start:stop]].mean(axis=2)
-        queries = z[query[start:stop]].reshape(len(protos), n_way * q_queries, -1)
-        pred = np.argmin(_pairwise_dist(queries, protos, metric), axis=2)
+        protos = np.asarray(z[support[start:stop]].mean(axis=2), dtype=np.float64)
+        at = query[start:stop].reshape(len(protos), n_way * q_queries)
+        if metric == "cosine":
+            dist = 1.0 - rows[at] @ _unit_rows(protos).swapaxes(-1, -2)
+        else:
+            dist = squared_distances(rows[at], protos, rows_squared[at])
+            np.sqrt(dist, out=dist)
+        pred = np.argmin(dist, axis=2)
         accs[start:stop] = np.mean(pred == query_labels, axis=1)
     mean = float(accs.mean())
     sd = float(accs.std(ddof=1)) if count > 1 else 0.0
@@ -210,7 +239,10 @@ def geometry_stats(features: np.ndarray, labels: np.ndarray) -> GeometryStats:
     distances to the rows j >= i, in one R x N buffer per call, so memory
     grows with N, not N^2 (about 15 ms at N = 2560 and 2 ms at N = 626,
     d = 16, on one core). The distances j > i sum to the total, those in
-    row i's class run to intra, and inter is the rest.
+    row i's class run to intra, and inter is the rest. When every class's
+    rows are equal, which one O(N d) pass over the sorted rows checks, the
+    intra sum is exactly 0, so intra is 0.0 and ratio None (the expansion
+    would leave a rounding residue there); inter keeps its value.
     """
     z = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -229,6 +261,12 @@ def geometry_stats(features: np.ndarray, labels: np.ndarray) -> GeometryStats:
     intra_n = int(np.sum(sizes * (sizes - 1)) // 2)
     inter_n = n * (n - 1) // 2 - intra_n
     zs = z[np.argsort(labels, kind="stable")]
+    # every class run of equal rows (its columns' least and greatest
+    # agree): the expansion leaves rounding residue, not 0, on its distances
+    starts = np.cumsum(sizes) - sizes
+    collapsed = np.array_equal(
+        np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts)
+    )
     norms = np.einsum("ij,ij->i", zs, zs)[:, None]
     rows = np.hstack((-2.0 * zs, norms, np.ones_like(norms)))
     cols = np.hstack((zs, np.ones_like(norms), norms))
@@ -254,8 +292,10 @@ def geometry_stats(features: np.ndarray, labels: np.ndarray) -> GeometryStats:
         own = np.arange(ends[-1]) < ends[:, None]
         own[:, :m] &= upper[:m, :m]
         intra_sum += float(np.sum(dist[:, : ends[-1]], where=own))
-    intra = intra_sum / intra_n if intra_n else None
     inter = (total - intra_sum) / inter_n if inter_n else None
+    if collapsed:
+        intra_sum = 0.0
+    intra = intra_sum / intra_n if intra_n else None
     ratio = None
     if intra is not None and intra > 0 and inter is not None:
         ratio = inter / intra

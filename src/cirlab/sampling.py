@@ -16,17 +16,21 @@ Episode randomness is derived per-index from a master seed with a fixed
 many episodes run or in what order. `episode_rows` draws a whole episode
 set up front into one E x N x (K+Q) int64 row buffer, 8 bytes per row
 (640 B for a 5-way episode of 16 rows per class), so a caller that
-scores the same episodes many times draws them once; it replays the row
-draws of `_EPISODE_CHUNK` episodes at a time in one vectorized pass. It
-returns the set as its (support, query) pair, E x N x K and E x N x Q
-views of that buffer, so the support/query split is made here, where the
-rows are drawn, and scoring takes no K. An episode set may hold at most
+scores the same episodes many times draws them once. It does not call
+`integers` per episode: it replays the draws from each episode
+generator's raw 32-bit words by Lemire's method, `_EPISODE_CHUNK`
+episodes at a time in a few vectorized passes, and leaves an episode
+with a word numpy rejects to the generator. It returns the set as its
+(support, query) pair, E x N x K and E x N x Q views of that buffer, so
+the support/query split is made here, where the rows are drawn, and
+scoring takes no K. An episode set may hold at most
 `MAX_EPISODE_ROWS` row indices (`check_episode_set`).
 `negative_classes` draws wrong classes, for blends and label noise.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _EPISODE_CHUNK = 256
 # the most row indices one episode set may hold: 2**28 int64s, 2 GiB
 MAX_EPISODE_ROWS = 2**28
+# draws with an inclusive bound below this read one 32-bit word each;
+# numpy makes the others another way, and episode_rows leaves them to it
+_WORD_BOUND = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -298,14 +305,108 @@ def _episode_set_rows(
 ) -> None:
     """Write into out (E x N x M) the split rows of E episodes from their
     drawn class positions (E x N) and row draws (E x N x (2M - 1)); one
-    episode's arrays may drop the leading E."""
+    episode's arrays may drop the leading E. The draws, C-contiguous, are
+    spent: their buffer holds the gathered rows on the way to out."""
     m = out.shape[-1]
     classes = classes.reshape(-1)
     picks = _floyd_replay(
         draws.reshape(-1, 2 * m - 1), np.asarray(index.sizes)[classes], m
-    )
-    picks += np.asarray(index.offsets)[classes][:, None]
-    out.reshape(picks.shape)[...] = index.order[picks]
+    ).T
+    picks += np.asarray(index.offsets)[classes]
+    # step-major, like picks; every pick is a valid position, so "clip"
+    # only skips take's buffer
+    gathered = draws.reshape(-1)[: picks.size].reshape(picks.shape)
+    np.take(index.order, picks, out=gathered, mode="clip")
+    out.reshape(gathered.T.shape)[...] = gathered.T
+
+
+def _lemire_draws(draws: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Replay numpy's bounded draws from their 32-bit words, in place.
+
+    draws (2-D int64, C-contiguous) holds inclusive bounds b < _WORD_BOUND,
+    and words (uint32, the same shape) the word each draw reads. Each bound
+    becomes (u * (b + 1)) >> 32, the value `Generator.integers(0, b,
+    endpoint=True)` returns from word u (Lemire's method); a bound of 0
+    reads no word and stays 0. Returns the rows of draws that hold a draw
+    whose word numpy rejects, (u * (b + 1)) mod 2**32 < 2**32 mod (b + 1),
+    and replaces with the next word: such a row's values are not numpy's.
+    """
+    wide = draws.view(np.uint64)
+    wide += 1
+    # each int64's little-endian halves are now (b + 1, 0): the product's
+    # low word goes into the zero half, so the test needs no product buffer
+    halves = draws.view("<u4")
+    excl, low = halves[:, 0::2], halves[:, 1::2]
+    np.multiply(words, excl, out=low)
+    # numpy's own first test: the threshold is below b + 1
+    maybe = np.nonzero(low < excl)
+    threshold = (1 << 32) % excl[maybe].astype(np.uint64)
+    rejected = low[maybe] < threshold
+    low[...] = 0
+    np.multiply(wide, words, out=wide)
+    wide >>= 32
+    return maybe[0][rejected]
+
+
+def _word_positions(bounds: np.ndarray, start: int) -> np.ndarray:
+    """The index of the 32-bit word that each draw of a row of bounds
+    reads, the first nonzero bound reading word start: a bound of 0 reads
+    none (its position repeats the one before, or is start)."""
+    pos = np.cumsum(bounds != 0, axis=-1, dtype=np.int32)
+    pos += start - 1
+    return np.maximum(pos, start, out=pos)
+
+
+def _replayed_classes(
+    class_bounds: np.ndarray, words: np.ndarray, class_count: int, n_way: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The class positions (E x N) that E episodes' class draws on
+    class_bounds give, replayed from the leading words of each row of
+    words, and the episodes with a rejected word among them."""
+    draws = np.repeat(class_bounds[None, :], len(words), axis=0)
+    rejected = _lemire_draws(draws, words[:, _word_positions(class_bounds, 0)])
+    return _floyd_replay(draws, class_count, n_way), rejected
+
+
+def _episode_draws(
+    index: ClassIndex, n_way: int, m: int, master_seed: int, episodes: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_pk_draws` of N classes of M rows on the generator of each episode
+    i in episodes, seeded child_seed(master_seed, i), replayed from its raw
+    words: the drawn class positions (E x N) and the row draws
+    (E x N(2M - 1)). An episode with a word that numpy rejects, or every
+    episode of a split with a bound of _WORD_BOUND or more, or on a
+    big-endian host (the replay reads words as little-endian halves), is
+    drawn by `_pk_draws` itself."""
+    class_bounds, row_bounds = index.pk_bounds(n_way, m)
+    e, per_episode = len(episodes), n_way * (2 * m - 1)
+    bound = max(class_bounds.max(), row_bounds.max())
+    if bound >= _WORD_BOUND or sys.byteorder != "little":
+        classes = np.empty((e, n_way), dtype=np.int64)
+        draws = np.empty((e, per_episode), dtype=np.int64)
+        redraw = range(e)
+    else:
+        class_words = int(np.count_nonzero(class_bounds))
+        raw = np.empty((e, -(-(class_words + per_episode) // 2)), dtype=np.uint64)
+        for row, i in zip(raw, episodes):
+            row[...] = np.random.PCG64(child_seed(master_seed, i)).random_raw(len(row))
+        words = raw.view("<u4")
+        classes, rejected = _replayed_classes(
+            class_bounds, words, len(index.classes), n_way
+        )
+        draws = row_bounds[classes].reshape(e, per_episode)
+        if (row_bounds == 0).any():
+            # a class of exactly M rows has a bound of 0, which reads no word
+            at = _word_positions(draws, class_words)
+            row_words = np.take_along_axis(words, at, axis=1)
+        else:
+            row_words = words[:, class_words : class_words + per_episode]
+        redraw = np.union1d(rejected, _lemire_draws(draws, row_words))
+    for r in redraw:
+        rng = np.random.default_rng(child_seed(master_seed, episodes[r]))
+        drawn, again = _pk_draws(index, n_way, m, rng)
+        classes[r], draws[r] = drawn, again.reshape(-1)
+    return classes, draws
 
 
 def episode_rows(
@@ -326,10 +427,21 @@ def episode_rows(
     `rng.integers` calls, as for a batch of N classes of K + Q rows. The
     rows are those of 1 + N `choice` calls on that generator, for splits
     of at most 10000 classes and 10000 rows a class (above either, numpy's
-    `choice` shuffles a tail of arange(n), and the rows may differ). Each
-    `_EPISODE_CHUNK` episodes' row draws are replayed in one
-    `_floyd_replay`, so the memory the draw holds beyond the result is one
-    chunk's, whatever the episode count.
+    `choice` shuffles a tail of arange(n), and the rows may differ).
+
+    The draws are replayed from the generator's raw words, not made by
+    it (`_episode_draws`). `integers` makes each draw with a bound below
+    2**32 - 1 from one 32-bit word by Lemire's method, reading the 64-bit
+    words of a fresh PCG64 low half first (a bound of 0 reads none), so
+    one `random_raw` call per episode gives every word its draws read
+    unless numpy rejects one. Each `_EPISODE_CHUNK` episodes then take one
+    `_lemire_draws` pass for their class draws, one `_floyd_replay` of the
+    classes, one `_lemire_draws` pass for their row draws, at the word
+    positions the class draws leave, and one `_floyd_replay` of the rows.
+    An episode with a rejected word (odds below (b + 1) / 2**32 a draw)
+    is drawn again by `_pk_draws`, as is every episode of a split with a
+    bound of 2**32 - 1 or more. The memory the draw holds beyond the
+    result is one chunk's, whatever the episode count.
     """
     if episodes < 1:
         raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
@@ -337,15 +449,13 @@ def episode_rows(
     index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
     m = k_shot + q_queries
     rows = np.empty((episodes, n_way, m), dtype=np.int64)
-    chunk = min(episodes, _EPISODE_CHUNK)
-    classes = np.empty((chunk, n_way), dtype=np.int64)
-    draws = np.empty((chunk, n_way, 2 * m - 1), dtype=np.int64)
-    for lo in range(0, episodes, chunk):
-        hi = min(lo + chunk, episodes)
-        for e in range(hi - lo):
-            rng = np.random.default_rng(child_seed(master_seed, lo + e))
-            classes[e], draws[e] = _pk_draws(index, n_way, m, rng)
-        _episode_set_rows(index, classes[: hi - lo], draws[: hi - lo], rows[lo:hi])
+    for lo in range(0, episodes, _EPISODE_CHUNK):
+        hi = min(lo + _EPISODE_CHUNK, episodes)
+        # unnamed, so that one chunk's draws are freed before the next's
+        _episode_set_rows(
+            index, *_episode_draws(index, n_way, m, master_seed, range(lo, hi)),
+            rows[lo:hi],
+        )
     return rows[:, :, :k_shot], rows[:, :, k_shot:]
 
 

@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datagen import Dataset, floor_count
+from .datagen import Dataset, check_array_size, floor_count
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluate import episodic_accuracy, geometry_stats, retrieval_map, cmc_rank1
 from .interference import (
@@ -151,6 +151,15 @@ class TrainConfig:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigurationError(f"hidden dims must be >= 1, got {self.hidden_dims}")
+        # a bias is one width, and a weight matrix two adjacent widths
+        widths = [
+            *((f"hidden_dims[{i}] = {h}", h) for i, h in enumerate(self.hidden_dims)),
+            (f"embed_dim = {self.embed_dim}", self.embed_dim),
+        ]
+        for name, width in widths:
+            check_array_size(name, width)
+        for (a, wa), (b, wb) in zip(widths, widths[1:]):
+            check_array_size(f"{a} x {b}", wa * wb)
         check_activation(self.activation)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigurationError(
@@ -291,6 +300,19 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
     if train_ds.size == 0:
         raise DataError("training split is empty")
     _check_class_count(train_ds, "train")
+    # the split's widths size the first weight matrix and the class table
+    name, width = (
+        ("hidden_dims[0]", cfg.hidden_dims[0]) if cfg.hidden_dims
+        else ("embed_dim", cfg.embed_dim)
+    )
+    check_array_size(
+        f"input_dim = {train_ds.input_dim} x {name} = {width}",
+        train_ds.input_dim * width,
+    )
+    check_array_size(
+        f"class_count = {train_ds.class_count} x embed_dim = {cfg.embed_dim}",
+        train_ds.class_count * cfg.embed_dim,
+    )
     if cfg.loss_mode == "triplet":
         _check_rows(train_ds, "train", cfg.p_classes, cfg.k_samples, "batches")
         if val_ds is None:

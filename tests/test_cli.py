@@ -169,6 +169,17 @@ class TestGen:
         assert not (tmp_path / "x.cird").exists()
 
 
+def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys):
+    def too_big(path):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cirlab.cli, "load_checkpoint", too_big)
+    assert entrypoint(["eval", "m.ckpt", "-d", "ds.cird"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
 class TestTrain:
     def test_outputs_exist(self, trained):
         assert (trained / "m.ckpt").exists()
@@ -303,6 +314,22 @@ class TestTrain:
             ]) == 2
             err = capsys.readouterr().err
             assert f"eval_episodes = {episodes} episodes of 2 x (1 + 3) rows" in err
+            assert "at most 2**28" in err and "Traceback" not in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["embed_dim", "hidden_dims"])
+    def test_encoder_beyond_the_bound_exits_2(self, wide_split, tmp_path, capsys, key):
+        # numpy raised MemoryError after --dry-run printed "config ok"
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(_set(RUN_CFG, key, str(10**12)))
+        for flags in (["--dry-run"], []):
+            out = tmp_path / "m.ckpt"
+            assert entrypoint([
+                "train", "-c", str(cfg), "-d", str(wide_split / "ds.train.cird"),
+                "--val", str(wide_split / "ds.val.cird"), "-o", str(out), *flags,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert f"{key}" in err and str(10**12) in err
             assert "at most 2**28" in err and "Traceback" not in err
             assert not out.exists()
 

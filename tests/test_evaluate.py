@@ -15,6 +15,7 @@ from cirlab.evaluate import (
 )
 from cirlab.nn import ModelParams, forward, init_params
 from cirlab.sampling import ClassIndex, child_seed, episode_rows, sample_episode
+from oracles import geometry_stats_dense
 
 
 def identity_encoder(dim):
@@ -332,6 +333,25 @@ class TestGeometryStats:
         assert stats.intra == 0.0
         assert stats.inter == 5.0
         assert stats.ratio is None
+
+    def test_collapsed_classes_give_no_ratio(self):
+        # the norm expansion left intra up to ~1e-5 on such clouds, and a
+        # huge ratio; the dense oracle's inter is the reference
+        rng = np.random.default_rng(44)
+        for _ in range(500):
+            c, d = int(rng.integers(2, 6)), int(rng.integers(2, 33))
+            points = rng.normal(scale=float(rng.uniform(0.1, 100.0)), size=(c, d))
+            copies = rng.integers(1, 30, size=c)
+            copies[rng.integers(0, c)] = max(2, copies.max())  # some pair
+            labels = rng.permutation(np.repeat(rng.choice(50, c, replace=False), copies))
+            z = points[np.searchsorted(np.unique(labels), labels)]
+            stats = geometry_stats(z, labels)
+            assert stats.intra == 0.0 and stats.ratio is None
+            assert np.isclose(stats.inter, geometry_stats_dense(z, labels).inter)
+        # one row moved off its class's point: intra is measured again
+        ids, counts = np.unique(labels, return_counts=True)
+        z[np.flatnonzero(labels == ids[np.argmax(counts)])[0]] += 1e-3
+        assert geometry_stats(z, labels).intra > 0.0
 
     def test_scale_covariance(self):
         rng = np.random.default_rng(41)

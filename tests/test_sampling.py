@@ -5,7 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cirlab.sampling
 from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, reproduce_spec, split_classes
 from cirlab.errors import ConfigurationError, DataError, InputError
 from cirlab.losses import triplet_masks
@@ -17,6 +20,7 @@ from cirlab.sampling import (
     _choice_bounds,
     _choice_replay,
     _floyd_replay,
+    _lemire_draws,
     check_episode_set,
     check_seed,
     child_seed,
@@ -548,3 +552,110 @@ class TestEpisodeRowsReplayChoice:
             assert extra[episodes] <= chunk + 64 * 1024
         # the extra memory does not grow with the episode count
         assert extra[4 * _EPISODE_CHUNK + 3] <= extra[_EPISODE_CHUNK] + 1024
+
+
+class TestLemireReplay:
+    def test_words_give_integers_draws_and_its_rejections(self):
+        # near 3 * 2**30 numpy rejects a word with odds 2**32 mod (b + 1)
+        # over 2**32, about a quarter; bounds of 0 and 1 are never rejected
+        seeds = range(4000)
+        bounds = np.tile(3 * 2**30 + np.arange(-8, 8), 250)
+        bounds[:40] = [0, 1] * 20
+        words = np.array(
+            [np.random.PCG64(s).random_raw(1)[0] for s in seeds], dtype=np.uint64
+        ).view("<u4")[0::2]
+        draws = bounds.copy()[:, None]
+        rejected = np.zeros(len(bounds), dtype=bool)
+        rejected[_lemire_draws(draws, words[:, None])] = True
+        for s, b, got, rej in zip(seeds, bounds.tolist(), draws[:, 0], rejected):
+            rng, one_word = np.random.default_rng(s), np.random.PCG64(s)
+            value = rng.integers(0, b, endpoint=True)
+            one_word.random_raw(1)
+            # one 32-bit word read: the first 64-bit word, half of it left
+            read_one = (
+                rng.bit_generator.state["state"] == one_word.state["state"]
+                and rng.bit_generator.state["has_uint32"] == 1
+            )
+            assert rej == (b > 0 and not read_one)
+            if not rej:
+                assert got == value
+        assert 0.2 < rejected.mean() < 0.3
+        assert not rejected[:40].any() and (draws[:40:2] == 0).all()
+
+    def test_rejected_row_draw_is_redrawn(self, monkeypatch):
+        # an offline search over big classes: with master seed 20, numpy
+        # rejects one 32-bit word of episode 285's row draws (the second
+        # chunk's episode 29), so that episode reads one word more
+        labels = np.repeat([0, 1, 2], [70001, 80021, 90001])
+        flagged, real = [], _lemire_draws
+
+        def spy(draws, words):
+            rejected = real(draws, words)
+            flagged.append((draws.shape[1], rejected.tolist()))
+            return rejected
+
+        monkeypatch.setattr(cirlab.sampling, "_lemire_draws", spy)
+        support, query = episode_rows(labels, 2, 1, 40, 300, master_seed=20)
+        # per chunk: the 3 class draws, then the 2 x 81 row draws
+        assert flagged == [(3, []), (162, []), (3, []), (162, [29])]
+        features = np.zeros((labels.size, 1))
+        for i in (284, 285, 286):
+            rng = np.random.default_rng(child_seed(20, i))
+            ep = sample_episode(features, labels, 2, 1, 40, rng)
+            assert np.array_equal(support[i].reshape(-1), ep.support_indices)
+            assert np.array_equal(query[i].reshape(-1), ep.query_indices)
+            # 165 words a draw set, and one more where a word is rejected
+            state = rng.bit_generator.state
+            words_read = np.random.PCG64(child_seed(20, i))
+            words_read.advance(83)
+            assert state["state"] == words_read.state["state"]
+            assert state["has_uint32"] == (0 if i == 285 else 1)
+
+    def test_bounds_past_the_word_bound_take_the_generator(self, monkeypatch):
+        labels = shuffled_uneven_labels(seed=7)
+        replayed = episode_rows(labels, 4, 2, 3, 300, master_seed=9)
+        # with every bound of 8 or more left to numpy, every episode is
+        # drawn by _pk_draws
+        monkeypatch.setattr(cirlab.sampling, "_WORD_BOUND", 8)
+        counting, real = Counter(), cirlab.sampling._pk_draws
+
+        def count(*args):
+            counting["_pk_draws"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cirlab.sampling, "_pk_draws", count)
+        drawn = episode_rows(labels, 4, 2, 3, 300, master_seed=9)
+        assert counting["_pk_draws"] == 300
+        for got, want in zip(drawn, replayed):
+            assert np.array_equal(got, want)
+
+
+@st.composite
+def episode_splits(draw):
+    """A shuffled split with gaps in its class ids and the N, K, Q of an
+    episode it serves: some classes of exactly K + Q rows, and N up to
+    the class count."""
+    k, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = draw(st.integers(2, 7))
+    extra = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5, 11]), min_size=count,
+                          max_size=count))
+    n_way = draw(st.integers(2, count))
+    seed = draw(st.integers(0, 2**64 - 1))
+    ids = np.random.default_rng(count).choice(50, count, replace=False)
+    labels = np.random.default_rng(k + q).permutation(
+        np.repeat(ids, [k + q + e for e in extra])
+    )
+    return labels, n_way, k, q, seed
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(split=episode_splits(), episodes=st.integers(1, 12))
+def test_episode_rows_are_per_episode_sample_episode(split, episodes):
+    labels, n, k, q, seed = split
+    support, query = episode_rows(labels, n, k, q, episodes, master_seed=seed)
+    features = np.zeros((labels.size, 1))
+    for i in range(episodes):
+        rng = np.random.default_rng(child_seed(seed, i))
+        ep = sample_episode(features, labels, n, k, q, rng)
+        assert np.array_equal(support[i].reshape(-1), ep.support_indices)
+        assert np.array_equal(query[i].reshape(-1), ep.query_indices)

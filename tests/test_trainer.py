@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import cirlab.nn
-import cirlab.sampling
 import cirlab.trainer
 from cirlab.datagen import Dataset, GeneratorSpec, gen_gaussian_mixture, split_classes
 from cirlab.errors import ConfigurationError, DataError, NumericError
@@ -189,6 +188,33 @@ class TestConfigValidation:
         ten.labels[9] = 0  # class 0 holds 10 rows, so it gives one up
         check_feasible(ten, None, small_cfg(loss_mode="oim"))
 
+    def test_encoder_arrays_beyond_the_bound_refused(self):
+        # the widths of a config and of a split size the first weight
+        # matrix and the class table: each is refused above 2**28 values
+        with pytest.raises(
+            ConfigurationError, match=r"^hidden_dims\[0\] = 20000 x hidden_dims\[1\] = 20000 "
+        ):
+            small_cfg(hidden_dims=(20000, 20000))
+        with pytest.raises(ConfigurationError, match=r"^embed_dim = 268435457 would"):
+            small_cfg(hidden_dims=(), embed_dim=2**28 + 1)
+        small_cfg(hidden_dims=(2**14,), embed_dim=2**14)  # 2**28 exactly
+        wide = Dataset(
+            features=np.zeros((4, 2**15), dtype=np.float32),
+            labels=np.arange(4) % 2, class_count=2, provenance="wide",
+        )
+        with pytest.raises(
+            ConfigurationError, match=r"^input_dim = 32768 x hidden_dims\[0\] = 16384 "
+        ):
+            check_feasible(wide, None, small_cfg(hidden_dims=(2**14,)))
+        many = Dataset(
+            features=np.zeros((2**15, 1), dtype=np.float32),
+            labels=np.arange(2**15), class_count=2**15, provenance="many",
+        )
+        with pytest.raises(
+            ConfigurationError, match=r"^class_count = 32768 x embed_dim = 16384 "
+        ):
+            check_feasible(many, None, small_cfg(embed_dim=2**14))
+
     def test_holdout_float_product_does_not_undershoot(self):
         # 0.29 * 100 is 28.999999999999996 in float: hold out 29, not 28
         labels = np.repeat(np.arange(2), 100)
@@ -301,30 +327,29 @@ class TestTripletTraining:
         self, monkeypatch
     ):
         tr, va, _ = make_splits()
-        cfg = small_cfg()  # batches of 4 rows per class, episodes of 1 + 5
-        real_forward, real_draw = cirlab.nn.forward, cirlab.sampling._pk_draws
+        cfg = small_cfg()
+        real_forward, real_draw = cirlab.nn.forward, cirlab.trainer.episode_rows
         embedded, episode_draws = [], []
 
         def counting_forward(params, x):
             embedded.append(len(x))
             return real_forward(params, x)
 
-        def counting_draw(index, n_classes, per_class, rng):
-            if per_class == cfg.eval_k_shot + cfg.eval_q_queries:
-                episode_draws.append(n_classes)
-            return real_draw(index, n_classes, per_class, rng)
+        def counting_draw(labels, *args):
+            episode_draws.append(args)
+            return real_draw(labels, *args)
 
         for name, module in list(sys.modules.items()):
             # every cirlab module that holds the encoder's forward
             if name.startswith("cirlab") and vars(module).get("forward") is real_forward:
                 monkeypatch.setattr(module, "forward", counting_forward)
-        monkeypatch.setattr(cirlab.sampling, "_pk_draws", counting_draw)
+        monkeypatch.setattr(cirlab.trainer, "episode_rows", counting_draw)
         train(tr, va, cfg)
         assert embedded.count(tr.size) == cfg.epochs
         assert embedded.count(va.size) == cfg.epochs
         assert len(embedded) == cfg.epochs * (cfg.iterations + 2)
         # the train-proxy set and the validation set, each drawn once
-        assert len(episode_draws) == 2 * cfg.eval_episodes
+        assert len(episode_draws) == 2
 
     def test_zero_epochs_returns_init(self):
         tr, va, _ = make_splits()
