@@ -98,13 +98,6 @@ def _numbers(text, kind, flag):
         ) from None
 
 
-def _fractions(text):
-    parts = _numbers(text, float, "--split")
-    if len(parts) != 3:
-        raise ConfigurationError(f"--split needs three fractions, got {text!r}")
-    return parts
-
-
 def cmd_gen(args):
     if args.preset == "reproduce":
         spec = reproduce_spec(args.seed)
@@ -123,7 +116,7 @@ def cmd_gen(args):
     outputs = []
     if args.split:
         split_seed = args.seed if args.split_seed is None else args.split_seed
-        parts = split_classes(ds, _fractions(args.split), seed=split_seed)
+        parts = split_classes(ds, _numbers(args.split, float, "--split"), seed=split_seed)
         stem = args.out[:-5] if args.out.endswith(".cird") else args.out
         for name, part in zip(("train", "val", "test"), parts):
             path = f"{stem}.{name}.cird"

@@ -78,8 +78,6 @@ _KEYS = {
     "holdout_fraction": (float, ("train", "holdout_fraction")),
 }
 
-_SECTIONS = ("main", "stage2")
-
 
 def _split_sections(text):
     """Return {section: {key: (line_no, raw_value)}} plus a list of errors."""

@@ -18,24 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .sampling import check_seed, negative_classes
+from .sampling import check_array_size, check_seed, negative_classes
 
 MAGIC = b"CIRD"
 VERSION = 1
 
 NONLINEARITIES = ("none", "rotate_mix")
-# most values a generated float64 array may hold (2 GiB)
-MAX_GENERATED_VALUES = 2**28
-
-
-def check_array_size(what: str, values: int) -> None:
-    """Refuse an array of more than MAX_GENERATED_VALUES values; what names
-    the settings that size it."""
-    if values > MAX_GENERATED_VALUES:
-        raise ConfigurationError(
-            f"{what} would size an array of {values} values; at most 2**28 "
-            "(2 GiB) are allowed"
-        )
 
 
 # default spec for the reproduction experiments: small classes, mixing
@@ -182,23 +170,16 @@ def floor_count(x):
     return np.where(np.abs(x - nearest) <= 1e-9, nearest, np.floor(x)).astype(np.int64)
 
 
-def split_classes(
-    ds: Dataset, fractions: tuple[float, float, float], seed: int = 0
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Partition the class set into train/val/test by the given fractions.
-
-    Class ids are permuted by seed; the first floor(f_train * C) go to
-    train, the next floor(f_val * C) to val, the rest to test (both
-    counted by `floor_count`). Each split relabels its classes to
-    0..C_split-1 (sampled order) and records the original ids in
-    class_map.
-    """
+def split_counts(fractions: tuple[float, float, float], c: int) -> tuple[int, int, int]:
+    """The train/val/test class counts that `split_classes` gives c
+    classes: floor(f_train * c) and floor(f_val * c) (both counted by
+    `floor_count`), and the rest. Refuses fractions that are not three
+    positive numbers summing to 1 within 1e-9, or that leave a split
+    without a class."""
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ConfigurationError(f"need three positive fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError(f"fractions must sum to 1, got {sum(fractions)}")
-    check_seed(seed, "split seed")
-    c = ds.class_count
     n_train = int(floor_count(fractions[0] * c))
     n_val = int(floor_count(fractions[1] * c))
     n_test = c - n_train - n_val
@@ -207,6 +188,22 @@ def split_classes(
             f"every split needs >= 1 class; fractions {fractions} over {c} "
             f"classes give {n_train}/{n_val}/{n_test}"
         )
+    return n_train, n_val, n_test
+
+
+def split_classes(
+    ds: Dataset, fractions: tuple[float, float, float], seed: int = 0
+) -> tuple[Dataset, Dataset, Dataset]:
+    """Partition the class set into train/val/test by the given fractions.
+
+    Class ids are permuted by seed; the first ones go to train, the next
+    to val, the rest to test, as many as `split_counts` gives. Each split
+    relabels its classes to 0..C_split-1 (sampled order) and records the
+    original ids in class_map.
+    """
+    n_train, n_val, _ = split_counts(fractions, ds.class_count)
+    check_seed(seed, "split seed")
+    c = ds.class_count
 
     perm = np.random.default_rng(seed).permutation(c)
     groups = (

@@ -144,8 +144,7 @@ def gaussian_perturb(
 
 
 def matched_noise_sigma(
-    features: np.ndarray, labels: np.ndarray, tac: ClassTable, strength: float,
-    decoys: np.ndarray,
+    features: np.ndarray, tac: ClassTable, strength: float, decoys: np.ndarray
 ) -> float:
     """Scale for the Gaussian control that matches the mean displacement of
     the blend: mean over rows of strength * ||mu_decoy - z|| / sqrt(dim).

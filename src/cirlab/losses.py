@@ -387,9 +387,10 @@ def study_case_loss(case: StudyCase):
 
     lam = float(case.lam)
     z = W @ x
-    plain = 0.5 * float(np.sum((z - y) ** 2))
+    # the array method, not np.sum's dispatch to it: the same bits, faster
+    plain = 0.5 * float(((z - y) ** 2).sum())
     r = (1.0 - lam) * z + lam * mu - y
-    form_a = 0.5 * float(np.sum(r * r))
-    form_b = 0.5 * float(np.sum(((z - y) - lam * (z - mu)) ** 2))
+    form_a = 0.5 * float((r * r).sum())
+    form_b = 0.5 * float((((z - y) - lam * (z - mu)) ** 2).sum())
     grad_w = (1.0 - lam) * np.outer(r, x)
     return plain, form_a, form_b, grad_w

@@ -37,6 +37,7 @@ from .datagen import (
     gen_gaussian_mixture,
     reproduce_spec,
     split_classes,
+    split_counts,
 )
 from .errors import CirError, ConfigurationError
 from .evaluate import geometry_stats
@@ -60,11 +61,11 @@ class ReproduceSettings:
     treatment; ``epochs`` is written into ``base``, so after construction
     ``base`` is the config the cells train with. The final episodic eval
     takes its way and shot from ``base`` and its query and episode counts
-    from here; its episode set may hold at most 2**28 row indices
-    (`check_episode_set`). ``dataset`` overrides the generator spec (its
-    seed field is replaced by each run's seed); None means the standard
-    benchmark spec. The defaults are the calibrated benchmark preset;
-    tests shrink them.
+    from here (`check_episode_set`). ``dataset`` overrides the generator
+    spec (its seed field is replaced by each run's seed); None means the
+    standard benchmark spec. ``splits`` must give each split a class of
+    the spec's (`split_counts`). The defaults are the calibrated benchmark
+    preset; tests shrink them.
     """
 
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -92,6 +93,7 @@ class ReproduceSettings:
             self.base.eval_n_way, self.base.eval_k_shot, self.eval_q_queries,
             self.eval_episodes, "eval_episodes",
         )
+        split_counts(self.splits, (self.dataset or reproduce_spec()).num_classes)
         object.__setattr__(self, "base", replace(self.base, epochs=self.epochs))
 
 
@@ -169,7 +171,7 @@ def _prepare(settings, seed):
     return inputs
 
 
-def _score_cell(settings, arm, seed, inputs, trained, out_dir):
+def _score_cell(arm, seed, inputs, trained, out_dir):
     """Score one trained (arm, seed) cell on its seed's inputs and write
     its curve CSV.
 
@@ -254,7 +256,7 @@ def _run_seed(packed):
         try:
             if isinstance(result, Exception):
                 raise result
-            outcomes.append(_score_cell(settings, arm, seed, inputs, result, out_dir))
+            outcomes.append(_score_cell(arm, seed, inputs, result, out_dir))
         except Exception as exc:
             outcomes.append((arm, seed, _failure(exc)))
     return outcomes

@@ -23,8 +23,11 @@ episodes at a time in a few vectorized passes, and leaves an episode
 with a word numpy rejects to the generator. It returns the set as its
 (support, query) pair, E x N x K and E x N x Q views of that buffer, so
 the support/query split is made here, where the rows are drawn, and
-scoring takes no K. An episode set may hold at most
-`MAX_EPISODE_ROWS` row indices (`check_episode_set`).
+scoring takes no K. Each rule a draw's inputs must meet has one owner
+here: `check_seed` for seeds, `check_array_size` for the 2**28-value
+budget that generated arrays and episode sets share, `check_episode_set`
+for an episode set's shape, and `ClassIndex.pk_bounds` for a split's
+classes and rows, which PK batches and episodes check alike.
 `negative_classes` draws wrong classes, for blends and label noise.
 """
 
@@ -42,8 +45,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # episodes whose row draws one vectorized replay takes at once: its
 # buffers are this many episodes' draws, whatever the episode count
 _EPISODE_CHUNK = 256
-# the most row indices one episode set may hold: 2**28 int64s, 2 GiB
-MAX_EPISODE_ROWS = 2**28
+# the most values an array that settings size may hold: 2 GiB of 8-byte values
+MAX_ARRAY_VALUES = 2**28
 # draws with an inclusive bound below this read one 32-bit word each;
 # numpy makes the others another way, and episode_rows leaves them to it
 _WORD_BOUND = 0xFFFFFFFF
@@ -100,18 +103,32 @@ def check_seed(seed: int, name: str = "seed") -> None:
         raise ConfigurationError(f"{name} must be < 2**64, got {seed}")
 
 
+def check_array_size(what: str, values: int) -> None:
+    """Refuse an array of more than MAX_ARRAY_VALUES values; what names
+    the settings that size it."""
+    if values > MAX_ARRAY_VALUES:
+        raise ConfigurationError(
+            f"{what} would size an array of {values} values; at most 2**28 "
+            "(2 GiB) are allowed"
+        )
+
+
 def check_episode_set(
     n_way: int, k_shot: int, q_queries: int, episodes: int, name: str = "episodes"
 ) -> None:
-    """Refuse an episode set whose E x N x (K + Q) row array would hold
-    more than MAX_EPISODE_ROWS indices; name is the episode-count setting
-    the message names."""
-    count = episodes * n_way * (k_shot + q_queries)
-    if count > MAX_EPISODE_ROWS:
+    """Refuse an episode set that no draw makes: n_way < 2, k_shot < 1,
+    q_queries < 1 or episodes < 1, or an E x N x (K + Q) row array beyond
+    `check_array_size`'s budget; name is the episode-count setting the
+    messages name."""
+    if n_way < 2 or k_shot < 1 or q_queries < 1 or episodes < 1:
         raise ConfigurationError(
-            f"{name} = {episodes} episodes of {n_way} x ({k_shot} + {q_queries}) "
-            f"rows need {count} row indices; at most 2**28 (2 GiB) are allowed"
+            f"episodes need n_way >= 2 and k_shot, q_queries, {name} >= 1; got "
+            f"{n_way}, {k_shot}, {q_queries}, {episodes}"
         )
+    check_array_size(
+        f"{name} = {episodes} episodes of {n_way} x ({k_shot} + {q_queries}) rows",
+        episodes * n_way * (k_shot + q_queries),
+    )
 
 
 def child_seed(master_seed: int, index: int) -> int:
@@ -134,15 +151,14 @@ def child_seed(master_seed: int, index: int) -> int:
 
 
 class ClassIndex:
-    """Sorted class ids of one split and each class's ascending row array.
+    """Sorted class ids of one split and each class's ascending rows.
 
     `order` holds every row of the split sorted by class, and class i's
-    rows are the `sizes[i]` rows of it from `offsets[i]`; `rows` maps each
-    class id to that (read-only) slice. Build it once per split with
-    `for_episodes`, which checks the class and per-class row counts an
-    episode needs, or with the constructor when the caller has checked the
-    counts its draws need already; batches and episodes then draw from it
-    without rescanning the labels.
+    rows are the `sizes[i]` rows of it from `offsets[i]`. Build it once
+    per split; batches and episodes then draw from it without rescanning
+    the labels. `pk_bounds` is the one check that a split holds what a
+    draw of P classes of K rows needs, for PK batches and for episodes
+    (K + Q rows a class) alike.
     """
 
     def __init__(self, labels: np.ndarray):
@@ -157,42 +173,20 @@ class ClassIndex:
         self.order = order
         self.sizes = sizes.tolist()
         self.offsets = (np.cumsum(sizes) - sizes).tolist()
-        self.rows = {
-            c: order[o : o + n]
-            for c, o, n in zip(self.classes, self.offsets, self.sizes)
-        }
         self._pk_bounds = {}
 
-    @classmethod
-    def for_episodes(
-        cls, labels: np.ndarray, n_way: int, k_shot: int, q_queries: int
-    ) -> "ClassIndex":
-        """Index for N-way K-shot episodes with Q queries per class: at
-        least N classes, every one with K + Q rows."""
-        if n_way < 2:
-            raise ConfigurationError(f"n_way must be >= 2, got {n_way}")
-        if k_shot < 1 or q_queries < 1:
-            raise ConfigurationError("k_shot and q_queries must be >= 1")
-        index = cls(labels)
-        if len(index.classes) < n_way:
-            raise DataError(
-                f"need {n_way} classes for the episode, split has {len(index.classes)}"
-            )
-        need = k_shot + q_queries
-        for c, rows in index.rows.items():
-            if len(rows) < need:
-                raise DataError(
-                    f"class {c} has {len(rows)} samples, episode needs {need}"
-                )
-        return index
-
     def pk_bounds(self, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """`pk_batch`'s draw bounds for P x K batches, built on first use:
+        """The draw bounds of P classes of K rows, built on first use:
         `_choice_bounds(C, P)`, and a C x (2K - 1) array of each class's
-        `_choice_bounds(n_c, K)`."""
+        `_choice_bounds(n_c, K)`. Refuses a split of fewer than P classes,
+        or with a class of fewer than K rows, naming the first."""
         if (p, k) not in self._pk_bounds:
-            if p > len(self.classes) or k > min(self.sizes):
-                raise DataError(f"no {p} classes of {k} rows for a PK batch")
+            if p > len(self.classes):
+                raise DataError(f"split has {len(self.classes)} classes, a draw needs {p}")
+            short = next((i for i, n in enumerate(self.sizes) if n < k), None)
+            if short is not None:
+                c, n = self.classes[short], self.sizes[short]
+                raise DataError(f"class {c} has {n} rows, a draw needs {k}")
             self._pk_bounds[p, k] = (
                 np.array(_choice_bounds(len(self.classes), p), dtype=np.int64),
                 np.array([_choice_bounds(n, k) for n in self.sizes], dtype=np.int64),
@@ -420,7 +414,8 @@ def episode_rows(
     """The (support, query) rows of `episodes` N-way episodes: an
     episodes x n_way x k_shot and an episodes x n_way x q_queries int64
     array, views of one buffer that holds each class's K support rows
-    and then its Q query rows. `check_episode_set` bounds its size.
+    and then its Q query rows. `check_episode_set` checks the set's shape
+    and size, and `ClassIndex.pk_bounds` the split, before it is allocated.
 
     Episode i is drawn with child_seed(master_seed, i), the draw
     `sample_episode` makes from that seed: `_pk_draws`'s two
@@ -443,11 +438,9 @@ def episode_rows(
     bound of 2**32 - 1 or more. The memory the draw holds beyond the
     result is one chunk's, whatever the episode count.
     """
-    if episodes < 1:
-        raise ConfigurationError(f"episodes must be >= 1, got {episodes}")
     check_episode_set(n_way, k_shot, q_queries, episodes)
-    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
-    m = k_shot + q_queries
+    index, m = ClassIndex(labels), k_shot + q_queries
+    index.pk_bounds(n_way, m)
     rows = np.empty((episodes, n_way, m), dtype=np.int64)
     for lo in range(0, episodes, _EPISODE_CHUNK):
         hi = min(lo + _EPISODE_CHUNK, episodes)
@@ -473,7 +466,8 @@ def sample_episode(
     to support; episode labels are 0..N-1 in sampled order. The draws and
     the generator state they leave are `episode_rows`'s for one episode.
     """
-    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
+    check_episode_set(n_way, k_shot, q_queries, 1)
+    index = ClassIndex(labels)
     features = np.asarray(features)
     drawn, draws = _pk_draws(index, n_way, k_shot + q_queries, rng)
     rows = np.empty((n_way, k_shot + q_queries), dtype=np.int64)

@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datagen import Dataset, check_array_size, floor_count
+from .datagen import Dataset, floor_count
 from .errors import ConfigurationError, DataError, NumericError
 from .evaluate import episodic_accuracy, geometry_stats, retrieval_map, cmc_rank1
 from .interference import (
@@ -86,8 +86,8 @@ from .nn import (
     stack_params,
 )
 from .sampling import (
-    ClassIndex, PKSpec, check_episode_set, check_seed, child_seed, episode_rows,
-    negative_classes, pk_batch,
+    ClassIndex, PKSpec, check_array_size, check_episode_set, check_seed,
+    child_seed, episode_rows, negative_classes, pk_batch,
 )
 from .tac import ClassTable, tac_init, tac_update
 
@@ -211,10 +211,6 @@ class TrainConfig:
             raise ConfigurationError(
                 "classification modes need holdout_fraction > 0 for validation"
             )
-        if self.eval_n_way < 2 or self.eval_k_shot < 1 or self.eval_q_queries < 1:
-            raise ConfigurationError("episodic eval needs n_way >= 2, k/q >= 1")
-        if self.eval_episodes < 1:
-            raise ConfigurationError("eval_episodes must be >= 1")
         check_episode_set(
             self.eval_n_way, self.eval_k_shot, self.eval_q_queries,
             self.eval_episodes, "eval_episodes",
@@ -284,12 +280,12 @@ def logs_to_csv(logs: list[EpochLog]) -> str:
 def _holdout_rows(labels: np.ndarray, fraction: float, seed: int):
     """Deterministic stratified holdout: per class, the first floor(fraction
     * count) of a seeded permutation of its rows (counted by `floor_count`)."""
-    rng = np.random.default_rng(seed)
+    rng, index = np.random.default_rng(seed), ClassIndex(labels)
     held = []
-    for rows in ClassIndex(labels).rows.values():
-        take = int(floor_count(fraction * len(rows)))
+    for start, size in zip(index.offsets, index.sizes):
+        take = int(floor_count(fraction * size))
         if take:
-            held.extend(rows[rng.permutation(len(rows))[:take]])
+            held.extend(index.order[start + rng.permutation(size)[:take]])
     held = np.array(sorted(held), dtype=np.int64)
     keep = np.setdiff1d(np.arange(len(labels)), held)
     return keep, held
@@ -300,6 +296,11 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
     if train_ds.size == 0:
         raise DataError("training split is empty")
     _check_class_count(train_ds, "train")
+    if val_ds is not None and val_ds.input_dim != train_ds.input_dim:
+        raise DataError(
+            f"validation split has {val_ds.input_dim} input columns, "
+            f"train split has {train_ds.input_dim}"
+        )
     # the split's widths size the first weight matrix and the class table
     name, width = (
         ("hidden_dims[0]", cfg.hidden_dims[0]) if cfg.hidden_dims
@@ -361,7 +362,7 @@ def _check_class_count(ds: Dataset, split: str) -> None:
         raise DataError(f"{split} split has labels outside [0, {ds.class_count})")
 
 
-def _treat(out, z, labels, decoys, tac, cfg, rng):
+def _treat(out, z, decoys, tac, cfg, rng):
     """Write an arm's treatment of its designated rows, the leading
     len(decoys) rows of z, into out: matched or fixed-scale noise from rng,
     the arm's own noise generator (control arm), the blend toward the
@@ -370,7 +371,7 @@ def _treat(out, z, labels, decoys, tac, cfg, rng):
     if cfg.noise is not None and cfg.noise.enabled:
         sigma = cfg.noise.sigma
         if sigma is None:
-            sigma = matched_noise_sigma(z[:n], labels[:n], tac, blend.strength, decoys)
+            sigma = matched_noise_sigma(z[:n], tac, blend.strength, decoys)
         out[:n] = gaussian_perturb(z[:n], sigma, rng)
     elif blend.enabled and blend.strength > 0.0:
         out[:n] = interfere(z[:n], tac.table[decoys], blend.strength)
@@ -553,7 +554,7 @@ def _step(encoder, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
     if n:
         decoys = negative_classes(rng, y[0, :n], tac.num_classes)
         for s, cfg in enumerate(cfgs):
-            _treat(blended[s], z[s], y[s], decoys, tac.arm(s), cfg, noise_rngs[s])
+            _treat(blended[s], z[s], decoys, tac.arm(s), cfg, noise_rngs[s])
     # the arms share every setting a head reads (`_check_arms`)
     loss, acc, grad_blended, grad_z = parts.head_loss(
         z, blended, y, head, tac, cfgs[0]

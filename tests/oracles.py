@@ -425,9 +425,9 @@ def choice_draw(index, n_classes, per_class, rng):
     drawn = rng.choice(len(index.classes), size=n_classes, replace=False)
     class_ids = tuple(index.classes[int(ci)] for ci in drawn)
     out = np.empty((n_classes, per_class), dtype=np.int64)
-    for slot, c in enumerate(class_ids):
-        rows = index.rows[c]
-        out[slot] = rows[rng.choice(len(rows), size=per_class, replace=False)]
+    for slot, ci in enumerate(drawn):
+        start, size = index.offsets[ci], index.sizes[ci]
+        out[slot] = index.order[start + rng.choice(size, size=per_class, replace=False)]
     return class_ids, out
 
 
@@ -435,7 +435,7 @@ def choice_episode_rows(labels, n_way, k_shot, q_queries, episodes, master_seed)
     """`sampling.episode_rows` one episode at a time: episode i is
     `choice_draw` on a generator seeded child_seed(master_seed, i), whose
     K + Q rows a class are split into (support, query) at K."""
-    index = ClassIndex.for_episodes(labels, n_way, k_shot, q_queries)
+    index = ClassIndex(labels)
     rows = np.empty((episodes, n_way, k_shot + q_queries), dtype=np.int64)
     for i in range(episodes):
         rng = np.random.default_rng(child_seed(master_seed, i))
@@ -460,9 +460,7 @@ def _perturb(z, labels, tac, cfg, rng, noise_rng):
         if n_designated:
             sigma = cfg.noise.sigma
             if sigma is None:
-                sigma = matched_noise_sigma(
-                    z, labels, tac, cfg.interference.strength, decoys
-                )
+                sigma = matched_noise_sigma(z, tac, cfg.interference.strength, decoys)
             blended = z.copy()
             blended[:n_designated] = gaussian_perturb(
                 z[:n_designated], sigma, noise_rng

@@ -398,6 +398,26 @@ class TestTrain:
         assert "train class 0 has 3 samples, episodes need 4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_validation_split_of_another_width_exits_2(self, workdir, tmp_path, capsys):
+        # --dry-run printed "config ok", and training failed after epoch 0
+        assert entrypoint([
+            "gen", "--classes", "8", "--per-class", "12", "--dim", "8", "--seed", "3",
+            "--split", "0.5,0.25,0.25", "-o", str(tmp_path / "wide.cird"),
+        ]) == 0
+        capsys.readouterr()
+        for flags in (["--dry-run"], []):
+            out = tmp_path / "m.ckpt"
+            assert entrypoint([
+                "train", "-c", str(workdir / "run.cfg"),
+                "-d", str(tmp_path / "wide.train.cird"),
+                "--val", str(workdir / "ds.val.cird"), "-o", str(out), *flags,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert err == (
+                "error: validation split has 6 input columns, train split has 8\n"
+            )
+            assert not out.exists()
+
     def test_dry_run_refuses_empty_holdout(self, tmp_path, capsys):
         # 9 rows per class: a 0.1 holdout takes floor(0.9) = 0 of each
         assert entrypoint([

@@ -211,11 +211,11 @@ class TestEpisodicAccuracy:
         labels = labels.copy()
         labels[np.flatnonzero(labels == 1)[0]] = 0
         with pytest.raises(DataError) as from_index:
-            ClassIndex.for_episodes(labels, 3, 1, 3)
+            ClassIndex(labels).pk_bounds(3, 1 + 3)
         with pytest.raises(DataError) as from_eval:
             episode_rows(labels, 3, 1, 3, 10, 0)
         assert str(from_eval.value) == str(from_index.value)
-        assert str(from_eval.value) == "class 1 has 3 samples, episode needs 4"
+        assert str(from_eval.value) == "class 1 has 3 rows, a draw needs 4"
 
     def test_support_and_query_of_other_episode_sets_refused(self):
         # scored anyway, they would pair support means with wrong queries

@@ -260,12 +260,10 @@ class TestGaussianControl:
         tac = ClassTable(table=table, momentum=0.5)
         feats = np.zeros((2, 2))
         decoys = np.array([0, -1])
-        sigma = matched_noise_sigma(feats, np.array([1, 0]), tac, 0.5, decoys)
+        sigma = matched_noise_sigma(feats, tac, 0.5, decoys)
         assert np.isclose(sigma, 0.5 * 5.0 / np.sqrt(2.0))
 
     def test_matched_sigma_no_designated_rows(self):
         tac = tac_init(3, 2)
-        sigma = matched_noise_sigma(
-            np.ones((2, 2)), np.array([0, 1]), tac, 0.5, np.array([-1, -1])
-        )
+        sigma = matched_noise_sigma(np.ones((2, 2)), tac, 0.5, np.array([-1, -1]))
         assert sigma == 0.0

@@ -402,11 +402,11 @@ class TestFailingArms:
         )
 
         # arms 1 and 2 fail in their perturbation, arm 1 first
-        def treat(out, z, labels, decoys, tac, cfg, rng):
+        def treat(out, z, decoys, tac, cfg, rng):
             arm = "cir" if cfg.interference.enabled else "noise" if cfg.noise else None
             if arm:
                 raise RuntimeError(f"{arm} arm failed")
-            return real_treat(out, z, labels, decoys, tac, cfg, rng)
+            return real_treat(out, z, decoys, tac, cfg, rng)
 
         real_treat = cirlab.trainer._treat
         monkeypatch.setattr(cirlab.trainer, "_treat", treat)

@@ -9,7 +9,9 @@ import pytest
 import cirlab.trainer
 import oracles
 from cirlab import reproduce
-from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
+from cirlab.datagen import (
+    GeneratorSpec, gen_gaussian_mixture, reproduce_spec, split_classes,
+)
 from cirlab.errors import ConfigurationError, NumericError
 from cirlab.reproduce import (
     ARMS,
@@ -151,10 +153,10 @@ def test_failures_recorded_not_raised(tmp_path):
 def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
     real_score_cell = reproduce._score_cell
 
-    def score_cell(settings, arm, seed, inputs, trained, out_dir):
+    def score_cell(arm, seed, inputs, trained, out_dir):
         if (arm, seed) == ("cir", 1):
             raise RuntimeError("worker blew up")
-        return real_score_cell(settings, arm, seed, inputs, trained, out_dir)
+        return real_score_cell(arm, seed, inputs, trained, out_dir)
 
     monkeypatch.setattr(reproduce, "_score_cell", score_cell)
     report = run_reproduction(str(tmp_path), settings=SMALL, threads=1)
@@ -306,6 +308,26 @@ def test_settings_validation():
             ReproduceSettings(eval_episodes=episodes)
     with pytest.raises(ConfigurationError, match=r"5 x \(1 \+ 1000000000\) rows"):
         ReproduceSettings(eval_q_queries=10**9)
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(splits=(0.5, 0.5, 0.0)), "need three positive fractions"),
+    (dict(splits=(0.6, 0.3, 0.3)), "fractions must sum to 1"),
+    # 10 / 0 / 2 of TINY_DATASET's 12 classes; the default 40 give 36 / 2 / 2
+    (dict(splits=(0.9, 0.05, 0.05), dataset=TINY_DATASET), "every split needs >= 1 class"),
+    (dict(eval_q_queries=0), "q_queries, eval_episodes >= 1"),
+    (dict(eval_episodes=0), "q_queries, eval_episodes >= 1"),
+])
+def test_settings_refuse_what_would_fail_every_cell(changes, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ReproduceSettings(**changes)
+    if "splits" in changes:
+        # split_classes' own rule, on the spec's class count
+        spec = changes.get("dataset") or reproduce_spec()
+        with pytest.raises(ConfigurationError, match=message):
+            split_classes(gen_gaussian_mixture(spec), changes["splits"])
+    if "dataset" in changes:
+        ReproduceSettings(splits=changes["splits"])
 
 
 # TINY as the settings spelled it when they mirrored TrainConfig

@@ -14,7 +14,7 @@ from cirlab.errors import ConfigurationError, DataError, InputError
 from cirlab.losses import triplet_masks
 from cirlab.sampling import (
     _EPISODE_CHUNK,
-    MAX_EPISODE_ROWS,
+    MAX_ARRAY_VALUES,
     ClassIndex,
     PKSpec,
     _choice_bounds,
@@ -231,8 +231,11 @@ class TestPkBatch:
         labels = np.repeat([0, 1, 2, 3], [10, 10, 10, 3])
         index, rng = ClassIndex(labels), np.random.default_rng(0)
         state = rng.bit_generator.state
-        for p, k in [(2, 4), (5, 2)]:
-            with pytest.raises(DataError, match=f"no {p} classes of {k} rows"):
+        for p, k, message in [
+            (2, 4, "class 3 has 3 rows, a draw needs 4"),
+            (5, 2, "split has 4 classes, a draw needs 5"),
+        ]:
+            with pytest.raises(DataError, match=message):
                 pk_batch(index, PKSpec(p, k), rng)
         assert rng.bit_generator.state == state
 
@@ -378,11 +381,11 @@ class TestSampleEpisode:
         labels = labels.copy()
         labels[np.flatnonzero(labels == 3)[:2]] = 4
         with pytest.raises(DataError) as from_index:
-            ClassIndex.for_episodes(labels, 3, 2, 3)
+            ClassIndex(labels).pk_bounds(3, 2 + 3)
         with pytest.raises(DataError) as from_episode:
             sample_episode(features, labels, 3, 2, 3, np.random.default_rng(0))
         assert str(from_index.value) == str(from_episode.value)
-        assert str(from_episode.value) == "class 3 has 4 samples, episode needs 5"
+        assert str(from_episode.value) == "class 3 has 4 rows, a draw needs 5"
 
     def test_bad_settings(self):
         features, labels = toy_dataset()
@@ -422,11 +425,11 @@ class TestEpisodeRows:
         labels = labels.copy()
         labels[np.flatnonzero(labels == 3)[:2]] = 4
         with pytest.raises(DataError) as from_index:
-            ClassIndex.for_episodes(labels, 3, 2, 3)
+            ClassIndex(labels).pk_bounds(3, 2 + 3)
         with pytest.raises(DataError) as from_rows:
             episode_rows(labels, 3, 2, 3, 10, 0)
         assert str(from_rows.value) == str(from_index.value)
-        assert str(from_rows.value) == "class 3 has 4 samples, episode needs 5"
+        assert str(from_rows.value) == "class 3 has 4 rows, a draw needs 5"
 
     def test_bad_settings(self):
         _, labels = toy_dataset()
@@ -453,14 +456,14 @@ class TestEpisodeRows:
 
     def test_episode_set_size_bound(self):
         # 2 x (1 + 1) rows an episode: 2**26 episodes fill the bound exactly
-        check_episode_set(2, 1, 1, MAX_EPISODE_ROWS // 4)
+        check_episode_set(2, 1, 1, MAX_ARRAY_VALUES // 4)
         with pytest.raises(ConfigurationError, match=r"episodes = 67108865 .*2\*\*28"):
-            check_episode_set(2, 1, 1, MAX_EPISODE_ROWS // 4 + 1)
+            check_episode_set(2, 1, 1, MAX_ARRAY_VALUES // 4 + 1)
         with pytest.raises(ConfigurationError, match="eval_episodes = "):
             check_episode_set(5, 1, 15, 10**30, "eval_episodes")
         # refused before the split is read or a row is allocated
         for episodes in (10**12, 10**30):
-            with pytest.raises(ConfigurationError, match="row indices"):
+            with pytest.raises(ConfigurationError, match="would size an array"):
                 episode_rows(np.array([0, 1]), 5, 1, 15, episodes, 0)
 
 

@@ -11,9 +11,11 @@ per run. The reproduce workload's train_s times the matrix's calls of
 its eval_s times the calls of `cirlab.reproduce.evaluate_checkpoint`,
 so every final episodic score must run inside one. The tracer sums the
 loss's counts and dumps them to JSON, so they must stay Python ints.
-They read perfbench/ and change nothing there.
+They read perfbench/ and change nothing there. The last test scans the
+package's own source for code that nothing reads.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -30,6 +32,7 @@ from cirlab.interference import NoiseConfig
 from cirlab.trainer import TrainConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PACKAGE = Path(cirlab.trainer.__file__).resolve().parent
 
 
 def load_tracer():
@@ -255,3 +258,59 @@ def test_traced_matrix_counts_are_plain_ints(tmp_path):
     # blend no longer goes through interfere_batch
     assert counts["sampling.pk_batch.calls"] == 6
     assert counts["interference.interfere_batch.calls"] == 0
+
+
+# `trainer._mode_parts` picks one of these per run and `_step` calls it
+# with one signature, so each takes the arguments that any of them reads
+SHARED_SIGNATURE = {"_batch_all_loss", "_preformed_loss", "_oim_loss", "_cross_entropy_loss"}
+
+
+def _unread_params(fn):
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    read = {
+        node.id for stmt in body for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [p for p in params if p not in read]
+
+
+def test_package_reads_every_private_name_and_parameter():
+    # a private module-level name that no module reads, or a parameter that
+    # its function never reads (a read in a nested function counts), is
+    # dead code
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                ]
+            else:
+                names = []
+            dead += [
+                f"{module}.{name}" for name in names
+                if name.startswith("_") and not name.startswith("__")
+                and name not in read
+            ]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.Lambda) or (
+                isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and fn.name not in SHARED_SIGNATURE
+            ):
+                name = getattr(fn, "name", "<lambda>")
+                dead += [f"{module}.{name}({p})" for p in _unread_params(fn)]
+    assert dead == []
