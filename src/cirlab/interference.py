@@ -144,19 +144,28 @@ def gaussian_perturb(
 
 
 def matched_noise_sigma(
-    features: np.ndarray, tac: ClassTable, strength: float, decoys: np.ndarray
+    features: np.ndarray,
+    tac: ClassTable,
+    strength: float,
+    decoys: np.ndarray,
+    masked: bool = True,
 ) -> float:
     """Scale for the Gaussian control that matches the mean displacement of
     the blend: mean over rows of strength * ||mu_decoy - z|| / sqrt(dim).
 
     Dividing by sqrt(dim) converts a displacement norm into a per-entry
-    sigma whose expected noise norm is comparable.
+    sigma whose expected noise norm is comparable. A decoy of -1 marks a
+    row that was not designated, which the mean skips; masked=False skips
+    that check for a caller whose every row has a decoy.
     """
     features = np.asarray(features, dtype=np.float64)
     decoys = np.asarray(decoys)
-    mask = decoys >= 0
-    if not mask.any():
+    if masked:
+        keep = decoys >= 0
+        decoys, features = decoys[keep], features[keep]
+    if not len(decoys):
         return 0.0
-    mu = tac.table[decoys[mask]]
-    disp = strength * np.linalg.norm(mu - features[mask], axis=1)
-    return float(disp.mean() / np.sqrt(features.shape[1]))
+    diff = tac.table[decoys] - features
+    # np.linalg.norm(diff, axis=1) and .mean() without their wrappers
+    disp = strength * np.sqrt(np.add.reduce(diff * diff, axis=1))
+    return float(np.add.reduce(disp) / len(disp) / np.sqrt(features.shape[1]))

@@ -16,7 +16,13 @@ tensor, K the largest class in the batch, gives every (a, p) and (a, n)
 active-triple count in O(B^2 K) time and memory. PK batches keep K small.
 The counts are exact integers, so the gradients are bit-identical to
 enumerating the triples; only the loss value moves, by rounding, because
-it is summed in another order.
+it is summed in another order. That order: each batch's per-slot counts
+dotted with their thresholds margin + d(a, p), less its (a, n) counts
+dotted with the distances d(a, n), two dot products over arrays the
+counting already holds. A zero count times an inf or NaN distance makes
+a dot non-finite; a batch where that happens sums only the terms of its
+nonzero counts instead, so a NaN or inf pair stays inactive and the loss
+is finite whenever the B^3 sum is.
 
 Everything that depends only on the batch's label pattern (the positive
 and negative pair masks, the triplet count and the flat gather/scatter
@@ -185,7 +191,7 @@ def batch_all_triplet_loss(
         return _result(single, np.zeros(stacks), np.zeros_like(z), np.zeros_like(z), 0, 0)
     num_triplets = masks.num_triplets * stacks
 
-    count_ap, count_an, total, active = _active_counts(dist, masks, cfg.margin)
+    per_pair, count_an, total, active = _active_counts(dist, masks, cfg.margin)
     num_active = int(active.sum())
     if cfg.reduction == "mean_all":
         # one python scalar for every batch, as each batch alone divides
@@ -198,26 +204,28 @@ def batch_all_triplet_loss(
     if num_active == 0:
         return _result(single, loss, np.zeros_like(z), np.zeros_like(z), num_triplets, 0)
 
-    # per-pair multiplicities, in place on the counts: wa[a,p] triplets
+    # per-pair multiplicities, wc in place on the counts: wa[a,p] triplets
     # where (a,p) is the positive pair, wc[a,n] where (a,n) is the negative
-    # pair, each times the local derivative of the distance term
-    wa, wc = count_ap, count_an
+    # pair, each times the local derivative of the distance term; every
+    # pair but a positive one has a zero wa
+    wa = np.zeros((stacks, b * b))
+    wc = count_an
     if cfg.squared:
-        wa *= 2.0
+        wa[:, masks.pos_index] = per_pair * 2.0
         wc *= 2.0
     else:
         safe = np.where(dist > 0.0, dist, 1.0)
-        wa /= safe
+        wa[:, masks.pos_index] = per_pair / safe.reshape(stacks, -1)[:, masks.pos_index]
         wc /= safe
+    wa = wa.reshape(stacks, b, b)
 
     row_wa = wa.sum(axis=2)
     row_wc = wc.sum(axis=2)
     col_wa = wa.sum(axis=1)
     col_wc = wc.sum(axis=1)
     grad_anchor = w * ((row_wa - row_wc)[:, :, None] * zt - wa @ z + wc @ z)
-    grad_other = w * (
-        (wc.swapaxes(1, 2) - wa.swapaxes(1, 2)) @ zt + (col_wa - col_wc)[:, :, None] * z
-    )
+    wc -= wa  # its transpose is wc.T - wa.T, in the layout of that difference
+    grad_other = w * (wc.swapaxes(1, 2) @ zt + (col_wa - col_wc)[:, :, None] * z)
     # a batch with no active triple has exact zero gradients, as alone
     if stacks > 1 and not active.all():
         idle = active == 0
@@ -243,21 +251,23 @@ def _active_counts(dist, masks, margin):
     """Active-triple counts per pair and the hinge total over them, for
     each of a stack of S batches.
 
-    count_ap[s, a, p] counts the negatives n, and count_an[s, a, n] the
-    positives p, for which (a, p, n) is active; both are float64 holding
-    exact integers. total and active, each batch's hinge total and active
-    count, are S-vectors. Every S x B x K x B and S x B x B temporary is
-    freed on return, before the caller's gradient block.
+    per_pair[s, i] counts the negatives n for which (a, p, n) is active,
+    (a, p) the positive pair at flat index masks.pos_index[i], as unsigned
+    or int64 integers; count_an[s, a, n] counts the positives p for which
+    it is, as float64 holding exact integers. total and active, each
+    batch's hinge total and active count, are S-vectors. Every
+    S x B x K x B temporary is freed on return, before the caller's
+    gradient block.
     """
-    # (a, p, n) is active iff dist[a, n] < s[a, p] with s = margin + dist;
-    # this is the B^3 test fl(s - dist[a, n]) > 0 exactly. Row a of thr
-    # holds anchor a's thresholds over its positives in column order,
+    # (a, p, n) is active iff dist[a, n] < margin + dist[a, p]; this is the
+    # B^3 test fl(margin + dist[a, p] - dist[a, n]) > 0 exactly. Row a of
+    # thr holds anchor a's thresholds over its positives in column order,
     # padded with 0, which no distance lies below; negd holds its negative
     # distances, +inf where the pair is not a negative. A NaN on either
     # side compares false, so a NaN hinge is never active.
     stacks, b = dist.shape[:2]
-    s = margin + dist
-    thresholds = s.reshape(stacks, b * b).take(masks.pos_index, axis=1)
+    thresholds = dist.reshape(stacks, b * b).take(masks.pos_index, axis=1)
+    thresholds += margin
     if masks.slot_index is None:
         thr = thresholds.reshape(stacks, b, masks.width)
     else:
@@ -270,16 +280,30 @@ def _active_counts(dist, masks, margin):
     narrow = np.uint8 if masks.width < 256 else np.int64
     count_an = active.sum(axis=2, dtype=narrow).astype(np.float64)
     per_slot = active.sum(axis=3, dtype=np.uint16 if b < 65536 else np.int64)
+    # each batch's hinge total: its slot counts dotted with their
+    # thresholds (a padded slot is 0 times 0), less its negative counts
+    # dotted with their distances. A zero count times an inf or NaN
+    # distance makes a dot non-finite; such a batch sums the terms of its
+    # nonzero counts alone, as the B^3 hinge skips inactive triples
     per_slot = per_slot.reshape(stacks, -1)
+    thr = thr.reshape(stacks, -1)
+    flat_an, flat_dist = count_an.reshape(stacks, -1), dist.reshape(stacks, -1)
+    total = _row_dots(per_slot, thr) - _row_dots(flat_an, flat_dist)
+    bad = ~np.isfinite(total)
+    if bad.any():
+        pos, neg = per_slot[bad], flat_an[bad]
+        total[bad] = np.sum(pos * thr[bad], axis=1, where=pos > 0, initial=0.0) - np.sum(
+            neg * flat_dist[bad], axis=1, where=neg > 0, initial=0.0
+        )
     if masks.slot_index is not None:
         per_slot = per_slot.take(masks.slot_index, axis=1)
-    count_ap = np.zeros((stacks, b * b))
-    count_ap[:, masks.pos_index] = per_slot
-    count_ap = count_ap.reshape(stacks, b, b)
-    total = (count_ap * s).sum(axis=(1, 2), where=count_ap > 0, initial=0.0) - (
-        count_an * dist
-    ).sum(axis=(1, 2), where=count_an > 0, initial=0.0)
-    return count_ap, count_an, total, per_slot.sum(axis=1, dtype=np.int64)
+    return per_slot, count_an, total, per_slot.sum(axis=1, dtype=np.int64)
+
+
+def _row_dots(a, b):
+    """Each row of a dotted with the same row of b, with the bits of np.dot
+    on the two rows: one BLAS dot per row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def oim_scores(
@@ -387,10 +411,14 @@ def study_case_loss(case: StudyCase):
 
     lam = float(case.lam)
     z = W @ x
-    # the array method, not np.sum's dispatch to it: the same bits, faster
-    plain = 0.5 * float(((z - y) ** 2).sum())
+    # the ufuncs, not the .sum() and np.outer wrappers around them, and
+    # the residual z - y taken once: the same bits, faster
+    e = z - y
+    plain = 0.5 * float(np.add.reduce(e * e))
     r = (1.0 - lam) * z + lam * mu - y
-    form_a = 0.5 * float((r * r).sum())
-    form_b = 0.5 * float((((z - y) - lam * (z - mu)) ** 2).sum())
-    grad_w = (1.0 - lam) * np.outer(r, x)
+    form_a = 0.5 * float(np.add.reduce(r * r))
+    f = e - lam * (z - mu)
+    form_b = 0.5 * float(np.add.reduce(f * f))
+    grad_w = np.multiply(r[:, None], x)
+    grad_w *= 1.0 - lam
     return plain, form_a, form_b, grad_w

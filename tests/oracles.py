@@ -232,8 +232,8 @@ def batch_all_triplet_loss_b3(features, blended_anchors, labels, cfg):
 def batch_all_triplet_loss_boolean(features, blended_anchors, labels, cfg):
     """batch_all_triplet_loss as it was before its masks could be cached:
     the label masks come from the labels on every call, and the threshold
-    rows are gathered and scattered through boolean masks. The cached-mask
-    loss must give the same floats."""
+    rows are gathered and scattered through boolean masks. The hinge total
+    is `hinge_total`'s. The cached-mask loss must give the same floats."""
     z = np.asarray(features, dtype=np.float64)
     zt = np.asarray(blended_anchors, dtype=np.float64)
     labels = np.asarray(labels)
@@ -260,12 +260,10 @@ def batch_all_triplet_loss_boolean(features, blended_anchors, labels, cfg):
     negd = np.where(neg_ok, dist, np.inf)
     active = negd[:, None, :] < thr[:, :, None]
     count_an = active.sum(axis=1, dtype=np.float64)
+    per_slot = active.sum(axis=2)
     count_ap = np.zeros_like(count_an)
-    count_ap[pos_ok] = active.sum(axis=2)[slots]
-    total = float(
-        np.sum(count_ap * s, where=count_ap > 0, initial=0.0)
-        - np.sum(count_an * dist, where=count_an > 0, initial=0.0)
-    )
+    count_ap[pos_ok] = per_slot[slots]
+    total = float(hinge_total(per_slot, thr, count_an, dist))
     num_active = int(count_ap.sum())
     denom = num_triplets if cfg.reduction == "mean_all" else max(num_active, 1)
     loss = total / denom
@@ -290,9 +288,23 @@ def batch_all_triplet_loss_boolean(features, blended_anchors, labels, cfg):
     return TripletBatchResult(loss, grad_anchor, grad_other, num_triplets, num_active)
 
 
+def hinge_total(per_slot, thr, count_an, dist):
+    """One batch's batch-all hinge total in losses._active_counts' order:
+    its slot counts dotted with their padded threshold rows, less its
+    (a, n) counts dotted with their distances, one np.dot each; where that
+    is not finite, the same terms summed over the nonzero counts alone."""
+    p, t = per_slot.ravel().astype(np.float64), thr.ravel()
+    c, d = count_an.ravel(), dist.ravel()
+    total = np.dot(p, t) - np.dot(c, d)
+    if np.isfinite(total):
+        return total
+    return np.sum(p * t, where=p > 0, initial=0.0) - np.sum(c * d, where=c > 0, initial=0.0)
+
+
 def active_counts_bool_sums(dist, masks, margin):
-    """losses._active_counts with its counts summed straight off the bool
-    B^3 tensor, into float64 and into numpy's default integer."""
+    """losses._active_counts with its thresholds gathered from the whole
+    margin + dist square and its counts summed straight off the bool B^3
+    tensor, into float64 and into numpy's default integer."""
     stacks, b = dist.shape[:2]
     s = margin + dist
     thresholds = s.reshape(stacks, b * b).take(masks.pos_index, axis=1)
@@ -304,16 +316,12 @@ def active_counts_bool_sums(dist, masks, margin):
     negd = np.where(masks.neg_ok, dist, np.inf)
     active = negd[:, :, None, :] < thr[:, :, :, None]
     count_an = active.sum(axis=2, dtype=np.float64)
-    per_slot = active.sum(axis=3).reshape(stacks, -1)
+    per_slot = active.sum(axis=3)
+    total = np.array([hinge_total(*batch) for batch in zip(per_slot, thr, count_an, dist)])
+    per_slot = per_slot.reshape(stacks, -1)
     if masks.slot_index is not None:
         per_slot = per_slot.take(masks.slot_index, axis=1)
-    count_ap = np.zeros((stacks, b * b))
-    count_ap[:, masks.pos_index] = per_slot
-    count_ap = count_ap.reshape(stacks, b, b)
-    total = (count_ap * s).sum(axis=(1, 2), where=count_ap > 0, initial=0.0) - (
-        count_an * dist
-    ).sum(axis=(1, 2), where=count_an > 0, initial=0.0)
-    return count_ap, count_an, total, per_slot.sum(axis=1)
+    return per_slot, count_an, total, per_slot.sum(axis=1)
 
 
 def class_means(features, labels, num_classes):

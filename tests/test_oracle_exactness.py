@@ -172,6 +172,11 @@ def assert_same_result(got, want):
     assert np.array_equal(got.grad_other, want.grad_other, equal_nan=True)
 
 
+def bits(x):
+    """The float64 bit patterns of x, so -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
 def class_major_labels(p, k, seed, num_classes=100):
     """A PK batch's labels: p distinct class ids, k rows each, class-major."""
     ids = np.random.default_rng(seed).choice(num_classes, size=p, replace=False)
@@ -179,13 +184,23 @@ def class_major_labels(p, k, seed, num_classes=100):
 
 
 def assert_counts_match(dist, masks, margin=0.5):
-    """_active_counts gives the bool-sum oracle's bits and dtypes."""
+    """_active_counts gives the bool-sum oracle's per-pair counts, and its
+    bits and dtypes in the other counts, the hinge totals and the active
+    counts."""
     got = _active_counts(dist, masks, margin)
     want = active_counts_bool_sums(dist, masks, margin)
-    for g, w in zip(got, want):
+    assert got[0].shape == want[0].shape and np.array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
     return want
+
+
+def padded_labels():
+    """Shuffled labels of uneven classes: padded threshold rows, each
+    anchor's positives scattered over its row."""
+    labels = np.repeat(np.arange(6), [5, 3, 3, 2, 4, 1])
+    return labels[np.random.default_rng(1).permutation(len(labels))]
 
 
 def stacked_distances(stacks, b, dim, seed):
@@ -222,6 +237,25 @@ class TestActiveCountsMatchBoolSums:
         with np.errstate(invalid="ignore"):  # 0 counts times inf in the total
             want = assert_counts_match(dist, masks)
         assert (want[3] > 0).all()
+
+
+    @pytest.mark.parametrize("margin", [0.0, 0.5])
+    def test_padded_stack_with_idle_and_fallback_batches(self, margin):
+        # batch 1 has no active triple; batch 2 has inf negative distances,
+        # whose zero counts make its plain hinge dot NaN, so it sums its
+        # nonzero counts' terms alone and stays finite
+        labels = padded_labels()
+        masks = triplet_masks(labels)
+        assert masks.slot_index is not None
+        dist = stacked_distances(3, len(labels), 4, 5)
+        dist[1] = 1e4 * masks.neg_ok
+        far = masks.neg_ok & (np.arange(len(labels)) % 4 == 0)
+        dist[2][far] = np.inf
+        with np.errstate(invalid="ignore"):  # 0 counts times inf in the dot
+            per_pair, count_an, total, active = assert_counts_match(dist, masks, margin)
+            assert np.isnan(np.dot(count_an[2].ravel(), dist[2].ravel()))
+        assert active[1] == 0 and active[0] > 0 and active[2] > 0
+        assert total[1] == 0.0 and np.isfinite(total).all()
 
 
 class TestCachedMasksMatchBooleanMasks:
@@ -289,6 +323,34 @@ class TestCachedMasksMatchBooleanMasks:
             padded += masks.slot_index is not None
             self.check(z, zt, labels, random_cfg(rng, reduction), masks)
         assert padded > 20
+
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    @pytest.mark.parametrize("squared", [True, False])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_stack_with_idle_and_fallback_batches(self, padded, squared, reduction):
+        # each batch of a 3-stack against the per-call loss alone: batch 1
+        # has no active triple (each class sits on one far point), and
+        # batch 2's NaN row makes its plain hinge dot NaN, so it sums its
+        # nonzero counts' terms alone
+        labels = padded_labels() if padded else np.repeat(np.arange(6), 3)
+        masks = triplet_masks(labels)
+        assert (masks.slot_index is not None) == padded
+        rng = np.random.default_rng(len(labels))
+        z = rng.standard_normal((3, len(labels), 4))
+        zt = z + 0.5 * rng.standard_normal(z.shape)
+        z[1] = zt[1] = 1e4 * labels[:, None]
+        z[2, 3] = np.nan
+        cfg = TripletConfig(0.5, reduction, squared)
+        got = batch_all_triplet_loss(z, zt, np.tile(labels, (3, 1)), cfg, masks)
+        alone = [batch_all_triplet_loss_boolean(z[s], zt[s], labels, cfg) for s in range(3)]
+        assert [r.num_active == 0 for r in alone] == [False, True, False]
+        assert np.isfinite(got.loss).all()
+        for s, want in enumerate(alone):
+            assert bits(got.loss[s]) == bits(want.loss)
+            assert np.array_equal(bits(got.grad_anchor[s]), bits(want.grad_anchor))
+            assert np.array_equal(bits(got.grad_other[s]), bits(want.grad_other))
+        assert got.num_triplets == sum(r.num_triplets for r in alone)
+        assert got.num_active == sum(r.num_active for r in alone)
 
     def test_masks_must_match_the_batch(self):
         z, zt, labels = pk_batch_embeddings(4, 4, 3, seed=0)
