@@ -144,24 +144,19 @@ def gaussian_perturb(
 
 
 def matched_noise_sigma(
-    features: np.ndarray,
-    tac: ClassTable,
-    strength: float,
-    decoys: np.ndarray,
-    masked: bool = True,
+    features: np.ndarray, tac: ClassTable, strength: float, decoys: np.ndarray
 ) -> float:
     """Scale for the Gaussian control that matches the mean displacement of
     the blend: mean over rows of strength * ||mu_decoy - z|| / sqrt(dim).
 
     Dividing by sqrt(dim) converts a displacement norm into a per-entry
     sigma whose expected noise norm is comparable. A decoy of -1 marks a
-    row that was not designated, which the mean skips; masked=False skips
-    that check for a caller whose every row has a decoy.
+    row that was not designated, which the mean skips.
     """
     features = np.asarray(features, dtype=np.float64)
     decoys = np.asarray(decoys)
-    if masked:
-        keep = decoys >= 0
+    keep = decoys >= 0
+    if not keep.all():
         decoys, features = decoys[keep], features[keep]
     if not len(decoys):
         return 0.0

@@ -371,9 +371,7 @@ def _treat(out, z, decoys, tac, cfg, rng):
     if cfg.noise is not None and cfg.noise.enabled:
         sigma = cfg.noise.sigma
         if sigma is None:
-            sigma = matched_noise_sigma(
-                z[:n], tac, blend.strength, decoys, masked=False
-            )
+            sigma = matched_noise_sigma(z[:n], tac, blend.strength, decoys)
         out[:n] = gaussian_perturb(z[:n], sigma, rng)
     elif blend.enabled and blend.strength > 0.0:
         out[:n] = interfere(z[:n], tac.table[decoys], blend.strength)

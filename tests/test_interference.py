@@ -263,7 +263,7 @@ class TestGaussianControl:
         sigma = matched_noise_sigma(feats, tac, 0.5, decoys)
         assert np.isclose(sigma, 0.5 * 5.0 / np.sqrt(2.0))
 
-    def test_matched_sigma_unmasked_gives_the_masked_bits(self):
+    def test_matched_sigma_gives_the_norm_and_mean_bits(self):
         # the old body: np.linalg.norm and .mean() over the designated rows
         rng = np.random.default_rng(3)
         tac = ClassTable(rng.standard_normal((9, 16)), momentum=0.5)
@@ -272,13 +272,12 @@ class TestGaussianControl:
             decoys = rng.integers(0, 9, size=n)
             disp = 0.3 * np.linalg.norm(tac.table[decoys] - feats, axis=1)
             want = float(disp.mean() / np.sqrt(16))
-            assert matched_noise_sigma(feats, tac, 0.3, decoys, masked=False) == want
             assert matched_noise_sigma(feats, tac, 0.3, decoys) == want
             # undesignated rows (-1) beside them leave the masked mean alone
             padded = np.concatenate([decoys, [-1, -1]])
             extra = np.vstack([feats, rng.standard_normal((2, 16))])
             assert matched_noise_sigma(extra, tac, 0.3, padded) == want
-        assert matched_noise_sigma(np.zeros((0, 16)), tac, 0.3, [], masked=False) == 0.0
+        assert matched_noise_sigma(np.zeros((0, 16)), tac, 0.3, []) == 0.0
 
     def test_matched_sigma_no_designated_rows(self):
         tac = tac_init(3, 2)
