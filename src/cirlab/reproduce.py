@@ -19,6 +19,8 @@ one `train` call per arm, so a failing cell fails as it does alone and
 the others keep their bits. The ``threads`` argument sets the number of
 worker processes, min(threads, number of seeds) (below 1 counts as 1),
 each taking whole seeds; with 1 the seeds run serially in this process.
+A worker that dies loses the pool's unfinished seeds, which then run
+again in this process; the seeds that returned keep their results.
 Results are put back in arm-major order before aggregation, so every
 output file is the same at any thread count.
 """
@@ -362,9 +364,21 @@ def run_reproduction(out_dir, settings=None, threads=1):
     if workers > 1:
         # imported here, so that a one-worker run does not pay for it
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            by_seed = list(pool.map(_run_seed, jobs))
+            futures = [pool.submit(_run_seed, job) for job in jobs]
+        by_seed = []
+        for job, future in zip(jobs, futures):
+            try:
+                by_seed.append(future.result())
+            except BrokenProcessPool:
+                # a worker died (the OOM killer, say) and the pool lost the
+                # seeds it had not returned: each runs again here, as a
+                # failed lockstep runs again arm by arm
+                print(f"warning: a worker died; seed {job[1]} runs again "
+                      "in the main process", file=sys.stderr)
+                by_seed.append(_run_seed(job))
     else:
         by_seed = [_run_seed(job) for job in jobs]
     # arm-major, as the summary lists the runs

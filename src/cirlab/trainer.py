@@ -12,11 +12,14 @@ deterministic on one thread. Both episode sets are drawn once per run,
 as the (support, query) pairs of `episode_rows`, and after each epoch
 every split is embedded once for all the metrics scored on it.
 
-Per iteration: sample a batch, embed it, blend the designated rows toward
-drawn wrong-class table rows (or add matched Gaussian noise instead),
-compute the loss on blended-anchor/raw-other rows, pull anchor gradients
-back through the blend's (1 - strength) factor, take one SGD step, then
-fold the *raw pre-step* per-class batch means into the table.
+The draws are made per epoch: `_draw_epoch`, the one reader of the
+training stream, draws an epoch's batches and decoy classes in the order
+a step-by-step draw makes them. Per iteration: embed the batch, blend the
+designated rows toward their decoys' table rows (or add matched Gaussian
+noise instead), compute the loss on blended-anchor/raw-other rows, pull
+anchor gradients back through the blend's (1 - strength) factor, take
+one SGD step, then fold the *raw pre-step* per-class batch means into
+the table.
 
 Every PK batch is class-major with P distinct classes, so its label
 pattern is the same on every step: `_mode_parts` builds the batch-all
@@ -37,8 +40,8 @@ share the split, the initial encoder and table, the episodes and the
 batch label pattern, so each step runs the encoder, the head and its
 loss, the backward pass, the SGD steps and the table update once, on
 arrays with a leading arm axis: every head takes the whole stack. The
-arms designate the same rows, and one training stream draws the batch
-and the decoy classes once for all of them; each arm then treats its
+arms designate the same rows, and one training stream draws each batch
+and its decoy classes once for all of them; each arm then treats its
 own anchors, a noise arm with noise from its own generator, computes
 its own epoch-end metrics, and gets the bits it gets alone. A single run
 is a stack of one arm. A lockstep call finishes for every arm or raises
@@ -407,7 +410,7 @@ def train(
 
     arms are further configs that differ from cfg only in `interference`
     and `noise`, with the same `interference.fraction`. They train in
-    lockstep with cfg: each step draws one batch and one set of decoys,
+    lockstep with cfg: each step takes one batch and one set of decoys,
     and runs the encoder, the loss, the SGD step and the table update
     once for all of them, stacked on a leading arm axis; the anchor
     treatment, each arm's noise generator and the epoch-end metrics stay
@@ -415,6 +418,8 @@ def train(
     config of (cfg, *arms), each with the bits of a `train` call on that
     config alone; the first error any arm hits is raised for the call.
     """
+    if cfg.stage2 is not None:
+        raise ConfigurationError("train runs one stage; use train_two_stage for stage2")
     _check_arms(cfg, arms)
     check_feasible(train_ds, val_ds, cfg)
 
@@ -499,18 +504,15 @@ def train(
     for e in range(cfg.epochs):
         rate = cfg.rate(e)
         loss_sum, acc_sum = np.zeros(count), np.zeros(count)
-        for it in range(cfg.iterations):
-            z, blended, y, loss, acc = _step(
+        draws = _draw_epoch(parts, fit_labels, tac.num_classes, rng, cfg.iterations)
+        for it, (rows, decoys) in enumerate(draws):
+            step = _step(
                 encoder, head, tac, fit_feats, fit_labels, parts, configs,
-                rng, noise_rngs,
+                rows, decoys, noise_rngs,
             )
             # the blended or noised anchors too: the batch-all loss leaves a
             # non-finite anchor's triplets inactive, so its loss stays finite
-            if not (
-                np.isfinite(loss).all()
-                and np.isfinite(z).all()
-                and np.isfinite(blended).all()
-            ):
+            if not all(np.isfinite(a).all() for a in (step.loss, step.z, step.blended)):
                 raise NumericError(
                     f"non-finite loss or embeddings at epoch {epoch_offset + e} "
                     f"iteration {it}"
@@ -519,11 +521,12 @@ def train(
             if head is not None:
                 sgd_step_in_place(head, rate)
             tac = tac_update(
-                tac, z, y, normalize=cfg.tac_normalize, class_rows=parts.class_rows
+                tac, step.z, step.y, normalize=cfg.tac_normalize,
+                class_rows=parts.class_rows,
             )
-            loss_sum += loss
-            if acc is not None:
-                acc_sum += acc
+            loss_sum += step.loss
+            if step.acc is not None:
+                acc_sum += step.acc
         losses, accs = loss_sum.tolist(), acc_sum.tolist()
         for s in range(count):
             logs[s].append(epoch_log(s, e, rate, losses[s], accs[s]))
@@ -532,18 +535,39 @@ def train(
     return outcomes if arms else outcomes[0]
 
 
-def _step(encoder, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
-    """One training step of a stack of arms, for every head; returns (z,
-    blended anchors, y, loss, batch accuracy or None for the triplet
-    heads), each with a leading arm axis, and leaves the gradients of the
-    flat encoder and head (or None) in their gradient buffers.
+class StepRecord(NamedTuple):
+    """What one step of a stack of arms gives back, each with a leading
+    arm axis: the batch's embeddings z, the treated anchors, the labels
+    y, the loss and the batch accuracy (None for the triplet heads)."""
 
-    rng draws one batch and, when the arms designate rows, one decoy class
-    per designated row for every arm; arm s treats its own anchors under
-    cfgs[s] against its own table tac.arm(s), drawing any noise from
-    noise_rngs[s]. The encoder, the head, the loss and the backward pass
-    run once, on the stacked params, head and tables."""
-    rows = parts.sample(rng)
+    z: np.ndarray
+    blended: np.ndarray
+    y: np.ndarray
+    loss: np.ndarray
+    acc: np.ndarray | None
+
+
+def _draw_epoch(parts, labels, num_classes, rng, iterations):
+    """The training stream's draws for `iterations` steps, one (rows,
+    decoys) pair per step, in the order the steps take them: batch t, one
+    decoy class per designated row of it, then batch t + 1. With no row
+    designated, decoys is None and nothing is drawn for it."""
+    n, draws = parts.designated, []
+    for _ in range(iterations):
+        rows = parts.sample(rng)
+        decoys = negative_classes(rng, labels[rows[:n]], num_classes) if n else None
+        draws.append((rows, decoys))
+    return draws
+
+
+def _step(encoder, head, tac, feats, labels, parts, cfgs, rows, decoys, noise_rngs):
+    """One training step of a stack of arms on batch `rows`, for every
+    head; returns its `StepRecord` and leaves the gradients of the flat
+    encoder and head (or None) in their gradient buffers. Arm s treats
+    its designated anchors under cfgs[s] against its own table tac.arm(s)
+    and the `decoys` (None when no row is designated), with any noise
+    from noise_rngs[s]; the encoder, the head, the loss and the backward
+    pass run once, on the stacked params, head and tables."""
     rows = np.broadcast_to(rows, (len(cfgs), rows.size))
     x, y = feats.take(rows, axis=0), labels.take(rows)
     z, cache = forward(encoder.params, x)
@@ -551,8 +575,7 @@ def _step(encoder, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
     # one copy for the stack, untreated arms included, which the arms'
     # treatments then overwrite in place
     blended = z[:, :n_anchor].copy()
-    if n:
-        decoys = negative_classes(rng, y[0, :n], tac.num_classes)
+    if decoys is not None:
         for s, cfg in enumerate(cfgs):
             _treat(blended[s], z[s], decoys, tac.arm(s), cfg, noise_rngs[s])
     # the arms share every setting a head reads (`_check_arms`)
@@ -568,11 +591,11 @@ def _step(encoder, head, tac, feats, labels, parts, cfgs, rng, noise_rngs):
             grad_blended[s, :n] = interfere_backward(grad_blended[s, :n], blend.strength)
     grad_z[:, :n_anchor] += grad_blended
     backward(encoder.params, cache, grad_z, out=encoder.grads)
-    return z, blended, y, loss, acc
+    return StepRecord(z, blended, y, loss, acc)
 
 
 class _Parts(NamedTuple):
-    """The per-mode halves of `_step`; see `_mode_parts`."""
+    """The per-mode parts of `_draw_epoch` and `_step`; see `_mode_parts`."""
 
     sample: Callable
     anchors: int
@@ -582,7 +605,7 @@ class _Parts(NamedTuple):
 
 
 def _mode_parts(cfg, labels, num_classes):
-    """Pick the per-mode halves of `_step` once per run.
+    """Pick the per-mode parts of `_draw_epoch` and `_step` once per run.
 
     sample(rng) returns the batch rows, of which the leading `anchors`
     rows are anchors: all rows of PK and uniform batches, the a-rows of

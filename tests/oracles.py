@@ -41,7 +41,7 @@ from cirlab.nn import (
 )
 from cirlab.sampling import ClassIndex, child_seed, pk_batch
 from cirlab.tac import ClassTable
-from cirlab.trainer import TrainConfig, _step
+from cirlab.trainer import TrainConfig, _draw_epoch, _step
 
 
 def grad_check(params, loss_closure, epsilon=1e-5) -> float:
@@ -580,11 +580,10 @@ def step_cross_entropy(params, head, tac, feats, labels, pk, cfg, rng, noise_rng
     return z, y, loss, acc, grads, head_grads
 
 
-def arm_of_step(out, s):
-    """Arm s of a stacked `trainer._step` result followed by the encoder's
-    and the head's (or None) gradient views, as the plain (z, y, loss, acc,
-    grads, head grads or None) of one arm."""
-    z, _, y, loss, acc, grads, head_grads = out
+def arm_of_step(record, grads, head_grads, s):
+    """Arm s of a stacked `trainer._step` record and the encoder's and the
+    head's (or None) gradient views, as the plain (z, y, loss, acc, grads,
+    head grads or None) of one arm."""
 
     def one(g):
         return None if g is None else ParamGrads(
@@ -592,22 +591,27 @@ def arm_of_step(out, s):
         )
 
     # the triplet heads report no batch accuracy; the per-head steps gave 0.0
-    acc = 0.0 if acc is None else float(acc[s])
-    return z[s], y[s], float(loss[s]), acc, one(grads), one(head_grads)
+    acc = 0.0 if record.acc is None else float(record.acc[s])
+    loss = float(record.loss[s])
+    return record.z[s], record.y[s], loss, acc, one(grads), one(head_grads)
 
 
-def single_step(params, head, tac, feats, labels, parts, cfg, rng, noise_rng=None):
-    """`trainer._step` on a stack of one arm, drawing its batch and decoys
-    from rng and any noise from noise_rng: plain params, head and table
-    in, one arm's plain results out."""
+def single_step(params, head, tac, feats, labels, parts, cfg, rng, noise_rng=None,
+                draw=None):
+    """`trainer._step` on a stack of one arm, on `draw`, one step's (rows,
+    decoys) of `_draw_epoch`, or when draw is None on a one-step
+    `_draw_epoch` from rng, with any noise from noise_rng: plain params,
+    head and table in, one arm's plain results out."""
+    if draw is None:
+        (draw,) = _draw_epoch(parts, labels, tac.num_classes, rng, 1)
     encoder = flatten_params(stack_params([params]))
     if head is not None:
         head = flatten_params(stack_params([head]))
-    out = _step(
+    record = _step(
         encoder, head, ClassTable(tac.table[None], tac.momentum), feats, labels,
-        parts, [cfg], rng, [noise_rng],
+        parts, [cfg], *draw, [noise_rng],
     )
-    return arm_of_step((*out, encoder.grads, None if head is None else head.grads), 0)
+    return arm_of_step(record, encoder.grads, None if head is None else head.grads, 0)
 
 
 # The reproduce settings as they stood when they mirrored TrainConfig's

@@ -253,7 +253,7 @@ class TestLockstepMatchesSeparateRuns:
 
         def step(*args):
             out = real_step(*args)
-            ys.append(out[2])
+            ys.append(out.y)
             return out
 
         monkeypatch.setattr(cirlab.trainer, "_step", step)

@@ -23,7 +23,7 @@ from cirlab.losses import (
 from cirlab.nn import init_params, sgd_step
 from cirlab.sampling import ClassIndex, PKSpec
 from cirlab.tac import ClassTable, tac_init, tac_update
-from cirlab.trainer import TrainConfig, _mode_parts
+from cirlab.trainer import TrainConfig, _draw_epoch, _mode_parts
 from oracles import (
     active_counts_bool_sums,
     batch_all_triplet_loss_b3,
@@ -628,26 +628,36 @@ class TestStepMatchesPerHeadOracles:
             head = init_params((5, 7), "identity", seed=2)
         tac = tac_init(7, 5, seed=3)
         parts = _mode_parts(cfg, labels, tac.num_classes)
-        r_new, r_old = np.random.default_rng(4), np.random.default_rng(4)
-        n_new, n_old = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(3):
-            got = single_step(params, head, tac, feats, labels, parts, cfg, r_new, n_new)
+        r_new, r_old, r_epoch = (np.random.default_rng(4) for _ in range(3))
+        n_new, n_old, n_epoch = (np.random.default_rng(5) for _ in range(3))
+        # the same three steps twice: each drawn as its step starts, and
+        # all three drawn up front by one epoch draw
+        epoch = _draw_epoch(parts, labels, tac.num_classes, r_epoch, 3)
+        for draw in epoch:
             want = oracle_step(
                 head_mode, params, head, tac, feats, labels, cfg, r_old, n_old
             )
-            z, y, loss, acc, grads, head_grads = got
-            assert np.array_equal(z, want[0])
-            assert np.array_equal(y, want[1])
-            assert loss == want[2] and acc == want[3]
-            assert_grads_equal(grads, want[4])
-            assert (head_grads is None) == (want[5] is None)
+            for got in (
+                single_step(params, head, tac, feats, labels, parts, cfg, r_new, n_new),
+                single_step(params, head, tac, feats, labels, parts, cfg, None,
+                            n_epoch, draw),
+            ):
+                z, y, loss, acc, grads, head_grads = got
+                assert np.array_equal(z, want[0])
+                assert np.array_equal(y, want[1])
+                assert loss == want[2] and acc == want[3]
+                assert_grads_equal(grads, want[4])
+                assert (head_grads is None) == (want[5] is None)
+                if head is not None:
+                    assert_grads_equal(head_grads, want[5])
             if head is not None:
-                assert_grads_equal(head_grads, want[5])
                 head = sgd_step(head, head_grads, 0.1)
             params = sgd_step(params, grads, 0.1)
             tac = tac_update(tac, z, y)
-        assert r_new.bit_generator.state == r_old.bit_generator.state
-        assert n_new.bit_generator.state == n_old.bit_generator.state
+        for r in (r_new, r_epoch):
+            assert r.bit_generator.state == r_old.bit_generator.state
+        for n in (n_new, n_epoch):
+            assert n.bit_generator.state == n_old.bit_generator.state
 
     @pytest.mark.parametrize("p,k,fraction", [(10, 5, 0.14), (5, 5, 0.28), (20, 5, 0.07)])
     @pytest.mark.parametrize("head_mode", ["batch_all", "cross_entropy"])

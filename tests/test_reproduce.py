@@ -1,6 +1,9 @@
 """Tests for the three-arm comparison harness (shrunken settings)."""
 
+import concurrent.futures
+import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 import cirlab.trainer
 import oracles
 from cirlab import reproduce
+from cirlab.cli import entrypoint
 from cirlab.datagen import (
     GeneratorSpec, gen_gaussian_mixture, reproduce_spec, split_classes,
 )
@@ -258,6 +262,77 @@ def test_prepared_inputs_are_the_seeded_draws_and_read_only():
                   inputs.val_ds.features, inputs.val_ds.labels,
                   *inputs.train_episodes, *inputs.val_episodes):
         assert not array.flags.writeable
+
+
+REAL_RUN_SEED = reproduce._run_seed
+
+
+def run_seed_dying_in_a_worker(packed):
+    """`_run_seed`, except that a pool worker handed seed 1 dies at once,
+    as a worker the OOM killer takes does."""
+    if packed[1] == 1 and multiprocessing.parent_process() is not None:
+        os._exit(9)
+    return REAL_RUN_SEED(packed)
+
+
+def test_a_dead_worker_loses_no_seed(tmp_path, monkeypatch, capsys):
+    # the broken pool's lost seeds run again in this process: the run
+    # exits 0 with the bytes of a one-thread run, and no worker outlives it
+    args = ["reproduce", "--seeds", "0,1", "--epochs", "1", "-o"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert entrypoint([*args, str(serial), "--threads", "1"]) == 0
+    monkeypatch.setattr(reproduce, "_run_seed", run_seed_dying_in_a_worker)
+    assert entrypoint([*args, str(pooled), "--threads", "2"]) == 0
+    assert multiprocessing.active_children() == []
+    assert "seed 1 runs again in the main process" in capsys.readouterr().err
+
+    def outputs(out):
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if p.name != "reproduce.manifest"}
+
+    assert outputs(pooled) == outputs(serial)
+    assert "summary.csv" in outputs(serial)
+
+
+class LosingPool:
+    """A pool that runs each seed as it is submitted, in this process,
+    and loses seed 1 as a pool whose worker died loses it."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, job):
+        future = concurrent.futures.Future()
+        if job[1] == 1:
+            future.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            future.set_result(fn(job))
+        return future
+
+
+def test_a_broken_pool_keeps_the_seeds_that_returned(tmp_path, monkeypatch):
+    ran = []
+
+    def run_seed(packed):
+        ran.append(packed[1])
+        return REAL_RUN_SEED(packed)
+
+    monkeypatch.setattr(reproduce, "_run_seed", run_seed)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LosingPool)
+    pooled = run_reproduction(str(tmp_path / "pooled"), settings=SMALL, threads=2)
+    # seed 0 ran once, in the pool; seed 1 only after the pool lost it
+    assert ran == [0, 1]
+    serial = run_reproduction(str(tmp_path / "serial"), settings=SMALL, threads=1)
+    assert pooled.ok and pooled.outputs == serial.outputs
+    for name in serial.outputs:
+        got = (tmp_path / "pooled" / name).read_bytes()
+        assert got == (tmp_path / "serial" / name).read_bytes()
 
 
 @pytest.mark.parametrize("seeds", [(0, 1), (0, 1, 2)])

@@ -98,28 +98,33 @@ def count_step_calls(monkeypatch, arms, head="batch_all"):
         monkeypatch.setattr(
             cirlab.trainer, name, counted(name, getattr(cirlab.trainer, name))
         )
+    totals = []
+    for iterations in (1, 2):
+        counts.clear()
+        train_tiny(head, iterations, arms)
+        totals.append(counts.copy())
+    assert all(totals[0][name] >= 1 for name in totals[1])
+    return dict(totals[1] - totals[0])
+
+
+def train_tiny(head, iterations, arms):
+    """Train one epoch of `iterations` steps of a config of this head with
+    the blend off, in lockstep with the first `arms` of (cir, matched
+    noise)."""
     ds = gen_gaussian_mixture(GeneratorSpec(
         num_classes=12, samples_per_class=20, input_dim=8, seed=0,
     ))
     tr, va, _ = split_classes(ds, (0.5, 0.25, 0.25), seed=0)
-    totals = []
-    for iterations in (1, 2):
-        counts.clear()
-        cfg = TrainConfig(
-            epochs=1, iterations=iterations, hidden_dims=(8,), embed_dim=4,
-            p_classes=4, k_samples=3, eval_n_way=3, eval_q_queries=2,
-            eval_episodes=2, **HEADS[head],
-        )
-        off = replace(cfg.interference, enabled=False)
-        cir_noise = (
-            cfg, replace(cfg, interference=off, noise=NoiseConfig(enabled=True))
-        )[:arms]
-        cirlab.trainer.train(
-            tr, va, replace(cfg, interference=off), arms=cir_noise
-        )
-        totals.append(counts.copy())
-    assert all(totals[0][name] >= 1 for name in totals[1])
-    return dict(totals[1] - totals[0])
+    cfg = TrainConfig(
+        epochs=1, iterations=iterations, hidden_dims=(8,), embed_dim=4,
+        p_classes=4, k_samples=3, eval_n_way=3, eval_q_queries=2,
+        eval_episodes=2, **HEADS[head],
+    )
+    off = replace(cfg.interference, enabled=False)
+    cir_noise = (
+        cfg, replace(cfg, interference=off, noise=NoiseConfig(enabled=True))
+    )[:arms]
+    cirlab.trainer.train(tr, va, replace(cfg, interference=off), arms=cir_noise)
 
 
 def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
@@ -154,6 +159,48 @@ def test_every_head_runs_once_on_the_arm_stack(monkeypatch, head, arms):
         want.update(batch_cross_entropy=1, forward=2, backward=2,
                     sgd_step_in_place=2, input_gradient=1)
     assert count_step_calls(monkeypatch, arms, head) == want
+
+
+@pytest.mark.parametrize("head", HEADS)
+def test_the_step_draws_nothing(monkeypatch, head):
+    # the training stream is read outside the step, by `_draw_epoch`
+    # alone: every step takes one batch and one decoy draw, none of them
+    # drawn while the step runs
+    draws = ("pk_batch", "negative_classes", "parts.sample")
+    counts, stepping = Counter(), [False]
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name, stepping[0]] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    real_step, real_parts = cirlab.trainer._step, cirlab.trainer._mode_parts
+
+    def step(*args):
+        stepping[0] = True
+        try:
+            return real_step(*args)
+        finally:
+            stepping[0] = False
+
+    def mode_parts(*args):
+        parts = real_parts(*args)
+        return parts._replace(sample=counted("parts.sample", parts.sample))
+
+    for name in draws[:2]:
+        monkeypatch.setattr(
+            cirlab.trainer, name, counted(name, getattr(cirlab.trainer, name))
+        )
+    monkeypatch.setattr(cirlab.trainer, "_step", step)
+    monkeypatch.setattr(cirlab.trainer, "_mode_parts", mode_parts)
+    train_tiny(head, 3, 2)
+    assert {name: counts[name, True] for name in draws} == dict.fromkeys(draws, 0)
+    assert {name: counts[name, False] for name in draws} == {
+        "pk_batch": 3 if head == "batch_all" else 0,
+        "negative_classes": 3,
+        "parts.sample": 3,
+    }
 
 
 TINY_MATRIX = cirlab.reproduce.ReproduceSettings(

@@ -514,6 +514,12 @@ class TestTwoStage:
         csv_lr = [row.split(",")[2] for row in logs_to_csv(logs).split("\n")[4:7]]
         assert csv_lr == ["0.004", "0.004", "0.002"]
 
+    def test_train_refuses_a_two_stage_config(self):
+        # one stage alone would train stage 1 and drop stage 2 unannounced
+        tr, va, _ = make_splits()
+        with pytest.raises(ConfigurationError, match="use train_two_stage"):
+            train(tr, va, self.cfg_pair())
+
     def test_stage2_activation_must_match(self):
         with pytest.raises(
             ConfigurationError, match="stage2 must keep the stage-1 activation"
