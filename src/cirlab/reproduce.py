@@ -20,7 +20,8 @@ the others keep their bits. The ``threads`` argument sets the number of
 worker processes, min(threads, number of seeds) (below 1 counts as 1),
 each taking whole seeds; with 1 the seeds run serially in this process.
 A worker that dies loses the pool's unfinished seeds, which then run
-again in this process; the seeds that returned keep their results.
+again in this process; the seeds that returned keep their results. A
+worker exits about a second after the process that started it dies.
 Results are put back in arm-major order before aggregation, so every
 output file is the same at any thread count.
 """
@@ -28,6 +29,8 @@ output file is the same at any thread count.
 import math
 import os
 import sys
+import threading
+import time
 import traceback
 from dataclasses import dataclass, field, replace
 
@@ -350,6 +353,19 @@ def _write_plots(out_dir, runs):
     return written
 
 
+def _exit_with_parent():
+    """Pool initializer: a daemon thread ends this worker once the process
+    that started it is gone (PR_SET_PDEATHSIG fires when a thread ends)."""
+    parent = os.getppid()
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_reproduction(out_dir, settings=None, threads=1):
     """Run the full matrix; write curves, summary.csv, and plots.
 
@@ -366,7 +382,7 @@ def run_reproduction(out_dir, settings=None, threads=1):
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent) as pool:
             futures = [pool.submit(_run_seed, job) for job in jobs]
         by_seed = []
         for job, future in zip(jobs, futures):

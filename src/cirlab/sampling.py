@@ -13,22 +13,21 @@ the `choice` oracle in tests/oracles.py). Above those sizes numpy's
 `choice` shuffles a tail of arange(n) instead, and the bytes may differ.
 Episode randomness is derived per-index from a master seed with a fixed
 64-bit avalanche mix, so episode i has the same content no matter how
-many episodes run or in what order. `episode_rows` draws a whole episode
-set up front into one E x N x (K+Q) int64 row buffer, 8 bytes per row
-(640 B for a 5-way episode of 16 rows per class), so a caller that
-scores the same episodes many times draws them once. It does not call
-`integers` per episode: it replays the draws from each episode
-generator's raw 32-bit words by Lemire's method, `_EPISODE_CHUNK`
-episodes at a time in a few vectorized passes, and leaves an episode
-with a word numpy rejects to the generator. It returns the set as its
-(support, query) pair, E x N x K and E x N x Q views of that buffer, so
-the support/query split is made here, where the rows are drawn, and
-scoring takes no K. Each rule a draw's inputs must meet has one owner
-here: `check_seed` for seeds, `check_array_size` for the 2**28-value
-budget that generated arrays and episode sets share, `check_episode_set`
-for an episode set's shape, and `ClassIndex.pk_bounds` for a split's
-classes and rows, which PK batches and episodes check alike.
-`negative_classes` draws wrong classes, for blends and label noise.
+many episodes run or in what order. Training draws an epoch, and
+evaluation an episode set, with no `integers` call per step or episode:
+`pk_epoch` gives every step's batch and decoy classes, `episode_rows`
+every episode's rows as a (support, query) pair of views of one
+E x N x (K+Q) buffer, so scoring takes no K. Both replay numpy's draws
+from the generator's 32-bit words, in a few vectorized passes:
+`integers` makes a draw with a bound b below 2**32 - 1 from one word by
+Lemire's method (b = 0 reads none), and PCG64 hands out each 64-bit word
+low half first. A word numpy rejects (odds below (b + 1) / 2**32) is
+left to the generator, with the same bits. Each rule a draw's inputs
+must meet has one owner here: `check_seed` for seeds, `check_array_size`
+for the 2**28-value budget that generated arrays and episode sets share,
+`check_episode_set` for an episode set's shape, and `ClassIndex.pk_bounds`
+for a split's classes and rows, which PK batches and episodes check
+alike. `negative_classes` draws wrong classes, for blends and label noise.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ _EPISODE_CHUNK = 256
 # the most values an array that settings size may hold: 2 GiB of 8-byte values
 MAX_ARRAY_VALUES = 2**28
 # draws with an inclusive bound below this read one 32-bit word each;
-# numpy makes the others another way, and episode_rows leaves them to it
+# numpy makes the others another way, and the replays leave them to it
 _WORD_BOUND = 0xFFFFFFFF
 
 
@@ -202,12 +201,11 @@ def _choice_bounds(n: int, k: int) -> list[int]:
     return list(range(n - k, n)) + list(range(k - 1, 0, -1))
 
 
-def _choice_replay(draws: list[int], n: int, k: int, start: int = 0) -> list[int]:
-    """start + the values `Generator.choice(n, k, replace=False)` returns
-    in Floyd's branch, given the draws it makes on `_choice_bounds(n, k)`."""
+def _choice_replay(draws: list[int], n: int, k: int) -> list[int]:
+    """The values `Generator.choice(n, k, replace=False)` returns in
+    Floyd's branch, given the draws it makes on `_choice_bounds(n, k)`."""
     out, seen = [], set()
-    for j, v in zip(range(start + n - k, start + n), draws):
-        v += start
+    for j, v in zip(range(n - k, n), draws):
         if v in seen:
             v = j
         seen.add(v)
@@ -239,23 +237,17 @@ def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.nd
 
     Each k-of-n draw is Floyd's selection, one Lemire-bounded draw in
     [0, j] for j = n-k..n-1, then a Fisher-Yates shuffle, one in [0, i]
-    for i = k-1..1: uniform and ordered at any n, in O(k).
-    `rng.integers(0, bounds, endpoint=True)` with array bounds makes the
-    bounded draws in order, so two such calls, one for the classes and
-    one for every drawn class's rows, feed the whole batch. For n <= 10000
-    numpy's `choice(n, k, replace=False)` makes the same draws, so the
-    batch and the generator state it leaves are those of 1 + P `choice`
-    calls (above it numpy shuffles a tail of arange(n) instead). The rows
-    are replayed one class at a time: at P x K = 8 x 4 that beats
-    `_floyd_replay`'s vectorized pass.
+    for i = k-1..1: uniform and ordered at any n, in O(k). Two
+    `rng.integers` calls with array bounds make them in order, one for
+    the classes and one for every drawn class's rows, replayed by one
+    `_floyd_replay`. Training draws an epoch's batches with `pk_epoch`,
+    the bits of one `pk_batch` a step, which the tests check against
+    this one-batch draw.
     """
-    k = spec.k_samples
-    drawn, draws = _pk_draws(index, spec.p_classes, k, rng)
-    offsets, sizes = index.offsets, index.sizes
-    flat = []
-    for ci, row in zip(drawn, draws.tolist()):
-        flat += _choice_replay(row, sizes[ci], k, offsets[ci])
-    return index.order[flat]
+    drawn, draws = _pk_draws(index, spec.p_classes, spec.k_samples, rng)
+    rows = np.empty((spec.p_classes, spec.k_samples), dtype=np.int64)
+    _episode_set_rows(index, np.asarray(drawn), draws, rows)
+    return rows.reshape(-1)
 
 
 def negative_classes(
@@ -403,6 +395,65 @@ def _episode_draws(
     return classes, draws
 
 
+def _next_words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Take the next count 32-bit words that rng's PCG64 gives bounded
+    draws: a pending high half, then `random_raw`'s words, low half first,
+    leaving numpy's state (a spent last high half stays in it)."""
+    bits, words = rng.bit_generator, np.empty(count, dtype=np.uint32)
+    state = bits.state
+    pending = min(state["has_uint32"], count)
+    raw = bits.random_raw(-(-(count - pending) // 2))
+    words[:pending], words[pending:] = state["uinteger"], raw.view("<u4")[: count - pending]
+    if raw.size:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = (count - pending) % 2, int(raw[-1] >> 32)
+    elif pending:
+        state["has_uint32"] = 0
+    bits.state = state
+    return words
+
+
+def pk_epoch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator, steps: int,
+             designated: int, num_classes: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows (steps x P*K) and decoys (steps x designated, or None) of
+    `steps` steps: the bits and final state of one `pk_batch` and one
+    `negative_classes` draw for the batch's leading designated rows a step.
+    A step reads a fixed block of words, so one `_next_words` call feeds
+    the epoch. It draws step by step, from its starting state, on a
+    rejected word, a class of exactly K rows (whose bound of 0 reads no
+    word), a bound of 2**32 - 1 or more, another bit generator than PCG64
+    or a big-endian host."""
+    p, k = spec.p_classes, spec.k_samples
+    class_bounds, row_bounds = index.pk_bounds(p, k)
+    decoy_bound, per_step = num_classes - 2, p * (2 * k - 1)
+    wrong = np.full((steps, designated), decoy_bound, dtype=np.int64)
+    bits, bound = rng.bit_generator, max(class_bounds.max(), row_bounds.max(), decoy_bound)
+    saved, rejected = bits.state, not isinstance(bits, np.random.PCG64) or (
+        sys.byteorder != "little" or row_bounds.min() == 0 or bound >= _WORD_BOUND)
+    if not rejected:
+        class_words = int(np.count_nonzero(class_bounds))
+        width = class_words + per_step + designated * (decoy_bound > 0)
+        words = _next_words(rng, steps * width).reshape(steps, width)
+        classes, bad = _replayed_classes(class_bounds, words, len(index.classes), p)
+        draws = row_bounds[classes].reshape(steps, per_step)
+        row_words = words[:, class_words : class_words + per_step]
+        rejected = bad.size or _lemire_draws(draws, row_words).size
+        if decoy_bound:
+            rejected = rejected or _lemire_draws(wrong, words[:, width - designated :]).size
+    if rejected:
+        bits.state = saved
+        classes, draws = np.empty((steps, p), np.int64), np.empty((steps, per_step), np.int64)
+        for t in range(steps):
+            drawn, again = _pk_draws(index, p, k, rng)
+            classes[t], draws[t] = drawn, again.reshape(-1)
+            wrong[t] = rng.integers(0, num_classes - 1, size=designated)
+    rows = np.empty((steps, p, k), dtype=np.int64)
+    _episode_set_rows(index, classes, draws, rows)
+    labels = np.repeat(np.asarray(index.classes)[classes], k, axis=1)[:, :designated]
+    # `negative_classes`'s shift past each row's own class
+    return rows.reshape(steps, p * k), wrong + (wrong >= labels) if designated else None
+
+
 def episode_rows(
     labels: np.ndarray,
     n_way: int,
@@ -424,19 +475,14 @@ def episode_rows(
     of at most 10000 classes and 10000 rows a class (above either, numpy's
     `choice` shuffles a tail of arange(n), and the rows may differ).
 
-    The draws are replayed from the generator's raw words, not made by
-    it (`_episode_draws`). `integers` makes each draw with a bound below
-    2**32 - 1 from one 32-bit word by Lemire's method, reading the 64-bit
-    words of a fresh PCG64 low half first (a bound of 0 reads none), so
-    one `random_raw` call per episode gives every word its draws read
-    unless numpy rejects one. Each `_EPISODE_CHUNK` episodes then take one
-    `_lemire_draws` pass for their class draws, one `_floyd_replay` of the
-    classes, one `_lemire_draws` pass for their row draws, at the word
-    positions the class draws leave, and one `_floyd_replay` of the rows.
-    An episode with a rejected word (odds below (b + 1) / 2**32 a draw)
-    is drawn again by `_pk_draws`, as is every episode of a split with a
-    bound of 2**32 - 1 or more. The memory the draw holds beyond the
-    result is one chunk's, whatever the episode count.
+    The draws are replayed from each episode generator's words
+    (`_episode_draws`): one `random_raw` call per episode, then for each
+    `_EPISODE_CHUNK` episodes a Lemire pass and a Floyd replay for their
+    classes, and another pair for their rows, at the word positions the
+    class draws leave. An episode with a rejected word is drawn again by
+    `_pk_draws`, as is every episode of a split with a bound of 2**32 - 1
+    or more. The memory the draw holds beyond the result is one chunk's,
+    whatever the episode count.
     """
     check_episode_set(n_way, k_shot, q_queries, episodes)
     index, m = ClassIndex(labels), k_shot + q_queries

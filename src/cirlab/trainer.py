@@ -13,13 +13,13 @@ as the (support, query) pairs of `episode_rows`, and after each epoch
 every split is embedded once for all the metrics scored on it.
 
 The draws are made per epoch: `_draw_epoch`, the one reader of the
-training stream, draws an epoch's batches and decoy classes in the order
-a step-by-step draw makes them. Per iteration: embed the batch, blend the
-designated rows toward their decoys' table rows (or add matched Gaussian
-noise instead), compute the loss on blended-anchor/raw-other rows, pull
-anchor gradients back through the blend's (1 - strength) factor, take
-one SGD step, then fold the *raw pre-step* per-class batch means into
-the table.
+training stream, draws an epoch's batches and decoy classes with the
+bits of a step-by-step draw, in one `pk_epoch` call for batch-all PK
+runs. Per iteration: embed the batch, blend the designated rows toward
+their decoys' table rows (or add matched Gaussian noise instead),
+compute the loss on blended-anchor/raw-other rows, pull anchor gradients
+back through the blend's (1 - strength) factor, take one SGD step, then
+fold the *raw pre-step* per-class batch means into the table.
 
 Every PK batch is class-major with P distinct classes, so its label
 pattern is the same on every step: `_mode_parts` builds the batch-all
@@ -90,7 +90,7 @@ from .nn import (
 )
 from .sampling import (
     ClassIndex, PKSpec, check_array_size, check_episode_set, check_seed,
-    child_seed, episode_rows, negative_classes, pk_batch,
+    child_seed, episode_rows, negative_classes, pk_epoch,
 )
 from .tac import ClassTable, tac_init, tac_update
 
@@ -551,8 +551,12 @@ def _draw_epoch(parts, labels, num_classes, rng, iterations):
     """The training stream's draws for `iterations` steps, one (rows,
     decoys) pair per step, in the order the steps take them: batch t, one
     decoy class per designated row of it, then batch t + 1. With no row
-    designated, decoys is None and nothing is drawn for it."""
+    designated, decoys is None and nothing is drawn for it. A batch-all PK
+    epoch is one `pk_epoch` call, with the same bits."""
     n, draws = parts.designated, []
+    if parts.epoch is not None:
+        rows, decoys = parts.epoch(rng, iterations, n, num_classes)
+        return list(zip(rows, [None] * iterations if decoys is None else decoys))
     for _ in range(iterations):
         rows = parts.sample(rng)
         decoys = negative_classes(rng, labels[rows[:n]], num_classes) if n else None
@@ -597,19 +601,22 @@ def _step(encoder, head, tac, feats, labels, parts, cfgs, rows, decoys, noise_rn
 class _Parts(NamedTuple):
     """The per-mode parts of `_draw_epoch` and `_step`; see `_mode_parts`."""
 
-    sample: Callable
+    sample: Callable | None
     anchors: int
     designated: int
     head_loss: Callable
     class_rows: int | None
+    epoch: Callable | None = None
 
 
 def _mode_parts(cfg, labels, num_classes):
     """Pick the per-mode parts of `_draw_epoch` and `_step` once per run.
 
-    sample(rng) returns the batch rows, of which the leading `anchors`
-    rows are anchors: all rows of PK and uniform batches, the a-rows of
-    preformed mining's [a | p | n] stack of batch_size independent draws.
+    sample(rng) returns one step's batch rows, of which the leading
+    `anchors` rows are anchors: all rows of PK and uniform batches, the
+    a-rows of preformed mining's [a | p | n] stack of batch_size
+    independent draws. Batch-all PK runs have epoch(rng, steps,
+    designated, num_classes), `pk_epoch` on the split, in its place.
     The leading `designated` anchors are the ones the arms treat; every
     arm designates as many (`_check_arms`).
     head_loss(z, blended, y, head, tac, cfg) takes a stack of arms: z, the
@@ -643,11 +650,12 @@ def _mode_parts(cfg, labels, num_classes):
         # every PK batch has this label pattern, whichever classes it draws
         masks = triplet_masks(np.repeat(np.arange(pk.p_classes), pk.k_samples))
         return _Parts(
-            (lambda rng: pk_batch(index, pk, rng)),
+            None,
             b,
             designated,
             partial(_batch_all_loss, masks=masks),
             pk.k_samples,
+            partial(pk_epoch, index, pk),
         )
     # for each position of `index.order`: where its class's block starts,
     # and how many rows it holds

@@ -232,7 +232,8 @@ class TestLockstepMatchesSeparateRuns:
 
     def test_reproduce_arms_share_every_batch_and_decoy_draw(self, monkeypatch):
         # the paired design: in the seed's one lockstep call every arm
-        # trains on the same rows, from one batch and one decoy draw a step
+        # trains on the same rows, from one draw of an epoch's batches and
+        # decoys
         seed = TINY.seeds[0]
         inputs = reproduce._prepare(TINY, seed)
         configs = [reproduce._train_config(TINY, arm, seed) for arm in reproduce.ARMS]
@@ -247,7 +248,7 @@ class TestLockstepMatchesSeparateRuns:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(reproduce, "train")
-        counted(cirlab.trainer, "pk_batch")
+        counted(cirlab.trainer, "pk_epoch")
         counted(cirlab.trainer, "negative_classes")
         real_step = cirlab.trainer._step
 
@@ -260,7 +261,7 @@ class TestLockstepMatchesSeparateRuns:
         outcomes = reproduce._train_arms(inputs, configs)
         assert all(type(o) is tuple for o in outcomes)
         steps = configs[0].epochs * configs[0].iterations
-        assert calls == {"train": 1, "pk_batch": steps, "negative_classes": steps}
+        assert calls == {"train": 1, "pk_epoch": configs[0].epochs}
         assert len(ys) == steps
         assert all(y.shape[0] == 3 and (y == y[0]).all() for y in ys)
 

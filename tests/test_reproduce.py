@@ -3,6 +3,9 @@
 import concurrent.futures
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
@@ -294,11 +297,64 @@ def test_a_dead_worker_loses_no_seed(tmp_path, monkeypatch, capsys):
     assert "summary.csv" in outputs(serial)
 
 
+def _stat(pid):
+    """The state and parent pid fields of /proc/<pid>/stat, or None once
+    the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"  # a zombie has exited
+
+
+def _children(pid):
+    return [int(e) for e in os.listdir("/proc")
+            if e.isdigit() and _alive(int(e)) and _stat(int(e))[1] == pid]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="finds workers in /proc")
+def test_a_killed_run_leaves_no_worker(tmp_path):
+    # a SIGKILL of the main process: each worker sees its parent gone
+    # within about a second and exits, not after it has run its seeds
+    src = os.path.dirname(os.path.dirname(reproduce.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["reproduce", "--seeds", "0,1", "--threads", "2", "-o", str(tmp_path)]
+    main = subprocess.Popen(
+        [sys.executable, "-c", f"from cirlab.cli import entrypoint; entrypoint({argv!r})"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 10
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = _children(main.pid)
+        assert len(workers) == 2
+        main.kill()
+        main.wait(timeout=5)
+        deadline = time.monotonic() + 3
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        main.kill()
+        main.wait(timeout=5)
+        for pid in filter(_alive, workers):
+            os.kill(pid, 9)
+
+
 class LosingPool:
     """A pool that runs each seed as it is submitted, in this process,
     and loses seed 1 as a pool whose worker died loses it."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         pass
 
     def __enter__(self):

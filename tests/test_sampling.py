@@ -1,11 +1,12 @@
 """Tests for PK batches, episodes, and derived seeds."""
 
+import copy
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cirlab.sampling
@@ -21,11 +22,14 @@ from cirlab.sampling import (
     _choice_replay,
     _floyd_replay,
     _lemire_draws,
+    _next_words,
     check_episode_set,
     check_seed,
     child_seed,
     episode_rows,
+    negative_classes,
     pk_batch,
+    pk_epoch,
     sample_episode,
 )
 from oracles import choice_draw, choice_episode_rows
@@ -662,3 +666,153 @@ def test_episode_rows_are_per_episode_sample_episode(split, episodes):
         ep = sample_episode(features, labels, n, k, q, rng)
         assert np.array_equal(support[i].reshape(-1), ep.support_indices)
         assert np.array_equal(query[i].reshape(-1), ep.query_indices)
+
+
+def step_by_step(labels, spec, rng, steps, designated, num_classes):
+    """The reference epoch: per step, one `pk_batch`, then one
+    `negative_classes` draw for the batch's leading designated rows."""
+    index, rows, decoys = ClassIndex(labels), [], []
+    for _ in range(steps):
+        rows.append(pk_batch(index, spec, rng))
+        if designated:
+            decoys.append(negative_classes(rng, labels[rows[-1][:designated]], num_classes))
+    rows = np.array(rows, dtype=np.int64).reshape(steps, spec.batch_size)
+    return rows, np.array(decoys, dtype=np.int64) if designated else None
+
+
+def assert_epochs_are_steps(labels, p, k, steps, designated, num_classes, rng, epochs=2):
+    """pk_epoch gives the rows, the decoys and the generator state of the
+    step-by-step draw, after each of `epochs` consecutive epochs."""
+    index, spec, ref = ClassIndex(labels), PKSpec(p, k), copy.deepcopy(rng)
+    for _ in range(epochs):
+        rows, decoys = pk_epoch(index, spec, rng, steps, designated, num_classes)
+        want_rows, want_decoys = step_by_step(labels, spec, ref, steps, designated, num_classes)
+        assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
+        if designated:
+            assert decoys.dtype == np.int64 and np.array_equal(decoys, want_decoys)
+        else:
+            assert decoys is None
+        # assert_equal compares the arrays in other bit generators' states
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
+class TestPkEpoch:
+    @pytest.mark.parametrize(
+        "labels,p,k,designated",
+        [(REPRODUCE_LABELS, 8, 4, 32), (CLI_LABELS, 32, 8, 256), (CLI_LABELS, 5, 3, 7)],
+        ids=["reproduce-8x4", "cli-32x8", "cli-ends-in-a-class"],
+    )
+    def test_replays_the_step_by_step_draw(self, monkeypatch, labels, p, k, designated):
+        # the workloads' splits have no class of exactly K rows: every
+        # epoch is replayed, none drawn step by step
+        def refused(*args):
+            raise AssertionError("drawn step by step")
+
+        index, spec = ClassIndex(labels), PKSpec(p, k)
+        num_classes = int(labels.max()) + 1
+        rng, ref = np.random.default_rng(p * k), np.random.default_rng(p * k)
+        monkeypatch.setattr(cirlab.sampling, "_pk_draws", refused)
+        epochs = [
+            (*pk_epoch(index, spec, rng, 25, designated, num_classes), rng.bit_generator.state)
+            for _ in range(3)
+        ]
+        monkeypatch.undo()
+        for rows, decoys, state in epochs:
+            want = step_by_step(labels, spec, ref, 25, designated, num_classes)
+            assert np.array_equal(rows, want[0]) and np.array_equal(decoys, want[1])
+            assert state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("classes,p", [(7, 3), (6, 4), (5, 5)])
+    def test_a_rejected_word_draws_the_epoch_step_by_step(self, monkeypatch, classes, p):
+        # a pending half of 0 is the first class draw's word: numpy rejects
+        # it for the bound C - P, as 2**32 mod (C - P + 1) > 0, unless that
+        # bound is 0 (C == P), which reads no word
+        labels = np.repeat(np.arange(classes), 5)
+        counting, real = Counter(), cirlab.sampling._pk_draws
+
+        def count(*args):
+            counting["_pk_draws"] += 1
+            return real(*args)
+
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            state = rng.bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, 0
+            rng.bit_generator.state = state
+            ref = copy.deepcopy(rng)
+            counting.clear()
+            monkeypatch.setattr(cirlab.sampling, "_pk_draws", count)
+            got = pk_epoch(ClassIndex(labels), PKSpec(p, 2), rng, 4, 3, classes + 1)
+            monkeypatch.undo()
+            want = step_by_step(labels, PKSpec(p, 2), ref, 4, 3, classes + 1)
+            assert counting["_pk_draws"] == (0 if classes == p else 4)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_other_bit_generators_draw_step_by_step(self):
+        labels = shuffled_uneven_labels(seed=3)
+        for bits in (np.random.MT19937(4), np.random.Philox(4), np.random.SFC64(4)):
+            assert_epochs_are_steps(labels, 4, 3, 5, 6, 21, np.random.Generator(bits))
+
+    @pytest.mark.parametrize("pending", [False, True])
+    def test_next_words_are_the_words_integers_reads(self, pending):
+        # a draw in [0, 1] reads one word, which numpy never rejects, and
+        # returns its top bit
+        for count in range(6):
+            rng = np.random.default_rng(count)
+            if pending:
+                rng.integers(0, 7, dtype=np.int32)
+            ref = copy.deepcopy(rng)
+            words = _next_words(rng, count)
+            assert np.array_equal(words >> 31, ref.integers(0, 2, size=count))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_no_steps_draw_nothing(self):
+        rng = np.random.default_rng(1)
+        rng.integers(0, 7, dtype=np.int32)
+        state = rng.bit_generator.state
+        rows, decoys = pk_epoch(ClassIndex(REPRODUCE_LABELS), PKSpec(8, 4), rng, 0, 5, 25)
+        assert rows.shape == (0, 32) and decoys.shape == (0, 5)
+        assert rng.bit_generator.state == state
+
+
+@st.composite
+def pk_epoch_splits(draw):
+    """A shuffled split of class ids below num_classes, with gaps, the
+    P x K of its batches and the count of designated rows: some classes
+    of exactly K rows, P up to the class count, num_classes down to 2."""
+    k, count = draw(st.integers(2, 4)), draw(st.integers(2, 7))
+    extra = draw(st.lists(st.sampled_from([0, 1, 1, 2, 5]), min_size=count,
+                          max_size=count))
+    num_classes = count + draw(st.integers(0, 3))
+    ids = np.random.default_rng(num_classes).choice(num_classes, count, replace=False)
+    labels = np.random.default_rng(k).permutation(np.repeat(ids, [k + e for e in extra]))
+    p = draw(st.integers(2, count))
+    return labels, p, k, draw(st.integers(0, p * k)), num_classes
+
+
+def epoch_case(sizes, p, k, designated, num_classes):
+    labels = np.random.default_rng(0).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return labels, p, k, designated, num_classes
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(split=pk_epoch_splits(), steps=st.integers(1, 5), pending=st.booleans(),
+       seed=st.integers(0, 2**64 - 1))
+# C == P, with an odd word count a step (2P - 2 + P(2K - 1) + 5 = 19)
+@example(epoch_case([3, 4, 5], 3, 2, 5, 4), 3, False, 1)
+# a class of exactly K rows: the epoch is drawn step by step
+@example(epoch_case([3, 2, 6, 4], 3, 2, 4, 4), 3, True, 2)
+# num_classes == 2: a decoy bound of 0 reads no word (3 + 6 = 9 a step)
+@example(epoch_case([4, 5], 2, 3, 4, 2), 3, False, 3)
+# fraction 0: no decoy is drawn (5 + 9 = 14 a step, with a half pending)
+@example(epoch_case([3, 3, 4, 5, 6], 3, 2, 0, 5), 3, True, 4)
+# a fraction that ends inside a class (5 + 15 + 4 = 24 words, pending)
+@example(epoch_case([4, 4, 5, 6], 3, 3, 4, 6), 1, True, 5)
+def test_pk_epoch_is_the_step_by_step_draw(split, steps, pending, seed):
+    labels, p, k, designated, num_classes = split
+    rng = np.random.default_rng(seed)
+    if pending:
+        # a 32-bit draw leaves the other half of a 64-bit word pending
+        rng.integers(0, 7, dtype=np.int32)
+    assert_epochs_are_steps(labels, p, k, steps, designated, num_classes, rng, epochs=3)

@@ -67,9 +67,12 @@ def test_reproduce_workload_call_contract():
 
 
 STEP_CALLS = (
-    "pk_batch", "forward", "negative_classes", "batch_all_triplet_loss",
-    "backward", "sgd_step_in_place", "tac_update",
+    "forward", "batch_all_triplet_loss", "backward", "sgd_step_in_place", "tac_update",
 )
+# the training stream's draws: the batch-all head draws an epoch's
+# batches and decoys in one pk_epoch call, the others one
+# negative_classes call a step
+DRAW_CALLS = ("pk_epoch", "negative_classes")
 # the softmax heads' layers, which the batch-all head never calls;
 # label_smooth builds the run's target table once, so no step calls it
 SOFTMAX_CALLS = ("oim_scores", "label_smooth", "batch_cross_entropy", "input_gradient")
@@ -85,7 +88,8 @@ HEADS = {
 def count_step_calls(monkeypatch, arms, head="batch_all"):
     """Each step layer's calls in one more training step of a call that
     trains a config of this head plus `arms` further configs in lockstep;
-    layers the step does not call are left out."""
+    layers the step does not call are left out. The batch-all head's
+    epoch is one pk_epoch call, however many steps and arms it has."""
     counts = Counter()
 
     def counted(name, fn):
@@ -94,7 +98,7 @@ def count_step_calls(monkeypatch, arms, head="batch_all"):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in STEP_CALLS + SOFTMAX_CALLS:
+    for name in STEP_CALLS + DRAW_CALLS + SOFTMAX_CALLS:
         monkeypatch.setattr(
             cirlab.trainer, name, counted(name, getattr(cirlab.trainer, name))
         )
@@ -104,6 +108,7 @@ def count_step_calls(monkeypatch, arms, head="batch_all"):
         train_tiny(head, iterations, arms)
         totals.append(counts.copy())
     assert all(totals[0][name] >= 1 for name in totals[1])
+    assert [t["pk_epoch"] for t in totals] == [int(head == "batch_all")] * 2
     return dict(totals[1] - totals[0])
 
 
@@ -129,17 +134,18 @@ def train_tiny(head, iterations, arms):
 
 def test_each_step_calls_every_layer_once_through_trainer_names(monkeypatch):
     # one more step: one more call of each, outside the per-epoch embeds
+    # and the epoch's one draw
     assert count_step_calls(monkeypatch, 0) == {name: 1 for name in STEP_CALLS}
 
 
 def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
-    # no_reg, cir and noise share one batch and one decoy draw; the
+    # no_reg, cir and noise share one draw of the epoch's batches and
+    # decoys (count_step_calls checks one pk_epoch call an epoch); the
     # encoder, the loss, the backward pass, the SGD step and the table
-    # update run once for all three
+    # update run once a step for all three
     assert count_step_calls(monkeypatch, 2) == {
-        "pk_batch": 1, "negative_classes": 1, "forward": 1,
-        "batch_all_triplet_loss": 1, "backward": 1, "sgd_step_in_place": 1,
-        "tac_update": 1,
+        "forward": 1, "batch_all_triplet_loss": 1, "backward": 1,
+        "sgd_step_in_place": 1, "tac_update": 1,
     }
 
 
@@ -164,9 +170,10 @@ def test_every_head_runs_once_on_the_arm_stack(monkeypatch, head, arms):
 @pytest.mark.parametrize("head", HEADS)
 def test_the_step_draws_nothing(monkeypatch, head):
     # the training stream is read outside the step, by `_draw_epoch`
-    # alone: every step takes one batch and one decoy draw, none of them
-    # drawn while the step runs
-    draws = ("pk_batch", "negative_classes", "parts.sample")
+    # alone: the batch-all epoch is one draw of every batch and decoy,
+    # the other heads take one batch and one decoy draw a step, and none
+    # of them is drawn while the step runs
+    draws = ("pk_epoch", "negative_classes", "parts.sample")
     counts, stepping = Counter(), [False]
 
     def counted(name, fn):
@@ -186,6 +193,8 @@ def test_the_step_draws_nothing(monkeypatch, head):
 
     def mode_parts(*args):
         parts = real_parts(*args)
+        if parts.sample is None:
+            return parts
         return parts._replace(sample=counted("parts.sample", parts.sample))
 
     for name in draws[:2]:
@@ -196,10 +205,11 @@ def test_the_step_draws_nothing(monkeypatch, head):
     monkeypatch.setattr(cirlab.trainer, "_mode_parts", mode_parts)
     train_tiny(head, 3, 2)
     assert {name: counts[name, True] for name in draws} == dict.fromkeys(draws, 0)
+    epoch = head == "batch_all"
     assert {name: counts[name, False] for name in draws} == {
-        "pk_batch": 3 if head == "batch_all" else 0,
-        "negative_classes": 3,
-        "parts.sample": 3,
+        "pk_epoch": 1 if epoch else 0,
+        "negative_classes": 0 if epoch else 3,
+        "parts.sample": 0 if epoch else 3,
     }
 
 
@@ -301,9 +311,10 @@ def test_traced_matrix_counts_are_plain_ints(tmp_path):
     assert counts["trainer.train.steps"] == 2 * 3
     # 3 arms x 2 seeds x 3 steps, each a 3 x 3 batch of 9 x 2 x 6 triplets
     assert counts["losses.batch_all_triplet_loss.triplets"] == 18 * 108
-    # 2 seeds x 3 steps, each drawing one batch for all three arms; the
-    # blend no longer goes through interfere_batch
-    assert counts["sampling.pk_batch.calls"] == 6
+    # each seed's epoch draws its batches for all three arms in one
+    # pk_epoch call, which has no span, and calls no pk_batch; the blend
+    # no longer goes through interfere_batch
+    assert counts["sampling.pk_batch.calls"] == 0
     assert counts["interference.interfere_batch.calls"] == 0
 
 
