@@ -22,7 +22,9 @@ from the generator's 32-bit words, in a few vectorized passes:
 `integers` makes a draw with a bound b below 2**32 - 1 from one word by
 Lemire's method (b = 0 reads none), and PCG64 hands out each 64-bit word
 low half first. A word numpy rejects (odds below (b + 1) / 2**32) is
-left to the generator, with the same bits. Each rule a draw's inputs
+left to the generator, with the same bits. An episode set's child seeds
+and numpy's seeding of them are array passes, and one PCG64, set to each
+seeded state, hands out every episode's words. Each rule a draw's inputs
 must meet has one owner here: `check_seed` for seeds, `check_array_size`
 for the 2**28-value budget that generated arrays and episode sets share,
 `check_episode_set` for an episode set's shape, and `ClassIndex.pk_bounds`
@@ -130,6 +132,21 @@ def check_episode_set(
     )
 
 
+def _child_seeds(master_seed: int, first: int, count: int) -> np.ndarray:
+    """`child_seed(master_seed, i)` of each i in first..first + count - 1,
+    as a uint64 array: the splitmix64 mix in wrapping array arithmetic."""
+    x = np.arange(count, dtype=np.uint64)
+    x += (first + 1) & _MASK64
+    x *= _GOLDEN
+    x += int(master_seed)
+    x ^= x >> 30
+    x *= 0xBF58476D1CE4E5B9
+    x ^= x >> 27
+    x *= 0x94D049BB133111EB
+    x ^= x >> 31
+    return x
+
+
 def child_seed(master_seed: int, index: int) -> int:
     """Mix (master_seed, index) into an independent 64-bit stream seed.
 
@@ -140,13 +157,57 @@ def child_seed(master_seed: int, index: int) -> int:
     check_seed(master_seed, "master seed")
     if index < 0:
         raise InputError(f"index must be >= 0, got {index}")
-    x = (int(master_seed) + (index + 1) * _GOLDEN) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
+    return int(_child_seeds(master_seed, index, 1)[0])
+
+
+# the running hash constants, init * mult**k mod 2**32, of numpy's SeedSequence
+# (numpy/random/bit_generator.pyx): 16 for its pool of 4, 9 for `generate_state`
+_HASH_A, _HASH_B = (
+    np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(n)], np.uint32)[:, None]
+    for init, mult, n in ((0x43B0D7E5, 0x931E8875, 17), (0x8B51F9DD, 0x58F38DED, 9))
+)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _xorshift16(x: np.ndarray) -> np.ndarray:
+    x ^= x >> 16
     return x
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """`SeedSequence(s).generate_state(4, np.uint64)` of each seed s of
+    seeds (uint64), as a 4 x len(seeds) uint64 array: numpy's hashmix and mix
+    on uint32 rows, where a seed below 2**32 (one entropy word) mixes as a
+    zero high word would."""
+    entropy = np.zeros((4, len(seeds)), dtype=np.uint32)
+    entropy[0], entropy[1] = seeds & 0xFFFFFFFF, seeds >> 32
+    pool = _xorshift16((entropy ^ _HASH_A[:4]) * _HASH_A[1:5])
+    for src in range(4):
+        # each other word, in order, mixes with its own hash of this one
+        dst, k = [d for d in range(4) if d != src], 4 + 3 * src
+        hashed = _xorshift16((pool[src] ^ _HASH_A[k : k + 3]) * _HASH_A[k + 1 : k + 4])
+        pool[dst] = _xorshift16(pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R)
+    state = _xorshift16((np.tile(pool, (2, 1)) ^ _HASH_B[:8]) * _HASH_B[1:]).astype(np.uint64)
+    return state[0::2] | state[1::2] << 32
+
+
+def _raw_words(seeds: np.ndarray, count: int) -> np.ndarray:
+    """`np.random.PCG64(s).random_raw(count)` of each seed s of seeds
+    (uint64), as a len(seeds) x count uint64 array. PCG64 seeds itself
+    from `_seed_words` (initstate, initseq: two 128-bit words, high first)
+    in two LCG steps, here in Python ints: inc = 2 initseq + 1, state =
+    (inc + initstate) M + inc, mod 2**128; one PCG64 set to each draws."""
+    raw = np.empty((len(seeds), count), dtype=np.uint64)
+    bits = np.random.PCG64(0)
+    for row, s_hi, s_lo, q_hi, q_lo in zip(raw, *_seed_words(seeds).tolist()):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        row[...] = bits.random_raw(count)
+    return raw
 
 
 class ClassIndex:
@@ -358,12 +419,12 @@ def _episode_draws(
     index: ClassIndex, n_way: int, m: int, master_seed: int, episodes: range
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_pk_draws` of N classes of M rows on the generator of each episode
-    i in episodes, seeded child_seed(master_seed, i), replayed from its raw
-    words: the drawn class positions (E x N) and the row draws
-    (E x N(2M - 1)). An episode with a word that numpy rejects, or every
-    episode of a split with a bound of _WORD_BOUND or more, or on a
-    big-endian host (the replay reads words as little-endian halves), is
-    drawn by `_pk_draws` itself."""
+    i in episodes (a range), seeded child_seed(master_seed, i), replayed
+    from its raw words (`_raw_words`): the drawn class positions (E x N)
+    and the row draws (E x N(2M - 1)). An episode with a word that numpy
+    rejects, or every episode of a split with a bound of _WORD_BOUND or
+    more, or on a big-endian host (the replay reads words as little-endian
+    halves), is drawn by `_pk_draws` itself."""
     class_bounds, row_bounds = index.pk_bounds(n_way, m)
     e, per_episode = len(episodes), n_way * (2 * m - 1)
     bound = max(class_bounds.max(), row_bounds.max())
@@ -373,10 +434,8 @@ def _episode_draws(
         redraw = range(e)
     else:
         class_words = int(np.count_nonzero(class_bounds))
-        raw = np.empty((e, -(-(class_words + per_episode) // 2)), dtype=np.uint64)
-        for row, i in zip(raw, episodes):
-            row[...] = np.random.PCG64(child_seed(master_seed, i)).random_raw(len(row))
-        words = raw.view("<u4")
+        seeds = _child_seeds(master_seed, episodes.start, e)
+        words = _raw_words(seeds, -(-(class_words + per_episode) // 2)).view("<u4")
         classes, rejected = _replayed_classes(
             class_bounds, words, len(index.classes), n_way
         )
@@ -476,15 +535,16 @@ def episode_rows(
     `choice` shuffles a tail of arange(n), and the rows may differ).
 
     The draws are replayed from each episode generator's words
-    (`_episode_draws`): one `random_raw` call per episode, then for each
-    `_EPISODE_CHUNK` episodes a Lemire pass and a Floyd replay for their
-    classes, and another pair for their rows, at the word positions the
-    class draws leave. An episode with a rejected word is drawn again by
-    `_pk_draws`, as is every episode of a split with a bound of 2**32 - 1
-    or more. The memory the draw holds beyond the result is one chunk's,
-    whatever the episode count.
+    (`_episode_draws`): for each `_EPISODE_CHUNK` episodes, one `random_raw`
+    call each on one reused PCG64 set to its seeded state (`_raw_words`),
+    then a Lemire pass and a Floyd replay for their classes, and another
+    pair for their rows, at the word positions the class draws leave. An
+    episode with a rejected word is drawn again by `_pk_draws`, as is every
+    episode of a split with a bound of 2**32 - 1 or more. The memory the
+    draw holds beyond the result is one chunk's, whatever the episode count.
     """
     check_episode_set(n_way, k_shot, q_queries, episodes)
+    check_seed(master_seed, "master seed")
     index, m = ClassIndex(labels), k_shot + q_queries
     index.pk_bounds(n_way, m)
     rows = np.empty((episodes, n_way, m), dtype=np.int64)

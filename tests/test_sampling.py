@@ -18,11 +18,13 @@ from cirlab.sampling import (
     MAX_ARRAY_VALUES,
     ClassIndex,
     PKSpec,
+    _child_seeds,
     _choice_bounds,
     _choice_replay,
     _floyd_replay,
     _lemire_draws,
     _next_words,
+    _raw_words,
     check_episode_set,
     check_seed,
     child_seed,
@@ -96,7 +98,28 @@ class CountingRng:
         return counted
 
 
+def splitmix_reference(master_seed, index):
+    """The splitmix64 mix of `child_seed` in Python ints, mod 2**64."""
+    mask = (1 << 64) - 1
+    x = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & mask
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & mask
+    return x ^ x >> 31
+
+
 class TestChildSeed:
+    @pytest.mark.parametrize("master", [0, 1, 2**63, 2**64 - 1])
+    def test_array_mix_is_child_seed(self, master):
+        seeds = _child_seeds(master, 0, 1000)
+        assert seeds.dtype == np.uint64
+        expected = [splitmix_reference(master, i) for i in range(1000)]
+        assert seeds.tolist() == [child_seed(master, i) for i in range(1000)] == expected
+        assert _child_seeds(master, 600, 400).tolist() == expected[600:]
+        # the index wraps mod 2**64 in the mix, as in Python ints
+        assert child_seed(master, 2**64 + 7) == splitmix_reference(master, 2**64 + 7)
+
     def test_deterministic(self):
         assert child_seed(42, 7) == child_seed(42, 7)
 
@@ -469,6 +492,54 @@ class TestEpisodeRows:
         for episodes in (10**12, 10**30):
             with pytest.raises(ConfigurationError, match="would size an array"):
                 episode_rows(np.array([0, 1]), 5, 1, 15, episodes, 0)
+
+    def test_overflow_raises_nothing(self):
+        # the seeding's wrapping arithmetic is array arithmetic, which
+        # numpy never checks; a numpy scalar would warn or raise here
+        labels = REPRODUCE_LABELS
+        plain = episode_rows(labels, 5, 1, 15, 300, master_seed=2**64 - 1)
+        with np.errstate(all="raise"):
+            checked = episode_rows(labels, 5, 1, 15, 300, master_seed=2**64 - 1)
+        for got, want in zip(checked, plain):
+            assert np.array_equal(got, want)
+
+    def test_one_bit_generator_per_chunk(self, monkeypatch):
+        built, redrawn, real = Counter(), Counter(), cirlab.sampling._pk_draws
+
+        # named PCG64, the name a PCG64 state dict must carry
+        class PCG64(np.random.PCG64):
+            def __init__(self, *args, **kwargs):
+                built["PCG64"] += 1
+                super().__init__(*args, **kwargs)
+
+        def count(*args):
+            redrawn["_pk_draws"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", PCG64)
+        monkeypatch.setattr(cirlab.sampling, "_pk_draws", count)
+        support, query = episode_rows(CLI_LABELS, 5, 1, 15, 600, master_seed=11)
+        chunks = -(-600 // _EPISODE_CHUNK)
+        assert built["PCG64"] <= chunks + redrawn["_pk_draws"]
+        expected = choice_episode_rows(CLI_LABELS, 5, 1, 15, 600, 11)
+        assert np.array_equal(support, expected[0])
+        assert np.array_equal(query, expected[1])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+@example(seeds=[0])
+@example(seeds=[1])
+@example(seeds=[2**32 - 1])  # the last seed of one entropy word
+@example(seeds=[2**32])  # the first of two
+@example(seeds=[2**63])
+@example(seeds=[2**64 - 1])
+def test_raw_words_are_pcg64s(seeds):
+    for n in (1, 2, 83):
+        raw = _raw_words(np.array(seeds, dtype=np.uint64), n)
+        assert raw.shape == (len(seeds), n) and raw.dtype == np.uint64
+        for row, seed in zip(raw, seeds):
+            assert np.array_equal(row, np.random.PCG64(seed).random_raw(n))
 
 
 class TestFloydReplay:
