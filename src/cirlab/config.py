@@ -167,8 +167,15 @@ def parse_config_text(text):
 
 
 def parse_config_file(path):
+    """`parse_config_text` of the UTF-8 text of file path; a file that is
+    not UTF-8 raises ConfigFileError naming the first bad byte's offset."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        try:
+            # read() decodes the whole file at once: the offset is the file's
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigFileError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    return parse_config_text(text)
 
 
 def _format_value(key, value):

@@ -42,6 +42,10 @@ class InterferenceConfig:
                 f"fraction must lie in [0, 1], got {self.fraction}"
             )
 
+    def blends(self, rows: int) -> bool:
+        """Whether the blend moves any of `rows` rows (strength 0 runs as off)."""
+        return self.enabled and self.strength > 0.0 and rows > 0
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -126,7 +130,7 @@ def interfere_batch(
         decoys[:n] = negative_classes(rng, designated, c)
 
     blended = features.copy()
-    if config.enabled and config.strength > 0.0 and n:
+    if config.blends(n):
         blended[:n] = interfere(features[:n], tac.table[decoys[:n]], config.strength)
     return blended, decoys
 

@@ -13,29 +13,31 @@ the `choice` oracle in tests/oracles.py). Above those sizes numpy's
 `choice` shuffles a tail of arange(n) instead, and the bytes may differ.
 Episode randomness is derived per-index from a master seed with a fixed
 64-bit avalanche mix, so episode i has the same content no matter how
-many episodes run or in what order. Training draws an epoch, and
-evaluation an episode set, with no `integers` call per step or episode:
-`pk_epoch` gives every step's batch and decoy classes, `episode_rows`
-every episode's rows as a (support, query) pair of views of one
-E x N x (K+Q) buffer, so scoring takes no K. Both replay numpy's draws
-from the generator's 32-bit words, in a few vectorized passes:
-`integers` makes a draw with a bound b below 2**32 - 1 from one word by
-Lemire's method (b = 0 reads none), and PCG64 hands out each 64-bit word
-low half first. A word numpy rejects (odds below (b + 1) / 2**32) is
-left to the generator, with the same bits. An episode set's child seeds
-and numpy's seeding of them are array passes, and one PCG64, set to each
-seeded state, hands out every episode's words. Each rule a draw's inputs
-must meet has one owner here: `check_seed` for seeds, `check_array_size`
-for the 2**28-value budget that generated arrays and episode sets share,
-`check_episode_set` for an episode set's shape, and `ClassIndex.pk_bounds`
-for a split's classes and rows, which PK batches and episodes check
-alike. `negative_classes` draws wrong classes, for blends and label noise.
+many episodes run or in what order. Training draws an epoch at once: int64
+rows and decoy classes (steps x designated) in the order batch t, its
+decoys, batch t + 1, by `step_draws` from a one-batch sampler, or by
+`pk_epoch` with no `integers` call per step. `episode_rows` gives every
+episode's rows as a (support, query) pair of views of one E x N x (K+Q)
+buffer, so scoring takes no K. Both replay numpy's draws from the
+generator's 32-bit words in one core, `_replay`: `integers` makes a draw
+with a bound b below 2**32 - 1 from one word by Lemire's method (b = 0
+reads none), and PCG64 hands out each 64-bit word low half first. A word
+numpy rejects (odds below (b + 1) / 2**32) is left to the generator, with
+the same bits. An episode set's child seeds and numpy's seeding of them
+are array passes, and one PCG64, set to each seeded state, hands out every
+episode's words. Each rule a draw's inputs must meet has one owner here:
+`check_seed` for seeds, `check_array_size` for the 2**28-value budget that
+generated arrays and episode sets share, `check_episode_set` for an
+episode set's shape, and `ClassIndex.pk_bounds` for a split's classes and
+rows, which PK batches and episodes check alike. `negative_classes` draws
+wrong classes, for blends and label noise.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -280,13 +282,13 @@ def _pk_draws(
     index: ClassIndex, p: int, k: int, rng: np.random.Generator
 ) -> tuple[list[int], np.ndarray]:
     """The two bounded draws of P classes of K rows: the drawn class
-    positions, replayed, and the P x (2K - 1) row draws, each row on its
-    class's `_choice_bounds`."""
+    positions, replayed, and the P(2K - 1) row draws, each class's 2K - 1
+    on its `_choice_bounds`."""
     class_bounds, row_bounds = index.pk_bounds(p, k)
     drawn = _choice_replay(
         rng.integers(0, class_bounds, endpoint=True).tolist(), len(index.classes), p
     )
-    return drawn, rng.integers(0, row_bounds[drawn], endpoint=True)
+    return drawn, rng.integers(0, row_bounds[drawn], endpoint=True).reshape(-1)
 
 
 def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.ndarray:
@@ -404,15 +406,24 @@ def _word_positions(bounds: np.ndarray, start: int) -> np.ndarray:
     return np.maximum(pos, start, out=pos)
 
 
-def _replayed_classes(
-    class_bounds: np.ndarray, words: np.ndarray, class_count: int, n_way: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The class positions (E x N) that E episodes' class draws on
-    class_bounds give, replayed from the leading words of each row of
-    words, and the episodes with a rejected word among them."""
+def _replay(index: ClassIndex, p: int, m: int,
+            words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_pk_draws` of P classes of M rows replayed from the leading 32-bit
+    words of each of the R rows of words: class positions (R x P), row
+    draws (R x P(2M - 1)) and the rows with a word numpy rejects."""
+    class_bounds, row_bounds = index.pk_bounds(p, m)
+    class_words, width = int(np.count_nonzero(class_bounds)), p * (2 * m - 1)
     draws = np.repeat(class_bounds[None, :], len(words), axis=0)
     rejected = _lemire_draws(draws, words[:, _word_positions(class_bounds, 0)])
-    return _floyd_replay(draws, class_count, n_way), rejected
+    classes = _floyd_replay(draws, len(index.classes), p)
+    draws = row_bounds[classes].reshape(len(words), width)
+    if (row_bounds == 0).any():
+        # a class of exactly M rows has a bound of 0, which reads no word
+        at = _word_positions(draws, class_words)
+        row_words = np.take_along_axis(words, at, axis=1)
+    else:
+        row_words = words[:, class_words : class_words + width]
+    return classes, draws, np.union1d(rejected, _lemire_draws(draws, row_words))
 
 
 def _episode_draws(
@@ -420,37 +431,23 @@ def _episode_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`_pk_draws` of N classes of M rows on the generator of each episode
     i in episodes (a range), seeded child_seed(master_seed, i), replayed
-    from its raw words (`_raw_words`): the drawn class positions (E x N)
-    and the row draws (E x N(2M - 1)). An episode with a word that numpy
-    rejects, or every episode of a split with a bound of _WORD_BOUND or
-    more, or on a big-endian host (the replay reads words as little-endian
-    halves), is drawn by `_pk_draws` itself."""
+    from its first NM + N // 2 raw words: class positions (E x N) and row
+    draws (E x N(2M - 1)). An episode with a rejected word, or every one of
+    a split with a bound of _WORD_BOUND or more or on a big-endian host
+    (the replay reads little-endian halves), is drawn by `_pk_draws`."""
     class_bounds, row_bounds = index.pk_bounds(n_way, m)
-    e, per_episode = len(episodes), n_way * (2 * m - 1)
-    bound = max(class_bounds.max(), row_bounds.max())
+    e, bound = len(episodes), max(class_bounds.max(), row_bounds.max())
     if bound >= _WORD_BOUND or sys.byteorder != "little":
         classes = np.empty((e, n_way), dtype=np.int64)
-        draws = np.empty((e, per_episode), dtype=np.int64)
+        draws = np.empty((e, n_way * (2 * m - 1)), dtype=np.int64)
         redraw = range(e)
     else:
-        class_words = int(np.count_nonzero(class_bounds))
         seeds = _child_seeds(master_seed, episodes.start, e)
-        words = _raw_words(seeds, -(-(class_words + per_episode) // 2)).view("<u4")
-        classes, rejected = _replayed_classes(
-            class_bounds, words, len(index.classes), n_way
-        )
-        draws = row_bounds[classes].reshape(e, per_episode)
-        if (row_bounds == 0).any():
-            # a class of exactly M rows has a bound of 0, which reads no word
-            at = _word_positions(draws, class_words)
-            row_words = np.take_along_axis(words, at, axis=1)
-        else:
-            row_words = words[:, class_words : class_words + per_episode]
-        redraw = np.union1d(rejected, _lemire_draws(draws, row_words))
+        words = _raw_words(seeds, n_way * m + n_way // 2).view("<u4")
+        classes, draws, redraw = _replay(index, n_way, m, words)
     for r in redraw:
         rng = np.random.default_rng(child_seed(master_seed, episodes[r]))
-        drawn, again = _pk_draws(index, n_way, m, rng)
-        classes[r], draws[r] = drawn, again.reshape(-1)
+        classes[r], draws[r] = _pk_draws(index, n_way, m, rng)
     return classes, draws
 
 
@@ -473,15 +470,14 @@ def _next_words(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def pk_epoch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator, steps: int,
-             designated: int, num_classes: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The rows (steps x P*K) and decoys (steps x designated, or None) of
-    `steps` steps: the bits and final state of one `pk_batch` and one
-    `negative_classes` draw for the batch's leading designated rows a step.
-    A step reads a fixed block of words, so one `_next_words` call feeds
-    the epoch. It draws step by step, from its starting state, on a
-    rejected word, a class of exactly K rows (whose bound of 0 reads no
-    word), a bound of 2**32 - 1 or more, another bit generator than PCG64
-    or a big-endian host."""
+             designated: int, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (steps x P*K) and decoys (steps x designated) of `steps`
+    steps: the bits and final state of `step_draws` on `pk_batch`. A step
+    reads a fixed block of words, so one `_next_words` call feeds the
+    epoch and one `_replay` its batches. It draws step by step, from its
+    starting state, on a rejected word, a class of exactly K rows (whose
+    bound of 0 reads no word), a bound of 2**32 - 1 or more, another bit
+    generator than PCG64 or a big-endian host."""
     p, k = spec.p_classes, spec.k_samples
     class_bounds, row_bounds = index.pk_bounds(p, k)
     decoy_bound, per_step = num_classes - 2, p * (2 * k - 1)
@@ -490,27 +486,36 @@ def pk_epoch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator, steps: i
     saved, rejected = bits.state, not isinstance(bits, np.random.PCG64) or (
         sys.byteorder != "little" or row_bounds.min() == 0 or bound >= _WORD_BOUND)
     if not rejected:
-        class_words = int(np.count_nonzero(class_bounds))
-        width = class_words + per_step + designated * (decoy_bound > 0)
+        width = int(np.count_nonzero(class_bounds)) + per_step
+        width += designated * (decoy_bound > 0)
         words = _next_words(rng, steps * width).reshape(steps, width)
-        classes, bad = _replayed_classes(class_bounds, words, len(index.classes), p)
-        draws = row_bounds[classes].reshape(steps, per_step)
-        row_words = words[:, class_words : class_words + per_step]
-        rejected = bad.size or _lemire_draws(draws, row_words).size
-        if decoy_bound:
-            rejected = rejected or _lemire_draws(wrong, words[:, width - designated :]).size
+        classes, draws, bad = _replay(index, p, k, words)
+        # a decoy bound of 0 reads no word: it gives 0 on any word, rejecting none
+        rejected = bad.size or _lemire_draws(wrong, words[:, width - designated :]).size
     if rejected:
         bits.state = saved
         classes, draws = np.empty((steps, p), np.int64), np.empty((steps, per_step), np.int64)
         for t in range(steps):
-            drawn, again = _pk_draws(index, p, k, rng)
-            classes[t], draws[t] = drawn, again.reshape(-1)
+            classes[t], draws[t] = _pk_draws(index, p, k, rng)
             wrong[t] = rng.integers(0, num_classes - 1, size=designated)
     rows = np.empty((steps, p, k), dtype=np.int64)
     _episode_set_rows(index, classes, draws, rows)
     labels = np.repeat(np.asarray(index.classes)[classes], k, axis=1)[:, :designated]
     # `negative_classes`'s shift past each row's own class
-    return rows.reshape(steps, p * k), wrong + (wrong >= labels) if designated else None
+    return rows.reshape(steps, p * k), wrong + (wrong >= labels)
+
+
+def step_draws(sample: Callable, labels: np.ndarray, designated: int, num_classes: int,
+               rng: np.random.Generator, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (steps x B) and decoys (steps x designated) of `steps` steps
+    drawn in turn: a batch sample(rng), then one `negative_classes` draw
+    for its leading designated rows, if any."""
+    rows, decoys = [], np.empty((steps, designated), dtype=np.int64)
+    for t in range(steps):
+        rows.append(sample(rng))
+        if designated:
+            decoys[t] = negative_classes(rng, labels[rows[t][:designated]], num_classes)
+    return np.array(rows, dtype=np.int64), decoys
 
 
 def episode_rows(
@@ -537,7 +542,7 @@ def episode_rows(
     The draws are replayed from each episode generator's words
     (`_episode_draws`): for each `_EPISODE_CHUNK` episodes, one `random_raw`
     call each on one reused PCG64 set to its seeded state (`_raw_words`),
-    then a Lemire pass and a Floyd replay for their classes, and another
+    then `_replay`'s Lemire and Floyd passes for their classes, and another
     pair for their rows, at the word positions the class draws leave. An
     episode with a rejected word is drawn again by `_pk_draws`, as is every
     episode of a split with a bound of 2**32 - 1 or more. The memory the

@@ -12,14 +12,14 @@ deterministic on one thread. Both episode sets are drawn once per run,
 as the (support, query) pairs of `episode_rows`, and after each epoch
 every split is embedded once for all the metrics scored on it.
 
-The draws are made per epoch: `_draw_epoch`, the one reader of the
-training stream, draws an epoch's batches and decoy classes with the
-bits of a step-by-step draw, in one `pk_epoch` call for batch-all PK
-runs. Per iteration: embed the batch, blend the designated rows toward
-their decoys' table rows (or add matched Gaussian noise instead),
-compute the loss on blended-anchor/raw-other rows, pull anchor gradients
-back through the blend's (1 - strength) factor, take one SGD step, then
-fold the *raw pre-step* per-class batch means into the table.
+The draws are made per epoch: `_Parts.epoch`, every head's one reader of
+the training stream, draws an epoch's batches and decoys with the bits of
+a step-by-step draw (`pk_epoch` for batch-all PK runs, else `step_draws`).
+Per iteration: embed the batch, blend the designated rows toward their
+decoys' table rows (or add matched Gaussian noise instead), compute the
+loss on blended-anchor/raw-other rows, pull anchor gradients back through
+the blend's (1 - strength) factor, take one SGD step, then fold the *raw
+pre-step* per-class batch means into the table.
 
 Every PK batch is class-major with P distinct classes, so its label
 pattern is the same on every step: `_mode_parts` builds the batch-all
@@ -90,7 +90,7 @@ from .nn import (
 )
 from .sampling import (
     ClassIndex, PKSpec, check_array_size, check_episode_set, check_seed,
-    child_seed, episode_rows, negative_classes, pk_epoch,
+    child_seed, episode_rows, pk_epoch, step_draws,
 )
 from .tac import ClassTable, tac_init, tac_update
 
@@ -376,7 +376,7 @@ def _treat(out, z, decoys, tac, cfg, rng):
         if sigma is None:
             sigma = matched_noise_sigma(z[:n], tac, blend.strength, decoys)
         out[:n] = gaussian_perturb(z[:n], sigma, rng)
-    elif blend.enabled and blend.strength > 0.0:
+    elif blend.blends(n):
         out[:n] = interfere(z[:n], tac.table[decoys], blend.strength)
 
 
@@ -504,11 +504,11 @@ def train(
     for e in range(cfg.epochs):
         rate = cfg.rate(e)
         loss_sum, acc_sum = np.zeros(count), np.zeros(count)
-        draws = _draw_epoch(parts, fit_labels, tac.num_classes, rng, cfg.iterations)
-        for it, (rows, decoys) in enumerate(draws):
+        rows, decoys = parts.epoch(rng, cfg.iterations)
+        for it in range(cfg.iterations):
             step = _step(
                 encoder, head, tac, fit_feats, fit_labels, parts, configs,
-                rows, decoys, noise_rngs,
+                rows[it], decoys[it], noise_rngs,
             )
             # the blended or noised anchors too: the batch-all loss leaves a
             # non-finite anchor's triplets inactive, so its loss stays finite
@@ -547,29 +547,12 @@ class StepRecord(NamedTuple):
     acc: np.ndarray | None
 
 
-def _draw_epoch(parts, labels, num_classes, rng, iterations):
-    """The training stream's draws for `iterations` steps, one (rows,
-    decoys) pair per step, in the order the steps take them: batch t, one
-    decoy class per designated row of it, then batch t + 1. With no row
-    designated, decoys is None and nothing is drawn for it. A batch-all PK
-    epoch is one `pk_epoch` call, with the same bits."""
-    n, draws = parts.designated, []
-    if parts.epoch is not None:
-        rows, decoys = parts.epoch(rng, iterations, n, num_classes)
-        return list(zip(rows, [None] * iterations if decoys is None else decoys))
-    for _ in range(iterations):
-        rows = parts.sample(rng)
-        decoys = negative_classes(rng, labels[rows[:n]], num_classes) if n else None
-        draws.append((rows, decoys))
-    return draws
-
-
 def _step(encoder, head, tac, feats, labels, parts, cfgs, rows, decoys, noise_rngs):
     """One training step of a stack of arms on batch `rows`, for every
     head; returns its `StepRecord` and leaves the gradients of the flat
     encoder and head (or None) in their gradient buffers. Arm s treats
     its designated anchors under cfgs[s] against its own table tac.arm(s)
-    and the `decoys` (None when no row is designated), with any noise
+    and the `decoys`, one per designated row, with any noise
     from noise_rngs[s]; the encoder, the head, the loss and the backward
     pass run once, on the stacked params, head and tables."""
     rows = np.broadcast_to(rows, (len(cfgs), rows.size))
@@ -579,7 +562,7 @@ def _step(encoder, head, tac, feats, labels, parts, cfgs, rows, decoys, noise_rn
     # one copy for the stack, untreated arms included, which the arms'
     # treatments then overwrite in place
     blended = z[:, :n_anchor].copy()
-    if decoys is not None:
+    if n:
         for s, cfg in enumerate(cfgs):
             _treat(blended[s], z[s], decoys, tac.arm(s), cfg, noise_rngs[s])
     # the arms share every setting a head reads (`_check_arms`)
@@ -591,7 +574,7 @@ def _step(encoder, head, tac, feats, labels, parts, cfgs, rows, decoys, noise_rn
     # is additive); an arm with the blend off skips the multiply
     for s, cfg in enumerate(cfgs):
         blend = cfg.interference
-        if blend.enabled and blend.strength != 0.0:
+        if blend.blends(n):
             grad_blended[s, :n] = interfere_backward(grad_blended[s, :n], blend.strength)
     grad_z[:, :n_anchor] += grad_blended
     backward(encoder.params, cache, grad_z, out=encoder.grads)
@@ -599,26 +582,25 @@ def _step(encoder, head, tac, feats, labels, parts, cfgs, rows, decoys, noise_rn
 
 
 class _Parts(NamedTuple):
-    """The per-mode parts of `_draw_epoch` and `_step`; see `_mode_parts`."""
+    """The per-mode parts of the epoch draw and `_step`; see `_mode_parts`."""
 
-    sample: Callable | None
+    epoch: Callable
     anchors: int
     designated: int
     head_loss: Callable
     class_rows: int | None
-    epoch: Callable | None = None
 
 
 def _mode_parts(cfg, labels, num_classes):
-    """Pick the per-mode parts of `_draw_epoch` and `_step` once per run.
+    """Pick the per-mode parts of the epoch draw and `_step` once per run.
 
-    sample(rng) returns one step's batch rows, of which the leading
-    `anchors` rows are anchors: all rows of PK and uniform batches, the
-    a-rows of preformed mining's [a | p | n] stack of batch_size
-    independent draws. Batch-all PK runs have epoch(rng, steps,
-    designated, num_classes), `pk_epoch` on the split, in its place.
-    The leading `designated` anchors are the ones the arms treat; every
-    arm designates as many (`_check_arms`).
+    epoch(rng, steps) draws an epoch's int64 rows (steps x batch rows)
+    and decoys (steps x designated): `pk_epoch` for batch-all PK runs,
+    `step_draws` on a one-batch sampler for the others. The leading
+    `anchors` rows of a batch are anchors: all rows of PK and uniform
+    batches, the a-rows of preformed mining's [a | p | n] stack of
+    batch_size independent draws. The leading `designated` anchors are
+    the ones the arms treat; every arm designates as many (`_check_arms`).
     head_loss(z, blended, y, head, tac, cfg) takes a stack of arms: z, the
     blended anchors and y with a leading arm axis, the flat stacked head
     (or None) and class tables, and cfg, whose head settings every arm
@@ -638,7 +620,8 @@ def _mode_parts(cfg, labels, num_classes):
         head_loss = _oim_loss if cfg.loss_mode == "oim" else _cross_entropy_loss
         targets = label_smooth(np.arange(num_classes), num_classes, cfg.label_smoothing)
         return _Parts(
-            (lambda rng: rng.choice(n, size=b, replace=False)),
+            partial(step_draws, (lambda rng: rng.choice(n, size=b, replace=False)),
+                    labels, designated, num_classes),
             b,
             designated,
             partial(head_loss, targets=targets),
@@ -650,12 +633,11 @@ def _mode_parts(cfg, labels, num_classes):
         # every PK batch has this label pattern, whichever classes it draws
         masks = triplet_masks(np.repeat(np.arange(pk.p_classes), pk.k_samples))
         return _Parts(
-            None,
+            partial(pk_epoch, index, pk, designated=designated, num_classes=num_classes),
             b,
             designated,
             partial(_batch_all_loss, masks=masks),
             pk.k_samples,
-            partial(pk_epoch, index, pk),
         )
     # for each position of `index.order`: where its class's block starts,
     # and how many rows it holds
@@ -674,7 +656,8 @@ def _mode_parts(cfg, labels, num_classes):
         r += (r >= first) * k
         return order[np.concatenate([a, p, r])]
 
-    return _Parts(preformed, b, designated, _preformed_loss, None)
+    epoch = partial(step_draws, preformed, labels, designated, num_classes)
+    return _Parts(epoch, b, designated, _preformed_loss, None)
 
 
 def _batch_all_loss(z, blended, y, head, tac, cfg, masks):

@@ -41,7 +41,7 @@ from cirlab.nn import (
 )
 from cirlab.sampling import ClassIndex, child_seed, pk_batch
 from cirlab.tac import ClassTable
-from cirlab.trainer import TrainConfig, _draw_epoch, _step
+from cirlab.trainer import TrainConfig, _step
 
 
 def grad_check(params, loss_closure, epsilon=1e-5) -> float:
@@ -599,11 +599,11 @@ def arm_of_step(record, grads, head_grads, s):
 def single_step(params, head, tac, feats, labels, parts, cfg, rng, noise_rng=None,
                 draw=None):
     """`trainer._step` on a stack of one arm, on `draw`, one step's (rows,
-    decoys) of `_draw_epoch`, or when draw is None on a one-step
-    `_draw_epoch` from rng, with any noise from noise_rng: plain params,
+    decoys) of a `parts.epoch` draw, or when draw is None on a one-step
+    `parts.epoch(rng, 1)`, with any noise from noise_rng: plain params,
     head and table in, one arm's plain results out."""
     if draw is None:
-        (draw,) = _draw_epoch(parts, labels, tac.num_classes, rng, 1)
+        (draw,) = zip(*parts.epoch(rng, 1))
     encoder = flatten_params(stack_params([params]))
     if head is not None:
         head = flatten_params(stack_params([head]))

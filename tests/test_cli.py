@@ -180,7 +180,34 @@ def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys):
     assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
+def _run_cli(argv):
+    """Run `python -m cirlab.cli argv` in a fresh interpreter, as the
+    console command runs: an uncaught error exits 1 with a traceback."""
+    src = os.path.dirname(os.path.dirname(cirlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cirlab.cli", *argv], env=env, capture_output=True,
+        text=True,
+    )
+
+
 class TestTrain:
+    def test_non_utf8_config_exits_2(self, workdir, tmp_path):
+        # a dataset given as the config: its decode error escaped the
+        # exit-code contract, with exit 1 and a traceback
+        config = workdir / "ds.test.cird"
+        for flags in (["--dry-run"], []):
+            out = tmp_path / "m.ckpt"
+            done = _run_cli([
+                "train", "-c", str(config), "-d", str(workdir / "ds.train.cird"),
+                "--val", str(workdir / "ds.val.cird"), "-o", str(out), *flags,
+            ])
+            assert done.returncode == 2
+            assert done.stderr.startswith(f"error: {config}: not UTF-8 text at byte ")
+            assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+            assert done.stdout == "" and not out.exists()
+
     def test_outputs_exist(self, trained):
         assert (trained / "m.ckpt").exists()
         assert (trained / "m.ckpt.log.csv").exists()

@@ -1,7 +1,9 @@
-"""Damaged CIRD datasets and CIR1 checkpoints: every truncation or byte
-flip of a valid file either loads or raises a package error."""
+"""Damaged CIRD datasets, CIR1 checkpoints and config files: every
+truncation or byte flip of a valid file either loads or raises a package
+error."""
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -10,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cirlab.checkpoint import load_checkpoint, save_checkpoint
+from cirlab.config import ConfigFileError, config_to_text, parse_config_file
 from cirlab.datagen import Dataset, load_dataset, save_dataset
 from cirlab.errors import CirError, DataError
+from cirlab.interference import NoiseConfig
 from cirlab.nn import init_params
 from cirlab.tac import tac_init
+from cirlab.trainer import TrainConfig
 
 FUZZ = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -47,6 +52,11 @@ def _save_checkpoint(path):
 
 VALID_CIRD = _valid_bytes(_save_dataset)
 VALID_CIR1 = _valid_bytes(_save_checkpoint)
+# every key, a noise section and a [stage2] section, with a comment
+VALID_CFG = ("# a two-stage run\n" + config_to_text(TrainConfig(
+    loss_mode="cross_entropy", hidden_dims=(8, 4), noise=NoiseConfig(sigma=0.5),
+    stage2=TrainConfig(hidden_dims=(8, 4)),
+))).encode()
 
 
 def damaged(valid):
@@ -86,6 +96,21 @@ def test_damaged_dataset_loads_or_raises_cir_error(blob):
 @given(damaged(VALID_CIR1))
 def test_damaged_checkpoint_loads_or_raises_cir_error(blob):
     _load_or_cir_error(load_checkpoint, blob)
+
+
+@FUZZ
+@given(damaged(VALID_CFG))
+def test_damaged_config_parses_or_raises_cir_error(blob):
+    _load_or_cir_error(parse_config_file, blob)
+
+
+def test_non_utf8_config_names_the_path_and_the_byte(tmp_path):
+    path = tmp_path / "bad.cfg"
+    # an 11-byte line, then a comment whose lone \xe9 is byte 19
+    path.write_bytes(b"epochs = 2\n# caf\xc3\xa9 \xe9\n")
+    message = f"{re.escape(str(path))}: not UTF-8 text at byte 19$"
+    with pytest.raises(ConfigFileError, match=message):
+        parse_config_file(str(path))
 
 
 def test_non_utf8_provenance_is_data_error(tmp_path):

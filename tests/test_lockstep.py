@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cirlab.sampling
 import cirlab.trainer
 from cirlab import reproduce
 from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
@@ -249,7 +250,7 @@ class TestLockstepMatchesSeparateRuns:
 
         counted(reproduce, "train")
         counted(cirlab.trainer, "pk_epoch")
-        counted(cirlab.trainer, "negative_classes")
+        counted(cirlab.sampling, "negative_classes")
         real_step = cirlab.trainer._step
 
         def step(*args):

@@ -23,7 +23,7 @@ from cirlab.losses import (
 from cirlab.nn import init_params, sgd_step
 from cirlab.sampling import ClassIndex, PKSpec
 from cirlab.tac import ClassTable, tac_init, tac_update
-from cirlab.trainer import TrainConfig, _draw_epoch, _mode_parts
+from cirlab.trainer import TrainConfig, _mode_parts
 from oracles import (
     active_counts_bool_sums,
     batch_all_triplet_loss_b3,
@@ -632,8 +632,8 @@ class TestStepMatchesPerHeadOracles:
         n_new, n_old, n_epoch = (np.random.default_rng(5) for _ in range(3))
         # the same three steps twice: each drawn as its step starts, and
         # all three drawn up front by one epoch draw
-        epoch = _draw_epoch(parts, labels, tac.num_classes, r_epoch, 3)
-        for draw in epoch:
+        epoch = parts.epoch(r_epoch, 3)
+        for draw in zip(*epoch):
             want = oracle_step(
                 head_mode, params, head, tac, feats, labels, cfg, r_old, n_old
             )

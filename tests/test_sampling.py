@@ -3,6 +3,7 @@
 import copy
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from cirlab.sampling import (
     pk_batch,
     pk_epoch,
     sample_episode,
+    step_draws,
 )
 from oracles import choice_draw, choice_episode_rows
 
@@ -748,7 +750,7 @@ def step_by_step(labels, spec, rng, steps, designated, num_classes):
         if designated:
             decoys.append(negative_classes(rng, labels[rows[-1][:designated]], num_classes))
     rows = np.array(rows, dtype=np.int64).reshape(steps, spec.batch_size)
-    return rows, np.array(decoys, dtype=np.int64) if designated else None
+    return rows, np.array(decoys, dtype=np.int64).reshape(steps, designated)
 
 
 def assert_epochs_are_steps(labels, p, k, steps, designated, num_classes, rng, epochs=2):
@@ -759,10 +761,9 @@ def assert_epochs_are_steps(labels, p, k, steps, designated, num_classes, rng, e
         rows, decoys = pk_epoch(index, spec, rng, steps, designated, num_classes)
         want_rows, want_decoys = step_by_step(labels, spec, ref, steps, designated, num_classes)
         assert rows.dtype == np.int64 and np.array_equal(rows, want_rows)
-        if designated:
-            assert decoys.dtype == np.int64 and np.array_equal(decoys, want_decoys)
-        else:
-            assert decoys is None
+        # with no row designated, an empty steps x 0 array
+        assert decoys.dtype == np.int64 and decoys.shape == (steps, designated)
+        assert np.array_equal(decoys, want_decoys)
         # assert_equal compares the arrays in other bit generators' states
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
@@ -819,6 +820,19 @@ class TestPkEpoch:
             assert counting["_pk_draws"] == (0 if classes == p else 4)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("designated", [0, 5])
+    def test_step_draws_of_pk_batches_is_the_step_by_step_draw(self, designated):
+        # the loop the uniform and preformed heads draw with, on PK batches
+        labels = shuffled_uneven_labels(seed=3)
+        index, spec = ClassIndex(labels), PKSpec(4, 3)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        rows, decoys = step_draws(partial(pk_batch, index, spec), labels, designated, 21,
+                                  rng, 6)
+        want_rows, want_decoys = step_by_step(labels, spec, ref, 6, designated, 21)
+        assert rows.dtype == decoys.dtype == np.int64 and decoys.shape == (6, designated)
+        assert np.array_equal(rows, want_rows) and np.array_equal(decoys, want_decoys)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_other_bit_generators_draw_step_by_step(self):
         labels = shuffled_uneven_labels(seed=3)

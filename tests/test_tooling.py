@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import cirlab.reproduce
+import cirlab.sampling
 import cirlab.trainer
 from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
 from cirlab.interference import NoiseConfig
@@ -70,9 +71,9 @@ STEP_CALLS = (
     "forward", "batch_all_triplet_loss", "backward", "sgd_step_in_place", "tac_update",
 )
 # the training stream's draws: the batch-all head draws an epoch's
-# batches and decoys in one pk_epoch call, the others one
-# negative_classes call a step
-DRAW_CALLS = ("pk_epoch", "negative_classes")
+# batches and decoys in one pk_epoch call, the others in one step_draws
+# call, which makes one sampling.negative_classes call a step
+DRAW_CALLS = ("pk_epoch", "step_draws")
 # the softmax heads' layers, which the batch-all head never calls;
 # label_smooth builds the run's target table once, so no step calls it
 SOFTMAX_CALLS = ("oim_scores", "label_smooth", "batch_cross_entropy", "input_gradient")
@@ -88,8 +89,8 @@ HEADS = {
 def count_step_calls(monkeypatch, arms, head="batch_all"):
     """Each step layer's calls in one more training step of a call that
     trains a config of this head plus `arms` further configs in lockstep;
-    layers the step does not call are left out. The batch-all head's
-    epoch is one pk_epoch call, however many steps and arms it has."""
+    layers the step does not call are left out. Every head's epoch is
+    one pk_epoch or step_draws call, however many steps and arms it has."""
     counts = Counter()
 
     def counted(name, fn):
@@ -102,6 +103,10 @@ def count_step_calls(monkeypatch, arms, head="batch_all"):
         monkeypatch.setattr(
             cirlab.trainer, name, counted(name, getattr(cirlab.trainer, name))
         )
+    real_decoys = cirlab.sampling.negative_classes
+    monkeypatch.setattr(
+        cirlab.sampling, "negative_classes", counted("negative_classes", real_decoys)
+    )
     totals = []
     for iterations in (1, 2):
         counts.clear()
@@ -109,6 +114,7 @@ def count_step_calls(monkeypatch, arms, head="batch_all"):
         totals.append(counts.copy())
     assert all(totals[0][name] >= 1 for name in totals[1])
     assert [t["pk_epoch"] for t in totals] == [int(head == "batch_all")] * 2
+    assert [t["step_draws"] for t in totals] == [int(head != "batch_all")] * 2
     return dict(totals[1] - totals[0])
 
 
@@ -169,11 +175,11 @@ def test_every_head_runs_once_on_the_arm_stack(monkeypatch, head, arms):
 
 @pytest.mark.parametrize("head", HEADS)
 def test_the_step_draws_nothing(monkeypatch, head):
-    # the training stream is read outside the step, by `_draw_epoch`
-    # alone: the batch-all epoch is one draw of every batch and decoy,
-    # the other heads take one batch and one decoy draw a step, and none
-    # of them is drawn while the step runs
-    draws = ("pk_epoch", "negative_classes", "parts.sample")
+    # the training stream is read outside the step, by `parts.epoch`
+    # alone, once an epoch: the batch-all epoch is one draw of every batch
+    # and decoy, the other heads' `step_draws` takes one batch and one
+    # decoy draw a step, and none of them is drawn while the step runs
+    draws = ("pk_epoch", "step_draws", "negative_classes", "batch sample", "parts.epoch")
     counts, stepping = Counter(), [False]
 
     def counted(name, fn):
@@ -183,6 +189,7 @@ def test_the_step_draws_nothing(monkeypatch, head):
         return wrapper
 
     real_step, real_parts = cirlab.trainer._step, cirlab.trainer._mode_parts
+    real_draws = cirlab.trainer.step_draws
 
     def step(*args):
         stepping[0] = True
@@ -193,14 +200,17 @@ def test_the_step_draws_nothing(monkeypatch, head):
 
     def mode_parts(*args):
         parts = real_parts(*args)
-        if parts.sample is None:
-            return parts
-        return parts._replace(sample=counted("parts.sample", parts.sample))
+        return parts._replace(epoch=counted("parts.epoch", parts.epoch))
 
-    for name in draws[:2]:
-        monkeypatch.setattr(
-            cirlab.trainer, name, counted(name, getattr(cirlab.trainer, name))
-        )
+    def step_draws(sample, *args):
+        # the one-batch sampler of the uniform and preformed heads
+        return real_draws(counted("batch sample", sample), *args)
+
+    monkeypatch.setattr(cirlab.trainer, "pk_epoch",
+                        counted("pk_epoch", cirlab.trainer.pk_epoch))
+    monkeypatch.setattr(cirlab.trainer, "step_draws", counted("step_draws", step_draws))
+    monkeypatch.setattr(cirlab.sampling, "negative_classes",
+                        counted("negative_classes", cirlab.sampling.negative_classes))
     monkeypatch.setattr(cirlab.trainer, "_step", step)
     monkeypatch.setattr(cirlab.trainer, "_mode_parts", mode_parts)
     train_tiny(head, 3, 2)
@@ -208,8 +218,10 @@ def test_the_step_draws_nothing(monkeypatch, head):
     epoch = head == "batch_all"
     assert {name: counts[name, False] for name in draws} == {
         "pk_epoch": 1 if epoch else 0,
+        "step_draws": 0 if epoch else 1,
         "negative_classes": 0 if epoch else 3,
-        "parts.sample": 0 if epoch else 3,
+        "batch sample": 0 if epoch else 3,
+        "parts.epoch": 1,
     }
 
 

@@ -15,7 +15,7 @@ from cirlab.evaluate import episodic_accuracy
 from cirlab.interference import InterferenceConfig, NoiseConfig
 from cirlab.losses import TripletConfig
 from cirlab.nn import forward, init_params
-from cirlab.sampling import episode_rows
+from cirlab.sampling import ClassIndex, PKSpec, episode_rows, pk_batch
 from cirlab.tac import tac_init
 from cirlab.trainer import (
     CSV_HEADER,
@@ -410,9 +410,12 @@ class TestPreformedSampler:
         return np.random.default_rng(seed).permutation(labels)
 
     def sample(self, labels, rng, p=2, k=2):
-        parts = _mode_parts(small_cfg(mining="preformed", p_classes=p, k_samples=k),
-                            labels, len(self.SIZES))
-        return parts.sample(rng).reshape(3, p * k)
+        # one step of the epoch draw, with no row designated: the batch alone
+        cfg = small_cfg(mining="preformed", p_classes=p, k_samples=k,
+                        interference=InterferenceConfig(fraction=0.0))
+        rows, decoys = _mode_parts(cfg, labels, len(self.SIZES)).epoch(rng, 1)
+        assert decoys.shape == (1, 0)
+        return rows[0].reshape(3, p * k)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_triplets_and_coverage(self, seed):
@@ -443,6 +446,63 @@ class TestPreformedSampler:
         twin.integers(0, k - 1)
         twin.integers(0, len(labels) - k)
         assert (got[0] == order[a]).all()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+EPOCH_HEADS = {
+    "batch_all": {},
+    "preformed": dict(mining="preformed"),
+    "oim": dict(loss_mode="oim"),
+    "cross_entropy": dict(loss_mode="cross_entropy"),
+}
+
+
+class TestEpochDraw:
+    """Every head draws from the training stream through one call,
+    `_Parts.epoch(rng, steps)`: int64 rows and decoys, one row a step."""
+
+    LABELS = np.random.default_rng(0).permutation(np.repeat(np.arange(6), [5, 6, 7, 5, 8, 9]))
+    ROWS = {"batch_all": 6, "preformed": 18, "oim": 6, "cross_entropy": 6}
+
+    def parts(self, head, fraction):
+        cfg = small_cfg(p_classes=3, k_samples=2, **EPOCH_HEADS[head],
+                        interference=InterferenceConfig(fraction=fraction))
+        return _mode_parts(cfg, self.LABELS, 7)
+
+    def rows_alone(self, head, rng):
+        """The leading six rows of three batches of this head, drawn as
+        one-batch draws with no decoy between them."""
+        labels, n = self.LABELS, len(self.LABELS)
+        order, out = np.argsort(labels, kind="stable"), []
+        for _ in range(3):
+            if head == "batch_all":
+                out.append(pk_batch(ClassIndex(labels), PKSpec(3, 2), rng))
+            elif head == "preformed":
+                # an anchor, a positive and a negative draw (TestPreformedSampler)
+                a = rng.integers(0, n, size=6)
+                k = np.bincount(labels)[labels[order[a]]]
+                rng.integers(0, k - 1)
+                rng.integers(0, n - k)
+                out.append(order[a])
+            else:
+                out.append(rng.choice(n, size=6, replace=False))
+        return np.array(out)
+
+    @pytest.mark.parametrize("head", EPOCH_HEADS)
+    def test_rows_and_decoys_of_every_step(self, head):
+        rows, decoys = self.parts(head, 0.5).epoch(np.random.default_rng(3), 3)
+        assert rows.dtype == decoys.dtype == np.int64
+        assert rows.shape == (3, self.ROWS[head]) and decoys.shape == (3, 3)
+        # one wrong class for each of the three designated anchors
+        assert ((decoys >= 0) & (decoys < 7) & (decoys != self.LABELS[rows[:, :3]])).all()
+
+    @pytest.mark.parametrize("head", EPOCH_HEADS)
+    def test_no_designated_row_draws_no_decoy(self, head):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        rows, decoys = self.parts(head, 0.0).epoch(rng, 3)
+        assert rows.dtype == decoys.dtype == np.int64
+        assert rows.shape == (3, self.ROWS[head]) and decoys.shape == (3, 0)
+        assert np.array_equal(rows[:, :6], self.rows_alone(head, twin))
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
