@@ -179,55 +179,32 @@ def episodic_accuracy(
     )
 
 
-def _check_gallery_covers(query_labels: np.ndarray, gallery_labels: np.ndarray) -> None:
-    missing = sorted(set(query_labels.tolist()) - set(gallery_labels.tolist()))
-    if missing:
-        raise DataError(f"query labels with no gallery positive: {missing}")
-
-
-def retrieval_map(
+def retrieval_scores(
     query_features: np.ndarray,
     query_labels: np.ndarray,
     gallery_features: np.ndarray,
     gallery_labels: np.ndarray,
     metric: str = "euclidean",
-) -> float:
-    """Mean average precision of label retrieval.
+) -> tuple[float, float]:
+    """(mAP, CMC rank-1) of label retrieval, from one ranking per query.
 
     Per query the gallery is ranked by ascending distance (ties broken by
-    gallery index); AP averages precision at each relevant rank; mAP
-    averages AP over queries.
+    gallery index, a NaN distance last); AP averages precision at each
+    relevant rank, and rank-1 is 1 when the first-ranked row shares the
+    query's label. Both average over queries.
     """
     query_labels = np.asarray(query_labels)
     gallery_labels = np.asarray(gallery_labels)
-    _check_gallery_covers(query_labels, gallery_labels)
+    missing = sorted(set(query_labels.tolist()) - set(gallery_labels.tolist()))
+    if missing:
+        raise DataError(f"query labels with no gallery positive: {missing}")
     dist = _pairwise_dist(query_features, gallery_features, metric)
-    aps = np.empty(dist.shape[0])
-    for qi in range(dist.shape[0]):
-        order = np.argsort(dist[qi], kind="stable")
-        relevant = gallery_labels[order] == query_labels[qi]
-        hits = np.cumsum(relevant)
-        ranks = np.arange(1, len(order) + 1)
-        precisions = hits[relevant] / ranks[relevant]
-        aps[qi] = float(precisions.mean())
-    return float(aps.mean())
-
-
-def cmc_rank1(
-    query_features: np.ndarray,
-    query_labels: np.ndarray,
-    gallery_features: np.ndarray,
-    gallery_labels: np.ndarray,
-    metric: str = "euclidean",
-) -> float:
-    """Fraction of queries whose single nearest gallery row shares their
-    label (ties broken by gallery index)."""
-    query_labels = np.asarray(query_labels)
-    gallery_labels = np.asarray(gallery_labels)
-    _check_gallery_covers(query_labels, gallery_labels)
-    dist = _pairwise_dist(query_features, gallery_features, metric)
-    nearest = np.argmin(dist, axis=1)  # first minimum = lowest gallery index
-    return float(np.mean(gallery_labels[nearest] == query_labels))
+    order = np.argsort(dist, axis=1, kind="stable")
+    relevant = gallery_labels[order] == query_labels[:, None]
+    hits = np.cumsum(relevant, axis=1)
+    ranks = np.arange(1, dist.shape[1] + 1)
+    aps = [float((h[r] / ranks[r]).mean()) for h, r in zip(hits, relevant)]
+    return float(np.mean(aps)), float(relevant[:, 0].mean())
 
 
 def geometry_stats(features: np.ndarray, labels: np.ndarray) -> GeometryStats:

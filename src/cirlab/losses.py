@@ -26,10 +26,10 @@ is finite whenever the B^3 sum is.
 
 Everything that depends only on the batch's label pattern (the positive
 and negative pair masks, the triplet count and the flat gather/scatter
-indices of the threshold rows) is a `TripletMasks`. A caller whose
-batches all share one pattern, as the class-major P x K batches of one
-training run do, builds it once with `triplet_masks` and passes it on
-every call; without it the loss derives the masks from the labels.
+indices of the threshold rows) is a `TripletMasks`. The loss takes a
+stack of batches that share one pattern, as the class-major P x K
+batches of one training run do, and that pattern's masks, which the
+caller builds once with `triplet_masks` and passes on every call.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class TripletBatchResult:
     positive/negative slots. Callers add them after pulling grad_anchor
     back through whatever produced the blended rows."""
 
-    loss: float
+    loss: np.ndarray
     grad_anchor: np.ndarray
     grad_other: np.ndarray
     num_triplets: int
@@ -135,23 +135,19 @@ def triplet_masks(labels: np.ndarray) -> TripletMasks:
 def batch_all_triplet_loss(
     features: np.ndarray,
     blended_anchors: np.ndarray,
-    labels: np.ndarray,
     cfg: TripletConfig,
-    masks: TripletMasks | None = None,
+    masks: TripletMasks,
 ) -> TripletBatchResult:
     """Triplet loss over all valid triples, vectorized.
 
-    Blended rows serve only in the anchor slot; raw rows serve as positives
-    and negatives. Distances are between a blended anchor row and a raw
-    row. With an empty triplet set the loss is 0 with zero gradients.
-    masks, when given, must be `triplet_masks(labels)`, built once for
-    every batch with this label pattern; otherwise it is derived here.
-
     Features of shape S x B x d are S batches that share one label
-    pattern: labels is then S x B and masks is required. The loss and the
-    gradients are each batch's own, with its bits alone: loss is an S-vector
-    and the gradients are S x B x d. num_triplets and num_active are
-    totals over the S batches.
+    pattern, whose `triplet_masks` are masks. Blended rows serve only in
+    the anchor slot; raw rows serve as positives and negatives. Distances
+    are between a blended anchor row and a raw row. With an empty triplet
+    set the loss is 0 with zero gradients. The loss and the gradients are
+    each batch's own, with its bits alone: loss is an S-vector and the
+    gradients are S x B x d. num_triplets and num_active are totals over
+    the S batches.
     """
     z = np.asarray(features, dtype=np.float64)
     zt = np.asarray(blended_anchors, dtype=np.float64)
@@ -159,27 +155,17 @@ def batch_all_triplet_loss(
         # on one buffer matmul takes its symmetric a @ a.T path, which
         # rounds differently from the same rows in two buffers
         zt = zt.copy()
-    labels = np.asarray(labels)
-    if z.ndim not in (2, 3) or zt.shape != z.shape:
+    if z.ndim != 3 or zt.shape != z.shape:
         raise ShapeError(
             f"features {z.shape} and blended_anchors {zt.shape} must be "
-            "equal-shaped 2-D arrays, or 3-D for a stack of batches"
+            "equal-shaped S x B x d stacks of batches"
         )
-    if labels.shape != z.shape[:-1]:
-        raise ShapeError("labels do not match feature rows")
-    b = z.shape[-2]
-    if masks is None:
-        if z.ndim == 3:
-            raise ShapeError("a stack of batches needs its shared label masks")
-        masks = triplet_masks(labels)
-    elif masks.pos_ok.shape != (b, b):
+    b = z.shape[1]
+    if masks.pos_ok.shape != (b, b):
         raise ShapeError(
             f"masks of {masks.pos_ok.shape[0]} rows do not match "
             f"{b} feature rows"
         )
-    single = z.ndim == 2
-    if single:
-        z, zt = z[None], zt[None]
 
     # pairwise squared distances blended-anchor-to-raw, as
     # evaluate._pairwise_dist builds them (same bits)
@@ -188,7 +174,7 @@ def batch_all_triplet_loss(
 
     stacks = z.shape[0]
     if masks.num_triplets == 0:
-        return _result(single, np.zeros(stacks), np.zeros_like(z), np.zeros_like(z), 0, 0)
+        return TripletBatchResult(np.zeros(stacks), np.zeros_like(z), np.zeros_like(z), 0, 0)
     num_triplets = masks.num_triplets * stacks
 
     per_pair, count_an, total, active = _active_counts(dist, masks, cfg.margin)
@@ -202,7 +188,7 @@ def batch_all_triplet_loss(
         w = (1.0 / denom)[:, None, None]
         loss = total / denom
     if num_active == 0:
-        return _result(single, loss, np.zeros_like(z), np.zeros_like(z), num_triplets, 0)
+        return TripletBatchResult(loss, np.zeros_like(z), np.zeros_like(z), num_triplets, 0)
 
     # per-pair multiplicities, wc in place on the counts: wa[a,p] triplets
     # where (a,p) is the positive pair, wc[a,n] where (a,n) is the negative
@@ -231,20 +217,7 @@ def batch_all_triplet_loss(
         idle = active == 0
         grad_anchor[idle] = 0.0
         grad_other[idle] = 0.0
-    return _result(single, loss, grad_anchor, grad_other, num_triplets, num_active)
-
-
-def _result(single, loss, grad_anchor, grad_other, num_triplets, num_active):
-    """The loss's result, with the stack axis dropped for a single batch."""
-    if single:
-        loss, grad_anchor, grad_other = float(loss[0]), grad_anchor[0], grad_other[0]
-    return TripletBatchResult(
-        loss=loss,
-        grad_anchor=grad_anchor,
-        grad_other=grad_other,
-        num_triplets=num_triplets,
-        num_active=num_active,
-    )
+    return TripletBatchResult(loss, grad_anchor, grad_other, num_triplets, num_active)
 
 
 def _active_counts(dist, masks, margin):

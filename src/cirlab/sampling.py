@@ -302,10 +302,10 @@ def pk_batch(index: ClassIndex, spec: PKSpec, rng: np.random.Generator) -> np.nd
     [0, j] for j = n-k..n-1, then a Fisher-Yates shuffle, one in [0, i]
     for i = k-1..1: uniform and ordered at any n, in O(k). Two
     `rng.integers` calls with array bounds make them in order, one for
-    the classes and one for every drawn class's rows, replayed by one
-    `_floyd_replay`. Training draws an epoch's batches with `pk_epoch`,
-    the bits of one `pk_batch` a step, which the tests check against
-    this one-batch draw.
+    the classes, replayed by `_choice_replay`, and one for every drawn
+    class's rows, replayed by `_floyd_replay`. Training draws an
+    epoch's batches with `pk_epoch`, the bits of one `pk_batch` a step,
+    which the tests check against this one-batch draw.
     """
     drawn, draws = _pk_draws(index, spec.p_classes, spec.k_samples, rng)
     rows = np.empty((spec.p_classes, spec.k_samples), dtype=np.int64)

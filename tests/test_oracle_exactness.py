@@ -29,6 +29,7 @@ from oracles import (
     batch_all_triplet_loss_b3,
     batch_all_triplet_loss_boolean,
     geometry_stats_dense,
+    one_batch_loss,
     pairwise_dist_out_of_place,
     single_step,
     step_cross_entropy,
@@ -43,7 +44,7 @@ REDUCTIONS = ("mean_all", "mean_nonzero")
 
 def assert_matches_b3(z, zt, labels, cfg):
     """Equal counts, bit-identical gradients, loss within 1e-12 relative."""
-    got = batch_all_triplet_loss(z, zt, labels, cfg)
+    got = one_batch_loss(z, zt, labels, cfg)
     want = batch_all_triplet_loss_b3(z, zt, labels, cfg)
     assert got.num_triplets == want.num_triplets
     assert got.num_active == want.num_active
@@ -259,13 +260,12 @@ class TestActiveCountsMatchBoolSums:
 
 
 class TestCachedMasksMatchBooleanMasks:
-    """The loss with the masks a training run builds once equals the loss
-    without them and the per-call boolean-mask loss it replaced."""
+    """The loss with the masks a training run builds once equals the
+    per-call boolean-mask loss it replaced."""
 
     def check(self, z, zt, labels, cfg, masks):
         want = batch_all_triplet_loss_boolean(z, zt, labels, cfg)
-        assert_same_result(batch_all_triplet_loss(z, zt, labels, cfg, masks), want)
-        assert_same_result(batch_all_triplet_loss(z, zt, labels, cfg), want)
+        assert_same_result(one_batch_loss(z, zt, labels, cfg, masks), want)
         return want
 
     @pytest.mark.parametrize("reduction", REDUCTIONS)
@@ -341,7 +341,7 @@ class TestCachedMasksMatchBooleanMasks:
         z[1] = zt[1] = 1e4 * labels[:, None]
         z[2, 3] = np.nan
         cfg = TripletConfig(0.5, reduction, squared)
-        got = batch_all_triplet_loss(z, zt, np.tile(labels, (3, 1)), cfg, masks)
+        got = batch_all_triplet_loss(z, zt, cfg, masks)
         alone = [batch_all_triplet_loss_boolean(z[s], zt[s], labels, cfg) for s in range(3)]
         assert [r.num_active == 0 for r in alone] == [False, True, False]
         assert np.isfinite(got.loss).all()
@@ -355,7 +355,7 @@ class TestCachedMasksMatchBooleanMasks:
     def test_masks_must_match_the_batch(self):
         z, zt, labels = pk_batch_embeddings(4, 4, 3, seed=0)
         with pytest.raises(ShapeError, match="masks of 12 rows"):
-            batch_all_triplet_loss(
+            one_batch_loss(
                 z, zt, labels, TripletConfig(), triplet_masks(np.repeat(np.arange(4), 3))
             )
 
@@ -535,7 +535,7 @@ class TestMemoryGuards:
         # the B^3 body peaked at 163 MB here
         z, zt, labels = pk_batch_embeddings(32, 8, 16, seed=0)
         assert traced_peak_mb(
-            batch_all_triplet_loss, z, zt, labels, TripletConfig()
+            one_batch_loss, z, zt, labels, TripletConfig()
         ) < 24.0
 
     def test_geometry_stats_has_no_quadratic_transient(self):
@@ -552,7 +552,7 @@ class TestMemoryGuards:
         z, zt, labels = pk_batch_embeddings(32, 8, 16, seed=0)
         for squared in (True, False):
             assert traced_peak_mb(
-                batch_all_triplet_loss, z, zt, labels, TripletConfig(squared=squared)
+                one_batch_loss, z, zt, labels, TripletConfig(squared=squared)
             ) < 4.5
 
     def test_geometry_stats_holds_one_distance_block(self):

@@ -11,14 +11,17 @@ per run. The reproduce workload's train_s times the matrix's calls of
 its eval_s times the calls of `cirlab.reproduce.evaluate_checkpoint`,
 so every final episodic score must run inside one. The tracer sums the
 loss's counts and dumps them to JSON, so they must stay Python ints.
-They read perfbench/ and change nothing there. The last test scans the
-package's own source for code that nothing reads.
+They read perfbench/ and change nothing there. Another test scans the
+package's own source for code that nothing reads, and the last runs a
+failing property test under the repo's pytest settings.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -32,7 +35,8 @@ from cirlab.datagen import GeneratorSpec, gen_gaussian_mixture, split_classes
 from cirlab.interference import NoiseConfig
 from cirlab.trainer import TrainConfig
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 PACKAGE = Path(cirlab.trainer.__file__).resolve().parent
 
 
@@ -384,3 +388,31 @@ def test_package_reads_every_private_name_and_parameter():
                 name = getattr(fn, "name", "<lambda>")
                 dead += [f"{module}.{name}({p})" for p in _unread_params(fn)]
     assert dead == []
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None, max_examples=20)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # under filterwarnings = ["error"], a DeprecationWarning raised in
+    # hypothesis's report hook ended the run with INTERNALERROR and hid
+    # the falsifying example
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+            "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_property.py",
+        ],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "Falsifying example" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr

@@ -188,6 +188,18 @@ class TestConfigValidation:
         ten.labels[9] = 0  # class 0 holds 10 rows, so it gives one up
         check_feasible(ten, None, small_cfg(loss_mode="oim"))
 
+    @pytest.mark.parametrize("mode", ["triplet", "oim", "cross_entropy"])
+    def test_epoch_draw_beyond_the_bound_refused(self, mode):
+        # an epoch draw holds at most 4 P K values a step, 64 at P x K =
+        # 4 x 4, so 2**22 iterations fill the 2**28-value budget exactly
+        small_cfg(loss_mode=mode, iterations=2**22)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^iterations = 4194305 x 4 x p_classes x k_samples would size "
+            r"an array of 268435520 values",
+        ):
+            small_cfg(loss_mode=mode, iterations=2**22 + 1)
+
     def test_encoder_arrays_beyond_the_bound_refused(self):
         # the widths of a config and of a split size the first weight
         # matrix and the class table: each is refused above 2**28 values
@@ -675,11 +687,11 @@ class TestEvaluateCheckpoint:
         z, _ = forward(params, te.features)
         first_rows = [int(np.flatnonzero(te.labels == c)[0]) for c in range(te.class_count)]
         gallery = np.setdiff1d(np.arange(te.size), first_rows)
-        from cirlab.evaluate import retrieval_map
+        from cirlab.evaluate import retrieval_scores
 
-        expected = retrieval_map(
+        expected = retrieval_scores(
             z[first_rows], te.labels[first_rows], z[gallery], te.labels[gallery]
-        )
+        )[0]
         rows = evaluate_checkpoint(params, tac, te, "retrieval")
         assert rows[0][1] == expected
 
