@@ -56,7 +56,6 @@ from .trainer import (
     evaluate_checkpoint,
     logs_to_csv,
     train,
-    train_two_stage,
 )
 
 EXIT_OK = 0
@@ -144,16 +143,11 @@ def _load_config_and_data(args):
 def cmd_train(args):
     cfg, train_ds, val_ds = _load_config_and_data(args)
     check_feasible(train_ds, val_ds, cfg)
-    if cfg.stage2 is not None:
-        check_feasible(train_ds, val_ds, cfg.stage2)
     if args.dry_run:
         print("config ok")
         return EXIT_OK
     start = time.monotonic()
-    if cfg.stage2 is not None:
-        params, tac, logs = train_two_stage(train_ds, val_ds, cfg)
-    else:
-        params, tac, logs = train(train_ds, val_ds, cfg)
+    params, tac, logs = train(train_ds, val_ds, cfg)
     save_checkpoint(params, tac, args.out)
     log_path = args.log or args.out + ".log.csv"
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:

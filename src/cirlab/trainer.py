@@ -9,8 +9,8 @@ derived with child_seed(master, k): k=0 encoder init, 1 class-table init,
 episodes, 4 train-proxy episodes, 5 holdout selection, 6 classifier head
 init, 7 the Gaussian noise of the control arm. Runs are fully
 deterministic on one thread. Both episode sets are drawn once per run,
-as the (support, query) pairs of `episode_rows`, and after each epoch
-every split is embedded once for all the metrics scored on it.
+as the (support, query) pairs of `episode_rows`. After each epoch every
+split is embedded once, and a classification head's held-out rows again.
 
 The draws are made per epoch: `_Parts.epoch`, every head's one reader of
 the training stream, draws an epoch's batches and decoys with the bits of
@@ -331,14 +331,21 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
         need = cfg.eval_k_shot + cfg.eval_q_queries
         for ds, split in ((train_ds, "train"), (val_ds, "validation")):
             _check_rows(ds, split, cfg.eval_n_way, need, "episodes")
-    elif not floor_count(cfg.holdout_fraction * np.bincount(train_ds.labels)).any():
+    else:
         # _holdout_rows takes floor(fraction * count) rows of each class
-        raise DataError(
-            f"holdout_fraction {cfg.holdout_fraction} holds out no rows: every "
-            f"train class has fewer than 1/{cfg.holdout_fraction} rows"
-        )
+        counts = np.bincount(train_ds.labels)
+        held = floor_count(cfg.holdout_fraction * counts)
+        if not held.any():
+            raise DataError(
+                f"holdout_fraction {cfg.holdout_fraction} holds out no rows: every "
+                f"train class has fewer than 1/{cfg.holdout_fraction} rows"
+            )
+        if (held == counts).all():
+            raise DataError(f"holdout_fraction {cfg.holdout_fraction} leaves no row to fit")
     if train_ds.class_count < 2:
         raise DataError("need at least 2 training classes")
+    if cfg.stage2 is not None:
+        check_feasible(train_ds, val_ds, cfg.stage2)
 
 
 def _check_rows(ds: Dataset, split: str, classes: int, need: int, use: str) -> None:
@@ -404,14 +411,15 @@ def train(
     val_ds: Dataset | None,
     cfg: TrainConfig,
     initial_params: ModelParams | None = None,
-    stage: int = 1,
-    epoch_offset: int = 0,
     arms: tuple = (),
 ):
-    """Run one training stage; returns (params, table, epoch logs).
+    """Train cfg; returns (params, table, epoch logs).
 
     With initial_params the encoder continues from that state (its own
     fresh table is still created — stage 2 of the two-stage schedule).
+    With cfg.stage2 set, each config's encoder goes on in a `train` call on
+    its stage2, which counts its own epochs and prefixes a NumericError
+    "stage 2: "; its log rows follow stage 1's, numbered on, as stage 2.
 
     arms are further configs that differ from cfg only in `interference`
     and `noise`, with the same `interference.fraction`. They train in
@@ -423,8 +431,6 @@ def train(
     config of (cfg, *arms), each with the bits of a `train` call on that
     config alone; the first error any arm hits is raised for the call.
     """
-    if cfg.stage2 is not None:
-        raise ConfigurationError("train runs one stage; use train_two_stage for stage2")
     _check_arms(cfg, arms)
     check_feasible(train_ds, val_ds, cfg)
 
@@ -496,8 +502,8 @@ def train(
             )
         geom = geometry_stats(z_train, labels)
         return EpochLog(
-            epoch=epoch_offset + e,
-            stage=stage,
+            epoch=e,
+            stage=1,
             lr=rate,
             train_loss=loss_sum / cfg.iterations,
             train_acc=train_acc,
@@ -519,7 +525,7 @@ def train(
             # non-finite anchor's triplets inactive, so its loss stays finite
             if not all(np.isfinite(a).all() for a in (step.loss, step.z, step.blended)):
                 raise NumericError(
-                    f"non-finite loss or embeddings at epoch {epoch_offset + e} "
+                    f"non-finite loss or embeddings at epoch {e} "
                     f"iteration {it}"
                 )
             sgd_step_in_place(encoder, rate)
@@ -536,7 +542,17 @@ def train(
         for s in range(count):
             logs[s].append(epoch_log(s, e, rate, losses[s], accs[s]))
 
-    outcomes = [(params.arm(s), tac.arm(s), logs[s]) for s in range(count)]
+    del feats, fit_feats  # stage 2 need not hold stage 1's feature copies
+    outcomes = []
+    for s, c in enumerate(configs):
+        arm_params, arm_tac, arm_logs = params.arm(s), tac.arm(s), logs[s]
+        if c.stage2 is not None:
+            try:
+                arm_params, arm_tac, logs2 = train(train_ds, val_ds, c.stage2, arm_params)
+            except NumericError as exc:
+                raise NumericError(f"stage 2: {exc}") from exc
+            arm_logs += [replace(row, epoch=row.epoch + c.epochs, stage=2) for row in logs2]
+        outcomes.append((arm_params, arm_tac, arm_logs))
     return outcomes if arms else outcomes[0]
 
 
@@ -713,23 +729,6 @@ def _classification_accuracy(z, labels, head, tac, temperature) -> float:
     if not np.isfinite(logits).all():
         raise NumericError("non-finite classification logits")
     return float(np.mean(np.argmax(logits, axis=1) == labels))
-
-
-def train_two_stage(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig):
-    """Cross-entropy pretrain, then discard the head, re-derive a fresh
-    class table, and continue with triplet training from the stage-1
-    encoder. Logs concatenate with stage markers 1 and 2; TrainConfig has
-    checked the pair of stages."""
-    if cfg.stage2 is None:
-        raise ConfigurationError("two-stage training needs a stage2 config")
-
-    stage1_cfg = replace(cfg, stage2=None)
-    params, _, logs1 = train(train_ds, val_ds, stage1_cfg, stage=1)
-    params2, tac2, logs2 = train(
-        train_ds, val_ds, cfg.stage2,
-        initial_params=params, stage=2, epoch_offset=cfg.epochs,
-    )
-    return params2, tac2, logs1 + logs2
 
 
 def evaluate_checkpoint(

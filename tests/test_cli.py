@@ -208,6 +208,31 @@ class TestTrain:
             assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
             assert done.stdout == "" and not out.exists()
 
+    def test_holdout_of_every_row_exits_2(self, tmp_path):
+        # floor_count(0.99999999999 * 10) is 10, so no row was left to fit:
+        # --dry-run printed "config ok", and the run warned twice and
+        # exited 4 at epoch 0 iteration 0
+        assert entrypoint([
+            "gen", "--classes", "12", "--per-class", "10",
+            "--split", "0.5,0.25,0.25", "-o", str(tmp_path / "ds.cird"),
+        ]) == 0
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text(
+            "loss_mode = oim\nhidden_dims = 8\nembed_dim = 4\n"
+            "holdout_fraction = 0.99999999999\n"
+        )
+        for flags in (["--dry-run"], []):
+            out = tmp_path / "m.ckpt"
+            done = _run_cli([
+                "train", "-c", str(cfg), "-d", str(tmp_path / "ds.train.cird"),
+                "-o", str(out), *flags,
+            ])
+            assert done.returncode == 2
+            assert done.stderr == (
+                "error: holdout_fraction 0.99999999999 leaves no row to fit\n"
+            )
+            assert done.stdout == "" and not out.exists()
+
     def test_outputs_exist(self, trained):
         assert (trained / "m.ckpt").exists()
         assert (trained / "m.ckpt.log.csv").exists()

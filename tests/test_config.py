@@ -97,6 +97,10 @@ class TestParseErrors:
         with pytest.raises(ConfigFileError, match="duplicate key 'epochs'"):
             parse_config_text("epochs = 1\nepochs = 2\n")
 
+    def test_duplicate_section(self):
+        with pytest.raises(ConfigFileError, match=r"line 3: duplicate section \[stage2\]"):
+            parse_config_text("[stage2]\nepochs = 1\n[stage2]\nepochs = 2\n")
+
     def test_unknown_section(self):
         with pytest.raises(ConfigFileError, match=r"unknown section \[stage3\]"):
             parse_config_text("[stage3]\nepochs = 1\n")

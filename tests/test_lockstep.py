@@ -295,6 +295,25 @@ class TestLockstepMatchesSeparateRuns:
         got, want = train(tr, va, noise), train(tr, va, as_no_reg(cir))
         assert same_params(got[0], want[0]) and got[2] == want[2]
 
+    def test_arms_of_a_two_stage_config(self):
+        # each arm's stage-1 encoder goes on into a stage-2 run of its own
+        tr, va, _ = splits()
+        stage2 = small_config("batch_all", strength=0.5, fraction=0.5)
+        cir = replace(
+            small_config("cross_entropy", strength=0.5, fraction=0.5), stage2=stage2
+        )
+        configs = [cir, as_no_reg(cir), as_noise(cir)]
+        lockstep = train(tr, va, cir, arms=tuple(configs[1:]))
+        for cfg, got in zip(configs, lockstep):
+            params1, _, logs1 = train(tr, va, replace(cfg, stage2=None))
+            want = train(tr, va, stage2, initial_params=params1)
+            assert same_params(got[0], want[0]) and same(got[1].table, want[1].table)
+            assert got[2] == logs1 + [
+                replace(row, epoch=row.epoch + cfg.epochs, stage=2) for row in want[2]
+            ]
+            alone = train(tr, va, cfg)
+            assert same_params(alone[0], got[0]) and alone[2] == got[2]
+
 
 class TestFailingArms:
     def configs(self):

@@ -172,6 +172,7 @@ def test_unexpected_error_is_recorded_per_cell(tmp_path, monkeypatch):
     assert sorted((r.arm, r.seed) for r in report.runs) == sorted(
         (arm, seed) for arm in ARMS for seed in (0, 1) if (arm, seed) != ("cir", 1)
     )
+    assert format_report(report).endswith("\n[ERROR] cir seed=1: RuntimeError: worker blew up")
 
 
 def test_one_failing_arm_fails_alone(tmp_path, monkeypatch):

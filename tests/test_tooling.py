@@ -12,14 +12,16 @@ its eval_s times the calls of `cirlab.reproduce.evaluate_checkpoint`,
 so every final episodic score must run inside one. The tracer sums the
 loss's counts and dumps them to JSON, so they must stay Python ints.
 They read perfbench/ and change nothing there. Another test scans the
-package's own source for code that nothing reads, and the last runs a
-failing property test under the repo's pytest settings.
+package's own source for code that nothing reads, one checks README's
+config-key table against the parser, and the last runs a failing
+property test under the repo's pytest settings.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+import cirlab.config
 import cirlab.reproduce
 import cirlab.sampling
 import cirlab.trainer
@@ -388,6 +391,24 @@ def test_package_reads_every_private_name_and_parameter():
                 name = getattr(fn, "name", "<lambda>")
                 dead += [f"{module}.{name}({p})" for p in _unread_params(fn)]
     assert dead == []
+
+
+def test_readme_config_table_matches_the_parser():
+    # each row names its keys in backticks, then their defaults in order
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys, defaults = line.split(" | ")[:2]
+        names = re.findall(r"`(\w+)`", keys)
+        values = defaults.replace("`", "").split(", ")
+        assert len(names) == len(values), line
+        rows += zip(names, values)
+    assert sorted(name for name, _ in rows) == sorted(cirlab.config._KEYS)
+    text = cirlab.config.config_to_text(replace(TrainConfig(), noise=NoiseConfig()))
+    assert dict(rows) == dict(line.split(" = ") for line in text.splitlines())
 
 
 FAILING_PROPERTY = """\

@@ -27,7 +27,6 @@ from cirlab.trainer import (
     evaluate_checkpoint,
     logs_to_csv,
     train,
-    train_two_stage,
 )
 from oracles import grad_check, single_step
 
@@ -187,6 +186,16 @@ class TestConfigValidation:
         ten = replace(nine, labels=nine.labels.copy())
         ten.labels[9] = 0  # class 0 holds 10 rows, so it gives one up
         check_feasible(ten, None, small_cfg(loss_mode="oim"))
+        # floor_count(0.99999999999 * 9) is 9: every row held out, none fit;
+        # a class of 1000 rows keeps one
+        almost_all = small_cfg(loss_mode="oim", holdout_fraction=1 - 1e-11)
+        with pytest.raises(DataError, match="^holdout_fraction 0.99999999999 leaves no row"):
+            check_feasible(nine, None, almost_all)
+        big = Dataset(
+            features=np.zeros((1009, 8), dtype=np.float32),
+            labels=np.repeat([0, 1], [9, 1000]), class_count=2, provenance="big",
+        )
+        check_feasible(big, None, almost_all)
 
     @pytest.mark.parametrize("mode", ["triplet", "oim", "cross_entropy"])
     def test_epoch_draw_beyond_the_bound_refused(self, mode):
@@ -218,6 +227,10 @@ class TestConfigValidation:
             ConfigurationError, match=r"^input_dim = 32768 x hidden_dims\[0\] = 16384 "
         ):
             check_feasible(wide, None, small_cfg(hidden_dims=(2**14,)))
+        with pytest.raises(
+            ConfigurationError, match=r"^input_dim = 32768 x embed_dim = 16384 "
+        ):
+            check_feasible(wide, None, small_cfg(hidden_dims=(), embed_dim=2**14))
         many = Dataset(
             features=np.zeros((2**15, 1), dtype=np.float32),
             labels=np.arange(2**15), class_count=2**15, provenance="many",
@@ -563,7 +576,7 @@ class TestTwoStage:
 
     def test_stage_markers(self):
         tr, va, _ = make_splits()
-        _, _, logs = train_two_stage(tr, va, self.cfg_pair())
+        _, _, logs = train(tr, va, self.cfg_pair())
         stages = [log.stage for log in logs]
         assert stages == [1, 1, 1, 2, 2, 2]
         assert [log.epoch for log in logs] == [0, 1, 2, 3, 4, 5]
@@ -578,7 +591,7 @@ class TestTwoStage:
             decay_factor=0.5,
         )
         cfg = self.cfg_pair(stage2=stage2, decay_start_epoch=1, decay_factor=0.9)
-        _, _, logs = train_two_stage(tr, va, cfg)
+        _, _, logs = train(tr, va, cfg)
         assert [(log.epoch, log.stage, log.lr) for log in logs] == [
             (0, 1, 0.02), (1, 1, 0.02), (2, 1, 0.02 * 0.9),
             (3, 2, 0.004), (4, 2, 0.004), (5, 2, 0.004 * 0.5),
@@ -586,11 +599,32 @@ class TestTwoStage:
         csv_lr = [row.split(",")[2] for row in logs_to_csv(logs).split("\n")[4:7]]
         assert csv_lr == ["0.004", "0.004", "0.002"]
 
-    def test_train_refuses_a_two_stage_config(self):
-        # one stage alone would train stage 1 and drop stage 2 unannounced
+    def test_stage2_the_split_cannot_serve_refused_before_stage1_trains(self, monkeypatch):
+        # stage 2 draws PK batches of 8 classes from a 6-class split; the
+        # refusal came after stage 1 had trained
         tr, va, _ = make_splits()
-        with pytest.raises(ConfigurationError, match="use train_two_stage"):
-            train(tr, va, self.cfg_pair())
+        cfg = self.cfg_pair(stage2=small_cfg(seed=11, p_classes=8))
+
+        def step(*args):
+            raise AssertionError("stage 1 trained")
+
+        monkeypatch.setattr(cirlab.trainer, "_step", step)
+        for check in (train, check_feasible):
+            with pytest.raises(DataError, match="^train split has 6 classes, batches need 8$"):
+                check(tr, va, cfg)
+
+    def test_stage2_divergence_names_its_stage(self):
+        # the epoch is stage 2's own, as its rate counts it
+        tr, va, _ = make_splits()
+        cfg = self.cfg_pair(stage2=small_cfg(learning_rate=50.0, epochs=10, iterations=50))
+        params1, _, _ = train(tr, va, replace(cfg, stage2=None))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as alone:
+                train(tr, va, cfg.stage2, initial_params=params1)
+            with pytest.raises(NumericError) as chained:
+                train(tr, va, cfg)
+        assert str(alone.value).startswith("non-finite loss or embeddings at epoch ")
+        assert str(chained.value) == f"stage 2: {alone.value}"
 
     def test_stage2_activation_must_match(self):
         with pytest.raises(
@@ -601,7 +635,7 @@ class TestTwoStage:
     def test_zero_stage2_equals_stage1_encoder(self):
         tr, va, _ = make_splits()
         cfg = self.cfg_pair(stage2_epochs=0)
-        params2, _, logs = train_two_stage(tr, va, cfg)
+        params2, _, logs = train(tr, va, cfg)
         stage1_params, _, _ = train(
             tr, va, small_cfg(
                 loss_mode="cross_entropy", epochs=3, iterations=20,
@@ -616,19 +650,13 @@ class TestTwoStage:
     def test_wrong_stage1_mode_rejected(self):
         tr, va, _ = make_splits()
         with pytest.raises(ConfigurationError):
-            train_two_stage(tr, va, small_cfg(stage2=small_cfg()))
-
-    def test_missing_stage2_rejected(self):
-        tr, va, _ = make_splits()
-        cfg = small_cfg(loss_mode="cross_entropy", learning_rate=0.02)
-        with pytest.raises(ConfigurationError):
-            train_two_stage(tr, va, cfg)
+            train(tr, va, small_cfg(stage2=small_cfg()))
 
     def test_architecture_must_match(self):
         tr, va, _ = make_splits()
         stage2 = small_cfg(embed_dim=4)
         with pytest.raises(ConfigurationError):
-            train_two_stage(
+            train(
                 tr, va,
                 small_cfg(loss_mode="cross_entropy", learning_rate=0.02, stage2=stage2),
             )
