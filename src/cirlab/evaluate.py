@@ -163,12 +163,16 @@ def episodic_accuracy(
     accs = np.empty(count)
     for start in range(0, count, EPISODE_CHUNK):
         stop = start + EPISODE_CHUNK
-        protos = np.asarray(z[support[start:stop]].mean(axis=2), dtype=np.float64)
+        protos = np.asarray(
+            z.take(support[start:stop], axis=0).mean(axis=2), dtype=np.float64
+        )
         at = query[start:stop].reshape(len(protos), n_way * q_queries)
         if metric == "cosine":
-            dist = 1.0 - rows[at] @ _unit_rows(protos).swapaxes(-1, -2)
+            dist = 1.0 - rows.take(at, axis=0) @ _unit_rows(protos).swapaxes(-1, -2)
         else:
-            dist = squared_distances(rows[at], protos, rows_squared[at])
+            dist = squared_distances(
+                rows.take(at, axis=0), protos, rows_squared.take(at)
+            )
             np.sqrt(dist, out=dist)
         pred = np.argmin(dist, axis=2)
         accs[start:stop] = np.mean(pred == query_labels, axis=1)

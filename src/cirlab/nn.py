@@ -194,7 +194,13 @@ def forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCach
         )
     if x.size and not np.isfinite(x).all():
         raise NumericError("input batch contains non-finite values")
+    return _layers(params, x)
 
+
+def _layers(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """`forward`'s passes without its checks: x must be a float64 batch
+    that `forward` would accept, finite and of the encoder's input width,
+    S x B x d_in for a stack of S encoders."""
     inputs = [x]
     preacts = []
     h = x

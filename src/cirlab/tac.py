@@ -101,19 +101,35 @@ def tac_update(
     if labels.size and (labels.min() < 0 or labels.max() >= tac.num_classes):
         raise InputError(f"labels must lie in [0, {tac.num_classes})")
     table = tac.table.copy()
-    # a stack's tables as one (S * C) x d table, row s * C + c being row c
+    _fold(table, tac.momentum, features, labels, normalize, class_rows)
+    return ClassTable(table=table, momentum=tac.momentum)
+
+
+def _fold(
+    table: np.ndarray,
+    momentum: float,
+    features: np.ndarray,
+    labels: np.ndarray,
+    normalize: bool,
+    class_rows: int | None,
+) -> None:
+    """`tac_update`'s fold without its checks, written into table in
+    place: table must be C-contiguous, and features (float64) and labels
+    must be a batch that `tac_update` would accept for it."""
+    num_classes, dim = table.shape[-2:]
+    # a stack's tables as one (S * C) x d view, row s * C + c being row c
     # of table s (one table needs no offset); keys are the flat rows of the
     # batch's rows (general path) or of its classes' blocks (class-major)
-    flat = table.reshape(-1, tac.dim)
+    flat = table.reshape(-1, dim)
     keys = labels if class_rows is None else labels[..., ::class_rows]
-    if len(flat) > tac.num_classes:
-        keys = keys + np.arange(0, len(flat), tac.num_classes)[:, None]
+    if len(flat) > num_classes:
+        keys = keys + np.arange(0, len(flat), num_classes)[:, None]
     keys = keys.reshape(-1)
     if class_rows is None:
         # the present classes' means: bincount adds each (class, column)
         # cell's entries in row order from zero, as np.add.at would
         counts = np.bincount(keys, minlength=len(flat))
-        cells = (keys[:, None] * tac.dim + np.arange(tac.dim)).reshape(-1)
+        cells = (keys[:, None] * dim + np.arange(dim)).reshape(-1)
         sums = np.bincount(cells, features.reshape(-1), minlength=flat.size)
         classes = np.flatnonzero(counts)
         means = sums.reshape(flat.shape)[classes] / counts[classes, None]
@@ -122,12 +138,11 @@ def tac_update(
         # the blocks add each class's rows in row order, as np.add.at does;
         # + 0.0 makes an all -0.0 sum the +0.0 that np.add.at's zero start
         # gives, whatever sign this numpy's reduction leaves on it
-        blocks = features.reshape(-1, class_rows, tac.dim)
+        blocks = features.reshape(-1, class_rows, dim)
         means = (blocks.sum(axis=-2) + 0.0) / class_rows
-    rows = (1.0 - tac.momentum) * flat[classes] + tac.momentum * means
+    rows = (1.0 - momentum) * flat[classes] + momentum * means
     if normalize:
         norms = np.linalg.norm(rows, axis=-1)
         safe = norms > 0
         rows[safe] = rows[safe] / norms[safe, None]
     flat[classes] = rows
-    return ClassTable(table=table, momentum=tac.momentum)

@@ -31,8 +31,16 @@ the cross-entropy head each live in one flat buffer (`flatten_params`):
 `backward` writes their gradients into a buffer of the same layout, and
 each SGD step is one finiteness check and one in-place subtraction over
 the whole buffer (`sgd_step_in_place`, with the bits of `sgd_step`). The
-softmax heads take their smoothed targets as rows of one C x C
-`label_smooth` table.
+run's one stacked class table folds each step's batch means in place
+(`tac._fold`: the bits of `tac_update`, without its copy and its new
+`ClassTable`). The softmax heads take their smoothed targets as rows of
+one C x C `label_smooth` table. The run's data is checked once too:
+`check_feasible` refuses labels outside [0, C), and `train` refuses a
+non-finite train feature in one pass, so the step runs the encoder
+through `nn._layers` and folds the table through `tac._fold`, without
+the per-call checks of `forward` and `tac_update`. The cross-entropy
+head keeps the checked `forward`, because its input, the treated
+anchors, is made inside the step.
 
 Configs that differ only in the anchor treatment (`interference` and
 `noise`) can train in lockstep, as arms of one `train` call: the arms
@@ -79,6 +87,7 @@ from .losses import (
 )
 from .nn import (
     ModelParams,
+    _layers,
     backward,
     check_activation,
     flatten_params,
@@ -92,7 +101,7 @@ from .sampling import (
     ClassIndex, PKSpec, check_array_size, check_episode_set, check_seed,
     child_seed, episode_rows, pk_epoch, step_draws,
 )
-from .tac import ClassTable, tac_init, tac_update
+from .tac import ClassTable, _fold, tac_init
 
 LOSS_MODES = ("triplet", "oim", "cross_entropy")
 MINING_MODES = ("batch_all", "preformed")
@@ -340,8 +349,13 @@ def check_feasible(train_ds: Dataset, val_ds: Dataset | None, cfg: TrainConfig) 
                 f"holdout_fraction {cfg.holdout_fraction} holds out no rows: every "
                 f"train class has fewer than 1/{cfg.holdout_fraction} rows"
             )
-        if (held == counts).all():
-            raise DataError(f"holdout_fraction {cfg.holdout_fraction} leaves no row to fit")
+        # a class with rows must keep one to fit, or no batch updates its row
+        emptied = np.flatnonzero((held == counts) & (counts > 0))
+        if emptied.size:
+            raise DataError(
+                f"holdout_fraction {cfg.holdout_fraction} leaves no row to fit "
+                f"in train class {emptied[0]}"
+            )
     if train_ds.class_count < 2:
         raise DataError("need at least 2 training classes")
     if cfg.stage2 is not None:
@@ -449,6 +463,9 @@ def train(
         seed=child_seed(cfg.seed, 1),
     )
 
+    # the run's one check for the step's unchecked encoder (module docstring)
+    if not np.isfinite(train_ds.features).all():
+        raise NumericError("input batch contains non-finite values")
     feats = train_ds.features.astype(np.float64)
     labels = train_ds.labels
     fit_feats, fit_labels = feats, labels
@@ -473,7 +490,8 @@ def train(
 
     # every arm starts from the same encoder, head and table, and draws
     # its batches and decoys from one training stream; the stacked
-    # encoder and head each step in place in one flat buffer
+    # encoder and head each step in place in one flat buffer, and the
+    # stacked (C-contiguous) table folds in place
     configs = (cfg, *arms)
     count = len(configs)
     rng = np.random.default_rng(child_seed(cfg.seed, 2))
@@ -516,6 +534,8 @@ def train(
         rate = cfg.rate(e)
         loss_sum, acc_sum = np.zeros(count), np.zeros(count)
         rows, decoys = parts.epoch(rng, cfg.iterations)
+        # every arm takes the same rows: step t's S x B rows are a view
+        rows = np.broadcast_to(rows[:, None], (len(rows), count, rows.shape[1]))
         for it in range(cfg.iterations):
             step = _step(
                 encoder, head, tac, fit_feats, fit_labels, parts, configs,
@@ -523,7 +543,8 @@ def train(
             )
             # the blended or noised anchors too: the batch-all loss leaves a
             # non-finite anchor's triplets inactive, so its loss stays finite
-            if not all(np.isfinite(a).all() for a in (step.loss, step.z, step.blended)):
+            if not (np.isfinite(step.loss).all() and np.isfinite(step.z).all()
+                    and np.isfinite(step.blended).all()):
                 raise NumericError(
                     f"non-finite loss or embeddings at epoch {e} "
                     f"iteration {it}"
@@ -531,10 +552,8 @@ def train(
             sgd_step_in_place(encoder, rate)
             if head is not None:
                 sgd_step_in_place(head, rate)
-            tac = tac_update(
-                tac, step.z, step.y, normalize=cfg.tac_normalize,
-                class_rows=parts.class_rows,
-            )
+            _fold(tac.table, tac.momentum, step.z, step.y, cfg.tac_normalize,
+                  parts.class_rows)
             loss_sum += step.loss
             if step.acc is not None:
                 acc_sum += step.acc
@@ -569,16 +588,17 @@ class StepRecord(NamedTuple):
 
 
 def _step(encoder, head, tac, feats, labels, parts, cfgs, rows, decoys, noise_rngs):
-    """One training step of a stack of arms on batch `rows`, for every
-    head; returns its `StepRecord` and leaves the gradients of the flat
-    encoder and head (or None) in their gradient buffers. Arm s treats
+    """One training step of a stack of arms on the S x B `rows`, row s the
+    batch of arm s, for every head; returns its `StepRecord` and leaves the
+    gradients of the flat encoder and head (or None) in their gradient
+    buffers. The encoder runs unchecked (`nn._layers`): `train` has
+    checked the features once for the run. Arm s treats
     its designated anchors under cfgs[s] against its own table tac.arm(s)
     and the `decoys`, one per designated row, with any noise
     from noise_rngs[s]; the encoder, the head, the loss and the backward
     pass run once, on the stacked params, head and tables."""
-    rows = np.broadcast_to(rows, (len(cfgs), rows.size))
     x, y = feats.take(rows, axis=0), labels.take(rows)
-    z, cache = forward(encoder.params, x)
+    z, cache = _layers(encoder.params, x)
     n_anchor, n = parts.anchors, parts.designated
     # one copy for the stack, untreated arms included, which the arms'
     # treatments then overwrite in place
@@ -632,7 +652,7 @@ def _mode_parts(cfg, labels, num_classes):
     targets as rows of one C x C table of smoothed distributions, built
     here for the run's `num_classes`.
     class_rows is K when every batch is a class-major PK batch of
-    distinct classes, for `tac_update`, else None.
+    distinct classes, for the table fold (`tac._fold`), else None.
     """
     pk, n = PKSpec(cfg.p_classes, cfg.k_samples), len(labels)
     b = pk.batch_size if cfg.loss_mode == "triplet" else min(pk.batch_size, n)

@@ -42,7 +42,7 @@ from cirlab.nn import (
     ParamGrads, backward, flatten_params, forward, input_gradient, stack_params,
 )
 from cirlab.sampling import ClassIndex, child_seed, pk_batch
-from cirlab.tac import ClassTable
+from cirlab.tac import ClassTable, _fold
 from cirlab.trainer import TrainConfig, _step
 
 
@@ -387,6 +387,14 @@ def tac_update_add_at(tac, features, labels, normalize=False):
     return ClassTable(table=table, momentum=tac.momentum)
 
 
+def folded(tac, features, labels, normalize=False, class_rows=None):
+    """The trainer's in-place `tac._fold` on a copy of tac's table, as a
+    new table: the fold `tac_update` makes after its checks."""
+    table = tac.table.copy()
+    _fold(table, tac.momentum, features, labels, normalize, class_rows)
+    return ClassTable(table=table, momentum=tac.momentum)
+
+
 def pairwise_dist_out_of_place(a, b):
     """evaluate._pairwise_dist's Euclidean distances as one out-of-place
     expression."""
@@ -620,12 +628,13 @@ def single_step(params, head, tac, feats, labels, parts, cfg, rng, noise_rng=Non
     head and table in, one arm's plain results out."""
     if draw is None:
         (draw,) = zip(*parts.epoch(rng, 1))
+    rows, decoys = draw
     encoder = flatten_params(stack_params([params]))
     if head is not None:
         head = flatten_params(stack_params([head]))
     record = _step(
         encoder, head, ClassTable(tac.table[None], tac.momentum), feats, labels,
-        parts, [cfg], *draw, [noise_rng],
+        parts, [cfg], rows[None], decoys, [noise_rng],
     )
     return arm_of_step(record, encoder.grads, None if head is None else head.grads, 0)
 

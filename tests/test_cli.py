@@ -229,7 +229,8 @@ class TestTrain:
             ])
             assert done.returncode == 2
             assert done.stderr == (
-                "error: holdout_fraction 0.99999999999 leaves no row to fit\n"
+                "error: holdout_fraction 0.99999999999 leaves no row to fit in "
+                "train class 0\n"
             )
             assert done.stdout == "" and not out.exists()
 

@@ -33,7 +33,7 @@ from cirlab.nn import (
 from cirlab.sampling import child_seed
 from cirlab.tac import ClassTable, tac_update
 from cirlab.trainer import TrainConfig, train
-from oracles import one_batch_loss
+from oracles import folded, one_batch_loss
 from test_reproduce import TINY
 
 
@@ -124,6 +124,8 @@ class TestStackedLayers:
         z = rng.standard_normal((3, p * k, d))
         got = tac_update(ClassTable(table, 0.5), z, labels, normalize, class_rows=k)
         assert same(table, np.asarray(table))  # the input is untouched
+        assert same(folded(ClassTable(table, 0.5), z, labels, normalize, k).table,
+                    got.table)
         for s in range(3):
             want = tac_update(ClassTable(table[s], 0.5), z[s], labels[s], normalize,
                               class_rows=k)
@@ -131,6 +133,7 @@ class TestStackedLayers:
         # the general path on shuffled labels with repeats and absent classes
         labels = rng.integers(0, c, size=(3, p * k))
         got = tac_update(ClassTable(table, 0.5), z, labels, normalize)
+        assert same(folded(ClassTable(table, 0.5), z, labels, normalize).table, got.table)
         for s in range(3):
             want = tac_update(ClassTable(table[s], 0.5), z[s], labels[s], normalize)
             assert same(got.table[s], want.table)
@@ -368,7 +371,7 @@ class TestFailingArms:
         # other two train alone to their own bits
         real_step = cirlab.trainer._step
         real_backward = cirlab.trainer.interfere_backward
-        real_update = cirlab.trainer.tac_update
+        real_fold = cirlab.trainer._fold
         steps, blended = [], []
 
         def step(*args):
@@ -380,16 +383,16 @@ class TestFailingArms:
             blended.append(1)
             return real_backward(grad, strength)
 
-        def tac_update(*args, **kwargs):
+        def fold(*args):
             if len(steps) >= 3 and blended:
                 raise RuntimeError("table update failed")
-            return real_update(*args, **kwargs)
+            return real_fold(*args)
 
         inputs, configs = self.inputs(), self.configs()
         with monkeypatch.context() as patch:
             patch.setattr(cirlab.trainer, "_step", step)
             patch.setattr(cirlab.trainer, "interfere_backward", interfere_backward)
-            patch.setattr(cirlab.trainer, "tac_update", tac_update)
+            patch.setattr(cirlab.trainer, "_fold", fold)
             outcomes = reproduce._train_arms(inputs, configs)
         assert type(outcomes[1]) is RuntimeError
         assert str(outcomes[1]) == "table update failed"

@@ -28,6 +28,7 @@ from oracles import (
     active_counts_bool_sums,
     batch_all_triplet_loss_b3,
     batch_all_triplet_loss_boolean,
+    folded,
     geometry_stats_dense,
     one_batch_loss,
     pairwise_dist_out_of_place,
@@ -378,6 +379,8 @@ class TestTacBlocksMatchAddAt:
                 got = tac_update(tac, z, labels, normalize, class_rows=k)
                 assert_same_table(got, tac_update_add_at(tac, z, labels, normalize))
                 assert_same_table(tac_update(tac, z, labels, normalize), got)
+                assert_same_table(folded(tac, z, labels, normalize, k), got)
+                assert_same_table(folded(tac, z, labels, normalize), got)
                 tac = got
 
     @pytest.mark.parametrize("normalize", [False, True])
@@ -398,6 +401,7 @@ class TestTacBlocksMatchAddAt:
             tac = ClassTable(table, momentum)
             got = tac_update(tac, z, labels, normalize, class_rows=k)
             assert_same_table(got, tac_update_add_at(tac, z, labels, normalize))
+            assert_same_table(folded(tac, z, labels, normalize, k), got)
         # at momentum 1 the row is the class mean itself: +0.0, not -0.0
         assert not np.signbit(got.table[labels[0]]).any()
 
@@ -414,6 +418,7 @@ class TestTacBlocksMatchAddAt:
             tac = ClassTable(rng.standard_normal((c, d)), float(rng.choice([0.5, 1.0])))
             got = tac_update(tac, z, labels, normalize)
             assert_same_table(got, tac_update_add_at(tac, z, labels, normalize))
+            assert_same_table(folded(tac, z, labels, normalize), got)
 
     def test_bad_block_layouts(self):
         tac = tac_init(5, 2)

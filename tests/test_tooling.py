@@ -74,16 +74,21 @@ def test_reproduce_workload_call_contract():
         assert callable(getattr(reproduce, name, None)), name
 
 
+# the step runs the encoder and folds the table through the unchecked
+# cores; `forward` and `tac_update` check, then call them
 STEP_CALLS = (
-    "forward", "batch_all_triplet_loss", "backward", "sgd_step_in_place", "tac_update",
+    "_layers", "batch_all_triplet_loss", "backward", "sgd_step_in_place", "_fold",
 )
 # the training stream's draws: the batch-all head draws an epoch's
 # batches and decoys in one pk_epoch call, the others in one step_draws
 # call, which makes one sampling.negative_classes call a step
 DRAW_CALLS = ("pk_epoch", "step_draws")
-# the softmax heads' layers, which the batch-all head never calls;
-# label_smooth builds the run's target table once, so no step calls it
-SOFTMAX_CALLS = ("oim_scores", "label_smooth", "batch_cross_entropy", "input_gradient")
+# the softmax heads' layers, which the batch-all head never calls (the
+# checked `forward` runs the cross-entropy head); label_smooth builds the
+# run's target table once, so no step calls it
+SOFTMAX_CALLS = (
+    "oim_scores", "label_smooth", "batch_cross_entropy", "input_gradient", "forward",
+)
 
 HEADS = {
     "batch_all": {},
@@ -157,8 +162,8 @@ def test_lockstep_arms_share_one_call_of_each_stacked_layer(monkeypatch):
     # encoder, the loss, the backward pass, the SGD step and the table
     # update run once a step for all three
     assert count_step_calls(monkeypatch, 2) == {
-        "forward": 1, "batch_all_triplet_loss": 1, "backward": 1,
-        "sgd_step_in_place": 1, "tac_update": 1,
+        "_layers": 1, "batch_all_triplet_loss": 1, "backward": 1,
+        "sgd_step_in_place": 1, "_fold": 1,
     }
 
 
@@ -168,14 +173,14 @@ def test_every_head_runs_once_on_the_arm_stack(monkeypatch, head, arms):
     # the preformed and softmax heads and the general table update take
     # the whole stack too: one call per step however many arms there are,
     # and one decoy draw for every arm
-    want = {"forward": 1, "negative_classes": 1, "backward": 1,
-            "sgd_step_in_place": 1, "tac_update": 1}
+    want = {"_layers": 1, "negative_classes": 1, "backward": 1,
+            "sgd_step_in_place": 1, "_fold": 1}
     if head == "oim":
         want.update(oim_scores=1, batch_cross_entropy=1)
     if head == "cross_entropy":
-        # the linear head's own forward, backward and SGD step, and the
-        # gradient through it; it scores the blended rows, not the table
-        want.update(batch_cross_entropy=1, forward=2, backward=2,
+        # the linear head's own checked forward, backward and SGD step, and
+        # the gradient through it; it scores the blended rows, not the table
+        want.update(batch_cross_entropy=1, forward=1, backward=2,
                     sgd_step_in_place=2, input_gradient=1)
     assert count_step_calls(monkeypatch, arms, head) == want
 

@@ -170,6 +170,15 @@ class TestConfigValidation:
             DataError, match="^validation class 0 has 5 samples, episodes need 6$"
         ):
             train(tr, short, small_cfg())
+        # the step's encoder runs unchecked, so one pass per run refuses a
+        # non-finite train feature, with forward's message
+        nan = replace(tr, features=tr.features.copy())
+        nan.features[7, 3] = np.nan
+        for mode in ("triplet", "oim"):
+            with pytest.raises(
+                NumericError, match="^input batch contains non-finite values$"
+            ):
+                train(nan, va, small_cfg(loss_mode=mode))
 
     def test_empty_holdout_refused(self):
         # floor(0.1 * 9) = 0 rows of every class would leave val_acc nan
@@ -187,7 +196,8 @@ class TestConfigValidation:
         ten.labels[9] = 0  # class 0 holds 10 rows, so it gives one up
         check_feasible(ten, None, small_cfg(loss_mode="oim"))
         # floor_count(0.99999999999 * 9) is 9: every row held out, none fit;
-        # a class of 1000 rows keeps one
+        # a class of 1000 rows keeps one, but the 9-row class beside it
+        # would train on no row, so that split is refused too, by class
         almost_all = small_cfg(loss_mode="oim", holdout_fraction=1 - 1e-11)
         with pytest.raises(DataError, match="^holdout_fraction 0.99999999999 leaves no row"):
             check_feasible(nine, None, almost_all)
@@ -195,7 +205,14 @@ class TestConfigValidation:
             features=np.zeros((1009, 8), dtype=np.float32),
             labels=np.repeat([0, 1], [9, 1000]), class_count=2, provenance="big",
         )
-        check_feasible(big, None, almost_all)
+        with pytest.raises(
+            DataError,
+            match="^holdout_fraction 0.99999999999 leaves no row to fit in train class 0$",
+        ):
+            check_feasible(big, None, almost_all)
+        # a class with no rows has none to fit either way
+        check_feasible(replace(big, labels=np.zeros(1009, dtype=np.int64)), None,
+                       almost_all)
 
     @pytest.mark.parametrize("mode", ["triplet", "oim", "cross_entropy"])
     def test_epoch_draw_beyond_the_bound_refused(self, mode):
@@ -353,21 +370,22 @@ class TestTripletTraining:
     ):
         tr, va, _ = make_splits()
         cfg = small_cfg()
-        real_forward, real_draw = cirlab.nn.forward, cirlab.trainer.episode_rows
+        real_layers, real_draw = cirlab.nn._layers, cirlab.trainer.episode_rows
         embedded, episode_draws = [], []
 
-        def counting_forward(params, x):
+        def counting_layers(params, x):
             embedded.append(len(x))
-            return real_forward(params, x)
+            return real_layers(params, x)
 
         def counting_draw(labels, *args):
             episode_draws.append(args)
             return real_draw(labels, *args)
 
         for name, module in list(sys.modules.items()):
-            # every cirlab module that holds the encoder's forward
-            if name.startswith("cirlab") and vars(module).get("forward") is real_forward:
-                monkeypatch.setattr(module, "forward", counting_forward)
+            # every cirlab module that holds the encoder's passes: `forward`
+            # runs them after its checks, the training step directly
+            if name.startswith("cirlab") and vars(module).get("_layers") is real_layers:
+                monkeypatch.setattr(module, "_layers", counting_layers)
         monkeypatch.setattr(cirlab.trainer, "episode_rows", counting_draw)
         train(tr, va, cfg)
         assert embedded.count(tr.size) == cfg.epochs
