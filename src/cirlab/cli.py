@@ -18,10 +18,15 @@ output: tool version, input/output sha256 hashes and a [config] block.
 which re-parses to the identical config; `reproduce` does the same for
 the base config its cells train with, then adds its matrix keys as `#`
 comment lines; `gen` and `eval` write their settings only as `#` lines,
-which do not parse back.
+which do not parse back, and `eval` writes only the settings its
+protocol reads.
 Manifests contain no timestamps -- rerunning a command with identical
 inputs produces byte-identical outputs, manifests included.  Wall-clock
 goes to stderr only.
+
+`main` and `entrypoint` may be called any number of times in one
+process: the parser is built on the first call and reused, and each
+command is looked up by name when it runs.
 """
 
 import argparse
@@ -62,6 +67,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+# the settings each eval protocol reads, in the order its manifest lists them
+PROTOCOL_SETTINGS = {
+    "episodic": ("way", "shot", "queries", "episodes", "seed", "metric"),
+    "retrieval": ("metric",),
+    "classification": ("temperature",),
+}
 
 
 def _sha256(path):
@@ -192,10 +204,9 @@ def cmd_eval(args):
             args.out + ".manifest", "eval",
             [("checkpoint", args.checkpoint), ("dataset", args.data)],
             [("metrics", args.out)],
-            config_text=(
-                f"# protocol={args.protocol} way={args.way} shot={args.shot} "
-                f"queries={args.queries} episodes={args.episodes} "
-                f"seed={args.seed} metric={args.metric}"
+            config_text=f"# protocol={args.protocol} " + " ".join(
+                f"{name}={getattr(args, name)}"
+                for name in PROTOCOL_SETTINGS[args.protocol]
             ),
         )
         for name, value, ci in rows:
@@ -281,7 +292,6 @@ def build_parser():
                    help="three comma fractions; writes .train/.val/.test files")
     g.add_argument("--split-seed", type=int, default=None)
     g.add_argument("-o", "--out", required=True)
-    g.set_defaults(func=cmd_gen)
 
     t = sub.add_parser("train", help="train from a config file")
     t.add_argument("-c", "--config", required=True)
@@ -290,13 +300,11 @@ def build_parser():
     t.add_argument("-o", "--out", required=True, help="checkpoint path")
     t.add_argument("--log", default=None, help="log CSV path")
     t.add_argument("--dry-run", action="store_true")
-    t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
     e.add_argument("checkpoint")
     e.add_argument("-d", "--data", required=True)
-    e.add_argument("--protocol",
-                   choices=("episodic", "retrieval", "classification"),
+    e.add_argument("--protocol", choices=tuple(PROTOCOL_SETTINGS),
                    default="episodic")
     e.add_argument("--way", type=int, default=5)
     e.add_argument("--shot", type=int, default=1)
@@ -308,7 +316,6 @@ def build_parser():
     e.add_argument("--temperature", type=float, default=1.0)
     e.add_argument("-o", "--out", default=None,
                    help="metrics CSV path (default: CSV to stdout)")
-    e.set_defaults(func=cmd_eval)
 
     a = sub.add_parser("analyze",
                        help="geometry stats and blend-identity demo")
@@ -316,7 +323,6 @@ def build_parser():
     a.add_argument("-d", "--data", required=True)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--draws", type=int, default=10000)
-    a.set_defaults(func=cmd_analyze)
 
     r = sub.add_parser("reproduce", help="run the three-arm comparison")
     r.add_argument("-o", "--out", required=True)
@@ -325,14 +331,21 @@ def build_parser():
     r.add_argument("--threads", type=int, default=1,
                    help="worker processes, at most one per seed; each runs "
                         "whole seeds (default: 1)")
-    r.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
+# built by the first `main` call, not at import; parsing leaves it as it is
+_parser = None
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; `cmd_<command>` is looked up when it runs."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 def entrypoint(argv=None):

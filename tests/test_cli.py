@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import argparse
 import os
 import struct
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import cirlab
+import cirlab.cli
 from cirlab.cli import entrypoint
 from cirlab.config import parse_config_text
 from cirlab.datagen import Dataset, load_dataset, save_dataset
@@ -180,16 +182,20 @@ def test_memory_error_exits_2_with_one_error_line(monkeypatch, capsys):
     assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
 
 
-def _run_cli(argv):
-    """Run `python -m cirlab.cli argv` in a fresh interpreter, as the
-    console command runs: an uncaught error exits 1 with a traceback."""
+def _python(*args):
+    """Run a fresh interpreter on args with this cirlab importable."""
     src = os.path.dirname(os.path.dirname(cirlab.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "cirlab.cli", *argv], env=env, capture_output=True,
-        text=True,
+        [sys.executable, *args], env=env, capture_output=True, text=True,
     )
+
+
+def _run_cli(argv):
+    """Run `python -m cirlab.cli argv` in a fresh interpreter, as the
+    console command runs: an uncaught error exits 1 with a traceback."""
+    return _python("-m", "cirlab.cli", *argv)
 
 
 class TestTrain:
@@ -568,6 +574,44 @@ class TestEval:
         assert out.read_text().startswith("metric,value,ci95\n")
         assert (tmp_path / "metrics.csv.manifest").exists()
 
+    def manifest_settings(self, trained, tmp_path, extra):
+        """The `#` line of the manifest of an eval written to a file."""
+        out = tmp_path / "metrics.csv"
+        assert entrypoint([
+            "eval", str(trained / "m.ckpt"), *extra, "-o", str(out),
+        ]) == 0
+        manifest = (tmp_path / "metrics.csv.manifest").read_text()
+        return manifest.split("[config]\n", 1)[1]
+
+    def test_episodic_manifest_records_the_episode_set_and_metric(
+        self, trained, tmp_path
+    ):
+        extra = self.eval_args(trained, ("--temperature", "3"))[2:]
+        assert self.manifest_settings(trained, tmp_path, extra) == (
+            "# protocol=episodic way=2 shot=1 queries=3 episodes=40 seed=9 "
+            "metric=euclidean\n"
+        )
+
+    def test_retrieval_manifest_records_only_the_metric(self, trained, tmp_path):
+        # retrieval draws no episodes: it read no way, shot, queries,
+        # episodes or seed, and no temperature
+        extra = self.eval_args(trained, (
+            "--protocol", "retrieval", "--metric", "cosine", "--temperature", "3",
+        ))[2:]
+        assert self.manifest_settings(trained, tmp_path, extra) == (
+            "# protocol=retrieval metric=cosine\n"
+        )
+
+    def test_classification_manifest_records_only_the_temperature(
+        self, trained, tmp_path
+    ):
+        # the manifest claimed 600 episodes at seed 0, and left out the
+        # temperature that classification reads
+        assert self.manifest_settings(trained, tmp_path, [
+            "-d", str(trained / "ds.train.cird"), "--protocol", "classification",
+            "--metric", "cosine", "--temperature", "0.5",
+        ]) == "# protocol=classification temperature=0.5\n"
+
     def test_retrieval_protocol(self, trained, capsys):
         assert entrypoint([
             "eval", str(trained / "m.ckpt"), "-d", str(trained / "ds.test.cird"),
@@ -798,3 +842,75 @@ class TestBlasThreads:
 def test_usage_error_exits_2(capsys):
     assert entrypoint(["train"]) == 2
     capsys.readouterr()
+
+
+class TestRepeatedCommands:
+    """Commands run one after another in one process share its parser,
+    but no state."""
+
+    def test_commands_share_one_process_but_no_state(self, trained, tmp_path, capsys):
+        # 5 classes of 16 rows: the default 5-way 1 + 15 episodes fit
+        data = str(tmp_path / "five.cird")
+        assert entrypoint([
+            "gen", "--classes", "5", "--per-class", "16", "--dim", "6", "-o", data,
+        ]) == 0
+        out = tmp_path / "metrics.csv"
+        default = ["eval", str(trained / "m.ckpt"), "-d", data, "-o", str(out)]
+
+        def run(argv):
+            code = entrypoint(argv)
+            return code, out.read_bytes(), (tmp_path / "metrics.csv.manifest").read_bytes()
+
+        first = run(default)
+        assert first[0] == 0
+        other = run(default + ["--metric", "cosine", "--episodes", "7"])
+        assert other[0] == 0
+        assert b"episodes=7 seed=0 metric=cosine\n" in other[2]
+        capsys.readouterr()
+        assert entrypoint(["eval"]) == 2
+        assert "the following arguments are required" in capsys.readouterr().err
+        assert entrypoint(["--version"]) == 0
+        assert capsys.readouterr().out == f"cirlab {cirlab.__version__}\n"
+        assert run(default) == first
+
+    def test_a_command_patched_after_the_first_call_is_the_one_that_runs(
+        self, trained, monkeypatch, capsys
+    ):
+        argv = ["eval", str(trained / "m.ckpt"), "-d", str(trained / "ds.test.cird"),
+                "--protocol", "retrieval"]
+        assert entrypoint(argv) == 0
+        seen = []
+        monkeypatch.setattr(
+            cirlab.cli, "cmd_eval", lambda args: seen.append(args.protocol) or 7
+        )
+        assert entrypoint(argv) == 7
+        assert seen == ["retrieval"]
+
+    def test_a_second_command_adds_no_argument(self, trained, monkeypatch, capsys):
+        argv = ["eval", str(trained / "m.ckpt"), "-d", str(trained / "ds.test.cird"),
+                "--protocol", "retrieval"]
+        assert entrypoint(argv) == 0
+        calls = []
+        real = argparse._ActionsContainer.add_argument
+        monkeypatch.setattr(
+            argparse._ActionsContainer, "add_argument",
+            lambda self, *a, **k: calls.append(a) or real(self, *a, **k),
+        )
+        assert entrypoint(argv) == 0
+        assert calls == []
+        cirlab.cli.build_parser()  # the counter sees a build
+        assert calls
+
+    def test_import_builds_no_parser(self):
+        done = _python("-c", (
+            "import argparse\n"
+            "calls = []\n"
+            "real = argparse._ActionsContainer.add_argument\n"
+            "argparse._ActionsContainer.add_argument = (\n"
+            "    lambda self, *a, **k: calls.append(a) or real(self, *a, **k))\n"
+            "import cirlab.cli\n"
+            "print(len(calls))\n"
+            "cirlab.cli.build_parser()\n"
+            "print(len(calls) > 0)\n"
+        ))
+        assert (done.returncode, done.stdout) == (0, "0\nTrue\n"), done.stderr

@@ -130,19 +130,30 @@ def count_step_calls(monkeypatch, arms, head="batch_all"):
     return dict(totals[1] - totals[0])
 
 
-def train_tiny(head, iterations, arms):
-    """Train one epoch of `iterations` steps of a config of this head with
-    the blend off, in lockstep with the first `arms` of (cir, matched
-    noise)."""
+def tiny_split():
+    """The (train, val) splits `train_tiny` trains on."""
     ds = gen_gaussian_mixture(GeneratorSpec(
         num_classes=12, samples_per_class=20, input_dim=8, seed=0,
     ))
-    tr, va, _ = split_classes(ds, (0.5, 0.25, 0.25), seed=0)
-    cfg = TrainConfig(
+    return split_classes(ds, (0.5, 0.25, 0.25), seed=0)[:2]
+
+
+def tiny_config(head, iterations):
+    """A one-epoch config of this head of `iterations` steps that fits
+    `tiny_split`."""
+    return TrainConfig(
         epochs=1, iterations=iterations, hidden_dims=(8,), embed_dim=4,
         p_classes=4, k_samples=3, eval_n_way=3, eval_q_queries=2,
         eval_episodes=2, **HEADS[head],
     )
+
+
+def train_tiny(head, iterations, arms):
+    """Train one epoch of `iterations` steps of a config of this head with
+    the blend off, in lockstep with the first `arms` of (cir, matched
+    noise)."""
+    tr, va = tiny_split()
+    cfg = tiny_config(head, iterations)
     off = replace(cfg.interference, enabled=False)
     cir_noise = (
         cfg, replace(cfg, interference=off, noise=NoiseConfig(enabled=True))
